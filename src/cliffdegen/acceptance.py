@@ -17,7 +17,7 @@ from .clifford import (
     reverse,
 )
 from .degeneration import QuadraticFamily, certify_specialization, jacobson_radical
-from .linalg import nullspace_dense
+from .linalg import nullspace_dense, solve_augmented
 from .liestructure import (
     reconstruct_form,
     structure_constants,
@@ -404,16 +404,7 @@ def _random_unimodular(rng: random.Random, n: int):
 def _inverse_unimodular(g):
     n = len(g)
     aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(g)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                fac = aug[r][col]
-                aug[r] = [v - fac * p for v, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return solve_augmented(aug, n)
 
 
 def _mat3(a, b, c):
@@ -449,16 +440,15 @@ ALL_CRITERIA = [
 ]
 
 
+def run_criterion(fn, seed: int = 7) -> dict:
+    """Run one criterion, passing the seed if it takes one."""
+    try:
+        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
+            return fn(seed=seed)
+        return fn()
+    except Exception as exc:  # a crash is a failed criterion, not a crash of the battery
+        return {"name": fn.__name__, "ok": False, "details": {"error": repr(exc)}}
+
+
 def run_all(seed: int = 7) -> list:
-    results = []
-    for fn in ALL_CRITERIA:
-        try:
-            if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-                results.append(fn(seed=seed))
-            else:
-                results.append(fn())
-        except Exception as exc:  # a crash is a failed criterion, not a crash of the battery
-            results.append(
-                {"name": fn.__name__, "ok": False, "details": {"error": repr(exc)}}
-            )
-    return results
+    return [run_criterion(fn, seed) for fn in ALL_CRITERIA]

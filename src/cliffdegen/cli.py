@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import acceptance, jsonio
-from .clifford import PoleError, QuadraticSpace, specialize_space
+from .clifford import PoleError, specialize_space
 from .degeneration import NoWitness, QuadraticFamily, certify_specialization
 from .liestructure import (
     LieClosureError,
@@ -69,16 +69,6 @@ def _load_input(path: str):
         ) from exc
 
 
-def _random_space(rng: random.Random, m: int) -> QuadraticSpace:
-    g = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            g[i][j] = v
-            g[j][i] = v
-    return QuadraticSpace(g)
-
-
 def _cmd_form_reconstruct(args):
     if args.random:
         if args.m is None:
@@ -89,7 +79,7 @@ def _cmd_form_reconstruct(args):
         payload = {"seed": seed, "trials": trials, "m": args.m, "results": []}
         ok = True
         for _ in range(trials):
-            V = _random_space(rng, args.m)
+            V = acceptance._random_symmetric(rng, args.m)
             R = reconstruct_form(structure_constants(V))
             match = R.gram == V.gram
             ok = ok and match
@@ -258,10 +248,7 @@ def _cmd_selftest(args):
     ok = True
     for fn in acceptance.ALL_CRITERIA:
         t0 = time.time()
-        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            r = fn(seed=seed)
-        else:
-            r = fn()
+        r = acceptance.run_criterion(fn, seed)
         dt = time.time() - t0
         print(
             f"[selftest] {r['name']}: {'pass' if r['ok'] else 'FAIL'} ({dt:.1f}s)",

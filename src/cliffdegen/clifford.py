@@ -24,6 +24,7 @@ from .rings import (
     CoefficientRingMismatch,
     PoleError,
     as_coeff,
+    axpy,
     czero,
     eval_coeff,
     regular_at,
@@ -58,6 +59,7 @@ class QuadraticSpace:
                 ring = join_rings(ring, ring_of(v))
         self.ring = ring
         self._gen_cache: dict = {}
+        self._doubled = None  # lipschitz.DoubledAlgebra, built on first use
 
     @staticmethod
     def diagonal(qs) -> "QuadraticSpace":
@@ -167,19 +169,12 @@ class Multivector:
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            s = out.get(mask, 0) + c
-            if czero(s):
-                out.pop(mask, None)
-            else:
-                out[mask] = s
-        return Multivector(out)
+        return Multivector(axpy(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self + other.scale(-1)
+        return Multivector(axpy(dict(self.terms), -1, other.terms))
 
     def __neg__(self):
         return self.scale(-1)
@@ -210,7 +205,7 @@ class Multivector:
         if not self.terms:
             return "Multivector(0)"
         parts = []
-        for mask in sorted(self.terms, key=lambda m: (bin(m).count("1"), m)):
+        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
             idx = "".join(str(i) for i in indices_of(mask)) or "0"
             parts.append(f"({self.terms[mask]})*e{idx}")
         return "Multivector(" + " + ".join(parts) + ")"
@@ -239,17 +234,12 @@ def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
             qj = space.q(j)
             out = {} if czero(qj) else {rest: qj}
         else:
-            out = {}
             btj = space.b(t, j)
-            if not czero(btj):
-                out[rest] = btj
-            for m2, c in _blade_times_gen(space, rest, j).items():
-                # m2 only involves indices < t, so appending e_t is canonical
-                s = out.get(m2 | tbit, 0) - c
-                if czero(s):
-                    out.pop(m2 | tbit, None)
-                else:
-                    out[m2 | tbit] = s
+            out = {} if czero(btj) else {rest: btj}
+            # the blades of rest * e_j only involve indices < t, so appending
+            # e_t keeps them canonical
+            inner = _blade_times_gen(space, rest, j)
+            axpy(out, -1, {m2 | tbit: c for m2, c in inner.items()})
     space._gen_cache[key] = out
     return out
 
@@ -257,12 +247,7 @@ def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
 def _terms_times_gen(space: QuadraticSpace, terms: dict, j: int) -> dict:
     out: dict = {}
     for mask, c in terms.items():
-        for m2, c2 in _blade_times_gen(space, mask, j).items():
-            s = out.get(m2, 0) + c * c2
-            if czero(s):
-                out.pop(m2, None)
-            else:
-                out[m2] = s
+        axpy(out, c, _blade_times_gen(space, mask, j))
     return out
 
 
@@ -274,15 +259,10 @@ def geometric_product(x: Multivector, y: Multivector, space: QuadraticSpace) -> 
     out: dict = {}
     for mb, cb in y.terms.items():
         _check_mask(mb, space.m)
-        terms = dict(x.terms)
+        terms = x.terms
         for j in indices_of(mb):
             terms = _terms_times_gen(space, terms, j)
-        for mask, c in terms.items():
-            s = out.get(mask, 0) + c * cb
-            if czero(s):
-                out.pop(mask, None)
-            else:
-                out[mask] = s
+        axpy(out, cb, terms)
     return Multivector(out)
 
 
@@ -292,44 +272,40 @@ def reverse(x: Multivector, space: QuadraticSpace) -> Multivector:
     Each blade's generator word is reversed and re-canonicalised through the
     product, so non-diagonal forms pick up the correct lower-degree terms.
     """
-    out = Multivector()
+    out: dict = {}
     for mask, c in x.terms.items():
         _check_mask(mask, space.m)
         terms = {0: Fraction(1)}
         for j in reversed(indices_of(mask)):
             terms = _terms_times_gen(space, terms, j)
-        out = out + Multivector(terms).scale(c)
-    return out
+        axpy(out, c, terms)
+    return Multivector(out)
 
 
 def grade_involution(x: Multivector) -> Multivector:
     """Algebra automorphism scaling each blade of cardinality k by (-1)^k."""
     return Multivector(
-        {m: (-c if bin(m).count("1") % 2 else c) for m, c in x.terms.items()}
+        {m: (-c if m.bit_count() % 2 else c) for m, c in x.terms.items()}
     )
 
 
 def even_part(x: Multivector) -> Multivector:
-    return Multivector({m: c for m, c in x.terms.items() if bin(m).count("1") % 2 == 0})
-
-
-def odd_part(x: Multivector) -> Multivector:
-    return Multivector({m: c for m, c in x.terms.items() if bin(m).count("1") % 2 == 1})
+    return Multivector({m: c for m, c in x.terms.items() if m.bit_count() % 2 == 0})
 
 
 def filtration_degree(x: Multivector) -> int:
     """Max blade cardinality; 0 for the zero element."""
     if not x.terms:
         return 0
-    return max(bin(m).count("1") for m in x.terms)
+    return max(m.bit_count() for m in x.terms)
 
 
 def is_even(x: Multivector) -> bool:
-    return all(bin(m).count("1") % 2 == 0 for m in x.terms)
+    return all(m.bit_count() % 2 == 0 for m in x.terms)
 
 
 def is_odd(x: Multivector) -> bool:
-    return all(bin(m).count("1") % 2 == 1 for m in x.terms)
+    return all(m.bit_count() % 2 == 1 for m in x.terms)
 
 
 def is_homogeneous(x: Multivector) -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
-from .linalg import SpanBasis, nullspace_dense
+from .linalg import SpanBasis, echelon, nullspace_dense
 from .rings import Poly, RatFun, czero, eval_coeff, regular_at, ring_of
 
 
@@ -51,15 +51,6 @@ class QuadraticFamily:
 
     def at(self, c) -> QuadraticSpace:
         return specialize_space(self.space, c)
-
-
-def family_tensor(F: QuadraticFamily) -> AlgebraTensor:
-    """Multiplication tensor of the even algebra over the parametric ring.
-
-    Specialisation commutes: substituting t = c entrywise gives the tensor
-    of the specialised form.
-    """
-    return theta_tensor(F.space)
 
 
 def specialize_tensor(T: AlgebraTensor, c) -> AlgebraTensor:
@@ -109,9 +100,7 @@ def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
     kernel = nullspace_dense(gram, d)
     if not kernel:
         return RadicalReport(dimension=0, basis=[], nilpotency_index=1)
-    span = SpanBasis()
-    for vec in kernel:
-        span.insert({k: v for k, v in enumerate(vec) if v != 0})
+    span = echelon(kernel)
     # two-sided ideal check against every basis element
     unit = [[Fraction(1) if i == j else Fraction(0) for i in range(d)] for j in range(d)]
     for vec in kernel:

@@ -72,7 +72,7 @@ def decode_space(obj) -> QuadraticSpace:
 
 def encode_multivector(x: Multivector) -> dict:
     out = {}
-    for mask in sorted(x.terms, key=lambda m: (bin(m).count("1"), indices_of(m))):
+    for mask in sorted(x.terms, key=lambda m: (m.bit_count(), indices_of(m))):
         key = "[" + ",".join(str(i) for i in indices_of(mask)) + "]"
         out[key] = encode_coeff(x.terms[mask])
     return out

@@ -45,7 +45,7 @@ from .clifford import (
     indices_of,
     mask_of,
 )
-from .rings import czero, regular_at, join_rings, ring_of
+from .rings import HALF, axpy, czero, regular_at, join_rings, ring_of
 
 
 class LieClosureError(ArithmeticError):
@@ -106,14 +106,8 @@ class QuotientLieAlgebra:
             a, b, c = pairs[ia], pairs[ib], pairs[ic]
             acc: dict = {}
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                inner = self.bracket(x, y)
-                for p, v in inner.items():
-                    for p2, v2 in self.bracket(p, z).items():
-                        s = acc.get(p2, 0) + v * v2
-                        if czero(s):
-                            acc.pop(p2, None)
-                        else:
-                            acc[p2] = s
+                for p, v in self.bracket(x, y).items():
+                    axpy(acc, v, self.bracket(p, z))
             if acc:
                 raise LieClosureError(f"Jacobi fails on {a},{b},{c}: {acc}")
 
@@ -134,7 +128,7 @@ def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
             com = _commutator(Multivector.blade(pa), Multivector.blade(pb), V)
             expansion = {}
             for mask, c in com.terms.items():
-                k = bin(mask).count("1")
+                k = mask.bit_count()
                 if k == 0:
                     expansion["e0"] = c
                 elif k == 2:
@@ -220,15 +214,14 @@ def reconstruct_form(L: QuotientLieAlgebra) -> QuadraticSpace:
     m = L.m
     if m < 3:
         raise ValueError("reconstruction needs m >= 3")
-    half = Fraction(1, 2)
     q = {}
     b = {}
     # diagonal entries: 2 q(e_s) multiplies s(x,y) in [s(x,s), s(s,y)]
     for j in range(2, m):
         coeffs = L.bracket((1, j), (j, m))
-        q[j] = coeffs.get((1, m), 0) * half
-    q[1] = -L.bracket((1, 2), (1, 3)).get((2, 3), 0) * half
-    q[m] = -L.bracket((1, m), (2, m)).get((1, 2), 0) * half
+        q[j] = coeffs.get((1, m), 0) * HALF
+    q[1] = -L.bracket((1, 2), (1, 3)).get((2, 3), 0) * HALF
+    q[m] = -L.bracket((1, m), (2, m)).get((1, 2), 0) * HALF
     # off-diagonal entries b(j,l): coefficient of s(i,j) in [s(i,j), s(j,l)]
     for j in range(1, m + 1):
         for l in range(j + 1, m + 1):
@@ -242,8 +235,8 @@ def reconstruct_form(L: QuotientLieAlgebra) -> QuadraticSpace:
     for i in range(1, m + 1):
         gram[i - 1][i - 1] = q[i]
     for (j, l), v in b.items():
-        gram[j - 1][l - 1] = v * half
-        gram[l - 1][j - 1] = v * half
+        gram[j - 1][l - 1] = v * HALF
+        gram[l - 1][j - 1] = v * HALF
     V = QuadraticSpace(gram)
     # consistency: the recovered form must reproduce every constant
     expected = transcribe_constants(V)
@@ -319,8 +312,8 @@ class AlgebraTensor:
 
 
 def even_blade_basis(m: int) -> tuple:
-    masks = [mask for mask in range(1 << m) if bin(mask).count("1") % 2 == 0]
-    masks.sort(key=lambda mask: (bin(mask).count("1"), indices_of(mask)))
+    masks = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
+    masks.sort(key=lambda mask: (mask.bit_count(), indices_of(mask)))
     return tuple(masks)
 
 
@@ -356,15 +349,10 @@ def quotient_lie_from_tensor(T: AlgebraTensor, m: int) -> QuotientLieAlgebra:
     for ai in range(npairs):
         for bi in range(ai + 1, npairs):
             i, j = ai + 1, bi + 1  # tensor coordinates of the bivectors
-            com = {}
-            for k, v in T.entry(i, j).items():
-                com[k] = com.get(k, 0) + v
-            for k, v in T.entry(j, i).items():
-                com[k] = com.get(k, 0) - v
+            com = axpy({}, 1, T.entry(i, j))
+            axpy(com, -1, T.entry(j, i))
             exp = {}
             for k, v in com.items():
-                if czero(v):
-                    continue
                 if k == 0:
                     continue
                 if k > npairs:

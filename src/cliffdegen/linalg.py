@@ -1,9 +1,12 @@
-"""Exact linear algebra over the rationals: sparse span bookkeeping, dense
-nullspaces, and small matrix helpers used by the local-model routines."""
+"""Exact linear algebra over the rationals: one sparse echelon core
+(:class:`SpanBasis`) behind spans, ranks, nullspaces and linear solves, and
+small dense matrix helpers used by the local-model routines."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .rings import axpy
 
 
 class SpanBasis:
@@ -19,34 +22,16 @@ class SpanBasis:
         return len(self.pivots)
 
     def reduce(self, vec: dict) -> dict:
-        """Residue of vec modulo the current span (vec is not mutated)."""
+        """Residue of vec modulo the current span (vec is not mutated).  No
+        pivot column is left in it, so a zero residue is always recognised."""
         out = {c: v for c, v in vec.items() if v != 0}
-        while out:
-            col = min(out)
-            row = self.pivots.get(col)
-            if row is None:
-                # eliminate any later reducible columns as well, so that a
-                # zero residue is always recognised
-                tail = {c: v for c, v in out.items() if c > col and c in self.pivots}
-                if not tail:
-                    return out
-                c2 = min(tail)
-                factor = out[c2]
-                for c, v in self.pivots[c2].items():
-                    nv = out.get(c, Fraction(0)) - factor * v
-                    if nv == 0:
-                        out.pop(c, None)
-                    else:
-                        out[c] = nv
-                continue
-            factor = out[col]
-            for c, v in row.items():
-                nv = out.get(c, Fraction(0)) - factor * v
-                if nv == 0:
-                    out.pop(c, None)
-                else:
-                    out[c] = nv
-        return out
+        while True:
+            # a row reaches only past its own pivot, so eliminating the
+            # smallest pivot column present never brings back a smaller one
+            col = min((c for c in out if c in self.pivots), default=None)
+            if col is None:
+                return out
+            axpy(out, -out[col], self.pivots[col])
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -61,64 +46,55 @@ class SpanBasis:
         self.pivots[col] = {c: v * inv for c, v in res.items()}
         return True
 
+    def rref(self) -> dict:
+        """Back-substitute in place until every row is zero at the other
+        pivots: the rows are then the reduced row echelon form, which is
+        unique for the span.  Returns the rows by pivot column."""
+        for col in sorted(self.pivots, reverse=True):
+            row = self.pivots[col]
+            # rows of larger pivots are already reduced, so eliminating one
+            # pivot column leaves the others in this row untouched
+            for c in [c for c in row if c != col and c in self.pivots]:
+                axpy(row, -row[c], self.pivots[c])
+        return self.pivots
 
-def rank_rows(rows) -> int:
-    sb = SpanBasis()
+
+def echelon(rows) -> SpanBasis:
+    """Span of dense rows of rationals."""
+    span = SpanBasis()
     for r in rows:
-        sb.insert(r)
-    return sb.dim
+        span.insert({j: Fraction(v) for j, v in enumerate(r) if v != 0})
+    return span
 
 
 def nullspace_dense(rows: list, ncols: int) -> list:
-    """Basis of {x : A x = 0} for A given as dense rows of Fractions."""
-    # forward elimination with column pivots
-    mat = [list(map(Fraction, r)) for r in rows if any(v != 0 for v in r)]
-    pivot_of_col: dict = {}
-    reduced: list = []
-    for row in mat:
-        row = row[:]
-        for col, ridx in pivot_of_col.items():
-            if row[col] != 0:
-                f = row[col]
-                prow = reduced[ridx]
-                for j in range(ncols):
-                    if prow[j] != 0:
-                        row[j] -= f * prow[j]
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        row = [v * inv for v in row]
-        pivot_of_col[lead] = len(reduced)
-        reduced.append(row)
-    # back substitution
-    for col in sorted(pivot_of_col, reverse=True):
-        prow = reduced[pivot_of_col[col]]
-        for other_col, ridx in pivot_of_col.items():
-            if other_col == col:
-                continue
-            row = reduced[ridx]
-            if row[col] != 0:
-                f = row[col]
-                for j in range(ncols):
-                    if prow[j] != 0:
-                        row[j] -= f * prow[j]
-    free_cols = [j for j in range(ncols) if j not in pivot_of_col]
+    """Basis of {x : A x = 0} for A given as dense rows of Fractions: one
+    vector per free column of the reduced row echelon form of A."""
+    pivots = echelon(rows).rref()
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for col, ridx in pivot_of_col.items():
-            vec[col] = -reduced[ridx][fc]
+        for col, row in pivots.items():
+            vec[col] = -row.get(fc, Fraction(0))
         basis.append(vec)
     return basis
 
 
 def rank_dense(rows: list, ncols: int) -> int:
-    sb = SpanBasis()
-    for r in rows:
-        sb.insert({j: v for j, v in enumerate(r) if v != 0})
-    return sb.dim
+    return echelon(rows).dim
+
+
+def solve_augmented(rows: list, n: int) -> list:
+    """Rows of X with A X = B, for augmented dense rows [A | B] whose left
+    n x n block A is invertible."""
+    pivots = echelon(rows).rref()
+    if any(k not in pivots for k in range(n)):
+        raise ZeroDivisionError("singular system")
+    width = len(rows[0])
+    return [[pivots[k].get(j, Fraction(0)) for j in range(n, width)] for k in range(n)]
 
 
 # --- small dense matrix helpers (lists of lists of Fractions) ---
@@ -140,17 +116,6 @@ def mat_mul(a, b):
                     oi[j] += v * bk[j]
     return out
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), Fraction(0)) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -158,15 +123,6 @@ def mat_sub(a, b):
 
 def identity_matrix(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n, m=None):
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def mat_eq(a, b) -> bool:
-    return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
 
 
 def mat_trace(a) -> Fraction:

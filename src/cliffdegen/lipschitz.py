@@ -28,14 +28,12 @@ from .clifford import (
     Multivector,
     QuadraticSpace,
     geometric_product,
-    indices_of,
     is_even,
     is_homogeneous,
     reverse,
 )
-from .rings import czero
-
-HALF = Fraction(1, 2)
+from .liestructure import even_blade_basis
+from .rings import HALF, axpy, czero
 
 
 class DoubledAlgebra:
@@ -80,13 +78,6 @@ class DoubledAlgebra:
                             f"isotropy fails for the {'delta' if sgn == 1 else 'delta-prime'} family at ({i},{j})"
                         )
 
-    def to_delta_basis(self, x: Multivector) -> Multivector:
-        """Rewrite an element of the f/g presentation in delta/delta' blades."""
-        out = Multivector()
-        for mask, c in x.terms.items():
-            out = out + self._convert_blade(mask).scale(c)
-        return out
-
     def _convert_blade(self, mask: int) -> Multivector:
         cached = self._convert_cache.get(mask)
         if cached is not None:
@@ -111,10 +102,18 @@ class DoubledAlgebra:
         unbal = {
             dmask: c
             for dmask, c in conv.terms.items()
-            if bin(dmask & low).count("1") != bin(dmask >> m).count("1")
+            if (dmask & low).bit_count() != (dmask >> m).bit_count()
         }
         self._unbalanced_cache[mask] = unbal
         return unbal
+
+    def unbalanced(self, x: Multivector) -> dict:
+        """Unbalanced part, in delta/delta' blades, of an element written in
+        the f/g presentation."""
+        acc: dict = {}
+        for mask, c in x.terms.items():
+            axpy(acc, c, self._unbalanced_of_blade(mask))
+        return acc
 
 
 class Cl0Subspace:
@@ -136,31 +135,19 @@ class Cl0Subspace:
     def basis_blades(self):
         m = self.m
         for mask in range(1 << (2 * m)):
-            if bin(mask & ((1 << m) - 1)).count("1") == bin(mask >> m).count("1"):
+            if (mask & ((1 << m) - 1)).bit_count() == (mask >> m).bit_count():
                 yield mask
 
     def contains_fg(self, x: Multivector) -> bool:
         """Membership of an element written in the f/g presentation."""
-        acc: dict = {}
-        for mask, c in x.terms.items():
-            for dmask, c2 in self.doubled._unbalanced_of_blade(mask).items():
-                s = acc.get(dmask, 0) + c * c2
-                if czero(s):
-                    acc.pop(dmask, None)
-                else:
-                    acc[dmask] = s
-        return not acc
-
-
-_doubled_cache: dict = {}
+        return not self.doubled.unbalanced(x)
 
 
 def doubled_algebra(V: QuadraticSpace) -> DoubledAlgebra:
-    D = _doubled_cache.get(id(V))
-    if D is None or D.base is not V:
-        D = DoubledAlgebra(V)
-        _doubled_cache[id(V)] = D
-    return D
+    """The doubled algebra of V, built on first use and kept on V."""
+    if V._doubled is None:
+        V._doubled = DoubledAlgebra(V)
+    return V._doubled
 
 
 def embed_pair(x: Multivector, y: Multivector, D: DoubledAlgebra) -> Multivector:
@@ -171,16 +158,7 @@ def embed_pair(x: Multivector, y: Multivector, D: DoubledAlgebra) -> Multivector
     m = D.base.m
     out: dict = {}
     for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            c = ca * cb
-            if czero(c):
-                continue
-            mask = ma | (mb << m)
-            s = out.get(mask, 0) + c
-            if czero(s):
-                out.pop(mask, None)
-            else:
-                out[mask] = s
+        axpy(out, ca, {ma | (mb << m): cb for mb, cb in y.terms.items()})
     return Multivector(out)
 
 
@@ -240,12 +218,6 @@ def lipschitz_report(x: Multivector, V: QuadraticSpace) -> dict:
     }
 
 
-def _even_masks(m: int):
-    masks = [mask for mask in range(1 << m) if bin(mask).count("1") % 2 == 0]
-    masks.sort(key=lambda mask: (bin(mask).count("1"), indices_of(mask)))
-    return masks
-
-
 def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     """Solve, over the dual numbers, for the even directions X such that
     1 + eps X is Lipschitz.
@@ -261,7 +233,7 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     m = V.m
     D = doubled_algebra(V)
     one = Multivector.scalar(1)
-    masks = _even_masks(m)
+    masks = even_blade_basis(m)
     K = len(masks)
     unbal_cols = []
     tau_rows = []  # expansion of tau(E_k) over the even blade basis
@@ -269,15 +241,7 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     for mask in masks:
         blade = Multivector({mask: Fraction(1)})
         v = embed_pair(blade, one, D) + embed_pair(one, reverse(blade, V), D)
-        acc: dict = {}
-        for fmask, c in v.terms.items():
-            for dmask, c2 in D._unbalanced_of_blade(fmask).items():
-                s = acc.get(dmask, 0) + c * c2
-                if czero(s):
-                    acc.pop(dmask, None)
-                else:
-                    acc[dmask] = s
-        unbal_cols.append(acc)
+        unbal_cols.append(D.unbalanced(v))
         trow = [Fraction(0)] * K
         for m2, c in reverse(blade, V).terms.items():
             trow[index[m2]] += c
@@ -288,7 +252,7 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     solutions = nullspace_dense(eq_rows, K)
     expected_dim = 1 + m * (m - 1) // 2
     # the solution space should be exactly span(e_0, 2-blades)
-    low_masks = {mask for mask in masks if bin(mask).count("1") <= 2}
+    low_masks = {mask for mask in masks if mask.bit_count() <= 2}
     inside = all(
         all(vec[k] == 0 for k in range(K) if masks[k] not in low_masks)
         for vec in solutions

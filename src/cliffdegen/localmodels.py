@@ -16,9 +16,8 @@ from fractions import Fraction
 from .clifford import Multivector, filtration_degree, is_even
 from .liestructure import lie_pairs
 from .linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_trace, nullspace_dense
+from .rings import HALF
 from .spinor import WittDecomposition, spinor_matrix
-
-HALF = Fraction(1, 2)
 
 
 @dataclass

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-HALF = Fraction(1, 2)
+from .linalg import solve_augmented
+from .rings import HALF, axpy
 
 
 def _tup(v):
@@ -71,8 +72,6 @@ class RootSystemData:
 
     def fundamental_weights(self) -> tuple:
         """omega_i in the span of the roots, <omega_i, alpha_j^v> = delta_ij."""
-        from .linalg import nullspace_dense  # local import to keep deps one-way
-
         n = self.rank
         # solve omega = sum_k x_k alpha_k from the Cartan-type system
         outs = []
@@ -94,17 +93,7 @@ class RootSystemData:
 
 
 def _solve_square(aug_rows, n):
-    rows = [list(r) for r in aug_rows]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * p for v, p in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
+    return [row[0] for row in solve_augmented(aug_rows, n)]
 
 
 def _eps(i, n):
@@ -372,16 +361,12 @@ def identify_irreducible(W: dict, R: RootSystemData):
             )
         mult = remaining[lam]
         char = irrep_weights(R, lam)
-        for w, m in char.items():
-            left = remaining.get(w, 0) - mult * m
-            if left < 0:
+        axpy(remaining, -mult, char)
+        for w in char:
+            if remaining.get(w, 0) < 0:
                 raise NotACharacter(
                     f"multiplicity of {w} drops below zero peeling {lam}"
                 )
-            if left == 0:
-                remaining.pop(w, None)
-            else:
-                remaining[w] = left
         constituents.append(
             {
                 "highest_weight": lam,

@@ -15,6 +15,9 @@ from fractions import Fraction
 from numbers import Rational
 
 
+HALF = Fraction(1, 2)
+
+
 class CoefficientRingMismatch(TypeError):
     """Raised when values from incompatible coefficient rings are combined."""
 
@@ -418,6 +421,18 @@ def czero(v) -> bool:
     if isinstance(v, (Poly, RatFun, Dual)):
         return v.is_zero()
     return v == 0
+
+
+def axpy(acc: dict, c, terms: dict) -> dict:
+    """acc += c * terms for sparse maps key -> coefficient, in place; keys
+    whose coefficient becomes zero are dropped.  Returns acc."""
+    for k, v in terms.items():
+        s = acc.get(k, 0) + c * v
+        if czero(s):
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
 
 
 def as_coeff(x):

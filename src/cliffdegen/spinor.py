@@ -30,9 +30,9 @@ from .clifford import (
     is_even,
     filtration_degree,
 )
+from .liestructure import even_blade_basis
 from .linalg import SpanBasis
-
-HALF = Fraction(1, 2)
+from .rings import HALF, axpy
 
 
 @dataclass(frozen=True)
@@ -82,19 +82,19 @@ def clifford_action(gen, subset: int, W: WittDecomposition) -> dict:
         bit = 1 << (i - 1)
         if subset & bit:
             return {}
-        sign = -1 if bin(subset & (bit - 1)).count("1") % 2 else 1
+        sign = -1 if (subset & (bit - 1)).bit_count() % 2 else 1
         return {subset | bit: Fraction(sign)}
     if kind == "p":
         i = gen[1]
         bit = 1 << (i - 1)
         if not subset & bit:
             return {}
-        sign = -1 if bin(subset & (bit - 1)).count("1") % 2 else 1
+        sign = -1 if (subset & (bit - 1)).bit_count() % 2 else 1
         return {subset ^ bit: Fraction(sign)}
     if kind == "u":
         if not W.odd:
             raise UnknownGenerator("u is only present for odd m")
-        sign = -1 if bin(subset).count("1") % 2 else 1
+        sign = -1 if subset.bit_count() % 2 else 1
         return {subset: Fraction(sign)}
     raise UnknownGenerator(f"unknown generator {gen!r}")
 
@@ -114,12 +114,7 @@ def _apply_vector(k: int, vec: dict, W: WittDecomposition) -> dict:
     gen = _gen_of_index(k, W)
     out: dict = {}
     for subset, c in vec.items():
-        for s2, c2 in clifford_action(gen, subset, W).items():
-            s = out.get(s2, Fraction(0)) + c * c2
-            if s == 0:
-                out.pop(s2, None)
-            else:
-                out[s2] = s
+        axpy(out, c, clifford_action(gen, subset, W))
     return out
 
 
@@ -138,12 +133,7 @@ def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
                 vec = _apply_vector(k, vec, W)
                 if not vec:
                     break
-            for s2, c2 in vec.items():
-                v = acc.get(s2, Fraction(0)) + coeff * c2
-                if v == 0:
-                    acc.pop(s2, None)
-                else:
-                    acc[s2] = v
+            axpy(acc, coeff, vec)
         cols.append(acc)
     return [[cols[c].get(r, Fraction(0)) for c in range(dim)] for r in range(dim)]
 
@@ -176,16 +166,12 @@ def verify_action_relations(W: WittDecomposition):
     return None
 
 
-def _even_masks(m: int):
-    return [mask for mask in range(1 << m) if bin(mask).count("1") % 2 == 0]
-
-
 def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
     """Report on the induced map from the even Clifford algebra to
     endomorphisms of S (odd case) or of S+ (+) S- (even case)."""
     failure = verify_action_relations(W)
     dim = 1 << W.ell
-    masks = _even_masks(W.m)
+    masks = even_blade_basis(W.m)
     report = {
         "case": "odd" if W.odd else "even",
         "ell": W.ell,
@@ -198,8 +184,8 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
         return report
     span = SpanBasis()
     block_ok = True
-    plus = [s for s in range(dim) if bin(s).count("1") % 2 == 0]
-    minus = [s for s in range(dim) if bin(s).count("1") % 2 == 1]
+    plus = [s for s in range(dim) if s.bit_count() % 2 == 0]
+    minus = [s for s in range(dim) if s.bit_count() % 2 == 1]
     pos = {s: i for i, s in enumerate(plus)}
     neg = {s: i for i, s in enumerate(minus)}
     half = dim // 2
@@ -217,7 +203,7 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
                     v = mat[r][c]
                     if v == 0:
                         continue
-                    rp, cp = bin(r).count("1") % 2, bin(c).count("1") % 2
+                    rp, cp = r.bit_count() % 2, c.bit_count() % 2
                     if rp != cp:
                         block_ok = False
                     elif rp == 0:
@@ -273,7 +259,7 @@ def halfspin_split(ell: int) -> tuple:
     minus: dict = {}
     for s in range(dim):
         wt = tuple(mats[i][s][s] for i in range(ell))
-        bucket = plus if bin(s).count("1") % 2 == 0 else minus
+        bucket = plus if s.bit_count() % 2 == 0 else minus
         bucket[wt] = bucket.get(wt, 0) + 1
     return plus, minus
 
@@ -333,7 +319,7 @@ def central_involution_check(ell: int) -> dict:
         for col in range(dim):
             want = 0
             if r == col:
-                want = c if bin(r).count("1") % 2 == 0 else -c
+                want = c if r.bit_count() % 2 == 0 else -c
             if mat[r][col] != want:
                 scalar_ok = False
     return {

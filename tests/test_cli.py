@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffdegen import jsonio
+from cliffdegen import acceptance, jsonio
 from cliffdegen.cli import main
 from cliffdegen.clifford import Multivector, QuadraticSpace
 from cliffdegen.liestructure import theta_tensor
@@ -236,3 +236,21 @@ def test_stdout_is_single_sorted_json(capsys):
     doc = json.loads(out)  # exactly one document
     assert list(doc) == sorted(doc)
     assert out.endswith("\n") is True or "\n" not in out.strip()
+
+
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_selftest_isolates_a_crashing_criterion(capsys, monkeypatch, error):
+    def criterion_crash():
+        raise error("boom")
+
+    def criterion_cheap(seed=7):
+        return {"name": "cheap", "ok": True, "details": {"seed": seed}}
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [criterion_crash, criterion_cheap])
+    code, out, err = run_cli(capsys, ["selftest", "--seed", "3"])
+    assert code == 2
+    doc = json.loads(out)  # exactly one document
+    crash, cheap = doc["payload"]["criteria"]
+    assert crash == {"name": "criterion_crash", "ok": False, "details": {"error": repr(error("boom"))}}
+    assert cheap == {"name": "cheap", "ok": True, "details": {"seed": 3}}
+    assert "[selftest] criterion_crash: FAIL" in err

@@ -1,7 +1,9 @@
 """Lipschitz monoid membership, unit group, spin kernel, and the
 infinitesimal theory, including genuine dual-number runs."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -66,6 +68,16 @@ def test_membership_examples():
     # 1 + quadrivector is homogeneous but fails the graded membership
     V4 = QuadraticSpace.diagonal([1, 1, 2, 3])
     assert not is_lipschitz(Multivector.scalar(1) + Multivector.blade((1, 2, 3, 4)), V4)
+
+
+def test_doubled_algebra_does_not_outlive_its_space():
+    V = QuadraticSpace.diagonal([1, 2, 3])
+    assert is_lipschitz(Multivector.basis_vector(1), V)
+    assert doubled_algebra(V) is doubled_algebra(V)
+    ref = weakref.ref(V)
+    del V
+    gc.collect()
+    assert ref() is None
 
 
 def test_unit_group_and_spin_kernel_examples():
