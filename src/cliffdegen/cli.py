@@ -45,6 +45,12 @@ from .spinor import (
 )
 
 
+# `localmodel sequiv --fingerprints` lists the trace of every word of length
+# <= L, the sum of g^k over k <= L words per tuple; longer listings are
+# refused before any work.
+MAX_FINGERPRINT_WORDS = 1 << 16
+
+
 class UsageError(Exception):
     pass
 
@@ -205,13 +211,13 @@ def _cmd_localmodel_simple(args):
     obj = _load_input(args.input)
     vector = None
     if isinstance(obj, dict) and "tuple" in obj:
-        vector = obj.get("vector")
-        T = jsonio.decode_tuple(obj["tuple"])
-    else:
-        T = jsonio.decode_tuple(obj)
+        if obj.get("vector") is not None:
+            vector = jsonio.decode_rationals(obj["vector"], 1, "vector")
+        obj = obj["tuple"]
+    T = jsonio.decode_tuple(obj)
     payload = {"generates_full_algebra": generates_full_algebra(T)}
     if vector is not None:
-        payload["cyclic_vector"] = is_cyclic_vector(T, [Fraction(v) for v in vector])
+        payload["cyclic_vector"] = is_cyclic_vector(T, vector)
     return "pass", payload
 
 
@@ -221,12 +227,20 @@ def _cmd_localmodel_sequiv(args):
         raise UsageError('sequiv expects {"first": tuple, "second": tuple}')
     T1 = jsonio.decode_tuple(obj["first"])
     T2 = jsonio.decode_tuple(obj["second"])
-    L = args.L
-    eq = s_equivalent(T1, T2, L)
-    payload = {
-        "equivalent": eq,
-        "length_bound": L if L is not None else T1.n * T1.n,
-    }
+    L = T1.n * T1.n if args.L is None else args.L
+    if L < 0:
+        raise UsageError(f"--L must be >= 0, got {L}")
+    if args.fingerprints:
+        words = level = 1
+        for _ in range(L):
+            level *= T1.g
+            words += level
+            if words > MAX_FINGERPRINT_WORDS:
+                raise UsageError(
+                    f"--fingerprints at g = {T1.g}, L = {L} lists more than "
+                    f"{MAX_FINGERPRINT_WORDS} words per tuple; lower --L"
+                )
+    payload = {"equivalent": s_equivalent(T1, T2, L), "length_bound": L}
     if args.fingerprints:
         payload["first_fingerprint"] = jsonio.encode_fingerprint(trace_fingerprint(T1, L))
         payload["second_fingerprint"] = jsonio.encode_fingerprint(trace_fingerprint(T2, L))
@@ -238,7 +252,7 @@ def _cmd_localmodel_centralizer(args):
     if not isinstance(obj, dict) or "tuple" not in obj or "h" not in obj:
         raise UsageError('centralizer expects {"tuple": tuple, "h": [matrix, ...]}')
     T = jsonio.decode_tuple(obj["tuple"])
-    h = [[[Fraction(jsonio.decode_coeff(v)) for v in row] for row in m] for m in obj["h"]]
+    h = jsonio.decode_rationals(obj["h"], 3, "h")
     return "pass", {"dimension": centralizer_dim(T, h)}
 
 
@@ -327,10 +341,16 @@ def build_parser() -> _Parser:
     ls = osub.add_parser("simple", help="full-algebra generation (and cyclic vectors)")
     ls.add_argument("--input", required=True)
     ls.set_defaults(func=_cmd_localmodel_simple)
-    le = osub.add_parser("sequiv", help="S-equivalence via trace fingerprints")
+    le = osub.add_parser(
+        "sequiv",
+        help="S-equivalence: equal traces on a basis of the span of the words "
+        "in the block-diagonal tuple",
+    )
     le.add_argument("--input", required=True)
-    le.add_argument("--L", type=int)
-    le.add_argument("--fingerprints", action="store_true")
+    le.add_argument("--L", type=int, help="word-length bound (default n^2)")
+    le.add_argument(
+        "--fingerprints", action="store_true", help="also list the trace of every word"
+    )
     le.set_defaults(func=_cmd_localmodel_sequiv)
     lc = osub.add_parser("centralizer", help="adjoint centralizer dimension")
     lc.add_argument("--input", required=True)

@@ -56,6 +56,18 @@ def decode_coeff(obj):
     raise InputFormatError(f"unrecognised coefficient encoding: {obj!r}")
 
 
+def decode_rationals(obj, depth: int, what: str):
+    """Exact rationals nested ``depth`` levels deep in lists."""
+    if depth == 0:
+        v = decode_coeff(obj)
+        if not isinstance(v, Fraction):
+            raise InputFormatError(f"{what}: expected a rational, got {obj!r}")
+        return v
+    if not isinstance(obj, list):
+        raise InputFormatError(f"{what}: expected a list, got {obj!r}")
+    return [decode_rationals(v, depth - 1, what) for v in obj]
+
+
 def encode_space(V: QuadraticSpace) -> dict:
     return {"m": V.m, "Q": [[encode_coeff(v) for v in row] for row in V.gram]}
 
@@ -122,8 +134,7 @@ def encode_tuple(T: MatrixTuple) -> dict:
 def decode_tuple(obj) -> MatrixTuple:
     if not isinstance(obj, dict) or "X" not in obj:
         raise InputFormatError('matrix tuple must be {"g": int, "n": int, "X": [[[...]]]}')
-    mats = [[[decode_coeff(v) for v in row] for row in m] for m in obj["X"]]
-    T = MatrixTuple.of(mats)
+    T = MatrixTuple.of(decode_rationals(obj["X"], 3, "X"))
     if "g" in obj and obj["g"] != T.g:
         raise InputFormatError("declared g disagrees with X")
     if "n" in obj and obj["n"] != T.n:

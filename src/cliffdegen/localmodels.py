@@ -1,11 +1,12 @@
-"""Matrix-tuple local models: algebra generation, cyclic vectors, trace
-fingerprints for S-equivalence, adjoint centralizers, and the spinor image
-of tuples from the even Lie algebra.
+"""Matrix-tuple local models: algebra generation, cyclic vectors and
+S-equivalence through one word-span closure (:func:`word_span`), trace
+fingerprints, adjoint centralizers, and the spinor image of tuples from the
+even Lie algebra.
 
 Tuples are considered up to simultaneous conjugation.  In characteristic 0
 the closed orbits (semisimplifications) are separated by traces of words in
-the generators; the default word-length bound n^2 is conservative and
-recorded in the fingerprint.
+the generators (Procesi); the default word-length bound n^2 is conservative
+and recorded in the fingerprint.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class MatrixTuple:
         mats = tuple(
             tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats
         )
-        if not mats:
-            raise ValueError("empty tuple")
+        if not mats or not mats[0]:
+            raise ValueError("empty tuple or 0 x 0 matrices")
         n = len(mats[0])
         for m in mats:
             if len(m) != n or any(len(r) != n for r in m):
@@ -43,52 +44,41 @@ class MatrixTuple:
         return [[list(row) for row in m] for m in self.X]
 
 
-def generates_full_algebra(T: MatrixTuple) -> bool:
-    """Word-span growth from {Id, X_1..X_g}, closed under left
-    multiplication by the generators; full means dimension n^2, which by
-    Burnside is equivalent to simplicity of the natural module."""
-    n = T.n
+def word_span(gens, start, rounds=None) -> list:
+    """Basis of the span of the products w s, for s in ``start`` and w a word
+    in ``gens`` of length <= ``rounds`` (any length when None).
+
+    Round k multiplies the products kept in round k - 1 on the left by every
+    generator and keeps a product only if it enlarges the span, so after k
+    rounds the kept products span exactly the words of length <= k.  The
+    closure ends when a round keeps nothing or the span is the whole space.
+    """
     span = SpanBasis()
-    frontier = []
-    for m in [identity_matrix(n)] + T.as_lists():
-        if span.insert(flatten(m)):
-            frontier.append(m)
-    rounds = 0
-    while frontier and span.dim < n * n:
-        rounds += 1
-        if rounds > n * n:
-            raise AssertionError("span growth failed to stabilise within n^2 rounds")
-        new = []
-        for x in T.as_lists():
-            for m in frontier:
-                prod = mat_mul(x, m)
-                if span.insert(flatten(prod)):
-                    new.append(prod)
-        frontier = new
-    return span.dim == n * n
+    basis = [m for m in start if span.insert(flatten(m))]
+    ambient = len(start[0]) * len(start[0][0])
+    frontier, done = basis, 0
+    while frontier and span.dim < ambient and (rounds is None or done < rounds):
+        done += 1
+        if done > ambient:
+            raise AssertionError(f"span growth failed to stabilise within {ambient} rounds")
+        products = (mat_mul(x, m) for x in gens for m in frontier)
+        frontier = [p for p in products if span.insert(flatten(p))]
+        basis = basis + frontier
+    return basis
+
+
+def generates_full_algebra(T: MatrixTuple) -> bool:
+    """The words in X_1..X_g span all n x n matrices; by Burnside this is
+    equivalent to simplicity of the natural module."""
+    return len(word_span(T.as_lists(), [identity_matrix(T.n)])) == T.n * T.n
 
 
 def is_cyclic_vector(T: MatrixTuple, v) -> bool:
-    """Word-span applied to v exhausts the column space."""
+    """The words in X_1..X_g applied to v span the column space."""
     v = [Fraction(x) for x in v]
     if len(v) != T.n:
         raise ValueError(f"vector length {len(v)} != n = {T.n}")
-    span = SpanBasis()
-    frontier = []
-    if span.insert({i: x for i, x in enumerate(v) if x != 0}):
-        frontier.append(v)
-    while frontier and span.dim < T.n:
-        new = []
-        for x in T.as_lists():
-            for w in frontier:
-                img = [
-                    sum((x[i][j] * w[j] for j in range(T.n) if w[j] != 0), Fraction(0))
-                    for i in range(T.n)
-                ]
-                if span.insert({i: c for i, c in enumerate(img) if c != 0}):
-                    new.append(img)
-        frontier = new
-    return span.dim == T.n
+    return len(word_span(T.as_lists(), [[[x] for x in v]])) == T.n
 
 
 @dataclass
@@ -121,13 +111,20 @@ def trace_fingerprint(T: MatrixTuple, L: int = None) -> TraceFingerprint:
 
 
 def s_equivalent(T1: MatrixTuple, T2: MatrixTuple, L: int = None) -> bool:
-    """Equal semisimplifications, detected by exact equality of trace
-    fingerprints at word length n^2 (characteristic-0 criterion)."""
+    """Equal traces on every word of length <= L (default n^2), the
+    characteristic-0 test for equal semisimplifications.
+
+    Traces are linear, so it suffices that tr X - tr Y vanishes on a basis
+    of the span of the words in the block-diagonal generators X_i (+) Y_i:
+    at most 2n^2 words instead of the sum of g^k over k <= L.
+    """
     if (T1.g, T1.n) != (T2.g, T2.n):
         raise ValueError("tuples must share (g, n)")
-    f1 = trace_fingerprint(T1, L)
-    f2 = trace_fingerprint(T2, L)
-    return f1.traces == f2.traces
+    n = T1.n
+    z = [Fraction(0)] * n
+    gens = [[list(r) + z for r in x] + [z + list(r) for r in y] for x, y in zip(T1.X, T2.X)]
+    basis = word_span(gens, [identity_matrix(2 * n)], n * n if L is None else L)
+    return all(sum(w[i][i] - w[n + i][n + i] for i in range(n)) == 0 for w in basis)
 
 
 def centralizer_dim(T: MatrixTuple, h_basis) -> int:
@@ -138,6 +135,8 @@ def centralizer_dim(T: MatrixTuple, h_basis) -> int:
     """
     h = [[[Fraction(v) for v in row] for row in m] for m in h_basis]
     n = T.n
+    if any(len(m) != n or any(len(r) != n for r in m) for m in h):
+        raise ValueError(f"h must hold {n} x {n} matrices")
     span = SpanBasis()
     for m in h:
         span.insert(flatten(m))

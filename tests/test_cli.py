@@ -2,14 +2,16 @@
 encodings used on the wire."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from cliffdegen import acceptance, jsonio
+from cliffdegen import acceptance, cli, jsonio
 from cliffdegen.cli import main
 from cliffdegen.clifford import Multivector, QuadraticSpace
 from cliffdegen.liestructure import theta_tensor
+from cliffdegen.linalg import identity_matrix, mat_mul
 from cliffdegen.localmodels import MatrixTuple, trace_fingerprint
 from cliffdegen.rings import Poly, RatFun
 
@@ -217,6 +219,99 @@ def test_localmodel_commands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["localmodel", "centralizer", "--input", str(p3)])
     assert code == 0
     assert json.loads(out)["payload"]["dimension"] == 0
+
+
+def _sequiv_input(tmp_path, first, second):
+    path = tmp_path / "pair.json"
+    doc = {
+        key: {"X": [[[str(v) for v in row] for row in m] for m in mats]}
+        for key, mats in (("first", first), ("second", second))
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"tuple": {"X": [[["0", "1"], ["0", "0"]]]}, "vector": 5},
+        {"tuple": {"X": [[["0", "1"], ["0", "0"]]]}, "vector": [0.5, 1]},
+        {"tuple": {"X": [[["0", "1"], ["0", "0"]]]}, "vector": [["1"], "0"]},
+        {"g": 1, "n": 0, "X": [[]]},
+    ],
+    ids=["vector-not-a-list", "vector-float", "vector-nested", "empty-tuple"],
+)
+def test_localmodel_simple_rejects_bad_inputs(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["localmodel", "simple", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error")
+
+
+@pytest.mark.parametrize(
+    "h",
+    [5, [[["1", "0"], ["0", 0.5]]], [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]],
+    ids=["not-a-list", "float-entry", "wrong-shape"],
+)
+def test_localmodel_centralizer_rejects_bad_h(capsys, tmp_path, h):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"tuple": {"X": [[["1", "0"], ["0", "-1"]]]}, "h": h}))
+    code, out, err = run_cli(capsys, ["localmodel", "centralizer", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error")
+
+
+def test_sequiv_rejects_negative_length_bound(capsys, tmp_path):
+    # tr X_1 is 3 against 4, which a bound L >= 1 detects
+    path = _sequiv_input(tmp_path, [[[1, 0], [0, 2]]], [[[2, 0], [0, 2]]])
+    code, out, err = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--L", "-1"])
+    assert (code, out) == (1, "")
+    assert "usage error" in err
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--L", "1"])
+    assert json.loads(out)["payload"]["equivalent"] is False
+
+
+def test_sequiv_fingerprint_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "trace_fingerprint", forbidden)
+    monkeypatch.setattr(cli, "s_equivalent", forbidden)
+    X = [[int(i == j) for j in range(4)] for i in range(4)]
+    path = _sequiv_input(tmp_path, [X, X], [X, X])
+    # n = 4, g = 2 at the default L = 16: 2^17 - 1 = 131071 words
+    code, out, err = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints"])
+    assert (code, out) == (1, "")
+    assert str(cli.MAX_FINGERPRINT_WORDS) in err
+    # one past the cap, with g = 1: L + 1 words
+    L = str(cli.MAX_FINGERPRINT_WORDS)
+    path = _sequiv_input(tmp_path, [X], [X])
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints", "--L", L])
+    assert (code, out) == (1, "")
+
+
+def test_sequiv_at_n6_uses_the_word_span(capsys, tmp_path):
+    # the fingerprint would list 2^37 - 1 words per tuple here
+    rng = random.Random(6)
+    n = 6
+    first = [[[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    second = [[list(r) for r in m] for m in first]
+    shifted = [[list(r) for r in m] for m in first]
+    for i in range(n):
+        shifted[0][i][i] += 1
+    for _ in range(2 * n):  # conjugate by elementary matrices I + c e_ij
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        E, Einv = identity_matrix(n), identity_matrix(n)
+        E[i][j], Einv[i][j] = Fraction(c), Fraction(-c)
+        second = [mat_mul(E, mat_mul(m, Einv)) for m in second]
+        shifted = [mat_mul(E, mat_mul(m, Einv)) for m in shifted]
+    for other, want in ((second, True), (shifted, False)):
+        path = _sequiv_input(tmp_path, first, other)
+        code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path])
+        assert code == 0
+        assert json.loads(out)["payload"] == {"equivalent": want, "length_bound": 36}
 
 
 def test_usage_and_parse_errors(capsys, tmp_path):

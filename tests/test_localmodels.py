@@ -1,5 +1,6 @@
-"""Matrix-tuple local models: generation, cyclic vectors, trace
-fingerprints, centralizers, and the spinor image."""
+"""Matrix-tuple local models: the word-span closure behind generation,
+cyclic vectors and S-equivalence, trace fingerprints, centralizers, and the
+spinor image."""
 
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cliffdegen.localmodels import (
     s_equivalent,
     spin_image_tuple,
     trace_fingerprint,
+    word_span,
 )
 
 NIL_PAIR = MatrixTuple.of([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
@@ -174,11 +176,82 @@ def test_spin_image_respects_brackets_exactly():
 def test_word_span_stabilises_within_bound():
     rng = random.Random(57)
     for n in (2, 3):
-        T = MatrixTuple.of(
-            [
-                [[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
-                for _ in range(2)
-            ]
-        )
-        # generates_full_algebra raises if stabilisation exceeds n^2 rounds
-        generates_full_algebra(T)
+        gens = [
+            [[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
+            for _ in range(2)
+        ]
+        # word_span raises if the closure runs past n^2 rounds (the number of
+        # entries), since every round before it stops grows the span
+        basis = word_span(gens, [identity_matrix(n)])
+        assert 1 <= len(basis) <= n * n
+        assert word_span(gens, [identity_matrix(n)], 0) == [identity_matrix(n)]
+
+
+def test_word_span_rounds_cap_word_length():
+    # X shifts e_1 -> e_2 -> e_3: after k rounds e_1 reaches e_(k+1)
+    X = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    e1 = [[Fraction(1)], [Fraction(0)], [Fraction(0)]]
+    assert [len(word_span([X], [e1], k)) for k in range(4)] == [1, 2, 3, 3]
+    assert len(word_span([X], [identity_matrix(3)])) == 3
+
+
+def test_empty_tuple_is_rejected():
+    with pytest.raises(ValueError):
+        MatrixTuple.of([[]])
+    with pytest.raises(ValueError):
+        MatrixTuple.of([])
+
+
+def _conjugated(mats, rng):
+    """mats conjugated by a product of elementary matrices I + c e_ij."""
+    n = len(mats[0])
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        E, Einv = identity_matrix(n), identity_matrix(n)
+        E[i][j], Einv[i][j] = Fraction(c), Fraction(-c)
+        mats = [mat_mul(E, mat_mul(m, Einv)) for m in mats]
+    return mats
+
+
+def test_sequiv_agrees_with_the_fingerprint_at_every_length():
+    """The closure on X (+) Y capped at L rounds gives the same verdict as
+    comparing the traces of all words of length <= L, also at truncated L
+    where the verdict flips (transposes differ first on long words)."""
+    rng = random.Random(71)
+    seen = set()
+
+    def traces(T, L):  # trace_fingerprint(T, L).traces, from one enumeration
+        return {w: t for w, t in fingerprints[T.X].items() if len(w) <= L}
+
+    for n in (1, 2, 3):
+        for g in (1, 2, 3):
+            top = max(L for L in range(n * n + 1) if g**L <= 512)
+            for _ in range(3):
+                first = [
+                    [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+                    for _ in range(g)
+                ]
+                shifted = [[list(r) for r in m] for m in first]
+                shifted[-1][0][0] += 1
+                pairs = {
+                    "conjugated": _conjugated(first, rng),
+                    "trace-shifted": _conjugated(shifted, rng),
+                    "transposed": [[list(r) for r in zip(*m)] for m in first],
+                }
+                T1 = MatrixTuple.of(first)
+                fingerprints = {T1.X: trace_fingerprint(T1, top).traces}
+                for kind, second in pairs.items():
+                    T2 = MatrixTuple.of(second)
+                    fingerprints[T2.X] = trace_fingerprint(T2, top).traces
+                    for L in range(top + 1):
+                        want = traces(T1, L) == traces(T2, L)
+                        assert s_equivalent(T1, T2, L) is want, (kind, first, L)
+                        if L:
+                            seen.add((kind, want))
+    assert seen == {
+        ("conjugated", True),
+        ("trace-shifted", False),
+        ("transposed", True),
+        ("transposed", False),
+    }
