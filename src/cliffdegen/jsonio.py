@@ -75,7 +75,10 @@ def encode_space(V: QuadraticSpace) -> dict:
 def decode_space(obj) -> QuadraticSpace:
     if not isinstance(obj, dict) or "Q" not in obj:
         raise InputFormatError('quadratic space must be {"m": int, "Q": [[...]]}')
-    rows = [[decode_coeff(v) for v in row] for row in obj["Q"]]
+    Q = obj["Q"]
+    if not isinstance(Q, list) or not all(isinstance(row, list) for row in Q):
+        raise InputFormatError(f"Q: expected a list of rows, got {Q!r}")
+    rows = [[decode_coeff(v) for v in row] for row in Q]
     V = QuadraticSpace(rows)
     if "m" in obj and obj["m"] != V.m:
         raise InputFormatError(f'declared m={obj["m"]} but Q is {V.m}x{V.m}')

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .clifford import (
     Multivector,
@@ -98,18 +99,56 @@ class QuotientLieAlgebra:
             return dict(self.table.get((pa, pb), {}))
         return {k: -v for k, v in self.table.get((pb, pa), {}).items()}
 
+    def jacobi_sum(self, a, b, c) -> dict:
+        """[[a,b],c] + [[b,c],a] + [[c,a],b] over the basis, zeros dropped."""
+        acc: dict = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for p, v in self.bracket(x, y).items():
+                axpy(acc, v, self.bracket(p, z))
+        return acc
+
+    def _indexed_table(self, pairs) -> list:
+        """``br[i][j]``: the bracket of pairs i and j as (index, coeff)
+        tuples, antisymmetric.  Rational constants are all scaled by the lcm
+        D of their denominators to plain ints: a Jacobi sum is homogeneous
+        quadratic in the constants, so the scaled sum is D^2 times the true
+        one and vanishes exactly when it does.  Other rings keep their
+        values (D = 1)."""
+        index = {p: i for i, p in enumerate(pairs)}
+        values = [v for exp in self.table.values() for v in exp.values()]
+        rational = all(isinstance(v, (int, Fraction)) for v in values)
+        D = lcm(*(v.denominator for v in values)) if rational else 1
+        n = len(pairs)
+        br = [[()] * n for _ in range(n)]
+        for (pa, pb), exp in self.table.items():
+            if pa < pb:  # bracket() reads only these keys
+                row = [
+                    (index[p], v.numerator * (D // v.denominator) if rational else v)
+                    for p, v in exp.items()
+                ]
+                i, j = index[pa], index[pb]
+                br[i][j] = tuple(row)
+                br[j][i] = tuple((p, -v) for p, v in row)
+        return br
+
     def verify_jacobi(self, triples=None):
+        """Raise LieClosureError on the first triple (of pair indices; all
+        of them by default) whose Jacobi sum is nonzero."""
         pairs = lie_pairs(self.m)
         if triples is None:
             triples = combinations(range(len(pairs)), 3)
+        br = self._indexed_table(pairs)
         for ia, ib, ic in triples:
-            a, b, c = pairs[ia], pairs[ib], pairs[ic]
             acc: dict = {}
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                for p, v in self.bracket(x, y).items():
-                    axpy(acc, v, self.bracket(p, z))
-            if acc:
-                raise LieClosureError(f"Jacobi fails on {a},{b},{c}: {acc}")
+            for x, y, z in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
+                for p, v in br[x][y]:
+                    for k, w in br[p][z]:
+                        acc[k] = acc.get(k, 0) + v * w
+            if any(acc.values()):  # worded from the unscaled sum
+                a, b, c = pairs[ia], pairs[ib], pairs[ic]
+                raise LieClosureError(
+                    f"Jacobi fails on {a},{b},{c}: {self.jacobi_sum(a, b, c)}"
+                )
 
 
 def _commutator(x: Multivector, y: Multivector, V: QuadraticSpace) -> Multivector:

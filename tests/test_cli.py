@@ -314,6 +314,60 @@ def test_sequiv_at_n6_uses_the_word_span(capsys, tmp_path):
         assert json.loads(out)["payload"] == {"equivalent": want, "length_bound": 36}
 
 
+@pytest.mark.parametrize("Q", [5, [5], "x"], ids=["number", "flat-list", "string"])
+@pytest.mark.parametrize(
+    "argv",
+    [["form", "reconstruct"], ["form", "tensor"], ["lipschitz", "test"], ["degenerate", "analyze"]],
+    ids=lambda argv: "-".join(argv),
+)
+def test_space_commands_reject_a_Q_that_is_not_rows(capsys, tmp_path, argv, Q):
+    doc = {"V": {"Q": Q}, "x": {}} if argv[0] == "lipschitz" else {"Q": Q}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv + ["--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_reconstruct_random_refuses_trials_below_one(capsys, trials):
+    argv = ["form", "reconstruct", "--m", "3", "--random", "--trials", trials]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "usage error" in err and "--trials" in err
+    code, out, _ = run_cli(capsys, argv[:-1] + ["2"])
+    assert code == 0
+    assert len(json.loads(out)["payload"]["results"]) == 2
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["form", "tensor"], ["form", "tensor", "--at", "1"], ["degenerate", "analyze"]],
+    ids=["tensor", "tensor-at", "analyze"],
+)
+def test_tensor_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("theta_tensor", "specialize_space", "certify_specialization"):
+        monkeypatch.setattr(cli, name, reached)
+    path = tmp_path / "space.json"
+    for m in (cli.MAX_TENSOR_M + 1, cli.MAX_TENSOR_M + 4):
+        path.write_text(json.dumps({"Q": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}))
+        code, out, err = run_cli(capsys, argv + ["--input", str(path)])
+        assert (code, out) == (1, "")
+        assert "usage error" in err and str(4 ** (m - 1)) in err
+    # at the cap the work starts (and stops at the patched entry point)
+    m = cli.MAX_TENSOR_M
+    path.write_text(json.dumps({"Q": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}))
+    with pytest.raises(_Reached):
+        main(argv + ["--input", str(path)])
+
+
 def test_usage_and_parse_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["nonsense"])
     assert code == 1 and out == ""

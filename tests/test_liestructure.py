@@ -3,6 +3,7 @@ multiplication tensors."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from cliffdegen.clifford import Multivector, QuadraticSpace, geometric_product
 from cliffdegen.liestructure import (
     AlgebraTensor,
     LieClosureError,
+    QuotientLieAlgebra,
     ReconstructionError,
     build_even_lie,
     even_blade_basis,
@@ -21,7 +23,7 @@ from cliffdegen.liestructure import (
     theta_tensor,
     transcribe_constants,
 )
-from cliffdegen.rings import Poly, RatFun
+from cliffdegen.rings import Dual, Poly, RatFun, axpy
 
 HALF = Fraction(1, 2)
 
@@ -203,3 +205,151 @@ def test_quotient_lie_from_tensor_rejects_big_leakage():
         quotient_lie_from_tensor(
             AlgebraTensor(dim=T.dim, identity=0, c=bad, basis_masks=T.basis_masks), 4
         )
+
+
+# --- the Jacobi check -----------------------------------------------------
+
+
+def reference_verify_jacobi(L, triples=None):
+    """The dict-copying Jacobi loop that verify_jacobi replaced, kept as
+    the oracle for verdict, message and first failing triple."""
+    pairs = lie_pairs(L.m)
+    if triples is None:
+        triples = combinations(range(len(pairs)), 3)
+    for ia, ib, ic in triples:
+        a, b, c = pairs[ia], pairs[ib], pairs[ic]
+        acc: dict = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for p, v in L.bracket(x, y).items():
+                axpy(acc, v, L.bracket(p, z))
+        if acc:
+            raise LieClosureError(f"Jacobi fails on {a},{b},{c}: {acc}")
+
+
+def jacobi_outcome(check, L, triples=None):
+    try:
+        check(L, triples)
+    except LieClosureError as exc:
+        return str(exc)
+    return None
+
+
+def corrupt(L, key, label, delta):
+    table = {k: dict(v) for k, v in L.table.items()}
+    table[key][label] = table[key].get(label, 0) + delta
+    return QuotientLieAlgebra(m=L.m, table=table)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_jacobi_catches_one_corrupted_constant(m):
+    V = random_symmetric(random.Random(m), m)
+    L = structure_constants(V)
+    pairs = lie_pairs(m)
+    # [s(1,2), s(2,3)] gains a term on s(1,2): not the bracket of any form
+    bad = corrupt(L, (pairs[0], (2, 3)), pairs[0], Fraction(1, 3))
+    with pytest.raises(LieClosureError) as info:
+        bad.verify_jacobi()
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad)
+    assert str(info.value).startswith("Jacobi fails on ")
+
+
+def random_table(rng, m, ring, density):
+    """A random table: antisymmetric by construction of QuotientLieAlgebra,
+    sparse, with values in ``ring`` and some explicit zeros."""
+    pairs = lie_pairs(m)
+
+    def value():
+        if ring == "rational":
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if ring == "poly":
+            return Poly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+        return Dual.of(Fraction(rng.randint(-2, 2), rng.randint(1, 3)), rng.randint(-1, 1))
+
+    table = {}
+    for ai in range(len(pairs)):
+        for bi in range(ai + 1, len(pairs)):
+            table[(pairs[ai], pairs[bi])] = {
+                p: value() for p in pairs if rng.random() < density
+            }
+    return QuotientLieAlgebra(m=m, table=table)
+
+
+def scaled(L, lam):
+    return QuotientLieAlgebra(
+        m=L.m, table={k: {p: lam * v for p, v in exp.items()} for k, exp in L.table.items()}
+    )
+
+
+def to_poly(L):
+    return QuotientLieAlgebra(
+        m=L.m,
+        table={k: {p: Poly.const(v) for p, v in exp.items()} for k, exp in L.table.items()},
+    )
+
+
+def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
+    # the unscaled sum is recomputed only to word a failure, so counting
+    # its calls shows that the integer kernel alone decided each triple
+    recomputed = []
+    unscaled = QuotientLieAlgebra.jacobi_sum
+
+    def counted(self, a, b, c):
+        recomputed.append((a, b, c))
+        return unscaled(self, a, b, c)
+
+    monkeypatch.setattr(QuotientLieAlgebra, "jacobi_sum", counted)
+    rng = random.Random(2024)
+    t = Poly.t()
+    verdicts = {True: 0, False: 0}
+    for trial in range(120):
+        m = rng.choice([3, 4, 5])
+        kind = trial % 4
+        if kind == 0:  # sparse random tables of every ring
+            L = random_table(rng, m, rng.choice(["rational", "poly", "dual"]), rng.choice([0.02, 0.1, 0.3]))
+        elif kind == 1:  # true tables: rational, scaled by a rational, over Q[t]
+            if rng.random() < 0.6:
+                L = structure_constants(random_symmetric(rng, m), check_jacobi=False)
+                if rng.random() < 0.5:  # lam [,] is a Lie bracket too
+                    lam = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+                    L = scaled(L, lam)
+            else:
+                diag = [Poly([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(m)]
+                L = structure_constants(QuadraticSpace.diagonal(diag), check_jacobi=False)
+        else:  # true tables with one constant changed
+            L = structure_constants(random_symmetric(rng, m), check_jacobi=False)
+            if kind == 3:
+                L = to_poly(L)
+            pairs = lie_pairs(m)
+            key = rng.choice(sorted(L.table))
+            delta = Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+            L = corrupt(L, key, rng.choice(pairs), delta * t if kind == 3 else delta)
+        npairs = len(lie_pairs(m))
+        triples = None
+        if rng.random() < 0.3:
+            triples = [tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(20)]
+        want = jacobi_outcome(reference_verify_jacobi, L, triples)
+        recomputed.clear()
+        got = jacobi_outcome(QuotientLieAlgebra.verify_jacobi, L, triples)
+        assert got == want, (trial, m)
+        assert len(recomputed) == (want is not None), (trial, m)
+        verdicts[want is None] += 1
+    assert min(verdicts.values()) >= 20  # both verdicts are exercised
+
+
+def test_jacobi_honours_explicit_triples_in_order_with_repeats():
+    L = structure_constants(random_symmetric(random.Random(8), 4))
+    pairs = lie_pairs(4)
+    bad = corrupt(L, (pairs[0], pairs[3]), pairs[5], Fraction(2))
+    every = list(combinations(range(len(pairs)), 3))
+    failing = [tr for tr in every if jacobi_outcome(reference_verify_jacobi, bad, [tr])]
+    passing = [tr for tr in every if tr not in failing]
+    assert len(failing) >= 2 and passing
+    bad.verify_jacobi(passing + passing[::-1])  # only triples that hold
+    bad.verify_jacobi([])
+    order = [passing[0], passing[0], failing[-1], failing[0], failing[-1]]
+    with pytest.raises(LieClosureError) as info:
+        bad.verify_jacobi(order)
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad, [failing[-1]])
+    with pytest.raises(LieClosureError) as info:
+        bad.verify_jacobi(iter(failing))  # any iterable, read once
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad, [failing[0]])
