@@ -222,16 +222,15 @@ def criterion_degeneration() -> dict:
         F = QuadraticFamily.diagonal([1] * (m - 1) + [t])
         w = certify_specialization(F)
         T = w.special_fiber
-        # independent trace-form kernel: dense operators via tensor products
+        # independent trace-form kernel: operators applied via tensor products
         d = T.dim
-        unit = [[Fraction(1 if i == j else 0) for i in range(d)] for j in range(d)]
         gram = [[Fraction(0)] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 tr = Fraction(0)
                 for k in range(d):
-                    col = T.multiply(unit[i], T.multiply(unit[j], unit[k]))
-                    tr += col[k]
+                    col = T.multiply({i: 1}, T.multiply({j: 1}, {k: 1}))
+                    tr += col.get(k, 0)
                 gram[i][j] = tr
                 gram[j][i] = tr
         indep_dim = len(nullspace_dense(gram, d))

@@ -36,7 +36,7 @@ from .localmodels import (
     trace_fingerprint,
 )
 from .plethysm import NotACharacter, halfspin_weights, verify_plethysm
-from .rings import CoefficientRingMismatch
+from .rings import CoefficientRingMismatch, InvariantViolation
 from .spinor import (
     WittDecomposition,
     even_algebra_isomorphism_check,
@@ -52,9 +52,20 @@ MAX_FINGERPRINT_WORDS = 1 << 16
 
 # `form tensor` and `degenerate analyze` build the even-algebra tensor: the
 # 4^(m-1) products of pairs of the 2^(m-1) even blades.  Spaces of larger m
-# are refused before any work (m = 8 is 16384 products: about 7 s and 4.5 MB
-# of JSON on a 2.0 GHz Xeon core).
+# are refused before any work (m = 8 is 16384 products: on a 2.0 GHz Xeon
+# core, `form tensor` takes about 5 s and prints 6 MB of JSON for a dense
+# rational form, 0.3 s and 0.3 MB for the unit form).
 MAX_TENSOR_M = 8
+
+# `spinor check` compares the even algebra, of dimension 2^(2l) (odd m) or
+# 2^(2l-1), with the operators on the 2^l-dimensional spin module through
+# dense matrices: l = 5 takes about 14 s, so larger l is refused.
+MAX_SPINOR_CHECK_ELL = 5
+
+# `spinor weights` lists the 2^l weights of the spin module, the scale of
+# MAX_FINGERPRINT_WORDS; larger l is refused (l = 14 takes about 6 s and
+# prints 2.3 MB, and each step of l roughly doubles both).
+MAX_SPINOR_WEIGHTS_ELL = 16
 
 
 class UsageError(Exception):
@@ -131,7 +142,13 @@ def _cmd_form_tensor(args):
     return "pass", payload
 
 
+def _check_ell(ell: int, cap: int):
+    if not 0 <= ell <= cap:
+        raise UsageError(f"--ell must be between 0 and {cap}, got {ell}")
+
+
 def _cmd_spinor_check(args):
+    _check_ell(args.ell, MAX_SPINOR_CHECK_ELL)
     W = WittDecomposition(args.ell, odd=args.parity == "odd")
     rep = even_algebra_isomorphism_check(W)
     payload = {
@@ -155,6 +172,7 @@ def _cmd_spinor_check(args):
 
 
 def _cmd_spinor_weights(args):
+    _check_ell(args.ell, MAX_SPINOR_WEIGHTS_ELL)
     if args.halfspin:
         plus, minus = halfspin_split(args.ell)
         W = plus if args.halfspin == "+" else minus
@@ -402,7 +420,13 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (ReconstructionError, LieClosureError, NotACharacter, NoWitness) as exc:
+    except (
+        ReconstructionError,
+        LieClosureError,
+        NotACharacter,
+        NoWitness,
+        InvariantViolation,
+    ) as exc:
         report = {
             "subcommand": name,
             "verdict": "fail",

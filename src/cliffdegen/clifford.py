@@ -251,6 +251,20 @@ def _terms_times_gen(space: QuadraticSpace, terms: dict, j: int) -> dict:
     return out
 
 
+def blade_row(space: QuadraticSpace, ma: int) -> list:
+    """``row[b]`` = the terms of (blade ma) * (blade b), for every blade b.
+
+    Masks run in increasing order, so b minus its top generator e_t is a
+    smaller mask whose product is already known, and ma * b is that product
+    times e_t: one generator step per blade."""
+    _check_mask(ma, space.m)
+    row = [{ma: Fraction(1)}]
+    for b in range(1, 1 << space.m):
+        t = b.bit_length()
+        row.append(_terms_times_gen(space, row[b ^ (1 << (t - 1))], t))
+    return row
+
+
 def geometric_product(x: Multivector, y: Multivector, space: QuadraticSpace) -> Multivector:
     """Associative unital product determined by the rewriting relations."""
     join_rings(x.ring(), y.ring())

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
 from .linalg import SpanBasis, echelon, nullspace_dense
-from .rings import Poly, RatFun, czero, eval_coeff, regular_at, ring_of
+from .rings import InvariantViolation, Poly, RatFun, czero, eval_coeff, regular_at
 
 
 class NoWitness(ArithmeticError):
@@ -81,47 +81,45 @@ def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
         raise ValueError("radical computation requires rational coefficients")
     T.verify_unital()
     d = T.dim
-    # left-multiplication operators as sparse rows L[i][k] = {l: c}
-    L = [dict() for _ in range(d)]
+    # Tr(L_i L_j) = sum over k, l of c[i,k][l] * c[j,l][k]: list the entries
+    # c[i,k][l] once by their slot (k, l) and join slot (k, l) with (l, k)
+    by_slot: dict = {}
     for (i, k), row in T.c.items():
-        L[i][k] = row
+        for l, v in row.items():
+            by_slot.setdefault((k, l), []).append((i, v))
     gram = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            acc = Fraction(0)
-            Li, Lj = L[i], L[j]
-            for k, row in Li.items():
-                for l, v in row.items():
-                    w = Lj.get(l, {}).get(k)
-                    if w is not None:
-                        acc += v * w
-            gram[i][j] = acc
-            gram[j][i] = acc
+    for (k, l), left in by_slot.items():
+        right = by_slot.get((l, k))
+        if right is None:
+            continue
+        for i, v in left:
+            gi = gram[i]
+            for j, w in right:
+                gi[j] += v * w
     kernel = nullspace_dense(gram, d)
     if not kernel:
         return RadicalReport(dimension=0, basis=[], nilpotency_index=1)
     span = echelon(kernel)
+    sparse = [{k: v for k, v in enumerate(vec) if v != 0} for vec in kernel]
     # two-sided ideal check against every basis element
-    unit = [[Fraction(1) if i == j else Fraction(0) for i in range(d)] for j in range(d)]
-    for vec in kernel:
+    for vec in sparse:
         for x in range(d):
-            for prod in (T.multiply(vec, unit[x]), T.multiply(unit[x], vec)):
-                if not span.contains({k: v for k, v in enumerate(prod) if v != 0}):
-                    raise AssertionError("trace-form kernel is not an ideal")
+            for prod in (T.multiply(vec, {x: 1}), T.multiply({x: 1}, vec)):
+                if not span.contains(prod):
+                    raise InvariantViolation("trace-form kernel is not an ideal")
     # nilpotency: powers of the ideal shrink strictly to zero
-    current = kernel
+    current = sparse
     index = 1
     while current:
         nxt = SpanBasis()
         vecs = []
         for a in current:
-            for b in kernel:
+            for b in sparse:
                 p = T.multiply(a, b)
-                row = {k: v for k, v in enumerate(p) if v != 0}
-                if row and nxt.insert(row):
+                if p and nxt.insert(p):
                     vecs.append(p)
         if len(vecs) >= len(current):
-            raise AssertionError("radical is not nilpotent")
+            raise InvariantViolation("radical is not nilpotent")
         current = vecs
         index += 1
     return RadicalReport(dimension=len(kernel), basis=kernel, nilpotency_index=index)
@@ -200,7 +198,7 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
         raise NoWitness("no regular rational point with nondegenerate fibre found")
     generic_rad = jacobson_radical(theta_tensor(F.at(cpoint)))
     if generic_rad.dimension != 0:
-        raise AssertionError("nondegenerate fibre has nonzero radical")
+        raise InvariantViolation("nondegenerate fibre has nonzero radical")
     return SpecializationWitness(
         m=F.m,
         det_generic=det,

@@ -42,11 +42,12 @@ from math import lcm
 from .clifford import (
     Multivector,
     QuadraticSpace,
+    blade_row,
     geometric_product,
     indices_of,
     mask_of,
 )
-from .rings import HALF, axpy, czero, regular_at, join_rings, ring_of
+from .rings import HALF, InvariantViolation, axpy, czero, regular_at, join_rings, ring_of
 
 
 class LieClosureError(ArithmeticError):
@@ -310,16 +311,15 @@ class AlgebraTensor:
     def entry(self, i: int, j: int) -> dict:
         return self.c.get((i, j), {})
 
-    def multiply(self, u: list, v: list) -> list:
-        out = [0] * self.dim
-        for i, a in enumerate(u):
-            if czero(a):
-                continue
-            for j, bv in enumerate(v):
-                if czero(bv):
-                    continue
-                for k, coeff in self.entry(i, j).items():
-                    out[k] = out[k] + a * bv * coeff
+    def multiply(self, u: dict, v: dict) -> dict:
+        """Product of two sparse vectors {basis index: nonzero coeff}."""
+        out: dict = {}
+        table = self.c
+        for i, a in u.items():
+            for j, b in v.items():
+                entry = table.get((i, j))
+                if entry:
+                    axpy(out, a * b, entry)
         return out
 
     def verify_unital(self):
@@ -364,15 +364,11 @@ def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
     index = {mask: k for k, mask in enumerate(masks)}
     c = {}
     for i, ma in enumerate(masks):
+        products = blade_row(V, ma)
         for j, mb in enumerate(masks):
-            prod = geometric_product(
-                Multivector({ma: Fraction(1)}), Multivector({mb: Fraction(1)}), V
-            )
-            row = {}
-            for mask, coeff in prod.terms.items():
-                row[index[mask]] = coeff
-            if row:
-                c[(i, j)] = row
+            terms = products[mb]
+            if terms:
+                c[(i, j)] = {index[mask]: coeff for mask, coeff in terms.items()}
     return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks)
 
 
@@ -422,7 +418,7 @@ def integrality_witness(V: QuadraticSpace) -> bool:
         regular_at(2 * v, Fraction(0)) for row in V.gram for v in row
     )
     if const_regular != gram_regular:
-        raise AssertionError(
+        raise InvariantViolation(
             "regularity of constants and of the form disagree; "
             "this contradicts their linear relation"
         )

@@ -33,7 +33,7 @@ from .clifford import (
     reverse,
 )
 from .liestructure import even_blade_basis
-from .rings import HALF, axpy, czero
+from .rings import HALF, InvariantViolation, axpy, czero
 
 
 class DoubledAlgebra:
@@ -74,7 +74,7 @@ class DoubledAlgebra:
                         dj, di, self.fg_space
                     )
                     if not anti.is_zero():
-                        raise AssertionError(
+                        raise InvariantViolation(
                             f"isotropy fails for the {'delta' if sgn == 1 else 'delta-prime'} family at ({i},{j})"
                         )
 

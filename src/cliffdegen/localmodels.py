@@ -17,7 +17,7 @@ from fractions import Fraction
 from .clifford import Multivector, filtration_degree, is_even
 from .liestructure import lie_pairs
 from .linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_trace, nullspace_dense
-from .rings import HALF
+from .rings import HALF, InvariantViolation
 from .spinor import WittDecomposition, spinor_matrix
 
 
@@ -60,7 +60,7 @@ def word_span(gens, start, rounds=None) -> list:
     while frontier and span.dim < ambient and (rounds is None or done < rounds):
         done += 1
         if done > ambient:
-            raise AssertionError(f"span growth failed to stabilise within {ambient} rounds")
+            raise InvariantViolation(f"span growth failed to stabilise within {ambient} rounds")
         products = (mat_mul(x, m) for x in gens for m in frontier)
         frontier = [p for p in products if span.insert(flatten(p))]
         basis = basis + frontier

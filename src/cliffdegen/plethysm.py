@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .linalg import solve_augmented
-from .rings import HALF, axpy
+from .rings import HALF, InvariantViolation, axpy
 
 
 def _tup(v):
@@ -180,7 +180,7 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
     )
     for a in R.simple_roots:
         if R.coroot_pairing(R.rho, a) != 1:
-            raise AssertionError("rho fails to pair to 1 with a simple coroot")
+            raise InvariantViolation("rho fails to pair to 1 with a simple coroot")
     return R
 
 
@@ -198,7 +198,7 @@ def weyl_dim(R: RootSystemData, lam) -> int:
     for a in R.positive_roots:
         num *= dot(lr, a) / dot(R.rho, a)
     if num.denominator != 1:
-        raise AssertionError("Weyl dimension did not come out integral")
+        raise InvariantViolation("Weyl dimension did not come out integral")
     return int(num)
 
 
@@ -253,12 +253,12 @@ def irrep_weights(R: RootSystemData, lam) -> dict:
                 continue
             m_mu = 2 * acc / denom
             if m_mu.denominator != 1 or m_mu <= 0:
-                raise AssertionError("Freudenthal recursion produced a non-multiplicity")
+                raise InvariantViolation("Freudenthal recursion produced a non-multiplicity")
             mult[mu] = int(m_mu)
             frontier.append(mu)
     total = sum(mult.values())
     if total != weyl_dim(R, lam):
-        raise AssertionError(
+        raise InvariantViolation(
             f"weight total {total} disagrees with Weyl dimension for {lam}"
         )
     _irrep_cache[key] = dict(mult)
@@ -434,10 +434,10 @@ def verify_plethysm(case: str) -> dict:
         hw = _fundamental_of_dim(R, spec["dim"], orthogonal_only=R.label.startswith("C"))
     defining = irrep_weights(R, hw)
     if sum(defining.values()) != spec["dim"]:
-        raise AssertionError("defining representation has unexpected dimension")
+        raise InvariantViolation("defining representation has unexpected dimension")
     E = build_embedding(R.label, defining)
     if E.ell != spec["ell"]:
-        raise AssertionError("embedding size differs from the expected Witt index")
+        raise InvariantViolation("embedding size differs from the expected Witt index")
     out = {"case": case, "type": R.label, "defining_dim": spec["dim"], "ell": E.ell}
     results = {}
     for sign in ("+", "-"):

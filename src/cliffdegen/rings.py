@@ -26,6 +26,12 @@ class PoleError(ArithmeticError):
     """Raised when a rational function is evaluated at a pole."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal invariant of a computation failed: the inputs were
+    accepted, yet a certificate did not check.  An ``AssertionError``, so
+    callers that catch assertions keep working."""
+
+
 def _fr(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -427,7 +433,8 @@ def axpy(acc: dict, c, terms: dict) -> dict:
     """acc += c * terms for sparse maps key -> coefficient, in place; keys
     whose coefficient becomes zero are dropped.  Returns acc."""
     for k, v in terms.items():
-        s = acc.get(k, 0) + c * v
+        s = acc.get(k)
+        s = c * v if s is None else s + c * v
         if czero(s):
             acc.pop(k, None)
         else:

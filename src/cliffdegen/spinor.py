@@ -32,7 +32,7 @@ from .clifford import (
 )
 from .liestructure import even_blade_basis
 from .linalg import SpanBasis
-from .rings import HALF, axpy
+from .rings import HALF, InvariantViolation, axpy
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,14 @@ def _apply_vector(k: int, vec: dict, W: WittDecomposition) -> dict:
     return out
 
 
-def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
-    """Matrix of x on S, basis = subset bitmasks ascending (empty set first).
+def spinor_columns(x: Multivector, W: WittDecomposition) -> list:
+    """Sparse columns {row: coeff} of the matrix of x on S, basis = subset
+    bitmasks ascending (empty set first).
 
     A blade acts as the composite of its generators, rightmost first.
     """
-    dim = 1 << W.ell
     cols = []
-    for col in range(dim):
+    for col in range(1 << W.ell):
         acc: dict = {}
         for mask, coeff in x.terms.items():
             vec = {col: Fraction(1)}
@@ -135,6 +135,13 @@ def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
                     break
             axpy(acc, coeff, vec)
         cols.append(acc)
+    return cols
+
+
+def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
+    """Dense matrix of x on S (rows and columns as in spinor_columns)."""
+    dim = 1 << W.ell
+    cols = spinor_columns(x, W)
     return [[cols[c].get(r, Fraction(0)) for c in range(dim)] for r in range(dim)]
 
 
@@ -226,25 +233,31 @@ def cartan_element(i: int, W: WittDecomposition) -> Multivector:
     V = W.space()
     ni, pi = W.n(i), W.p(i)
     h = (geometric_product(ni, pi, V) - geometric_product(pi, ni, V)).scale(HALF)
-    assert is_even(h) and filtration_degree(h) <= 2
+    if not (is_even(h) and filtration_degree(h) <= 2):
+        raise InvariantViolation("Cartan element is not even of degree <= 2")
     return h
+
+
+def _cartan_weights(ell: int) -> list:
+    """The weight of each monomial of S (by bitmask): the eigenvalues of
+    h_1..h_l on it, read off their sparse columns once each is checked to
+    be diagonal."""
+    W = WittDecomposition(ell, odd=False)
+    diagonals = []
+    for i in range(1, ell + 1):
+        cols = spinor_columns(cartan_element(i, W), W)
+        if any(col.keys() - {s} for s, col in enumerate(cols)):
+            raise InvariantViolation("Cartan element acts non-diagonally")
+        diagonals.append([col.get(s, Fraction(0)) for s, col in enumerate(cols)])
+    return [tuple(diag[s] for diag in diagonals) for s in range(1 << ell)]
 
 
 def spin_weights(ell: int) -> dict:
     """Weight multiset of the spin module: Cartan eigenvalues computed from
     the action of the h_i.  Returns {weight tuple: multiplicity}; the weight
     of a monomial has +1/2 in slot i when i is present, else -1/2."""
-    W = WittDecomposition(ell, odd=False)
-    dim = 1 << ell
-    mats = [spinor_matrix(cartan_element(i, W), W) for i in range(1, ell + 1)]
-    for mat in mats:
-        for r in range(dim):
-            for c in range(dim):
-                if r != c and mat[r][c] != 0:
-                    raise AssertionError("Cartan element acts non-diagonally")
     out: dict = {}
-    for s in range(dim):
-        wt = tuple(mats[i][s][s] for i in range(ell))
+    for wt in _cartan_weights(ell):
         out[wt] = out.get(wt, 0) + 1
     return out
 
@@ -252,13 +265,9 @@ def spin_weights(ell: int) -> dict:
 def halfspin_split(ell: int) -> tuple:
     """(weights of S+, weights of S-) for the even split form; S+ is the
     even exterior-degree half (contains the empty monomial)."""
-    W = WittDecomposition(ell, odd=False)
-    dim = 1 << ell
-    mats = [spinor_matrix(cartan_element(i, W), W) for i in range(1, ell + 1)]
     plus: dict = {}
     minus: dict = {}
-    for s in range(dim):
-        wt = tuple(mats[i][s][s] for i in range(ell))
+    for s, wt in enumerate(_cartan_weights(ell)):
         bucket = plus if s.bit_count() % 2 == 0 else minus
         bucket[wt] = bucket.get(wt, 0) + 1
     return plus, minus

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffdegen import acceptance, cli, jsonio
+from cliffdegen import acceptance, cli, degeneration, jsonio
 from cliffdegen.cli import main
 from cliffdegen.clifford import Multivector, QuadraticSpace
 from cliffdegen.liestructure import theta_tensor
@@ -366,6 +366,50 @@ def test_tensor_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch
     path.write_text(json.dumps({"Q": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}))
     with pytest.raises(_Reached):
         main(argv + ["--input", str(path)])
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["spinor", "check"], cli.MAX_SPINOR_CHECK_ELL),
+        (["spinor", "check", "--even"], cli.MAX_SPINOR_CHECK_ELL),
+        (["spinor", "weights"], cli.MAX_SPINOR_WEIGHTS_ELL),
+        (["spinor", "weights", "--type", "D"], cli.MAX_SPINOR_WEIGHTS_ELL),
+        (["spinor", "weights", "--halfspin", "-"], cli.MAX_SPINOR_WEIGHTS_ELL),
+    ],
+    ids=["check", "check-even", "weights", "weights-D", "weights-halfspin"],
+)
+def test_spinor_size_guards_refuse_before_any_work(capsys, monkeypatch, argv, cap):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("WittDecomposition", "spin_weights", "halfspin_split"):
+        monkeypatch.setattr(cli, name, reached)
+    for ell in (-1, -7, cap + 1, cap + 40):
+        code, out, err = run_cli(capsys, argv + ["--ell", str(ell)])
+        assert (code, out) == (1, "")
+        assert "usage error" in err and str(cap) in err
+    # at the cap and at 0 the work starts (and stops at the patched entry point)
+    for ell in (0, cap):
+        with pytest.raises(_Reached):
+            main(argv + ["--ell", str(ell)])
+
+
+def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp_path, monkeypatch):
+    # span{e_0} passes for the trace-form kernel, but e_0 e_12 = e_12 leaves it
+    monkeypatch.setattr(
+        degeneration, "nullspace_dense", lambda rows, n: [[Fraction(int(k == 0)) for k in range(n)]]
+    )
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", ["0", "1"]]]}))
+    code, out, _ = run_cli(capsys, ["degenerate", "analyze", "--input", str(path)])
+    assert code == 2
+    doc = json.loads(out)  # exactly one document
+    assert doc == {
+        "subcommand": "degenerate analyze",
+        "verdict": "fail",
+        "payload": {"counterexample": "trace-form kernel is not an ideal"},
+    }
 
 
 def test_usage_and_parse_errors(capsys, tmp_path):

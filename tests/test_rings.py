@@ -5,9 +5,11 @@ import pytest
 from cliffdegen.rings import (
     CoefficientRingMismatch,
     Dual,
+    InvariantViolation,
     PoleError,
     Poly,
     RatFun,
+    axpy,
     join_rings,
     regular_at,
     ring_of,
@@ -80,3 +82,18 @@ def test_ring_of_and_regularity():
     assert ring_of(Dual.eps()) == "dual"
     assert regular_at(Poly.t(), Fraction(0))
     assert not regular_at(RatFun(Poly.const(1), Poly.t()), Fraction(0))
+
+
+def test_axpy_writes_new_keys_and_prunes_zeros():
+    t = RatFun(Poly.t(), Poly((1, 1)))
+    acc = {"a": Fraction(1)}
+    assert axpy(acc, 2, {"a": Fraction(-1, 2), "b": t}) == {"b": 2 * t}
+    assert repr(acc["b"]) == repr(2 * t)  # a new key holds c * v as computed
+    eps = Dual.eps()
+    assert axpy({}, eps, {"x": eps, "y": Fraction(3)}) == {"y": Dual.of(0, 3)}
+    assert axpy({"x": Fraction(1)}, 0, {"y": Fraction(1)}) == {"x": Fraction(1)}
+
+
+def test_invariant_violation_is_an_assertion_error():
+    with pytest.raises(AssertionError):
+        raise InvariantViolation("boom")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffdegen import cli, spinor
 from cliffdegen.clifford import (
     Multivector,
     QuadraticSpace,
@@ -13,6 +14,7 @@ from cliffdegen.clifford import (
     geometric_product,
     is_even,
 )
+from cliffdegen.rings import InvariantViolation
 from cliffdegen.spinor import (
     UnknownGenerator,
     WittDecomposition,
@@ -112,6 +114,25 @@ def test_spin_weights_examples():
     assert set(w2) == {(a, b) for a in (HALF, -HALF) for b in (HALF, -HALF)}
     w7p, w7m = halfspin_split(7)
     assert sum(w7p.values()) == 64 and sum(w7m.values()) == 64
+
+
+def test_weights_read_the_sparse_diagonal_and_check_it(monkeypatch):
+    # the weights are the diagonals of the dense Cartan matrices
+    W = WittDecomposition(4, odd=False)
+    mats = [spinor_matrix(cartan_element(i, W), W) for i in range(1, 5)]
+    want: dict = {}
+    for s in range(16):
+        wt = tuple(mat[s][s] for mat in mats)
+        want[wt] = want.get(wt, 0) + 1
+    assert spin_weights(4) == want
+    plus, minus = halfspin_split(4)
+    assert {**plus, **minus} == want and sum(plus.values()) == 8
+    # an element that moves monomials is refused, and the CLI reports it
+    monkeypatch.setattr(spinor, "cartan_element", lambda i, W: W.n(i) + W.p(i))
+    for weights in (spin_weights, halfspin_split):
+        with pytest.raises(InvariantViolation, match="non-diagonally"):
+            weights(3)
+    assert cli.main(["spinor", "weights", "--ell", "3", "--type", "D"]) == 2
 
 
 def test_weights_distinct_and_cartans_in_lie_algebra():
