@@ -16,12 +16,11 @@ from .clifford import (
     geometric_product,
     reverse,
 )
-from .degeneration import QuadraticFamily, certify_specialization, jacobson_radical
+from .degeneration import QuadraticFamily, certify_specialization
 from .linalg import nullspace_dense, solve_augmented
 from .liestructure import (
     reconstruct_form,
     structure_constants,
-    theta_tensor,
     transcribe_constants,
 )
 from .lipschitz import infinitesimal_lipschitz, is_lipschitz, norm_scalar

@@ -45,7 +45,6 @@ from .clifford import (
     blade_row,
     geometric_product,
     indices_of,
-    mask_of,
 )
 from .rings import HALF, InvariantViolation, axpy, czero, regular_at, join_rings, ring_of
 

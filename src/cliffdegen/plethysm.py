@@ -265,21 +265,6 @@ def irrep_weights(R: RootSystemData, lam) -> dict:
     return dict(mult)
 
 
-def halfspin_weights(ell: int, sign: str = "+") -> dict:
-    """Half-spin weight multiset of the even orthogonal algebra of rank ell:
-    all (+-1/2, ..., +-1/2) with an even (+) or odd (-) number of negative
-    entries; cardinality 2^(ell-1)."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    want = 0 if sign == "+" else 1
-    out = {}
-    for signs in iproduct((HALF, -HALF), repeat=ell):
-        neg = sum(1 for s in signs if s < 0)
-        if neg % 2 == want:
-            out[tuple(signs)] = 1
-    return out
-
-
 class EmbeddingError(ValueError):
     pass
 
@@ -322,22 +307,32 @@ def build_embedding(label: str, weights: dict) -> EmbeddingData:
     return EmbeddingData(subalgebra=label, mu=tuple(sorted(mu, reverse=True)))
 
 
-def restrict_weights(W: dict, E: EmbeddingData) -> dict:
-    """Push a half-spin multiset of so(2l) through the embedding: the weight
-    (s_1..s_l) with s_i = +-1/2 goes to sum_i s_i mu_i; multiplicities add."""
-    out: dict = {}
-    for wt, mult in W.items():
-        if len(wt) != E.ell:
-            raise EmbeddingError(
-                f"weight length {len(wt)} does not match embedding size {E.ell}"
-            )
-        if any(abs(s) != HALF for s in wt):
-            raise EmbeddingError("restriction expects +-1/2 coordinates")
-        acc = tuple(Fraction(0) for _ in E.mu[0])
-        for s, m in zip(wt, E.mu):
-            acc = vadd(acc, vscale(s, m))
-        out[acc] = out.get(acc, 0) + mult
-    return out
+def restrict_weights(E: EmbeddingData) -> tuple:
+    """Both half-spin multisets of so(2l) pushed through the embedding, as
+    (S+, S-); S+ holds the weights (s_1..s_l), s_i = +-1/2, with an even
+    number of negative entries.  Each goes to sum_i s_i mu_i, and
+    multiplicities add.
+
+    The image is the product over i of ({+mu_i/2} + {-mu_i/2}), so the
+    factors are folded in one at a time into multiplicities keyed by
+    (partial weight, parity of the minus signs so far)."""
+    if not E.mu:
+        raise EmbeddingError("embedding has no weights to restrict along")
+    width = len(E.mu[0])
+    if any(len(mu) != width for mu in E.mu):
+        raise EmbeddingError("embedding weights have unequal lengths")
+    states = {(tuple(Fraction(0) for _ in range(width)), 0): 1}
+    for mu in E.mu:
+        half = vscale(HALF, mu)
+        folded: dict = {}
+        for (wt, parity), mult in states.items():
+            for key in ((vadd(wt, half), parity), (vsub(wt, half), parity ^ 1)):
+                folded[key] = folded.get(key, 0) + mult
+        states = folded
+    halves = ({}, {})
+    for (wt, parity), mult in states.items():
+        halves[parity][wt] = mult
+    return halves
 
 
 class NotACharacter(ArithmeticError):
@@ -439,10 +434,10 @@ def verify_plethysm(case: str) -> dict:
     if E.ell != spec["ell"]:
         raise InvariantViolation("embedding size differs from the expected Witt index")
     out = {"case": case, "type": R.label, "defining_dim": spec["dim"], "ell": E.ell}
-    results = {}
-    for sign in ("+", "-"):
-        restricted = restrict_weights(halfspin_weights(E.ell, sign), E)
-        results[sign] = identify_irreducible(restricted, R)
+    results = {
+        sign: identify_irreducible(restricted, R)
+        for sign, restricted in zip(("+", "-"), restrict_weights(E))
+    }
     out["constituents"] = {
         sign: [
             {

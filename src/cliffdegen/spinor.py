@@ -74,7 +74,8 @@ class UnknownGenerator(ValueError):
 def clifford_action(gen, subset: int, W: WittDecomposition) -> dict:
     """Action of a Witt generator on a wedge monomial (bitmask over {1..l}).
 
-    Returns a sparse spinor element {bitmask: coefficient}.
+    Returns a sparse spinor element {bitmask: sign}, with at most one term:
+    each generator acts as a signed partial permutation of the monomials.
     """
     kind = gen[0]
     if kind == "n":
@@ -83,19 +84,19 @@ def clifford_action(gen, subset: int, W: WittDecomposition) -> dict:
         if subset & bit:
             return {}
         sign = -1 if (subset & (bit - 1)).bit_count() % 2 else 1
-        return {subset | bit: Fraction(sign)}
+        return {subset | bit: sign}
     if kind == "p":
         i = gen[1]
         bit = 1 << (i - 1)
         if not subset & bit:
             return {}
         sign = -1 if (subset & (bit - 1)).bit_count() % 2 else 1
-        return {subset ^ bit: Fraction(sign)}
+        return {subset ^ bit: sign}
     if kind == "u":
         if not W.odd:
             raise UnknownGenerator("u is only present for odd m")
         sign = -1 if subset.bit_count() % 2 else 1
-        return {subset: Fraction(sign)}
+        return {subset: sign}
     raise UnknownGenerator(f"unknown generator {gen!r}")
 
 
@@ -110,8 +111,7 @@ def _gen_of_index(k: int, W: WittDecomposition):
     raise UnknownGenerator(f"index {k} outside the Witt basis")
 
 
-def _apply_vector(k: int, vec: dict, W: WittDecomposition) -> dict:
-    gen = _gen_of_index(k, W)
+def _apply_gen(gen, vec: dict, W: WittDecomposition) -> dict:
     out: dict = {}
     for subset, c in vec.items():
         axpy(out, c, clifford_action(gen, subset, W))
@@ -124,13 +124,17 @@ def spinor_columns(x: Multivector, W: WittDecomposition) -> list:
 
     A blade acts as the composite of its generators, rightmost first.
     """
+    words = [
+        (coeff, [_gen_of_index(k, W) for k in reversed(indices_of(mask))])
+        for mask, coeff in x.terms.items()
+    ]
     cols = []
     for col in range(1 << W.ell):
         acc: dict = {}
-        for mask, coeff in x.terms.items():
-            vec = {col: Fraction(1)}
-            for k in reversed(indices_of(mask)):
-                vec = _apply_vector(k, vec, W)
+        for coeff, word in words:
+            vec = {col: 1}  # integer signs until the coefficient
+            for gen in word:
+                vec = _apply_gen(gen, vec, W)
                 if not vec:
                     break
             axpy(acc, coeff, vec)
@@ -139,37 +143,55 @@ def spinor_columns(x: Multivector, W: WittDecomposition) -> list:
 
 
 def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
-    """Dense matrix of x on S (rows and columns as in spinor_columns)."""
+    """Dense matrix of x on S (rows and columns as in spinor_columns), for
+    callers that need matrices, such as the spin image of local models."""
     dim = 1 << W.ell
     cols = spinor_columns(x, W)
     return [[cols[c].get(r, Fraction(0)) for c in range(dim)] for r in range(dim)]
 
 
+def _anticommutator_column(A: list, B: list, c: int) -> dict:
+    """Column c of A B + B A, from sparse columns."""
+    acc: dict = {}
+    for k, v in B[c].items():
+        axpy(acc, v, A[k])
+    for k, v in A[c].items():
+        axpy(acc, v, B[k])
+    return acc
+
+
 def verify_action_relations(W: WittDecomposition):
     """Check x y + y x = b(x,y) id and x^2 = q(x) id for all Witt basis
-    vectors, as operators on S.  Returns None or the first failure."""
+    vectors, as operators on S.  Returns None or the first failure: the
+    first pair (a <= b), and its first wrong entry (r, c) in row-major order.
+
+    Each generator acts as a signed partial permutation, so its sparse
+    columns hold at most one entry and each column of an anticommutator is
+    two column compositions."""
     V = W.space()
     m = W.m
     dim = 1 << W.ell
-    mats = [spinor_matrix(Multivector.basis_vector(k), W) for k in range(1, m + 1)]
+    cols = [spinor_columns(Multivector.basis_vector(k), W) for k in range(1, m + 1)]
     for a in range(m):
         for b in range(a, m):
             want = V.b(a + 1, b + 1) if a != b else V.q(a + 1)
-            for r in range(dim):
-                for c in range(dim):
-                    lhs = sum(
-                        mats[a][r][k] * mats[b][k][c] + mats[b][r][k] * mats[a][k][c]
-                        for k in range(dim)
-                    )
+            bad = []
+            for c in range(dim):
+                col = _anticommutator_column(cols[a], cols[b], c)
+                for r in col.keys() | {c}:
+                    got = col.get(r, Fraction(0))
                     if a == b:
-                        lhs /= 2
-                    if lhs != (want if r == c else 0):
-                        return {
-                            "pair": (a + 1, b + 1),
-                            "entry": (r, c),
-                            "got": lhs,
-                            "want": want if r == c else 0,
-                        }
+                        got /= 2
+                    if got != (want if r == c else 0):
+                        bad.append((r, c, got))
+            if bad:
+                r, c, got = min(bad)
+                return {
+                    "pair": (a + 1, b + 1),
+                    "entry": (r, c),
+                    "got": got,
+                    "want": want if r == c else 0,
+                }
     return None
 
 
@@ -191,34 +213,30 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
         return report
     span = SpanBasis()
     block_ok = True
-    plus = [s for s in range(dim) if s.bit_count() % 2 == 0]
-    minus = [s for s in range(dim) if s.bit_count() % 2 == 1]
-    pos = {s: i for i, s in enumerate(plus)}
-    neg = {s: i for i, s in enumerate(minus)}
-    half = dim // 2
+    # the operator entry (r, c) is a coordinate of End(S), or in the even
+    # case of End(S+) (+) End(S-), each half indexed within itself
+    halves = ([], [])
+    for s in range(dim):
+        halves[s.bit_count() % 2].append(s)
+    index = {s: i for half in halves for i, s in enumerate(half)}
+    n_plus, n_minus = map(len, halves)
     for mask in masks:
-        mat = spinor_matrix(Multivector({mask: Fraction(1)}), W)
-        if W.odd:
-            span.insert(
-                {r * dim + c: mat[r][c] for r in range(dim) for c in range(dim) if mat[r][c] != 0}
-            )
-        else:
-            # even elements must preserve the parity split
-            vec = {}
-            for r in range(dim):
-                for c in range(dim):
-                    v = mat[r][c]
-                    if v == 0:
-                        continue
-                    rp, cp = r.bit_count() % 2, c.bit_count() % 2
-                    if rp != cp:
-                        block_ok = False
-                    elif rp == 0:
-                        vec[pos[r] * half + pos[c]] = v
-                    else:
-                        vec[half * half + neg[r] * half + neg[c]] = v
-            span.insert(vec)
-    target = dim * dim if W.odd else 2 * half * half
+        cols = spinor_columns(Multivector({mask: Fraction(1)}), W)
+        vec = {}
+        for c, col in enumerate(cols):
+            cp = c.bit_count() % 2
+            for r, v in col.items():
+                if W.odd:
+                    vec[r * dim + c] = v
+                elif r.bit_count() % 2 != cp:
+                    # even elements must preserve the parity split
+                    block_ok = False
+                elif cp == 0:
+                    vec[index[r] * n_plus + index[c]] = v
+                else:
+                    vec[n_plus * n_plus + index[r] * n_minus + index[c]] = v
+        span.insert(vec)
+    target = dim * dim if W.odd else n_plus * n_plus + n_minus * n_minus
     report["block_structure_ok"] = block_ok if not W.odd else None
     report["operator_rank"] = span.dim
     report["target_dim"] = target
@@ -320,17 +338,13 @@ def central_involution_check(ell: int) -> dict:
         if not (geometric_product(w, e, V) + geometric_product(e, w, V)).is_zero():
             anti_ok = False
             break
-    mat = spinor_matrix(w, W)
-    dim = 1 << ell
-    c = mat[0][0]
+    cols = spinor_columns(w, W)
+    c = cols[0].get(0, Fraction(0))
     scalar_ok = True
-    for r in range(dim):
-        for col in range(dim):
-            want = 0
-            if r == col:
-                want = c if r.bit_count() % 2 == 0 else -c
-            if mat[r][col] != want:
-                scalar_ok = False
+    for s, col in enumerate(cols):
+        want = c if s.bit_count() % 2 == 0 else -c
+        if col != ({s: want} if want else {}):
+            scalar_ok = False
     return {
         "ell": ell,
         "square_is_identity": square_ok,

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON schemas, determinism, and the value
 encodings used on the wire."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -128,6 +129,52 @@ def test_spinor_check_and_weights(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["payload"]["count"] == 2
     assert tsv.read_text().count("\n") == 2
+
+
+# sha256 of stdout and the exit code of each command, recorded before the
+# spinor checks moved to sparse columns and the half-spin restriction to a
+# fold; `plethysm verify f4` is pinned by the plethysm criterion's digest
+PINNED_STDOUT = {
+    "spinor check --ell 0 --odd": ("a2043fe584586c7169055ae902376ecdd60dc1ab8b4e2c201f7fb0de3fbe8986", 0),
+    "spinor check --ell 1 --odd": ("17aff5a19c21b34a73929c8ff10ac28cf81eb82b3b56e7f8aee8d6c1fff627d6", 0),
+    "spinor check --ell 1 --even": ("a38a59f43c2114bd5cc1165bac06ede642df7720f5562863acf22de688f6833e", 0),
+    "spinor check --ell 2 --odd": ("6ab5afcb9663787a42589d45e31902e1579f2e00a64ca39262cbe00d3728953e", 0),
+    "spinor check --ell 2 --even": ("2cc81fcf645a7d94a833bdcc7aa382c580e4434465e9d1cf50e27b420dfea5d4", 0),
+    "spinor check --ell 3 --odd": ("30a99502e2b3ab40eccc9cdc20819c0bbe48ae6e04e444e3fc06b617bf856525", 0),
+    "spinor check --ell 3 --even": ("eac776e98a48ec0620b22667f8261818fff20a2cfbc11f814da2bbf286a8bee3", 0),
+    "spinor check --ell 4 --odd": ("34669cf60eb676dde19c9558ef7ff62f090657b2dd32c5a17ffd49cb3ea8ee42", 0),
+    "spinor check --ell 4 --even": ("b6959ed17009ee43cd48c8f767b7de2b686fa8a858a03fffd96b56b3b2f52bef", 0),
+    "plethysm verify g2": ("3fd11709c57d2e0d0004dc52cc31ad5ca967e7422007b9e1fa8be52b32a9a475", 0),
+    "plethysm verify g2 --halfspin +": ("c1842094e36ee6767f3fe4f0293b3ec9db48368715b0731ed0301e5afc467a75", 0),
+    "plethysm verify g2 --halfspin -": ("8439ec77f07a0c3e3c014c903e4aa50b2dea14af2c82ec6bd45ce5240c69b34c", 0),
+    "plethysm verify c3": ("a07ad6006c76f126e877ad18fa651925d3af0748dc857c19680e978a4ebacf05", 0),
+    "plethysm verify c3 --halfspin +": ("d1ae90be3619ac4c8296d2d2a5708c646d0e7209058aa08985e35eddee272bc9", 0),
+    "plethysm verify c3 --halfspin -": ("dd2685d769b52d7e2eb8a89560176ce7a605f2ba4917b5cdd872858398447c56", 0),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_spinor_and_plethysm_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == PINNED_STDOUT[argv]
+
+
+def test_spinor_check_even_zero_form_passes(capsys):
+    # Cl+ of the zero form is Q = End(S+), with S- = 0: the target is
+    # |S+|^2 + |S-|^2 = 1 (it was once truncated to 2 * (1 // 2)^2 = 0)
+    code, out, _ = run_cli(capsys, ["spinor", "check", "--ell", "0", "--even"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert doc["payload"] == {
+        "bijective": True,
+        "case": "even",
+        "dim_even_algebra": 1,
+        "ell": 0,
+        "operator_rank": 1,
+        "relations_ok": True,
+        "target_dim": 1,
+    }
 
 
 def test_lipschitz_zero_classifies_none(capsys, tmp_path):

@@ -1,0 +1,44 @@
+"""Every name a library module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cliffdegen"
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements that no expression in the module
+    reads (``from __future__`` imports and names listed in ``__all__`` are
+    exempt)."""
+    tree = ast.parse(source)
+    bound = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "import os\nfrom json import dumps, loads as l\nfrom __future__ import annotations\nl('1')\n"
+    assert unused_imports(source) == [(1, "os"), (2, "dumps")]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_library_modules_have_no_unused_imports():
+    found = {
+        path.name: unused
+        for path in sorted(SRC.glob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}

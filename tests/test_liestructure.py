@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from cliffdegen.clifford import Multivector, QuadraticSpace, geometric_product
+from cliffdegen.clifford import QuadraticSpace
 from cliffdegen.liestructure import (
     AlgebraTensor,
     LieClosureError,

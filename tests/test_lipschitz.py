@@ -7,8 +7,6 @@ import weakref
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from cliffdegen.clifford import (
     Multivector,
     QuadraticSpace,

@@ -3,6 +3,7 @@ identifications."""
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -13,11 +14,11 @@ from cliffdegen.plethysm import (
     NotACharacter,
     build_embedding,
     dot,
-    halfspin_weights,
     identify_irreducible,
     irrep_weights,
     restrict_weights,
     root_system,
+    vadd,
     verify_plethysm,
     vscale,
     weyl_dim,
@@ -26,6 +27,56 @@ from cliffdegen.plethysm import (
 )
 
 HALF = Fraction(1, 2)
+
+
+# --- enumeration reference: the restriction as it was before the fold ---
+
+
+def halfspin_weights(ell: int, sign: str = "+") -> dict:
+    """Half-spin weight multiset of the even orthogonal algebra of rank ell:
+    all (+-1/2, ..., +-1/2) with an even (+) or odd (-) number of negative
+    entries; cardinality 2^(ell-1)."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    want = 0 if sign == "+" else 1
+    out = {}
+    for signs in iproduct((HALF, -HALF), repeat=ell):
+        neg = sum(1 for s in signs if s < 0)
+        if neg % 2 == want:
+            out[tuple(signs)] = 1
+    return out
+
+
+def reference_restrict(W: dict, E: EmbeddingData) -> dict:
+    """Push a half-spin multiset of so(2l) through the embedding: the weight
+    (s_1..s_l) with s_i = +-1/2 goes to sum_i s_i mu_i; multiplicities add."""
+    out: dict = {}
+    for wt, mult in W.items():
+        if len(wt) != E.ell:
+            raise EmbeddingError(
+                f"weight length {len(wt)} does not match embedding size {E.ell}"
+            )
+        if any(abs(s) != HALF for s in wt):
+            raise EmbeddingError("restriction expects +-1/2 coordinates")
+        acc = tuple(Fraction(0) for _ in E.mu[0])
+        for s, m in zip(wt, E.mu):
+            acc = vadd(acc, vscale(s, m))
+        out[acc] = out.get(acc, 0) + mult
+    return out
+
+
+def reference_halves(E: EmbeddingData) -> tuple:
+    return tuple(reference_restrict(halfspin_weights(E.ell, sign), E) for sign in "+-")
+
+
+def _case_embedding(case: str) -> EmbeddingData:
+    if case == "g2":
+        R = root_system("G2")
+        hw = _adjoint_highest_weight(R)
+    else:
+        R = root_system("F4") if case == "f4" else root_system("C", 3)
+        hw = _fundamental_of_dim(R, 26 if case == "f4" else 14, orthogonal_only=case == "c3")
+    return build_embedding(R.label, irrep_weights(R, hw))
 
 
 @pytest.mark.parametrize(
@@ -107,16 +158,24 @@ def test_halfspin_negation_symmetry():
 def test_restrict_zero_embedding_preserves_multiplicity():
     E = EmbeddingData(subalgebra="trivial", mu=tuple([(Fraction(0),)] * 3))
     W = halfspin_weights(3, "+")
-    out = restrict_weights(W, E)
+    out = reference_restrict(W, E)
     assert out == {(Fraction(0),): sum(W.values())}
+    assert restrict_weights(E) == ({(Fraction(0),): 4}, {(Fraction(0),): 4})
 
 
 def test_restrict_validates_shapes():
     E = EmbeddingData(subalgebra="x", mu=((Fraction(1),),))
     with pytest.raises(EmbeddingError):
-        restrict_weights({(HALF, HALF): 1}, E)
+        reference_restrict({(HALF, HALF): 1}, E)
     with pytest.raises(EmbeddingError):
-        restrict_weights({(Fraction(1),): 1}, E)
+        reference_restrict({(Fraction(1),): 1}, E)
+    # the fold reads only the embedding: it refuses one with no weights or
+    # with weights of unequal lengths
+    with pytest.raises(EmbeddingError, match="no weights"):
+        restrict_weights(EmbeddingData(subalgebra="x", mu=()))
+    for mu in (((Fraction(1),), (Fraction(1), Fraction(0))), ((HALF, HALF), (Fraction(1),))):
+        with pytest.raises(EmbeddingError, match="unequal lengths"):
+            restrict_weights(EmbeddingData(subalgebra="x", mu=mu))
 
 
 def test_build_embedding_structure():
@@ -133,7 +192,7 @@ def test_build_embedding_structure():
 def test_g2_restriction_top_weight_is_rho():
     R = root_system("G2")
     E = build_embedding("G2", irrep_weights(R, _adjoint_highest_weight(R)))
-    res = restrict_weights(halfspin_weights(7, "+"), E)
+    res = reference_restrict(halfspin_weights(7, "+"), E)
     assert sum(res.values()) == 64
     top = max(res, key=lambda w: (dot(w, R.rho), w))
     assert top == R.rho
@@ -188,9 +247,10 @@ def test_representative_choice_invariance():
     flipped[0] = vscale(-1, flipped[0])
     flipped[3] = vscale(-1, flipped[3])
     E2 = EmbeddingData(subalgebra="G2", mu=tuple(flipped))
-    out1 = identify_irreducible(restrict_weights(halfspin_weights(7, "+"), E), R)
-    out2 = identify_irreducible(restrict_weights(halfspin_weights(7, "+"), E2), R)
+    out1 = identify_irreducible(reference_restrict(halfspin_weights(7, "+"), E), R)
+    out2 = identify_irreducible(reference_restrict(halfspin_weights(7, "+"), E2), R)
     assert out1 == out2
+    assert [identify_irreducible(h, R) for h in restrict_weights(E2)] == [out1, out1]
 
 
 def test_c3_fundamental_pinning_uses_orthogonality():
@@ -232,3 +292,69 @@ def test_verify_plethysm_f4():
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         verify_plethysm("e8")
+
+
+# --- the fold against the enumeration ------------------------------------
+
+
+def test_fold_matches_the_enumeration_on_random_embeddings():
+    rng = random.Random(2024)
+    small = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    cancelling = 0
+    for _ in range(60):
+        ell = rng.randint(1, 8)
+        width = rng.randint(1, 3)
+        pool = [tuple(rng.choice(small) for _ in range(width)) for _ in range(3)]
+        # draws from a small pool repeat, so distinct sign vectors collide
+        mu = tuple(rng.choice(pool) for _ in range(ell))
+        E = EmbeddingData(subalgebra="random", mu=mu)
+        plus, minus = restrict_weights(E)
+        want_plus, want_minus = reference_halves(E)
+        assert plus == want_plus and minus == want_minus
+        assert sum(plus.values()) == sum(minus.values()) == 2 ** (ell - 1)
+        assert all(isinstance(x, Fraction) for w in plus for x in w)
+        cancelling += len(plus) < 2 ** (ell - 1)
+    assert cancelling >= 20
+
+
+@pytest.mark.parametrize("case", ["g2", "c3", "f4"])
+def test_fold_matches_the_enumeration_on_the_three_cases(case):
+    E = _case_embedding(case)
+    plus, minus = restrict_weights(E)
+    want_plus, want_minus = reference_halves(E)
+    assert plus == want_plus
+    assert minus == want_minus
+
+
+def test_fold_keeps_the_halves_apart():
+    # one weight per sign vector: the halves are the two parity classes
+    mu = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+    plus, minus = restrict_weights(EmbeddingData(subalgebra="D3", mu=mu))
+    assert plus == halfspin_weights(3, "+") and minus == halfspin_weights(3, "-")
+
+
+def _kostant(label, rank):
+    """Both half-spin modules of the adjoint representation, restricted and
+    added, as identified constituents."""
+    R = root_system(label, rank)
+    E = build_embedding(R.label, irrep_weights(R, _adjoint_highest_weight(R)))
+    plus, minus = restrict_weights(E)
+    both = dict(plus)
+    for w, m in minus.items():
+        both[w] = both.get(w, 0) + m
+    return R, E, identify_irreducible(both, R)
+
+
+def test_kostant_rho_decomposition_b2():
+    # Kostant (Adv. Math. 125, 1997): the spin module of the adjoint
+    # representation restricts to 2^floor(r/2) copies of V_rho
+    R, E, out = _kostant("B", 2)
+    assert E.ell == 5
+    assert out == [{"highest_weight": R.rho, "dim": 16, "multiplicity": 2}]
+
+
+def test_kostant_rho_decomposition_d4():
+    # 2^14 spin weights; the restriction and the V_rho character dominate
+    R, E, out = _kostant("D", 4)
+    assert E.ell == 14
+    assert out == [{"highest_weight": R.rho, "dim": 4096, "multiplicity": 4}]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cliffdegen import cli, spinor
 from cliffdegen.clifford import (
     Multivector,
-    QuadraticSpace,
     filtration_degree,
     geometric_product,
     is_even,
@@ -28,8 +27,176 @@ from cliffdegen.spinor import (
     spinor_matrix,
     verify_action_relations,
 )
+from cliffdegen.liestructure import even_blade_basis
+from cliffdegen.linalg import SpanBasis
 
 HALF = Fraction(1, 2)
+
+
+# --- dense references: the checks as they were before sparse columns ---
+
+
+def dense_relations(W):
+    """x y + y x = b(x,y) id on dense 2^l x 2^l matrices, entry by entry;
+    the first failure by pair, then row-major entry."""
+    V = W.space()
+    m = W.m
+    dim = 1 << W.ell
+    mats = [spinor_matrix(Multivector.basis_vector(k), W) for k in range(1, m + 1)]
+    for a in range(m):
+        for b in range(a, m):
+            want = V.b(a + 1, b + 1) if a != b else V.q(a + 1)
+            for r in range(dim):
+                for c in range(dim):
+                    lhs = sum(
+                        mats[a][r][k] * mats[b][k][c] + mats[b][r][k] * mats[a][k][c]
+                        for k in range(dim)
+                    )
+                    if a == b:
+                        lhs /= 2
+                    if lhs != (want if r == c else 0):
+                        return {
+                            "pair": (a + 1, b + 1),
+                            "entry": (r, c),
+                            "got": lhs,
+                            "want": want if r == c else 0,
+                        }
+    return None
+
+
+def dense_operator_span(W):
+    """(rank of the even blades' operators, block structure kept) from the
+    r x c scan of their dense matrices; S+ and S- are numbered within
+    themselves in the even case."""
+    dim = 1 << W.ell
+    pos = {s: i for i, s in enumerate(s for s in range(dim) if s.bit_count() % 2 == 0)}
+    neg = {s: i for i, s in enumerate(s for s in range(dim) if s.bit_count() % 2 == 1)}
+    half = max(dim // 2, 1)
+    span = SpanBasis()
+    block_ok = True
+    for mask in even_blade_basis(W.m):
+        mat = spinor_matrix(Multivector({mask: Fraction(1)}), W)
+        vec = {}
+        for r in range(dim):
+            for c in range(dim):
+                v = mat[r][c]
+                if v == 0:
+                    continue
+                rp, cp = r.bit_count() % 2, c.bit_count() % 2
+                if W.odd:
+                    vec[r * dim + c] = v
+                elif rp != cp:
+                    block_ok = False
+                elif rp == 0:
+                    vec[pos[r] * half + pos[c]] = v
+                else:
+                    vec[half * half + neg[r] * half + neg[c]] = v
+        span.insert(vec)
+    return span.dim, block_ok
+
+
+def _koszul_flipped(action):
+    """p_i takes its sign from the monomials above i instead of below."""
+
+    def flipped(gen, subset, W):
+        bit = 1 << (gen[1] - 1) if gen[0] == "p" else 0
+        if subset & bit:
+            return {subset ^ bit: (-1) ** (subset >> gen[1]).bit_count()}
+        return action(gen, subset, W)
+
+    return flipped
+
+
+def _n_sign_dropped(action):
+    """n_i wedges on with sign +1 always."""
+
+    def dropped(gen, subset, W):
+        out = action(gen, subset, W)
+        return {s: abs(v) for s, v in out.items()} if gen[0] == "n" else out
+
+    return dropped
+
+
+def _u_unsigned(action):
+    """u acts as the identity instead of the parity sign."""
+
+    def unsigned(gen, subset, W):
+        return {subset: 1} if gen[0] == "u" else action(gen, subset, W)
+
+    return unsigned
+
+
+CASES = [(ell, odd) for ell in (0, 1, 2, 3) for odd in (True, False)]
+WRONG_ACTIONS = (
+    [(_koszul_flipped, ell, odd) for ell in (2, 3) for odd in (True, False)]
+    + [(_n_sign_dropped, ell, odd) for ell in (2, 3) for odd in (True, False)]
+    + [(_u_unsigned, ell, True) for ell in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("ell,odd", CASES)
+def test_sparse_relations_match_the_dense_reference(ell, odd):
+    W = WittDecomposition(ell, odd=odd)
+    assert verify_action_relations(W) is None
+    assert dense_relations(W) is None
+
+
+@pytest.mark.parametrize("mutate,ell,odd", WRONG_ACTIONS)
+def test_a_wrong_action_fails_both_checks_alike(monkeypatch, mutate, ell, odd):
+    monkeypatch.setattr(spinor, "clifford_action", mutate(clifford_action))
+    W = WittDecomposition(ell, odd=odd)
+    sparse, dense = verify_action_relations(W), dense_relations(W)
+    assert dense is not None and sparse == dense
+    assert [type(sparse[k]) for k in ("got", "want")] == [type(dense[k]) for k in ("got", "want")]
+    report = even_algebra_isomorphism_check(W)
+    assert not report["relations_ok"] and not report["bijective"]
+    assert report["first_failed_relation"] == dense
+
+
+def test_the_first_failure_is_the_first_entry_in_row_major_order(monkeypatch):
+    # n_1 replaced by A = E_01 + E_13 + E_30, whose square E_03 + E_10 + E_31
+    # fails at (0, 3) first by rows and at (1, 0) first by columns
+    W = WittDecomposition(2, odd=False)
+    real = spinor.spinor_columns
+    A = [{3: Fraction(1)}, {0: Fraction(1)}, {}, {1: Fraction(1)}]
+
+    def columns(x, W):
+        return [dict(col) for col in A] if x == W.n(1) else real(x, W)
+
+    monkeypatch.setattr(spinor, "spinor_columns", columns)
+    failure = verify_action_relations(W)
+    assert failure == {"pair": (1, 1), "entry": (0, 3), "got": 1, "want": 0}
+    assert dense_relations(W) == failure
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_an_operator_across_the_halves_breaks_the_block_structure(monkeypatch, ell):
+    # an odd blade (n_1) among the even ones maps S+ to S-
+    W = WittDecomposition(ell, odd=False)
+    monkeypatch.setattr(spinor, "even_blade_basis", lambda m: even_blade_basis(m) + (1,))
+    rep = even_algebra_isomorphism_check(W)
+    assert rep["relations_ok"] and rep["block_structure_ok"] is False
+    assert not rep["bijective"]
+
+
+@pytest.mark.parametrize("ell,odd", CASES)
+def test_operator_span_matches_the_dense_reference(ell, odd):
+    W = WittDecomposition(ell, odd=odd)
+    rep = even_algebra_isomorphism_check(W)
+    rank, block_ok = dense_operator_span(W)
+    assert rep["operator_rank"] == rank
+    assert rep["block_structure_ok"] == (None if odd else block_ok)
+    assert rep["bijective"]
+    assert rep["target_dim"] == rank == rep["dim_even_algebra"]
+
+
+def test_even_zero_form_maps_onto_the_scalars():
+    # Cl+ of the zero form is Q, and S = S+ is the line of the empty monomial
+    rep = even_algebra_isomorphism_check(WittDecomposition(0, odd=False))
+    assert rep["bijective"] and rep["relations_ok"] and rep["block_structure_ok"]
+    assert rep["operator_rank"] == rep["target_dim"] == rep["dim_even_algebra"] == 1
+    odd = even_algebra_isomorphism_check(WittDecomposition(0, odd=True))
+    assert odd["bijective"] and odd["target_dim"] == 1
 
 
 def test_witt_space_gram():
@@ -164,6 +331,42 @@ def test_central_involution(ell):
     assert rep["anticommutes_with_vectors"]
     assert rep["acts_by_plus_minus_scalar"]
     assert rep["scalar"] ** 2 == 1
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_central_involution_reads_every_column(monkeypatch, ell):
+    # dense reference: w is c on S+ and -c on S-, entry by entry
+    W = WittDecomposition(ell, odd=False)
+    real = spinor.spinor_columns
+    w_cols = []
+
+    def spy(x, W):
+        w_cols.append(x)
+        return real(x, W)
+
+    monkeypatch.setattr(spinor, "spinor_columns", spy)
+    rep = central_involution_check(ell)
+    (w,) = w_cols
+    mat = spinor_matrix(w, W)
+    c = mat[0][0]
+    assert rep["scalar"] == c and type(rep["scalar"]) is Fraction
+    assert all(
+        mat[r][k] == (0 if r != k else c if r.bit_count() % 2 == 0 else -c)
+        for r in range(1 << ell)
+        for k in range(1 << ell)
+    )
+    # one wrong entry anywhere in w's columns is caught
+    for s in (0, (1 << ell) - 1):
+        for bad in ({s: Fraction(7)}, {s: c, s ^ 1: Fraction(1)}, {}):
+
+            def corrupt(x, W, s=s, bad=bad):
+                cols = real(x, W)
+                cols[s] = dict(bad)
+                return cols
+
+            monkeypatch.setattr(spinor, "spinor_columns", corrupt)
+            rep = central_involution_check(ell)
+            assert not rep["acts_by_plus_minus_scalar"]
 
 
 def test_spinor_matrix_multiplicative():
