@@ -19,6 +19,7 @@ i.e. for i > j:  e_i e_j = b(e_i, e_j) e_0 - e_j e_i.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rings import (
     CoefficientRingMismatch,
@@ -58,8 +59,10 @@ class QuadraticSpace:
             for v in row:
                 ring = join_rings(ring, ring_of(v))
         self.ring = ring
+        self._one = Fraction(1)  # unit coefficient of the product cache
         self._gen_cache: dict = {}
         self._doubled = None  # lipschitz.DoubledAlgebra, built on first use
+        self._scaled = None  # (D, space of D Q), built on first use
 
     @staticmethod
     def diagonal(qs) -> "QuadraticSpace":
@@ -80,6 +83,24 @@ class QuadraticSpace:
     def b(self, i: int, j: int):
         """b(e_i, e_j) = 2 Q[i][j], 1-based."""
         return 2 * self.gram[i - 1][j - 1]
+
+    def scaled(self) -> tuple:
+        """``(D, S)``: D is the lcm of the denominators of a rational Q and
+        S the space of D Q, whose entries and product coefficients are plain
+        ``int``s.  A coefficient of a product of k generators that lies on a
+        blade of cardinality c is homogeneous of degree (k - c)/2 in Q, so it
+        is D^((k - c)/2) times the one over Q.  Other rings give
+        ``(1, self)``."""
+        if self._scaled is None:
+            if self.ring != "rational":
+                self._scaled = (1, self)
+            else:
+                D = lcm(*(v.denominator for row in self.gram for v in row))
+                S = QuadraticSpace([[v * D for v in row] for row in self.gram])
+                S.gram = tuple(tuple(int(v) for v in row) for row in S.gram)
+                S._one = 1
+                self._scaled = (D, S)
+        return self._scaled
 
     def degeneracy_rank(self) -> int:
         """Rank of the matrix 2Q (requires rational entries)."""
@@ -223,13 +244,13 @@ def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
         return cached
     jbit = 1 << (j - 1)
     if mask == 0:
-        out = {jbit: Fraction(1)}
+        out = {jbit: space._one}
     else:
         t = mask.bit_length()  # largest 1-based index in the blade
         tbit = 1 << (t - 1)
         rest = mask ^ tbit
         if t < j:
-            out = {mask | jbit: Fraction(1)}
+            out = {mask | jbit: space._one}
         elif t == j:
             qj = space.q(j)
             out = {} if czero(qj) else {rest: qj}

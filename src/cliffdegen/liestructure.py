@@ -10,7 +10,7 @@ module implements and tests.
 Two independent paths compute the constants:
 
 * :func:`structure_constants` expands actual commutators through the
-  geometric product;
+  blade product, on the integer form D Q (D the lcm of Q's denominators);
 * :func:`transcribe_constants` writes them down directly from the rewriting
   relations (elementary index algebra, no product machinery).
 
@@ -42,8 +42,8 @@ from math import lcm
 from .clifford import (
     Multivector,
     QuadraticSpace,
+    _terms_times_gen,
     blade_row,
-    geometric_product,
     indices_of,
 )
 from .rings import HALF, InvariantViolation, axpy, czero, regular_at, join_rings, ring_of
@@ -151,27 +151,39 @@ class QuotientLieAlgebra:
                 )
 
 
-def _commutator(x: Multivector, y: Multivector, V: QuadraticSpace) -> Multivector:
-    return geometric_product(x, y, V) - geometric_product(y, x, V)
-
-
 def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
-    """Construct the even Lie algebra from the product, verifying closure."""
+    """Construct the even Lie algebra from the product, verifying closure.
+
+    The products of two bivector blades are taken on the integer form D Q
+    of :meth:`QuadraticSpace.scaled`; a product of four generators is
+    homogeneous of degree (4 - c)/2 in Q on a blade of cardinality c, so
+    the bracket's e_0 coefficient is divided by D^2 and its bivector
+    coefficients by D."""
     m = V.m
     pairs = lie_pairs(m)
     basis = [Multivector.scalar(1)] + [Multivector.blade(p) for p in pairs]
+    D, S = V.scaled()
+    rational = V.ring == "rational"
+    masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
+
+    def product(ma, pb):  # blade ma times e_i e_j, on S
+        terms = {ma: S._one}
+        for j in pb:
+            terms = _terms_times_gen(S, terms, j)
+        return terms
+
     brackets = {}
-    for ai in range(len(pairs)):
+    for ai, pa in enumerate(pairs):
         for bi in range(ai + 1, len(pairs)):
-            pa, pb = pairs[ai], pairs[bi]
-            com = _commutator(Multivector.blade(pa), Multivector.blade(pb), V)
+            pb = pairs[bi]
+            com = axpy(product(masks[ai], pb), -1, product(masks[bi], pa))
             expansion = {}
-            for mask, c in com.terms.items():
+            for mask, c in com.items():
                 k = mask.bit_count()
                 if k == 0:
-                    expansion["e0"] = c
+                    expansion["e0"] = Fraction(c, D * D) if rational else c
                 elif k == 2:
-                    expansion[indices_of(mask)] = c
+                    expansion[indices_of(mask)] = Fraction(c, D) if rational else c
                 else:
                     raise LieClosureError(
                         f"[{pa},{pb}] leaves the basis span at blade {indices_of(mask)}"
@@ -208,10 +220,25 @@ def structure_constants(V: QuadraticSpace, check_jacobi: bool = True) -> Quotien
 
 def transcribe_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
     """Direct transcription of the bracket identities in the module
-    docstring; shares no code with the geometric product."""
+    docstring; shares no code with the geometric product.
+
+    The constants are linear in the form, so a rational form is scaled here
+    by the lcm D of its denominators, the identities run on ``int``s, and
+    each constant is divided by D once."""
     m = V.m
     pairs = lie_pairs(m)
     table = {}
+    gram = V.gram
+    rational = V.ring == "rational"
+    if rational:
+        D = lcm(*(v.denominator for row in gram for v in row))
+        gram = [[v.numerator * (D // v.denominator) for v in row] for row in gram]
+
+    def qform(i):
+        return gram[i - 1][i - 1]
+
+    def bform(i, j):
+        return 2 * gram[i - 1][j - 1]
 
     def add(dst, x, y, coeff):
         if czero(coeff):
@@ -229,19 +256,21 @@ def transcribe_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
             exp: dict = {}
             shared = {a, b} & {c, d}
             if not shared:
-                add(exp, c, b, -V.b(a, d))
-                add(exp, d, b, V.b(a, c))
-                add(exp, a, c, -V.b(b, d))
-                add(exp, a, d, V.b(b, c))
+                add(exp, c, b, -bform(a, d))
+                add(exp, d, b, bform(a, c))
+                add(exp, a, c, -bform(b, d))
+                add(exp, a, d, bform(b, c))
             elif len(shared) == 1:
                 s = shared.pop()
                 x = a if b == s else b
                 y = c if d == s else d
                 sign = (1 if b == s else -1) * (1 if c == s else -1)
-                add(exp, x, y, sign * 2 * V.q(s))
-                add(exp, x, s, -sign * V.b(s, y))
-                add(exp, s, y, -sign * V.b(x, s))
+                add(exp, x, y, sign * 2 * qform(s))
+                add(exp, x, s, -sign * bform(s, y))
+                add(exp, s, y, -sign * bform(x, s))
             # two shared indices means identical pairs: bracket is zero
+            if rational:
+                exp = {p: Fraction(v, D) for p, v in exp.items()}
             table[(pairs[ai], pairs[bi])] = exp
     return QuotientLieAlgebra(m=m, table=table)
 

@@ -5,10 +5,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from cliffdegen import acceptance, cli, degeneration, jsonio
+from cliffdegen import acceptance, cli, degeneration, jsonio, liestructure
 from cliffdegen.cli import main
 from cliffdegen.clifford import Multivector, QuadraticSpace
 from cliffdegen.liestructure import theta_tensor
@@ -389,6 +390,31 @@ def test_reconstruct_random_refuses_trials_below_one(capsys, trials):
 
 class _Reached(Exception):
     pass
+
+
+def test_reconstruct_size_guard_refuses_before_any_product(capsys, tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "structure_constants", reached)
+    monkeypatch.setattr(liestructure, "build_even_lie", reached)
+    path = tmp_path / "space.json"
+
+    def unit_form(m):
+        path.write_text(json.dumps({"Q": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}))
+        return ["form", "reconstruct", "--input", str(path)]
+
+    cap = cli.MAX_RECONSTRUCT_M
+    for m in (cap + 1, 80):
+        for argv in (unit_form(m), ["form", "reconstruct", "--random", "--m", str(m)]):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (1, "")
+            assert "usage error" in err and str(cap) in err
+            assert str(comb(comb(m, 2), 2)) in err
+    # at the cap the work starts (and stops at the patched entry point)
+    for argv in (unit_form(cap), ["form", "reconstruct", "--random", "--m", str(cap)]):
+        with pytest.raises(_Reached):
+            main(argv)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Core Clifford arithmetic: anchored examples plus the algebraic laws as
 hypothesis properties."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -251,3 +253,36 @@ def test_specialize_commutes_with_product():
         lhs = specialize(gp(x, y, V), c)
         rhs = gp(specialize(x, c), specialize(y, c), Vc)
         assert lhs == rhs
+
+
+def test_scaled_space_is_the_integer_form_and_is_cached():
+    V = QuadraticSpace([[HALF, Fraction(1, 3)], [Fraction(1, 3), Fraction(-5, 4)]])
+    D, S = V.scaled()
+    assert D == 12
+    assert S.gram == ((6, 4), (4, -15))
+    assert all(type(v) is int for row in S.gram for v in row)
+    assert V.scaled()[1] is S and S.scaled()[0] == 1
+    # products on S have int coefficients and fill S's cache, not V's
+    e1, e2 = Multivector.basis_vector(1), Multivector.basis_vector(2)
+    gp(e2, e1, S)
+    assert S._gen_cache and not V._gen_cache
+    assert all(type(c) is int for out in S._gen_cache.values() for c in out.values())
+    assert QuadraticSpace.zero(3).scaled()[0] == 1
+    for W in (
+        QuadraticSpace.diagonal([Poly.t(), 1]),
+        QuadraticSpace.diagonal([RatFun(Poly.const(1), Poly.t()), 1]),
+        QuadraticSpace.diagonal([Dual.eps(), 1]),
+    ):
+        assert W.scaled() == (1, W) and W.scaled()[1] is W
+
+
+def test_scaled_space_is_freed_with_its_space_without_the_cycle_collector():
+    V = QuadraticSpace([[HALF, 0], [0, Fraction(2, 3)]])
+    gp(Multivector.basis_vector(2), Multivector.basis_vector(1), V.scaled()[1])
+    ref = weakref.ref(V.scaled()[1])
+    gc.disable()
+    try:
+        del V
+        assert ref() is None  # no reference cycle keeps S and its cache alive
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ import pytest
 from cliffdegen.clifford import QuadraticSpace
 from cliffdegen.degeneration import (
     NoWitness,
+    _det_fraction_field,
     QuadraticFamily,
     certify_specialization,
     jacobson_radical,
@@ -15,7 +16,7 @@ from cliffdegen.degeneration import (
 )
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import rank_dense
-from cliffdegen.rings import Poly, RatFun
+from cliffdegen.rings import Poly, RatFun, czero
 
 
 def t():
@@ -142,3 +143,55 @@ def test_radical_is_ideal_and_nil_by_construction():
     for diag in ([1, 1, 0], [1, 0, 0], [0, 0, 0]):
         rep = jacobson_radical(theta_tensor(QuadraticSpace.diagonal(diag)))
         assert rep.nilpotency_index <= 4
+
+
+def test_det_fraction_field_matches_sympy_with_row_swaps():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    T = sympy.Symbol("t")
+
+    def sym(v):
+        if isinstance(v, RatFun):
+            return sym(v.num) / sym(v.den)
+        if isinstance(v, Poly):
+            terms = (sympy.Rational(c.numerator, c.denominator) * T**i for i, c in enumerate(v.coeffs))
+            return sum(terms, sympy.Integer(0))
+        return sympy.Rational(v.numerator, v.denominator)
+
+    rng = random.Random(41)
+
+    def poly():
+        return Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))])
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.2:
+            return Fraction(0)
+        if kind < 0.6:
+            return poly()
+        return RatFun(poly(), Poly([rng.randint(1, 3), rng.randint(-2, 2)]))
+
+    swaps = {"first": 0, "second": 0}
+    for trial in range(90):
+        case = trial % 3
+        n = rng.randint((2, 3, 1)[case], 4)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if case == 0:
+            rows[0][0] = Fraction(0)  # the first pivot is zero
+        elif case == 1:
+            # rows 0 and 1 agree up to a factor on the first two columns, so
+            # the second pivot vanishes after the first elimination step
+            rows[0][0] = rows[0][0] or poly() + Poly.t()
+            f = entry() or Fraction(2)
+            rows[1][0], rows[1][1] = f * rows[0][0], f * rows[0][1]
+        got = _det_fraction_field(rows)
+        assert isinstance(got, RatFun)
+        M = DomainMatrix.from_Matrix(sympy.Matrix([[sym(v) for v in row] for row in rows]))
+        K = M.domain
+        want = sympy.cancel(K.to_sympy(M.to_field().det()))
+        # got = num/den is not reduced: compare num with want * den in Q(t)
+        assert K.from_sympy(sym(got.num)) == K.from_sympy(want) * K.from_sympy(sym(got.den)), rows
+        if want != 0 and case < 2:
+            swaps[("first", "second")[case]] += 1
+    assert min(swaps.values()) >= 8, swaps

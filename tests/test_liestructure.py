@@ -4,10 +4,12 @@ multiplication tensors."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
-from cliffdegen.clifford import QuadraticSpace
+from cliffdegen import clifford, liestructure
+from cliffdegen.clifford import Multivector, QuadraticSpace, geometric_product, indices_of
 from cliffdegen.liestructure import (
     AlgebraTensor,
     LieClosureError,
@@ -353,3 +355,165 @@ def test_jacobi_honours_explicit_triples_in_order_with_repeats():
     with pytest.raises(LieClosureError) as info:
         bad.verify_jacobi(iter(failing))  # any iterable, read once
     assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad, [failing[0]])
+
+
+# --- the integer-scaled bracket and transcription ---------------------------
+
+
+def reference_build_even_lie(V):
+    """The Fraction build that build_even_lie replaced: each bracket is the
+    commutator of two bivector blades through geometric_product on Q
+    itself."""
+    pairs = lie_pairs(V.m)
+    brackets = {}
+    for ai in range(len(pairs)):
+        for bi in range(ai + 1, len(pairs)):
+            x, y = Multivector.blade(pairs[ai]), Multivector.blade(pairs[bi])
+            com = geometric_product(x, y, V) - geometric_product(y, x, V)
+            brackets[(pairs[ai], pairs[bi])] = {
+                indices_of(mask) if mask else "e0": c for mask, c in com.terms.items()
+            }
+    return brackets
+
+
+def reference_transcribe_constants(V):
+    """The transcription that transcribe_constants replaced, on the entries
+    of Q itself."""
+    pairs = lie_pairs(V.m)
+    table = {}
+
+    def add(dst, x, y, coeff):
+        if coeff == 0:
+            return
+        p, sign = ((x, y), 1) if x < y else ((y, x), -1)
+        s = dst.get(p, 0) + sign * coeff
+        if s == 0:
+            dst.pop(p, None)
+        else:
+            dst[p] = s
+
+    for ai in range(len(pairs)):
+        for bi in range(ai + 1, len(pairs)):
+            (a, b), (c, d) = pairs[ai], pairs[bi]
+            exp = {}
+            shared = {a, b} & {c, d}
+            if not shared:
+                add(exp, c, b, -V.b(a, d))
+                add(exp, d, b, V.b(a, c))
+                add(exp, a, c, -V.b(b, d))
+                add(exp, a, d, V.b(b, c))
+            elif len(shared) == 1:
+                s = shared.pop()
+                x = a if b == s else b
+                y = c if d == s else d
+                sign = (1 if b == s else -1) * (1 if c == s else -1)
+                add(exp, x, y, sign * 2 * V.q(s))
+                add(exp, x, s, -sign * V.b(s, y))
+                add(exp, s, y, -sign * V.b(x, s))
+            table[(pairs[ai], pairs[bi])] = exp
+    return table
+
+
+def assert_same_table(got, want):
+    """Equal keys and values, and each value of the same type."""
+    assert got == want
+    for key, exp in want.items():
+        for label, v in exp.items():
+            assert type(got[key][label]) is type(v), (key, label)
+
+
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+PRIMORIAL_97 = prod(PRIMES_TO_97)
+
+
+def form_with_lcm(rng, m, D, shape):
+    """A symmetric rational form whose denominators have lcm exactly D:
+    ``diagonal``, ``dense``, or ``degenerate`` (dense with e_m in the
+    radical).  Entry (1,1) has denominator D and a numerator prime to it."""
+    factors = [p for p in PRIMES_TO_97 for k in range(1, 3) if D % p**k == 0]
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if shape == "diagonal" and i != j or shape == "degenerate" and j == m - 1:
+                continue
+            den = prod(p for p in factors if rng.random() < 0.5)
+            g[i][j] = g[j][i] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), den)
+    g[0][0] = Fraction(rng.choice([1, -1, 101, -103]), D)
+    return QuadraticSpace(g)
+
+
+@pytest.mark.parametrize("D", [1, 2, 6, 60, PRIMORIAL_97], ids=["1", "2", "6", "60", "primorial97"])
+@pytest.mark.parametrize("shape", ["diagonal", "dense", "degenerate"])
+def test_scaled_brackets_match_the_fraction_reference(D, shape):
+    rng = random.Random(D % 1000 + len(shape))
+    for m in range(2, 7):
+        V = form_with_lcm(rng, m, D, shape)
+        assert V.scaled()[0] == D
+        want = reference_build_even_lie(V)
+        # the D^2 coefficients are read; a diagonal form has none
+        if shape == "dense" and m >= 3 or shape == "degenerate" and m >= 4:
+            assert any("e0" in exp for exp in want.values())
+        assert_same_table(build_even_lie(V).brackets, want)
+        assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
+        assert_same_table(structure_constants(V).table, transcribe_constants(V).table)
+
+
+def test_scaled_brackets_on_the_zero_form():
+    for m in range(2, 7):
+        V = QuadraticSpace.zero(m)
+        assert V.scaled()[0] == 1
+        assert_same_table(build_even_lie(V).brackets, reference_build_even_lie(V))
+        assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
+
+
+def parametric_forms(rng):
+    """Poly, RatFun and Dual forms at m <= 6, diagonal and dense, with some
+    rational zero entries."""
+    t = Poly.t()
+
+    def poly():
+        return Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))])
+
+    def ratfun():
+        return RatFun(poly(), Poly([rng.randint(1, 3), rng.randint(-2, 2)]))
+
+    def dual():
+        return Dual.of(Fraction(rng.randint(-3, 3), rng.randint(1, 5)), Fraction(rng.randint(-2, 2), 3))
+
+    for make in (poly, ratfun, dual):
+        for m in (2, 3, 4, 6):
+            for dense in (False, True):
+                g = [[Fraction(0)] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        if (i == j or dense) and rng.random() < 0.85:
+                            g[i][j] = g[j][i] = make()
+                g[0][0] = make() if make is not poly else poly() + t
+                yield QuadraticSpace(g)
+
+
+def test_scaled_path_passes_other_rings_through_unchanged():
+    rings = set()
+    for V in parametric_forms(random.Random(77)):
+        assert V.scaled() == (1, V)
+        rings.add(V.ring)
+        assert_same_table(build_even_lie(V).brackets, reference_build_even_lie(V))
+        assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
+    assert rings == {"poly_t", "ratfun_t", "dual"}
+
+
+def test_transcription_shares_no_code_with_the_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("product code reached")
+
+    monkeypatch.setattr(QuadraticSpace, "scaled", forbidden)
+    for module in (clifford, liestructure):
+        for name in ("geometric_product", "_terms_times_gen", "_blade_times_gen", "blade_row"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = random.Random(4)
+    for V in (form_with_lcm(rng, 5, 60, "dense"), QuadraticSpace.diagonal([Poly.t(), 1, 2])):
+        assert transcribe_constants(V).table == reference_transcribe_constants(V)
+    with pytest.raises(AssertionError):
+        build_even_lie(form_with_lcm(rng, 3, 6, "dense"))
+    assert not hasattr(liestructure, "geometric_product")
