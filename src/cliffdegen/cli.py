@@ -61,8 +61,9 @@ MAX_RECONSTRUCT_M = 24
 # `form tensor` and `degenerate analyze` build the even-algebra tensor: the
 # 4^(m-1) products of pairs of the 2^(m-1) even blades.  Spaces of larger m
 # are refused before any work (m = 8 is 16384 products: on a 2.0 GHz Xeon
-# core, `form tensor` takes about 5 s and prints 6 MB of JSON for a dense
-# rational form, 0.3 s and 0.3 MB for the unit form).
+# core, `form tensor` takes about 3.4 s and prints 6 MB of JSON at a peak
+# RSS of 103 MB for a dense rational form, 0.2 s and 0.3 MB for the unit
+# form, and 13 s and 13 MB at 252 MB for a dense form of degree 1 in t).
 MAX_TENSOR_M = 8
 
 # `spinor check` compares the even algebra, of dimension 2^(2l) (odd m) or
@@ -154,12 +155,13 @@ def _tensor_space(args):
 
 def _cmd_form_tensor(args):
     V = _tensor_space(args)
-    if args.at is not None:
-        V = specialize_space(V, Fraction(args.at))
+    at = None if args.at is None else jsonio.decode_coeff(args.at)
+    if at is not None:
+        V = specialize_space(V, at)
     T = theta_tensor(V)
     payload = {"tensor": jsonio.encode_tensor(T)}
-    if args.at is not None:
-        payload["specialized_at"] = str(Fraction(args.at))
+    if at is not None:
+        payload["specialized_at"] = str(at)
     return "pass", payload
 
 

@@ -24,6 +24,7 @@ from math import lcm
 from .rings import (
     CoefficientRingMismatch,
     PoleError,
+    Poly,
     as_coeff,
     axpy,
     czero,
@@ -85,19 +86,30 @@ class QuadraticSpace:
         return 2 * self.gram[i - 1][j - 1]
 
     def scaled(self) -> tuple:
-        """``(D, S)``: D is the lcm of the denominators of a rational Q and
-        S the space of D Q, whose entries and product coefficients are plain
-        ``int``s.  A coefficient of a product of k generators that lies on a
-        blade of cardinality c is homogeneous of degree (k - c)/2 in Q, so it
-        is D^((k - c)/2) times the one over Q.  Other rings give
-        ``(1, self)``."""
+        """``(D, S)`` for a Q over Q or Q[t]: D is the lcm of the
+        denominators of every coefficient of every entry, and S the space of
+        D Q, whose product coefficients are ``int``s, or ``Poly``s with
+        ``int`` coefficients.  A coefficient of a product of k generators
+        that lies on a blade of cardinality c is homogeneous of degree
+        (k - c)/2 in Q, so it is D^((k - c)/2) times the one over Q.
+        ``RatFun`` and ``Dual`` spaces give ``(1, self)``."""
         if self._scaled is None:
-            if self.ring != "rational":
+            if self.ring not in ("rational", "poly_t"):
                 self._scaled = (1, self)
             else:
-                D = lcm(*(v.denominator for row in self.gram for v in row))
-                S = QuadraticSpace([[v * D for v in row] for row in self.gram])
-                S.gram = tuple(tuple(int(v) for v in row) for row in S.gram)
+                D = lcm(
+                    *(c.denominator for row in self.gram for v in row
+                      for c in (v.coeffs if isinstance(v, Poly) else (v,)))
+                )
+
+                def times_d(v):  # D v, with int coefficients
+                    if isinstance(v, Poly):
+                        return Poly([int(c * D) for c in v.coeffs])
+                    return int(v * D)
+
+                gram = tuple(tuple(times_d(v) for v in row) for row in self.gram)
+                S = QuadraticSpace(gram)
+                S.gram = gram  # as built: the constructor makes ints Fractions
                 S._one = 1
                 self._scaled = (D, S)
         return self._scaled
@@ -279,7 +291,7 @@ def blade_row(space: QuadraticSpace, ma: int) -> list:
     smaller mask whose product is already known, and ma * b is that product
     times e_t: one generator step per blade."""
     _check_mask(ma, space.m)
-    row = [{ma: Fraction(1)}]
+    row = [{ma: space._one}]
     for b in range(1, 1 << space.m):
         t = b.bit_length()
         row.append(_terms_times_gen(space, row[b ^ (1 << (t - 1))], t))

@@ -46,7 +46,7 @@ from .clifford import (
     blade_row,
     indices_of,
 )
-from .rings import HALF, InvariantViolation, axpy, czero, regular_at, join_rings, ring_of
+from .rings import HALF, InvariantViolation, Poly, axpy, czero, regular_at, join_rings, ring_of
 
 
 class LieClosureError(ArithmeticError):
@@ -151,6 +151,20 @@ class QuotientLieAlgebra:
                 )
 
 
+def unscale(v, Dk):
+    """The coefficient over Q of v, a product coefficient over the integer
+    form D Q of :meth:`QuadraticSpace.scaled` that is Dk = D^k times it
+    (k = (|a| + |b| - |c|)/2 for blades a b -> c): a ``Fraction`` for an
+    ``int`` (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``.
+    Values of ``RatFun`` and ``Dual`` spaces, which run unscaled, pass
+    through."""
+    if type(v) is int:
+        return Fraction(v, Dk)
+    if type(v) is Poly:
+        return Poly([Fraction(c, Dk) for c in v.coeffs])
+    return v
+
+
 def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
     """Construct the even Lie algebra from the product, verifying closure.
 
@@ -163,7 +177,6 @@ def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
     pairs = lie_pairs(m)
     basis = [Multivector.scalar(1)] + [Multivector.blade(p) for p in pairs]
     D, S = V.scaled()
-    rational = V.ring == "rational"
     masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
 
     def product(ma, pb):  # blade ma times e_i e_j, on S
@@ -181,9 +194,9 @@ def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
             for mask, c in com.items():
                 k = mask.bit_count()
                 if k == 0:
-                    expansion["e0"] = Fraction(c, D * D) if rational else c
+                    expansion["e0"] = unscale(c, D * D)
                 elif k == 2:
-                    expansion[indices_of(mask)] = Fraction(c, D) if rational else c
+                    expansion[indices_of(mask)] = unscale(c, D)
                 else:
                     raise LieClosureError(
                         f"[{pa},{pb}] leaves the basis span at blade {indices_of(mask)}"
@@ -387,16 +400,27 @@ def even_blade_basis(m: int) -> tuple:
 def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
     """Multiplication tensor of the even Clifford algebra in the canonical
     even-blade basis, with e_0 as the identity: a point of the variety of
-    algebra structures with distinguished unit."""
+    algebra structures with distinguished unit.
+
+    Each row of products is taken on the integer form D Q of
+    :meth:`QuadraticSpace.scaled`, and each entry, the coefficient of blade
+    c in (blade a)(blade b), is divided once by D^k, k = (|a| + |b| - |c|)/2."""
     masks = even_blade_basis(V.m)
     index = {mask: k for k, mask in enumerate(masks)}
+    D, S = V.scaled()
+    powers = [D**k for k in range(V.m + 1)]
     c = {}
     for i, ma in enumerate(masks):
-        products = blade_row(V, ma)
+        products = blade_row(S, ma)
+        na = ma.bit_count()
         for j, mb in enumerate(masks):
             terms = products[mb]
             if terms:
-                c[(i, j)] = {index[mask]: coeff for mask, coeff in terms.items()}
+                nab = na + mb.bit_count()
+                c[(i, j)] = {
+                    index[mask]: unscale(coeff, powers[(nab - mask.bit_count()) >> 1])
+                    for mask, coeff in terms.items()
+                }
     return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks)
 
 

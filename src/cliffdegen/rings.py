@@ -40,24 +40,32 @@ def _fr(x) -> Fraction:
     raise CoefficientRingMismatch(f"not an exact rational: {x!r}")
 
 
+def _pc(x):
+    """A polynomial coefficient: an ``int`` stays an ``int``, so that
+    polynomials over Z compute on ``int``s; other rationals become
+    ``Fraction``s."""
+    return x if type(x) is int else _fr(x)
+
+
 class Poly:
     """Dense univariate polynomial in t over the rationals.
 
     Coefficients are stored by ascending degree with no trailing zeros, so
-    equality of values is equality of representations.
+    equality of values is equality of representations.  A coefficient is an
+    ``int`` or a ``Fraction``; the two compare, hash and print alike.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_fr(c) for c in coeffs]
+        cs = [_pc(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((_fr(c),))
+        return Poly((c,))
 
     @staticmethod
     def t() -> "Poly":
@@ -119,16 +127,18 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        if not isinstance(other, Poly):
+            if not isinstance(other, (Fraction, Rational)):
+                return NotImplemented
+            s = _pc(other)  # a scalar scales coefficient by coefficient
+            return Poly([c * s for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
 

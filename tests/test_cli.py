@@ -118,6 +118,21 @@ def test_form_tensor_with_specialization(capsys, tmp_path):
     assert doc["payload"]["tensor"]["dim"] == 2
 
 
+def test_form_tensor_at_is_parsed_once_as_an_exact_rational(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"m": 3, "Q": [[["0", "1"], [], []], [[], ["1/3"], []], [[], [], ["2", "0", "1"]]]}))
+    for bad in ("1/0", "x"):
+        code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path), "--at", bad])
+        assert (code, out) == (1, ""), bad
+        assert "input error" in err and "Traceback" not in err, bad
+    code, out, _ = run_cli(capsys, ["form", "tensor", "--input", str(path), "--at", "1/2"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["specialized_at"] == "1/2"
+    fibre = QuadraticSpace.diagonal([Fraction(1, 2), Fraction(1, 3), Fraction(9, 4)])
+    assert payload["tensor"] == jsonio.encode_tensor(theta_tensor(fibre))
+
+
 def test_spinor_check_and_weights(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["spinor", "check", "--ell", "2", "--even"])
     assert code == 0 and json.loads(out)["payload"]["bijective"] is True

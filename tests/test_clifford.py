@@ -268,8 +268,22 @@ def test_scaled_space_is_the_integer_form_and_is_cached():
     assert S._gen_cache and not V._gen_cache
     assert all(type(c) is int for out in S._gen_cache.values() for c in out.values())
     assert QuadraticSpace.zero(3).scaled()[0] == 1
+    # over Q[t], D is the lcm of the denominators of every coefficient
+    t = Poly.t()
+    P = QuadraticSpace([[Poly([HALF, Fraction(1, 3)]), Fraction(1, 4)], [Fraction(1, 4), t]])
+    D, S = P.scaled()
+    assert D == 12
+    assert S.gram == ((Poly([6, 4]), 3), (3, Poly([0, 12])))
+    assert S.ring == "poly_t" and S._one == 1
+    assert [type(v) for row in S.gram for v in row] == [Poly, int, int, Poly]
+    assert all(type(c) is int for v in (S.gram[0][0], S.gram[1][1]) for c in v.coeffs)
+    assert P.scaled()[1] is S and S.scaled()[0] == 1
+    gp(e2 + e1, e1 + e2, S)
+    assert S._gen_cache and not P._gen_cache
+    for out in S._gen_cache.values():
+        for c in out.values():
+            assert type(c) is int or type(c) is Poly and all(type(x) is int for x in c.coeffs)
     for W in (
-        QuadraticSpace.diagonal([Poly.t(), 1]),
         QuadraticSpace.diagonal([RatFun(Poly.const(1), Poly.t()), 1]),
         QuadraticSpace.diagonal([Dual.eps(), 1]),
     ):
@@ -277,12 +291,13 @@ def test_scaled_space_is_the_integer_form_and_is_cached():
 
 
 def test_scaled_space_is_freed_with_its_space_without_the_cycle_collector():
-    V = QuadraticSpace([[HALF, 0], [0, Fraction(2, 3)]])
-    gp(Multivector.basis_vector(2), Multivector.basis_vector(1), V.scaled()[1])
-    ref = weakref.ref(V.scaled()[1])
-    gc.disable()
-    try:
-        del V
-        assert ref() is None  # no reference cycle keeps S and its cache alive
-    finally:
-        gc.enable()
+    for gram in ([[HALF, 0], [0, Fraction(2, 3)]], [[Poly([HALF, 1]), 0], [0, Fraction(2, 3)]]):
+        V = QuadraticSpace(gram)
+        gp(Multivector.basis_vector(2), Multivector.basis_vector(1), V.scaled()[1])
+        ref = weakref.ref(V.scaled()[1])
+        gc.disable()
+        try:
+            del V
+            assert ref() is None  # no reference cycle keeps S and its cache alive
+        finally:
+            gc.enable()

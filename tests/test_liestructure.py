@@ -4,7 +4,7 @@ multiplication tensors."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -493,13 +493,25 @@ def parametric_forms(rng):
 
 
 def test_scaled_path_passes_other_rings_through_unchanged():
-    rings = set()
+    """Q[t] forms are scaled like rational ones, by the lcm of the
+    denominators of every coefficient; RatFun and Dual forms run unscaled."""
+    rings, poly_lcms = set(), set()
     for V in parametric_forms(random.Random(77)):
-        assert V.scaled() == (1, V)
+        D, S = V.scaled()
+        if V.ring == "poly_t":
+            coeffs = [c for row in V.gram for v in row for c in (v.coeffs if isinstance(v, Poly) else (v,))]
+            assert D == lcm(*(c.denominator for c in coeffs))
+            poly_lcms.add(D)
+            assert all(type(v) is int or all(type(c) is int for c in v.coeffs) for row in S.gram for v in row)
+            assert S.gram == tuple(tuple(D * v for v in row) for row in V.gram)
+            assert V.scaled()[1] is S is not V
+        else:
+            assert (D, S) == (1, V) and S is V
         rings.add(V.ring)
         assert_same_table(build_even_lie(V).brackets, reference_build_even_lie(V))
         assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
     assert rings == {"poly_t", "ratfun_t", "dual"}
+    assert len(poly_lcms) > 2 and 1 in poly_lcms
 
 
 def test_transcription_shares_no_code_with_the_product(monkeypatch):

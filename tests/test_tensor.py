@@ -18,6 +18,7 @@ from cliffdegen.clifford import (
 from cliffdegen.degeneration import jacobson_radical
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.rings import Dual, Poly, RatFun, czero
+from test_liestructure import PRIMORIAL_97, form_with_lcm
 
 sympy = pytest.importorskip("sympy")
 
@@ -179,6 +180,62 @@ def test_theta_tensor_matches_one_product_per_pair_at_m6():
         T = theta_tensor(V)
         assert T.dim == 32
         assert exact(T) == exact(reference_theta_tensor(V))
+
+
+# -- the tensor on the integer form D Q -----------------------------------
+
+
+def _int_coefficient(c) -> bool:
+    return type(c) is int or type(c) is Poly and all(type(x) is int for x in c.coeffs)
+
+
+def test_rows_on_the_integer_form_have_int_coefficients():
+    rational = form_with_lcm(random.Random(60), 5, 60, "dense")
+    family = _symmetric(5, lambda i, j: Poly([Fraction(2 * i + 1, 2), Fraction(j - i + 1, 3)]))
+    for V, D in ((rational, 60), (family, 6)):
+        assert V.scaled()[0] == D
+        S = V.scaled()[1]
+        kinds = set()
+        for ma in range(1 << V.m):
+            for terms in blade_row(S, ma):
+                assert all(_int_coefficient(c) for c in terms.values()), (D, ma)
+                kinds.update(type(c) for c in terms.values())
+        assert kinds == ({int} if V is rational else {int, Poly})
+
+
+@pytest.mark.parametrize("D", [1, 2, 6, 60, PRIMORIAL_97], ids=["1", "2", "6", "60", "primorial97"])
+@pytest.mark.parametrize("shape", ["diagonal", "dense", "degenerate"])
+def test_scaled_theta_tensor_matches_the_reference(D, shape):
+    rng = random.Random(f"scaled-theta/{D}/{shape}")
+    deep = 0
+    for m in range(1, 7):
+        V = form_with_lcm(rng, m, D, shape)
+        assert V.scaled()[0] == D
+        T = theta_tensor(V)
+        assert exact(T) == exact(reference_theta_tensor(V)), (D, shape, m)
+        # the entries of a b -> c with |a| + |b| >= |c| + 4 are divided by D^k, k >= 2
+        masks = T.basis_masks
+        deep += any(
+            masks[i].bit_count() + masks[j].bit_count() >= masks[k].bit_count() + 4
+            for (i, j), row in T.c.items()
+            for k in row
+        )
+    assert deep >= 3
+
+
+def test_scaled_theta_tensor_matches_the_reference_over_other_rings():
+    """Q[t] forms with fractional coefficients are scaled; RatFun and Dual
+    forms run unscaled."""
+    rng = random.Random("scaled-theta/rings")
+    for form in (poly_form, ratfun_form, dual_form):
+        for m in (2, 3, 4, 5, 6):
+            V = form(rng, m)
+            if form is poly_form:  # every entry gains a t/6 term, so 6 divides D
+                V = QuadraticSpace([[v + Poly([0, Fraction(1, 6)]) for v in row] for row in V.gram])
+                assert V.scaled()[0] % 6 == 0 and V.scaled()[1] is not V
+            else:
+                assert V.scaled() == (1, V) and V.scaled()[1] is V
+            assert exact(theta_tensor(V)) == exact(reference_theta_tensor(V)), (form.__name__, m)
 
 
 def test_blade_row_lists_every_product_in_mask_order():
