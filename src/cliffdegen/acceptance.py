@@ -3,6 +3,8 @@ deterministic result dict {"name", "ok", "details"}.
 
 Shared by the command-line ``selftest`` and the pytest acceptance module.
 Randomized criteria take an explicit seed and echo it in their details.
+Details are JSON-native (str, int, bool, None, lists, tuples and dicts with
+str keys): ``selftest`` prints each result as returned.
 """
 
 from __future__ import annotations
@@ -446,7 +448,3 @@ def run_criterion(fn, seed: int = 7) -> dict:
         return fn()
     except Exception as exc:  # a crash is a failed criterion, not a crash of the battery
         return {"name": fn.__name__, "ok": False, "details": {"error": repr(exc)}}
-
-
-def run_all(seed: int = 7) -> list:
-    return [run_criterion(fn, seed) for fn in ALL_CRITERIA]

@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from math import comb
 
 from . import acceptance, jsonio
@@ -200,15 +199,11 @@ def _cmd_spinor_weights(args):
         plus, minus = halfspin_split(args.ell)
         W = plus if args.halfspin == "+" else minus
         label = f"D{args.ell} half-spin {args.halfspin}"
-    elif args.type == "D":
-        plus, minus = halfspin_split(args.ell)
-        W = dict(plus)
-        for k, v in minus.items():
-            W[k] = W.get(k, 0) + v
-        label = f"D{args.ell} spin (both halves)"
     else:
+        # the D_l spin module is the sum of its two halves: the same
+        # multiset as the B_l spin module
         W = spin_weights(args.ell)
-        label = f"B{args.ell} spin"
+        label = f"D{args.ell} spin (both halves)" if args.type == "D" else f"B{args.ell} spin"
     if args.tsv:
         with open(args.tsv, "w") as fh:
             fh.write(jsonio.weights_tsv(W))
@@ -226,6 +221,9 @@ def _cmd_lipschitz_test(args):
         raise UsageError('lipschitz test expects {"V": space, "x": multivector}')
     V = jsonio.decode_space(obj["V"])
     x = jsonio.decode_multivector(obj["x"])
+    top = max((mask.bit_length() for mask in x.terms), default=0)
+    if top > V.m:
+        raise jsonio.InputFormatError(f"x: blade index {top} exceeds m = {V.m}")
     rep = lipschitz_report(x, V)
     payload = {
         "homogeneous": rep["homogeneous"],
@@ -328,20 +326,8 @@ def _cmd_selftest(args):
             file=sys.stderr,
         )
         ok = ok and r["ok"]
-        results.append({"name": r["name"], "ok": r["ok"], "details": _jsonable(r["details"])})
+        results.append(r)
     return ("pass" if ok else "fail"), {"seed": seed, "criteria": results}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def build_parser() -> _Parser:
@@ -450,15 +436,9 @@ def main(argv=None) -> int:
         NoWitness,
         InvariantViolation,
     ) as exc:
-        report = {
-            "subcommand": name,
-            "verdict": "fail",
-            "payload": {"counterexample": str(exc)},
-        }
-        print(json.dumps(report, sort_keys=True))
-        print(f"[cliffdegen] {name}: fail ({time.time() - t0:.2f}s)", file=sys.stderr)
-        return 2
-    report = {"subcommand": name, "verdict": verdict, "payload": _jsonable(payload)}
+        verdict, payload = "fail", {"counterexample": str(exc)}
+    # payloads are JSON-native (jsonio encodes them): dumped as they are
+    report = {"subcommand": name, "verdict": verdict, "payload": payload}
     print(json.dumps(report, sort_keys=True))
     print(f"[cliffdegen] {name}: {verdict} ({time.time() - t0:.2f}s)", file=sys.stderr)
     return 0 if verdict == "pass" else 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .clifford import Multivector, QuadraticSpace, indices_of, mask_of
+from .clifford import BladeIndexError, Multivector, QuadraticSpace, indices_of, mask_of
 from .degeneration import SpecializationWitness
 from .liestructure import AlgebraTensor
 from .localmodels import MatrixTuple, TraceFingerprint
@@ -23,7 +23,6 @@ class InputFormatError(ValueError):
 
 
 def encode_rational(v: Fraction) -> str:
-    v = Fraction(v)
     return str(v)
 
 
@@ -44,7 +43,7 @@ def decode_coeff(obj):
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"bad rational {obj!r}: {exc}") from exc
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, list):
         return Poly([decode_coeff(c) for c in obj])
@@ -102,9 +101,15 @@ def decode_multivector(obj) -> Multivector:
             idx = json.loads(key)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"bad blade key {key!r}") from exc
-        if not isinstance(idx, list) or not all(isinstance(i, int) for i in idx):
+        if not isinstance(idx, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in idx
+        ):
             raise InputFormatError(f"blade key must be a list of indices: {key!r}")
-        terms[mask_of(idx)] = decode_coeff(cval)
+        try:
+            mask = mask_of(idx)
+        except BladeIndexError as exc:
+            raise InputFormatError(f"bad blade key {key!r}: {exc}") from exc
+        terms[mask] = decode_coeff(cval)
     return Multivector(terms)
 
 

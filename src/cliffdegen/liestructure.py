@@ -366,10 +366,10 @@ class AlgebraTensor:
     def verify_unital(self):
         e = self.identity
         for j in range(self.dim):
-            if self.entry(e, j) != {j: 1} and self.entry(e, j) != {j: Fraction(1)}:
-                raise ValueError(f"identity fails on the left at {j}")
-            if self.entry(j, e) != {j: 1} and self.entry(j, e) != {j: Fraction(1)}:
-                raise ValueError(f"identity fails on the right at {j}")
+            if self.entry(e, j) != {j: 1}:
+                raise InvariantViolation(f"identity fails on the left at {j}")
+            if self.entry(j, e) != {j: 1}:
+                raise InvariantViolation(f"identity fails on the right at {j}")
 
     def ring(self) -> str:
         r = "rational"

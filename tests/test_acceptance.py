@@ -8,7 +8,6 @@ in ``DIGESTS``, so a refactor cannot change any reported figure silently.
 """
 
 import hashlib
-import inspect
 import json
 import time
 
@@ -29,18 +28,19 @@ BUDGETS = {
     "weyl-dimension-self-consistency": 60,
 }
 
-# sha256 of json.dumps(cli._jsonable(result), sort_keys=True) for each
-# criterion at its default arguments
+# sha256 of json.dumps(result, sort_keys=True) for each criterion run as
+# `selftest --seed 7` runs it: each equals the sha256 of that criterion's
+# entry in the selftest document
 DIGESTS = {
     "form-reconstruction-round-trip": "049153f82765887be09a40e0e4ee48a6c87b4600cc9b06344fc9d61ea1d90a39",
-    "structure-constant-oracle-agreement": "e6da53b0dc0f55ea9cc172f3c45b12864ec75059b88b339370605f2b7b6eac56",
+    "structure-constant-oracle-agreement": "50b7bff38af65af563a2dcd047c388aa949be36804abb38fe4180398df0fc085",
     "even-algebra-matrix-identification": "f8c08feeef0d933035aaa27fcaea3a36d4269c82526ab8f60e4e1fc097f93428",
     "even-to-odd-spin-restriction": "30c39c7d3412ee582c6d802b00d4d4f19c22635ec37849a058a7c1b7f50a75fa",
-    "lipschitz-monoid-axioms": "de9819291b329c13b00cc9f7e9763544c9c6ad4f18aca92bc61bdf8d688763c0",
+    "lipschitz-monoid-axioms": "ddb40c6ff342c3ed4cb3ed5f4671ef65de7289f57604fb464b2b67f14e05ca61",
     "matrix-algebra-degeneration": "bea494daf47a13eab52491e9b1502cd9f81ab54ebf40bcb200a630f4f1bf5073",
     "plethysm-g2": "119549ae3747ff0e9a0a4a6695afbcffe6928899e63e69d50b941623409ddb63",
     "plethysm-f4-c3": "a2cebcb2e70fea0b2520d4eb9eefd0b3a5f85f8df6a51d201af26d070cd23a56",
-    "local-models": "20b6e5617ff9a1501455a29a1326f58d710524dfacc5cf999a183ad8dcf350af",
+    "local-models": "958d7a7ed85e2e52165274bfd1f0849208e4904a2e99147dac65ff305f73c77d",
     "weyl-dimension-self-consistency": "702cb1aa760dc1ee163ac472b3163d1a1625568183cabf0f541e7c0a6dc9bf2d",
 }
 
@@ -50,40 +50,36 @@ SELFTEST_SEED7_SHA256 = "67554d1bdbb5d8f2f6a0c40783eb5e1ac9c1ec78193001184d5c96e
 
 
 @pytest.fixture(scope="module")
-def default_results():
-    """criterion -> its result at default arguments, filled by test_criterion."""
+def seed7_results():
+    """criterion -> its result at seed 7, filled by test_criterion."""
     return {}
 
 
 @pytest.mark.parametrize(
     "criterion", acceptance.ALL_CRITERIA, ids=lambda fn: fn.__name__
 )
-def test_criterion(criterion, default_results):
+def test_criterion(criterion, seed7_results):
     t0 = time.time()
-    result = criterion()
-    default_results[criterion] = result
+    result = acceptance.run_criterion(criterion, 7)
+    seed7_results[criterion] = result
     elapsed = time.time() - t0
     status = "PASS" if result["ok"] else "FAIL"
     print(f"[acceptance] {status} {result['name']} ({elapsed:.1f}s)")
     assert result["ok"], result["details"]
     budget = BUDGETS[result["name"]]
     assert elapsed < budget, f"{result['name']} exceeded {budget}s: {elapsed:.1f}s"
-    encoded = json.dumps(cli._jsonable(result), sort_keys=True).encode()
+    encoded = json.dumps(result, sort_keys=True).encode()
     assert hashlib.sha256(encoded).hexdigest() == DIGESTS[result["name"]]
 
 
-def test_selftest_seed7_stdout_is_pinned(capsys, monkeypatch, default_results):
-    """The selftest document, byte for byte.  A criterion whose default
-    arguments are those `selftest --seed 7` passes reuses the result
-    test_criterion computed; the others (their default seeds are not 7)
-    run here at seed 7."""
+def test_selftest_seed7_stdout_is_pinned(capsys, monkeypatch, seed7_results):
+    """The selftest document, byte for byte.  Each criterion reuses the
+    result test_criterion computed with the same call; one that did not
+    run there (a -k selection) runs here."""
     run_criterion = acceptance.run_criterion
 
     def reuse(fn, seed):
-        seed_param = inspect.signature(fn).parameters.get("seed")
-        if fn in default_results and (seed_param is None or seed_param.default == seed):
-            return default_results[fn]
-        return run_criterion(fn, seed)
+        return seed7_results[fn] if fn in seed7_results else run_criterion(fn, seed)
 
     monkeypatch.setattr(acceptance, "run_criterion", reuse)
     assert cli.main(["selftest", "--seed", "7"]) == 0

@@ -77,6 +77,15 @@ def test_bad_inputs_raise_format_errors():
         jsonio.decode_space({"m": 2})
     with pytest.raises(jsonio.InputFormatError):
         jsonio.decode_multivector({"not-json": "1"})
+    # JSON true/false are not the rationals 1/0
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.decode_space({"Q": [[True]]})
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.decode_multivector({"[1]": False})
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.decode_multivector({"[true]": "1"})
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.decode_tuple({"X": [[["1", True], ["0", "1"]]]})
 
 
 # --- CLI behaviour ------------------------------------------------------
@@ -149,8 +158,12 @@ def test_spinor_check_and_weights(capsys, tmp_path):
 
 # sha256 of stdout and the exit code of each command, recorded before the
 # spinor checks moved to sparse columns and the half-spin restriction to a
-# fold; `plethysm verify f4` is pinned by the plethysm criterion's digest
+# fold (the two `spinor weights` lines: before `--type D` was read from
+# spin_weights instead of merging the two halves); `plethysm verify f4` is
+# pinned by the plethysm criterion's digest
 PINNED_STDOUT = {
+    "spinor weights --ell 4 --type D": ("c50da334c7ef6a3b8e195c903cdad0ef8f55cefbc0832fe4d01e3012fb8a9dc7", 0),
+    "spinor weights --ell 3": ("2d9f59f2563b357f9de832227dbf91c771c4a8c03b88293a1266a2f3bdce58b5", 0),
     "spinor check --ell 0 --odd": ("a2043fe584586c7169055ae902376ecdd60dc1ab8b4e2c201f7fb0de3fbe8986", 0),
     "spinor check --ell 1 --odd": ("17aff5a19c21b34a73929c8ff10ac28cf81eb82b3b56e7f8aee8d6c1fff627d6", 0),
     "spinor check --ell 1 --even": ("a38a59f43c2114bd5cc1165bac06ede642df7720f5562863acf22de688f6833e", 0),
@@ -199,6 +212,23 @@ def test_lipschitz_zero_classifies_none(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["lipschitz", "test", "--input", str(path)])
     assert code == 0
     assert json.loads(out)["payload"]["verdict"] == "none"
+
+
+@pytest.mark.parametrize("key", ["[1,1]", "[0]", "[5]", "[1,3]"])
+def test_lipschitz_test_refuses_a_bad_blade_key(capsys, tmp_path, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"V": {"m": 2, "Q": [["1", "0"], ["0", "1"]]}, "x": {"[1]": "1", key: "2"}}))
+    code, out, err = run_cli(capsys, ["lipschitz", "test", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error") and "Traceback" not in err
+
+
+def test_form_tensor_refuses_a_boolean_entry(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"Q": [[True]]}))
+    code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error")
 
 
 def test_lipschitz_vector_is_group(capsys, tmp_path):
@@ -497,6 +527,23 @@ def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp
         "subcommand": "degenerate analyze",
         "verdict": "fail",
         "payload": {"counterexample": "trace-form kernel is not an ideal"},
+    }
+
+
+def test_a_non_unital_fibre_tensor_exits_2_not_as_an_input_error(capsys, tmp_path, monkeypatch):
+    def without_left_unit_at_1(V):
+        T = theta_tensor(V)
+        return liestructure.AlgebraTensor(dim=T.dim, identity=T.identity, c={**T.c, (T.identity, 1): {}})
+
+    monkeypatch.setattr(degeneration, "theta_tensor", without_left_unit_at_1)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", ["0", "1"]]]}))
+    code, out, err = run_cli(capsys, ["degenerate", "analyze", "--input", str(path)])
+    assert code == 2 and "input error" not in err
+    assert json.loads(out) == {
+        "subcommand": "degenerate analyze",
+        "verdict": "fail",
+        "payload": {"counterexample": "identity fails on the left at 1"},
     }
 
 

@@ -16,7 +16,7 @@ from cliffdegen.degeneration import (
 )
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import rank_dense
-from cliffdegen.rings import Poly, RatFun, czero
+from cliffdegen.rings import InvariantViolation, Poly, RatFun, czero
 
 
 def t():
@@ -74,6 +74,20 @@ def test_radical_of_handwritten_matrix_algebra():
     T = _m2_tensor()
     T.verify_unital()
     assert jacobson_radical(T).dimension == 0
+
+
+@pytest.mark.parametrize(
+    "key, row, side",
+    [((0, 2), {2: Fraction(2)}, "left"), ((3, 0), {}, "right"), ((1, 0), {1: 1, 2: 1}, "right")],
+    ids=["left-scaled", "right-missing", "right-extra-term"],
+)
+def test_a_broken_identity_row_is_an_invariant_violation(key, row, side):
+    T = _m2_tensor()
+    T.c[key] = row
+    with pytest.raises(InvariantViolation, match=f"identity fails on the {side} at"):
+        T.verify_unital()
+    with pytest.raises(InvariantViolation):
+        jacobson_radical(T)
 
 
 def test_radical_examples():
