@@ -19,8 +19,9 @@ from .clifford import (
     reverse,
 )
 from .degeneration import QuadraticFamily, certify_specialization
-from .linalg import nullspace_dense, solve_augmented
+from .linalg import identity_matrix, mat_mul, mat_sub, nullspace_dense, solve_augmented
 from .liestructure import (
+    lie_pairs,
     reconstruct_form,
     structure_constants,
     transcribe_constants,
@@ -324,7 +325,7 @@ def criterion_local_models(seed: int = 17) -> dict:
             g = _random_unimodular(rng, n)
             ginv = _inverse_unimodular(g)
             conj = MatrixTuple.of(
-                [_mat3(g, m, ginv) for m in base.as_lists()]
+                [mat_mul(g, mat_mul(m, ginv)) for m in base.as_lists()]
             )
             conj_trials += 1
             if not s_equivalent(base, conj):
@@ -344,12 +345,8 @@ def criterion_local_models(seed: int = 17) -> dict:
         failures.append("spin-image-cartan")
     if not generates_full_algebra(spin_image_tuple([[1, 0, 0], [0, 1, 1]], 1, odd=True)):
         failures.append("spin-image-generates")
-    from .liestructure import lie_pairs
-    from .linalg import mat_mul, mat_sub
-    from .spinor import WittDecomposition as WD
-
     for ell, odd in ((1, True), (2, False)):
-        W = WD(ell, odd=odd)
+        W = WittDecomposition(ell, odd=odd)
         npairs = len(lie_pairs(W.m))
         u = [Fraction(rng.randint(-2, 2)) for _ in range(npairs)]
         v = [Fraction(rng.randint(-2, 2)) for _ in range(npairs)]
@@ -371,8 +368,6 @@ def criterion_local_models(seed: int = 17) -> dict:
 
 def _lie_bracket_coeffs(u, v, W):
     """Coefficients of [u, v] in the quotient Lie algebra of the Witt space."""
-    from .liestructure import lie_pairs
-
     V = W.space()
     pairs = lie_pairs(W.m)
     xu = Multivector()
@@ -389,8 +384,6 @@ def _lie_bracket_coeffs(u, v, W):
 
 def _random_unimodular(rng: random.Random, n: int):
     """Product of elementary integer shears: always invertible over Q."""
-    from .linalg import identity_matrix, mat_mul
-
     g = identity_matrix(n)
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
@@ -405,12 +398,6 @@ def _inverse_unimodular(g):
     n = len(g)
     aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(g)]
     return solve_augmented(aug, n)
-
-
-def _mat3(a, b, c):
-    from .linalg import mat_mul
-
-    return mat_mul(a, mat_mul(b, c))
 
 
 def criterion_weyl_dim_consistency() -> dict:

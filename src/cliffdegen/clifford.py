@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .linalg import rank_dense
 from .rings import (
     CoefficientRingMismatch,
     PoleError,
@@ -63,7 +64,6 @@ class QuadraticSpace:
         self._one = Fraction(1)  # unit coefficient of the product cache
         self._gen_cache: dict = {}
         self._doubled = None  # lipschitz.DoubledAlgebra, built on first use
-        self._scaled = None  # (D, space of D Q), built on first use
 
     @staticmethod
     def diagonal(qs) -> "QuadraticSpace":
@@ -92,34 +92,30 @@ class QuadraticSpace:
         ``int`` coefficients.  A coefficient of a product of k generators
         that lies on a blade of cardinality c is homogeneous of degree
         (k - c)/2 in Q, so it is D^((k - c)/2) times the one over Q.
-        ``RatFun`` and ``Dual`` spaces give ``(1, self)``."""
-        if self._scaled is None:
-            if self.ring not in ("rational", "poly_t"):
-                self._scaled = (1, self)
-            else:
-                D = lcm(
-                    *(c.denominator for row in self.gram for v in row
-                      for c in (v.coeffs if isinstance(v, Poly) else (v,)))
-                )
+        ``RatFun`` and ``Dual`` spaces give ``(1, self)``.  Built on each
+        call: every caller asks once per space."""
+        if self.ring not in ("rational", "poly_t"):
+            return 1, self
+        D = lcm(
+            *(c.denominator for row in self.gram for v in row
+              for c in (v.coeffs if isinstance(v, Poly) else (v,)))
+        )
 
-                def times_d(v):  # D v, with int coefficients
-                    if isinstance(v, Poly):
-                        return Poly([int(c * D) for c in v.coeffs])
-                    return int(v * D)
+        def times_d(v):  # D v, with int coefficients
+            if isinstance(v, Poly):
+                return Poly([int(c * D) for c in v.coeffs])
+            return int(v * D)
 
-                gram = tuple(tuple(times_d(v) for v in row) for row in self.gram)
-                S = QuadraticSpace(gram)
-                S.gram = gram  # as built: the constructor makes ints Fractions
-                S._one = 1
-                self._scaled = (D, S)
-        return self._scaled
+        gram = tuple(tuple(times_d(v) for v in row) for row in self.gram)
+        S = QuadraticSpace(gram)
+        S.gram = gram  # as built: the constructor makes ints Fractions
+        S._one = 1
+        return D, S
 
     def degeneracy_rank(self) -> int:
         """Rank of the matrix 2Q (requires rational entries)."""
         if self.ring != "rational":
             raise CoefficientRingMismatch("rank report requires rational entries")
-        from .linalg import rank_dense
-
         rows = [[2 * v for v in row] for row in self.gram]
         return rank_dense(rows, self.m)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .clifford import BladeIndexError, Multivector, QuadraticSpace, indices_of, mask_of
+from .clifford import Multivector, QuadraticSpace, indices_of, mask_of
 from .degeneration import SpecializationWitness
 from .liestructure import AlgebraTensor
 from .localmodels import MatrixTuple, TraceFingerprint
@@ -37,31 +37,47 @@ def encode_coeff(v):
     return encode_rational(v)
 
 
-def decode_coeff(obj):
+def decode_rational(obj) -> Fraction:
+    """An exact rational from a string "p/q" (or a decimal) or a JSON
+    integer.  Exponent notation is refused: "1e10000000" is twelve bytes
+    that ``Fraction`` would expand into a ten-million-digit integer."""
     if isinstance(obj, str):
+        if "e" in obj or "E" in obj:
+            raise InputFormatError(f"bad rational {obj!r}: exponent notation is not accepted")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"bad rational {obj!r}: {exc}") from exc
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
+    raise InputFormatError(f"expected a rational, got {obj!r}")
+
+
+def _decode_poly(obj) -> Poly:
+    if not isinstance(obj, list):
+        raise InputFormatError(f"polynomial must be a list of rationals, got {obj!r}")
+    return Poly([decode_rational(c) for c in obj])
+
+
+def decode_coeff(obj):
     if isinstance(obj, list):
-        return Poly([decode_coeff(c) for c in obj])
+        return _decode_poly(obj)
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
-        return RatFun(
-            Poly([decode_coeff(c) for c in obj["num"]]),
-            Poly([decode_coeff(c) for c in obj["den"]]),
-        )
+        num, den = _decode_poly(obj["num"]), _decode_poly(obj["den"])
+        if den.is_zero():
+            raise InputFormatError(f"rational function with a zero denominator: {obj!r}")
+        return RatFun(num, den)
+    if isinstance(obj, (str, int)):
+        return decode_rational(obj)
     raise InputFormatError(f"unrecognised coefficient encoding: {obj!r}")
 
 
 def decode_rationals(obj, depth: int, what: str):
     """Exact rationals nested ``depth`` levels deep in lists."""
     if depth == 0:
-        v = decode_coeff(obj)
-        if not isinstance(v, Fraction):
+        if isinstance(obj, (list, dict)):
             raise InputFormatError(f"{what}: expected a rational, got {obj!r}")
-        return v
+        return decode_rational(obj)
     if not isinstance(obj, list):
         raise InputFormatError(f"{what}: expected a list, got {obj!r}")
     return [decode_rationals(v, depth - 1, what) for v in obj]
@@ -92,23 +108,30 @@ def encode_multivector(x: Multivector) -> dict:
     return out
 
 
-def decode_multivector(obj) -> Multivector:
+def decode_multivector(obj, m: int) -> Multivector:
+    """A multivector over generators 1..m.  Blade keys list strictly
+    increasing indices, "[1,3]", and name each blade once: "[3,1]" (which
+    is -e1 e3 over an orthogonal pair), an index outside 1..m and a second
+    key for a blade ("[ 1]" beside "[1]") are refused."""
     if not isinstance(obj, dict):
         raise InputFormatError("multivector must be an object of blade -> coefficient")
     terms = {}
     for key, cval in obj.items():
         try:
             idx = json.loads(key)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputFormatError(f"bad blade key {key!r}") from exc
         if not isinstance(idx, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in idx
         ):
             raise InputFormatError(f"blade key must be a list of indices: {key!r}")
-        try:
-            mask = mask_of(idx)
-        except BladeIndexError as exc:
-            raise InputFormatError(f"bad blade key {key!r}: {exc}") from exc
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise InputFormatError(f"blade key {key!r}: indices must strictly increase")
+        if idx and not 1 <= idx[0] <= idx[-1] <= m:
+            raise InputFormatError(f"blade key {key!r}: indices must lie in 1..{m}")
+        mask = mask_of(idx)
+        if mask in terms:
+            raise InputFormatError(f"blade key {key!r} names a blade already given")
         terms[mask] = decode_coeff(cval)
     return Multivector(terms)
 

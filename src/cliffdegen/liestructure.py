@@ -34,18 +34,13 @@ form on the nose.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .clifford import (
-    Multivector,
-    QuadraticSpace,
-    _terms_times_gen,
-    blade_row,
-    indices_of,
-)
+from .clifford import QuadraticSpace, _terms_times_gen, blade_row, indices_of
 from .rings import HALF, InvariantViolation, Poly, axpy, czero, regular_at, join_rings, ring_of
 
 
@@ -64,21 +59,6 @@ def lie_pairs(m: int):
 def _oriented(x: int, y: int):
     """Return ((min,max), sign) so that s(x,y) = sign * s(min,max)."""
     return ((x, y), 1) if x < y else ((y, x), -1)
-
-
-@dataclass
-class EvenLieAlgebra:
-    """Basis [e_0, e_i e_j (i<j)] of the even filtration-degree-<=2 piece,
-    with every pairwise bracket expanded over that basis."""
-
-    space: QuadraticSpace
-    basis: list
-    pairs: list
-    brackets: dict  # (pair_a, pair_b), a < b lex -> {label: coeff}, labels "e0" or pair
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 @dataclass
@@ -165,17 +145,17 @@ def unscale(v, Dk):
     return v
 
 
-def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
-    """Construct the even Lie algebra from the product, verifying closure.
+def build_even_lie(V: QuadraticSpace) -> dict:
+    """The brackets of the even Lie algebra, basis [e_0, e_i e_j (i<j)],
+    from the product, verifying closure: (pair_a, pair_b), pair_a < pair_b
+    lex, maps to {label: coeff} with labels "e0" or a pair.
 
     The products of two bivector blades are taken on the integer form D Q
     of :meth:`QuadraticSpace.scaled`; a product of four generators is
     homogeneous of degree (4 - c)/2 in Q on a blade of cardinality c, so
     the bracket's e_0 coefficient is divided by D^2 and its bivector
     coefficients by D."""
-    m = V.m
-    pairs = lie_pairs(m)
-    basis = [Multivector.scalar(1)] + [Multivector.blade(p) for p in pairs]
+    pairs = lie_pairs(V.m)
     D, S = V.scaled()
     masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
 
@@ -202,7 +182,7 @@ def build_even_lie(V: QuadraticSpace) -> EvenLieAlgebra:
                         f"[{pa},{pb}] leaves the basis span at blade {indices_of(mask)}"
                     )
             brackets[(pa, pb)] = expansion
-    return EvenLieAlgebra(space=V, basis=basis, pairs=pairs, brackets=brackets)
+    return brackets
 
 
 def structure_constants(V: QuadraticSpace, check_jacobi: bool = True) -> QuotientLieAlgebra:
@@ -210,19 +190,16 @@ def structure_constants(V: QuadraticSpace, check_jacobi: bool = True) -> Quotien
     transcription, which serves as an independent oracle)."""
     if V.m < 2:
         raise ValueError("need m >= 2 for bivectors to exist")
-    lie = build_even_lie(V)
     table = {
         key: {p: c for p, c in exp.items() if p != "e0"}
-        for key, exp in lie.brackets.items()
+        for key, exp in build_even_lie(V).items()
     }
     out = QuotientLieAlgebra(m=V.m, table=table)
     if check_jacobi:
-        npairs = len(lie.pairs)
+        npairs = out.dimension
         if npairs <= 21:  # m <= 7: all triples
             out.verify_jacobi()
         else:
-            import random
-
             rng = random.Random(20210 + V.m)
             sample = [
                 tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(200)

@@ -22,7 +22,6 @@ pins the blade-wise embedding used here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .clifford import (
     Multivector,
@@ -33,6 +32,7 @@ from .clifford import (
     reverse,
 )
 from .liestructure import even_blade_basis
+from .linalg import nullspace_dense
 from .rings import HALF, InvariantViolation, axpy, czero
 
 
@@ -116,33 +116,6 @@ class DoubledAlgebra:
         return acc
 
 
-class Cl0Subspace:
-    """Balanced-blade subspace of the doubled algebra.
-
-    In delta/delta' blade coordinates the subspace is spanned by distinct
-    canonical blades, so the coordinate matrix is already in (maximally)
-    row-reduced form: membership is exact coordinate inspection.
-    """
-
-    def __init__(self, D: DoubledAlgebra):
-        self.doubled = D
-        self.m = D.base.m
-
-    @property
-    def dimension(self) -> int:
-        return comb(2 * self.m, self.m)
-
-    def basis_blades(self):
-        m = self.m
-        for mask in range(1 << (2 * m)):
-            if (mask & ((1 << m) - 1)).bit_count() == (mask >> m).bit_count():
-                yield mask
-
-    def contains_fg(self, x: Multivector) -> bool:
-        """Membership of an element written in the f/g presentation."""
-        return not self.doubled.unbalanced(x)
-
-
 def doubled_algebra(V: QuadraticSpace) -> DoubledAlgebra:
     """The doubled algebra of V, built on first use and kept on V."""
     if V._doubled is None:
@@ -163,12 +136,12 @@ def embed_pair(x: Multivector, y: Multivector, D: DoubledAlgebra) -> Multivector
 
 
 def is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
-    """Homogeneous and x (x) tau(x) lies in the balanced subspace."""
+    """Homogeneous and x (x) tau(x) lies in the balanced subspace: its image
+    has no unbalanced part."""
     if not is_homogeneous(x):
         return False
     D = doubled_algebra(V)
-    emb = embed_pair(x, reverse(x, V), D)
-    return Cl0Subspace(D).contains_fg(emb)
+    return not D.unbalanced(embed_pair(x, reverse(x, V), D))
 
 
 def norm_scalar(x: Multivector, V: QuadraticSpace):
@@ -183,23 +156,16 @@ def norm_scalar(x: Multivector, V: QuadraticSpace):
 
 def is_glip(x: Multivector, V: QuadraticSpace) -> bool:
     """Lipschitz with invertible scalar norm (the unit group of the monoid)."""
-    if not is_lipschitz(x, V):
-        return False
-    z = norm_scalar(x, V)
-    return z is not None and not czero(z)
+    return lipschitz_report(x, V)["verdict"] in ("group", "spin")
 
 
 def is_spin_kernel(x: Multivector, V: QuadraticSpace) -> bool:
     """Even Lipschitz unit of norm exactly one."""
-    if not is_glip(x, V) or not is_even(x):
-        return False
-    return norm_scalar(x, V) == 1
+    return lipschitz_report(x, V)["verdict"] == "spin"
 
 
 def lipschitz_report(x: Multivector, V: QuadraticSpace) -> dict:
-    homog = is_homogeneous(x)
-    D = doubled_algebra(V)
-    member = homog and Cl0Subspace(D).contains_fg(embed_pair(x, reverse(x, V), D))
+    member = is_lipschitz(x, V)
     z = norm_scalar(x, V)
     verdict = "none"
     # the zero element is classified "none": it sits in the monoid formally
@@ -211,7 +177,7 @@ def lipschitz_report(x: Multivector, V: QuadraticSpace) -> dict:
             if is_even(x) and z == 1:
                 verdict = "spin"
     return {
-        "homogeneous": homog,
+        "homogeneous": is_homogeneous(x),
         "cl0_member": member,
         "norm_scalar": z,
         "verdict": verdict,
@@ -228,8 +194,6 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     part (dimension 1 + m(m-1)/2), and cutting with X + tau(X) = 0 is
     expected to leave m(m-1)/2 dimensions for every Q, degenerate or not.
     """
-    from .linalg import nullspace_dense
-
     m = V.m
     D = doubled_algebra(V)
     one = Multivector.scalar(1)

@@ -71,33 +71,38 @@ class RootSystemData:
         return vsub(v, vscale(self.coroot_pairing(v, alpha), alpha))
 
     def fundamental_weights(self) -> tuple:
-        """omega_i in the span of the roots, <omega_i, alpha_j^v> = delta_ij."""
+        """omega_i in the span of the roots, <omega_i, alpha_j^v> = delta_ij:
+        omega_i = sum_k x_ki alpha_k, where X solves the Cartan-type system
+        sum_k x_ki <alpha_k, alpha_j^v> = delta_ij, one column per weight."""
         n = self.rank
-        # solve omega = sum_k x_k alpha_k from the Cartan-type system
+        simple = self.simple_roots
+        aug = [
+            [self.coroot_pairing(simple[k], simple[j]) for k in range(n)]
+            + [Fraction(1 if i == j else 0) for i in range(n)]
+            for j in range(n)
+        ]
+        X = solve_augmented(aug, n)
         outs = []
         for i in range(n):
-            # rows: sum_k x_k <alpha_k, alpha_j^v> = delta_ij, as an
-            # inhomogeneous system solved by elimination
-            rows = [
-                [self.coroot_pairing(self.simple_roots[k], self.simple_roots[j]) for k in range(n)]
-                + [Fraction(1 if j == i else 0)]
-                for j in range(n)
-            ]
-            # gaussian solve
-            x = _solve_square(rows, n)
             w = tuple(Fraction(0) for _ in range(self.ambient))
-            for k, coef in enumerate(x):
-                w = vadd(w, vscale(coef, self.simple_roots[k]))
+            for k in range(n):
+                w = vadd(w, vscale(X[k][i], simple[k]))
             outs.append(w)
         return tuple(outs)
 
 
-def _solve_square(aug_rows, n):
-    return [row[0] for row in solve_augmented(aug_rows, n)]
-
-
 def _eps(i, n):
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def _eps_pairs(n):
+    """The roots eps_i - eps_j and eps_i + eps_j for i < j, in that order."""
+    return [
+        root
+        for i in range(n)
+        for j in range(i + 1, n)
+        for root in (vsub(_eps(i, n), _eps(j, n)), vadd(_eps(i, n), _eps(j, n)))
+    ]
 
 
 def root_system(label: str, rank: int = None) -> RootSystemData:
@@ -109,31 +114,19 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
     if label == "B":
         n = rank
         simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [_eps(n - 1, n)]
-        pos = [_eps(i, n) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                pos.append(vsub(_eps(i, n), _eps(j, n)))
-                pos.append(vadd(_eps(i, n), _eps(j, n)))
+        pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
         ambient = n
     elif label == "C":
         n = rank
         simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [vscale(2, _eps(n - 1, n))]
-        pos = [vscale(2, _eps(i, n)) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                pos.append(vsub(_eps(i, n), _eps(j, n)))
-                pos.append(vadd(_eps(i, n), _eps(j, n)))
+        pos = [vscale(2, _eps(i, n)) for i in range(n)] + _eps_pairs(n)
         ambient = n
     elif label == "D":
         n = rank
         simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [
             vadd(_eps(n - 2, n), _eps(n - 1, n))
         ]
-        pos = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                pos.append(vsub(_eps(i, n), _eps(j, n)))
-                pos.append(vadd(_eps(i, n), _eps(j, n)))
+        pos = _eps_pairs(n)
         ambient = n
     elif label == "G2":
         simple = [_tup((1, -1, 0)), _tup((-2, 1, 1))]
@@ -155,11 +148,7 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
             _eps(3, n),
             vscale(HALF, _tup((1, -1, -1, -1))),
         ]
-        pos = [_eps(i, n) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                pos.append(vsub(_eps(i, n), _eps(j, n)))
-                pos.append(vadd(_eps(i, n), _eps(j, n)))
+        pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
         for signs in iproduct((1, -1), repeat=3):
             pos.append(
                 vscale(HALF, _tup((1, signs[0], signs[1], signs[2])))

@@ -47,7 +47,27 @@ def _pc(x):
     return x if type(x) is int else _fr(x)
 
 
-class Poly:
+class _Ring:
+    """Subtraction as addition of the negative, for the rings below: each
+    defines ``_coerce`` (``None`` for a value it does not take), ``__add__``
+    and ``__neg__``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+
+class Poly(_Ring):
     """Dense univariate polynomial in t over the rationals.
 
     Coefficients are stored by ascending degree with no trailing zeros, so
@@ -113,18 +133,6 @@ class Poly:
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -198,7 +206,7 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-class RatFun:
+class RatFun(_Ring):
     """Quotient of two polynomials in t, with exact pole detection.
 
     No gcd normalisation is performed; equality is cross-multiplication.
@@ -270,18 +278,6 @@ class RatFun:
     def __neg__(self):
         return RatFun(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -320,7 +316,7 @@ class RatFun:
 
 
 @dataclass(frozen=True)
-class Dual:
+class Dual(_Ring):
     """Dual number a + b*eps with eps^2 = 0, over the rationals."""
 
     a: Fraction
@@ -359,18 +355,6 @@ class Dual:
 
     def __neg__(self):
         return Dual(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -433,10 +417,9 @@ def join_rings(r1: str, r2: str) -> str:
 
 
 def czero(v) -> bool:
-    """Exact zero test across all supported coefficient types."""
-    if isinstance(v, (Poly, RatFun, Dual)):
-        return v.is_zero()
-    return v == 0
+    """Exact zero test across all supported coefficient types (each ring
+    value is false exactly when it is zero)."""
+    return not v
 
 
 def axpy(acc: dict, c, terms: dict) -> dict:

@@ -61,11 +61,6 @@ class WittDecomposition:
     def p(self, i: int) -> Multivector:
         return Multivector.basis_vector(self.ell + i)
 
-    def u(self) -> Multivector:
-        if not self.odd:
-            raise ValueError("even decomposition has no u")
-        return Multivector.basis_vector(self.m)
-
 
 class UnknownGenerator(ValueError):
     pass

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from cliffdegen import acceptance, cli, degeneration, jsonio, liestructure
+from cliffdegen import acceptance, cli, degeneration, jsonio, liestructure, lipschitz
 from cliffdegen.cli import main
 from cliffdegen.clifford import Multivector, QuadraticSpace
 from cliffdegen.liestructure import theta_tensor
@@ -46,7 +46,7 @@ def test_multivector_round_trip():
     x = Multivector.scalar(Fraction(3, 2)) + Multivector.blade((1, 3), -2)
     obj = jsonio.encode_multivector(x)
     assert obj == {"[]": "3/2", "[1,3]": "-2"}
-    assert jsonio.decode_multivector(obj) == x
+    assert jsonio.decode_multivector(obj, 3) == x
 
 
 def test_tensor_round_trip():
@@ -76,16 +76,25 @@ def test_bad_inputs_raise_format_errors():
     with pytest.raises(jsonio.InputFormatError):
         jsonio.decode_space({"m": 2})
     with pytest.raises(jsonio.InputFormatError):
-        jsonio.decode_multivector({"not-json": "1"})
+        jsonio.decode_multivector({"not-json": "1"}, 2)
     # JSON true/false are not the rationals 1/0
     with pytest.raises(jsonio.InputFormatError):
         jsonio.decode_space({"Q": [[True]]})
     with pytest.raises(jsonio.InputFormatError):
-        jsonio.decode_multivector({"[1]": False})
+        jsonio.decode_multivector({"[1]": False}, 2)
     with pytest.raises(jsonio.InputFormatError):
-        jsonio.decode_multivector({"[true]": "1"})
+        jsonio.decode_multivector({"[true]": "1"}, 2)
     with pytest.raises(jsonio.InputFormatError):
         jsonio.decode_tuple({"X": [[["1", True], ["0", "1"]]]})
+    # a blade key lists increasing indices and names its blade once
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.decode_multivector({"[1,2]": "1", "[2,1]": "1"}, 2)
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.decode_multivector({"[1]": "1", "[ 1]": "2"}, 2)
+    # polynomial entries are rationals; exponents and empty denominators are refused
+    for bad in ([["1"]], {"num": ["1"], "den": []}, {"num": "12", "den": ["1"]}, "1e5", "2E-3"):
+        with pytest.raises(jsonio.InputFormatError):
+            jsonio.decode_coeff(bad)
 
 
 # --- CLI behaviour ------------------------------------------------------
@@ -214,11 +223,46 @@ def test_lipschitz_zero_classifies_none(capsys, tmp_path):
     assert json.loads(out)["payload"]["verdict"] == "none"
 
 
-@pytest.mark.parametrize("key", ["[1,1]", "[0]", "[5]", "[1,3]"])
+@pytest.mark.parametrize("key", ["[1,1]", "[0]", "[5]", "[1,3]", "[2,1]", "[ 1]", "[100000000000]"])
 def test_lipschitz_test_refuses_a_bad_blade_key(capsys, tmp_path, key):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"V": {"m": 2, "Q": [["1", "0"], ["0", "1"]]}, "x": {"[1]": "1", key: "2"}}))
     code, out, err = run_cli(capsys, ["lipschitz", "test", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error") and "Traceback" not in err
+
+
+def test_input_nested_too_deeply_for_the_json_parser_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('{"a": ' * 5000 + "1" + "}" * 5000)
+    code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_a_deeply_nested_coefficient_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    deep = "1"
+    for _ in range(600):
+        deep = [deep]
+    for doc, argv in (
+        ({"Q": [[deep]]}, ["form", "tensor"]),
+        ({"V": {"Q": [["1"]]}, "x": {"[1]": deep}}, ["lipschitz", "test"]),
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, argv + ["--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error") and "Traceback" not in err
+
+
+def test_exponent_notation_is_refused(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"Q": [["1e5"]]}))
+    code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error") and "Traceback" not in err
+    path.write_text(json.dumps({"Q": [[["1", "1"]]]}))
+    code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path), "--at", "1e5"])
     assert (code, out) == (1, "")
     assert err.startswith("input error") and "Traceback" not in err
 
@@ -460,6 +504,30 @@ def test_reconstruct_size_guard_refuses_before_any_product(capsys, tmp_path, mon
     for argv in (unit_form(cap), ["form", "reconstruct", "--random", "--m", str(cap)]):
         with pytest.raises(_Reached):
             main(argv)
+
+
+def test_lipschitz_size_guard_refuses_before_any_product(capsys, tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "lipschitz_report", reached)
+    monkeypatch.setattr(lipschitz, "geometric_product", reached)
+    monkeypatch.setattr(lipschitz, "doubled_algebra", reached)
+    path = tmp_path / "in.json"
+
+    def unit_form(m):
+        Q = [["1" if i == j else "0" for j in range(m)] for i in range(m)]
+        path.write_text(json.dumps({"V": {"Q": Q}, "x": {"[1]": "1"}}))
+        return ["lipschitz", "test", "--input", str(path)]
+
+    cap = cli.MAX_LIPSCHITZ_M
+    for m in (cap + 1, 40):
+        code, out, err = run_cli(capsys, unit_form(m))
+        assert (code, out) == (1, "")
+        assert "usage error" in err and str(cap) in err and str(4 ** m) in err
+    # at the cap the work starts (and stops at the patched entry point)
+    with pytest.raises(_Reached):
+        main(unit_form(cap))
 
 
 @pytest.mark.parametrize(

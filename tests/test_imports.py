@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,18 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def imports_in_functions(source: str) -> list:
+    """(line, function name) of each import statement inside a function
+    body, nested functions and methods included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append((inner.lineno, node.name))
+    return sorted(set(found))
+
+
 def test_the_scan_finds_an_unused_import():
     source = "import os\nfrom json import dumps, loads as l\nfrom __future__ import annotations\nl('1')\n"
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
@@ -40,5 +53,28 @@ def test_library_modules_have_no_unused_imports():
         path.name: unused
         for path in sorted(SRC.glob("*.py"))
         if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_the_scan_finds_an_import_inside_a_function():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    return dumps\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        import random\n"
+    )
+    assert imports_in_functions(source) == [(3, "f"), (7, "g")]
+    assert imports_in_functions("import os\ndef f():\n    return os.sep\n") == []
+
+
+def test_library_functions_import_nothing():
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if (hits := imports_in_functions(path.read_text()))
     }
     assert found == {}

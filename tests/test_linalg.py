@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cliffdegen.acceptance import _inverse_unimodular
-from cliffdegen.linalg import echelon, nullspace_dense, rank_dense
-from cliffdegen.plethysm import _solve_square
+from cliffdegen.linalg import echelon, nullspace_dense, rank_dense, solve_augmented
 
 sympy = pytest.importorskip("sympy")
 
@@ -72,7 +71,7 @@ def test_nullspace_and_rank_match_sympy(case):
 def test_solve_square_matches_sympy(A, data):
     n = len(A)
     b = data.draw(st.lists(entries, min_size=n, max_size=n))
-    x = _solve_square([row + [v] for row, v in zip(A, b)], n)
+    x = [row[0] for row in solve_augmented([row + [v] for row, v in zip(A, b)], n)]
     want = to_sympy(A).LUsolve(to_sympy([[v] for v in b]))
     assert x == [from_sympy(want[k, 0]) for k in range(n)]
 

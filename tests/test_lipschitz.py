@@ -5,7 +5,6 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from math import comb
 
 from cliffdegen.clifford import (
     Multivector,
@@ -14,7 +13,6 @@ from cliffdegen.clifford import (
     reverse,
 )
 from cliffdegen.lipschitz import (
-    Cl0Subspace,
     DoubledAlgebra,
     doubled_algebra,
     embed_pair,
@@ -32,15 +30,6 @@ HALF = Fraction(1, 2)
 
 def gp(x, y, V):
     return geometric_product(x, y, V)
-
-
-def test_cl0_dimension_counts():
-    for m in range(1, 7):
-        D = DoubledAlgebra(QuadraticSpace.diagonal(list(range(1, m + 1))))
-        cl0 = Cl0Subspace(D)
-        n_balanced = sum(1 for _ in cl0.basis_blades())
-        assert n_balanced == cl0.dimension == comb(2 * m, m)
-        assert cl0.dimension == sum(comb(m, j) ** 2 for j in range(m + 1))
 
 
 def test_embed_pair_calibration():

@@ -87,6 +87,21 @@ def test_positive_root_counts(args, count):
     assert len(root_system(*args).positive_roots) == count
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G2",), ("F4",)],
+    ids=lambda args: "".join(map(str, args)),
+)
+def test_fundamental_weights_pair_to_the_kronecker_delta(args):
+    R = root_system(*args)
+    omegas = R.fundamental_weights()
+    assert len(omegas) == R.rank
+    for i, omega in enumerate(omegas):
+        assert len(omega) == R.ambient
+        for j, alpha in enumerate(R.simple_roots):
+            assert R.coroot_pairing(omega, alpha) == (1 if i == j else 0)
+
+
 def test_weyl_dim_examples():
     G2 = root_system("G2")
     assert weyl_dim(G2, G2.rho) == 64

@@ -10,6 +10,7 @@ from cliffdegen.rings import (
     Poly,
     RatFun,
     axpy,
+    czero,
     join_rings,
     regular_at,
     ring_of,
@@ -97,3 +98,47 @@ def test_axpy_writes_new_keys_and_prunes_zeros():
 def test_invariant_violation_is_an_assertion_error():
     with pytest.raises(AssertionError):
         raise InvariantViolation("boom")
+
+
+def _ring_values():
+    """(zero, nonzero values) of each coefficient type."""
+    t = Poly.t()
+    return [
+        (0, [1, -3]),
+        (Fraction(0), [Fraction(1, 2), Fraction(-7, 3)]),
+        (Poly(), [t, Poly.const(Fraction(1, 2)), t * t - 1]),
+        (RatFun(Poly(), t), [RatFun(t, t + 1), RatFun.const(2)]),
+        (Dual.of(0), [Dual.eps(), Dual.of(Fraction(1, 2), 1)]),
+    ]
+
+
+def test_czero_is_true_exactly_on_zero():
+    for zero, values in _ring_values():
+        assert czero(zero)
+        assert czero(zero * 3) and czero(zero - zero)
+        assert not any(czero(v) for v in values)
+    # a rational function is zero when its numerator is, whatever its denominator
+    assert czero(RatFun(Poly(), Poly.t() * Poly.t() + 1))
+    assert not czero(RatFun(Poly.t(), Poly.t()))
+
+
+def test_subtraction_works_in_both_directions():
+    for zero, values in _ring_values():
+        for a in values:
+            for b in values:
+                assert (a - b) + b == a
+                assert (a - b) == -(b - a)
+            assert czero(a - a)
+            assert a - zero == a and zero - a == -a
+            # with a plain rational on either side
+            assert (a - 2) + 2 == a and (2 - a) + a == 2
+            assert (a - Fraction(1, 3)) == -(Fraction(1, 3) - a)
+    t = Poly.t()
+    assert 1 - t == Poly((1, -1)) and t - 1 == Poly((-1, 1))
+    assert 1 - RatFun(t, t + 1) == RatFun(Poly.const(1), t + 1)
+    assert t - RatFun(t, Poly.const(1)) == 0 and RatFun(t, Poly.const(1)) - t == 0
+    assert Dual.of(1, 2) - 1 == Dual.eps() * 2 and 1 - Dual.eps() == Dual.of(1, -1)
+    with pytest.raises(CoefficientRingMismatch):
+        Dual.eps() - t
+    with pytest.raises(CoefficientRingMismatch):
+        t - Dual.eps()
