@@ -215,8 +215,11 @@ def _cmd_spinor_weights(args):
         W = spin_weights(args.ell)
         label = f"D{args.ell} spin (both halves)" if args.type == "D" else f"B{args.ell} spin"
     if args.tsv:
-        with open(args.tsv, "w") as fh:
-            fh.write(jsonio.weights_tsv(W))
+        try:
+            with open(args.tsv, "w") as fh:
+                fh.write(jsonio.weights_tsv(W))
+        except OSError as exc:
+            raise UsageError(f"cannot write --tsv: {exc}") from exc
     return "pass", {
         "ell": args.ell,
         "module": label,

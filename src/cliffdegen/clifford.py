@@ -21,9 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import rank_dense
 from .rings import (
-    CoefficientRingMismatch,
     PoleError,
     Poly,
     as_coeff,
@@ -92,7 +90,7 @@ class QuadraticSpace:
         ``int`` coefficients.  A coefficient of a product of k generators
         that lies on a blade of cardinality c is homogeneous of degree
         (k - c)/2 in Q, so it is D^((k - c)/2) times the one over Q.
-        ``RatFun`` and ``Dual`` spaces give ``(1, self)``.  Built on each
+        A ``RatFun`` space gives ``(1, self)``.  Built on each
         call: every caller asks once per space."""
         if self.ring not in ("rational", "poly_t"):
             return 1, self
@@ -111,13 +109,6 @@ class QuadraticSpace:
         S.gram = gram  # as built: the constructor makes ints Fractions
         S._one = 1
         return D, S
-
-    def degeneracy_rank(self) -> int:
-        """Rank of the matrix 2Q (requires rational entries)."""
-        if self.ring != "rational":
-            raise CoefficientRingMismatch("rank report requires rational entries")
-        rows = [[2 * v for v in row] for row in self.gram]
-        return rank_dense(rows, self.m)
 
     def __eq__(self, other):
         return isinstance(other, QuadraticSpace) and self.gram == other.gram
@@ -188,13 +179,7 @@ class Multivector:
     def blade(indices, c=1) -> "Multivector":
         return Multivector({mask_of(indices): as_coeff(c)})
 
-    # -- ring plumbing ------------------------------------------------
-    def ring(self) -> str:
-        r = "rational"
-        for c in self.terms.values():
-            r = join_rings(r, ring_of(c))
-        return r
-
+    # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
@@ -296,7 +281,6 @@ def blade_row(space: QuadraticSpace, ma: int) -> list:
 
 def geometric_product(x: Multivector, y: Multivector, space: QuadraticSpace) -> Multivector:
     """Associative unital product determined by the rewriting relations."""
-    join_rings(x.ring(), y.ring())
     for ma in x.terms:
         _check_mask(ma, space.m)
     out: dict = {}
@@ -325,17 +309,6 @@ def reverse(x: Multivector, space: QuadraticSpace) -> Multivector:
     return Multivector(out)
 
 
-def grade_involution(x: Multivector) -> Multivector:
-    """Algebra automorphism scaling each blade of cardinality k by (-1)^k."""
-    return Multivector(
-        {m: (-c if m.bit_count() % 2 else c) for m, c in x.terms.items()}
-    )
-
-
-def even_part(x: Multivector) -> Multivector:
-    return Multivector({m: c for m, c in x.terms.items() if m.bit_count() % 2 == 0})
-
-
 def filtration_degree(x: Multivector) -> int:
     """Max blade cardinality; 0 for the zero element."""
     if not x.terms:
@@ -353,22 +326,6 @@ def is_odd(x: Multivector) -> bool:
 
 def is_homogeneous(x: Multivector) -> bool:
     return is_even(x) or is_odd(x)
-
-
-def specialize(x: Multivector, c) -> Multivector:
-    """Coefficient-wise substitution t = c; reports the offending blade on a
-    pole."""
-    c = Fraction(c) if not isinstance(c, Fraction) else c
-    out = {}
-    for mask, v in x.terms.items():
-        if not regular_at(v, c):
-            raise PoleError(
-                f"pole at t = {c} in coefficient of blade {list(indices_of(mask))}"
-            )
-        val = eval_coeff(v, c)
-        if val != 0:
-            out[mask] = val
-    return Multivector(out)
 
 
 def specialize_space(space: QuadraticSpace, c) -> QuadraticSpace:

@@ -53,20 +53,6 @@ class QuadraticFamily:
         return specialize_space(self.space, c)
 
 
-def specialize_tensor(T: AlgebraTensor, c) -> AlgebraTensor:
-    c = Fraction(c)
-    out = {}
-    for key, row in T.c.items():
-        newrow = {}
-        for k, v in row.items():
-            val = eval_coeff(v, c)
-            if val != 0:
-                newrow[k] = val
-        if newrow:
-            out[key] = newrow
-    return AlgebraTensor(dim=T.dim, identity=T.identity, c=out, basis_masks=T.basis_masks)
-
-
 @dataclass
 class RadicalReport:
     dimension: int

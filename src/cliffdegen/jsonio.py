@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .clifford import Multivector, QuadraticSpace, indices_of, mask_of
+from .clifford import Multivector, QuadraticSpace, mask_of
 from .degeneration import SpecializationWitness
 from .liestructure import AlgebraTensor
 from .localmodels import MatrixTuple, TraceFingerprint
@@ -20,6 +20,27 @@ from .rings import Poly, RatFun
 
 class InputFormatError(ValueError):
     pass
+
+
+def _short(obj, limit: int = 80) -> str:
+    """repr(obj) for an error message, cut to ``limit`` characters with its
+    full length appended: a huge bad value must not flood stderr."""
+    text = repr(obj)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def _check_declared(obj: dict, key: str, actual: int, shape: str):
+    """A size the document declares beside its data is a JSON integer
+    (not a boolean) equal to the size of the data."""
+    if key not in obj:
+        return
+    v = obj[key]
+    if type(v) is not int:
+        raise InputFormatError(f"declared {key} must be an integer, got {type(v).__name__} {_short(v)}")
+    if v != actual:
+        raise InputFormatError(f"declared {key}={_short(v)} but {shape}")
 
 
 def encode_rational(v: Fraction) -> str:
@@ -43,19 +64,21 @@ def decode_rational(obj) -> Fraction:
     that ``Fraction`` would expand into a ten-million-digit integer."""
     if isinstance(obj, str):
         if "e" in obj or "E" in obj:
-            raise InputFormatError(f"bad rational {obj!r}: exponent notation is not accepted")
+            raise InputFormatError(f"bad rational {_short(obj)}: exponent notation is not accepted")
         try:
             return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"bad rational {obj!r}: {exc}") from exc
+        except ValueError as exc:
+            raise InputFormatError(f"bad rational {_short(obj)}: not p/q or a decimal") from exc
+        except ZeroDivisionError as exc:
+            raise InputFormatError(f"bad rational {_short(obj)}: zero denominator") from exc
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
-    raise InputFormatError(f"expected a rational, got {obj!r}")
+    raise InputFormatError(f"expected a rational, got {_short(obj)}")
 
 
 def _decode_poly(obj) -> Poly:
     if not isinstance(obj, list):
-        raise InputFormatError(f"polynomial must be a list of rationals, got {obj!r}")
+        raise InputFormatError(f"polynomial must be a list of rationals, got {_short(obj)}")
     return Poly([decode_rational(c) for c in obj])
 
 
@@ -65,21 +88,21 @@ def decode_coeff(obj):
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
         num, den = _decode_poly(obj["num"]), _decode_poly(obj["den"])
         if den.is_zero():
-            raise InputFormatError(f"rational function with a zero denominator: {obj!r}")
+            raise InputFormatError(f"rational function with a zero denominator: {_short(obj)}")
         return RatFun(num, den)
     if isinstance(obj, (str, int)):
         return decode_rational(obj)
-    raise InputFormatError(f"unrecognised coefficient encoding: {obj!r}")
+    raise InputFormatError(f"unrecognised coefficient encoding: {_short(obj)}")
 
 
 def decode_rationals(obj, depth: int, what: str):
     """Exact rationals nested ``depth`` levels deep in lists."""
     if depth == 0:
         if isinstance(obj, (list, dict)):
-            raise InputFormatError(f"{what}: expected a rational, got {obj!r}")
+            raise InputFormatError(f"{what}: expected a rational, got {_short(obj)}")
         return decode_rational(obj)
     if not isinstance(obj, list):
-        raise InputFormatError(f"{what}: expected a list, got {obj!r}")
+        raise InputFormatError(f"{what}: expected a list, got {_short(obj)}")
     return [decode_rationals(v, depth - 1, what) for v in obj]
 
 
@@ -92,20 +115,11 @@ def decode_space(obj) -> QuadraticSpace:
         raise InputFormatError('quadratic space must be {"m": int, "Q": [[...]]}')
     Q = obj["Q"]
     if not isinstance(Q, list) or not all(isinstance(row, list) for row in Q):
-        raise InputFormatError(f"Q: expected a list of rows, got {Q!r}")
+        raise InputFormatError(f"Q: expected a list of rows, got {_short(Q)}")
     rows = [[decode_coeff(v) for v in row] for row in Q]
     V = QuadraticSpace(rows)
-    if "m" in obj and obj["m"] != V.m:
-        raise InputFormatError(f'declared m={obj["m"]} but Q is {V.m}x{V.m}')
+    _check_declared(obj, "m", V.m, f"Q is {V.m}x{V.m}")
     return V
-
-
-def encode_multivector(x: Multivector) -> dict:
-    out = {}
-    for mask in sorted(x.terms, key=lambda m: (m.bit_count(), indices_of(m))):
-        key = "[" + ",".join(str(i) for i in indices_of(mask)) + "]"
-        out[key] = encode_coeff(x.terms[mask])
-    return out
 
 
 def decode_multivector(obj, m: int) -> Multivector:
@@ -120,18 +134,18 @@ def decode_multivector(obj, m: int) -> Multivector:
         try:
             idx = json.loads(key)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputFormatError(f"bad blade key {key!r}") from exc
+            raise InputFormatError(f"bad blade key {_short(key)}") from exc
         if not isinstance(idx, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in idx
         ):
-            raise InputFormatError(f"blade key must be a list of indices: {key!r}")
+            raise InputFormatError(f"blade key must be a list of indices: {_short(key)}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise InputFormatError(f"blade key {key!r}: indices must strictly increase")
+            raise InputFormatError(f"blade key {_short(key)}: indices must strictly increase")
         if idx and not 1 <= idx[0] <= idx[-1] <= m:
-            raise InputFormatError(f"blade key {key!r}: indices must lie in 1..{m}")
+            raise InputFormatError(f"blade key {_short(key)}: indices must lie in 1..{m}")
         mask = mask_of(idx)
         if mask in terms:
-            raise InputFormatError(f"blade key {key!r} names a blade already given")
+            raise InputFormatError(f"blade key {_short(key)} names a blade already given")
         terms[mask] = decode_coeff(cval)
     return Multivector(terms)
 
@@ -144,32 +158,12 @@ def encode_tensor(T: AlgebraTensor) -> dict:
     return {"dim": T.dim, "identity": T.identity, "c": entries}
 
 
-def decode_tensor(obj) -> AlgebraTensor:
-    try:
-        c = {}
-        for i, j, k, v in obj["c"]:
-            c.setdefault((i, j), {})[k] = decode_coeff(v)
-        return AlgebraTensor(dim=obj["dim"], identity=obj["identity"], c=c)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad tensor encoding: {exc}") from exc
-
-
-def encode_tuple(T: MatrixTuple) -> dict:
-    return {
-        "g": T.g,
-        "n": T.n,
-        "X": [[[encode_rational(v) for v in row] for row in m] for m in T.X],
-    }
-
-
 def decode_tuple(obj) -> MatrixTuple:
     if not isinstance(obj, dict) or "X" not in obj:
         raise InputFormatError('matrix tuple must be {"g": int, "n": int, "X": [[[...]]]}')
     T = MatrixTuple.of(decode_rationals(obj["X"], 3, "X"))
-    if "g" in obj and obj["g"] != T.g:
-        raise InputFormatError("declared g disagrees with X")
-    if "n" in obj and obj["n"] != T.n:
-        raise InputFormatError("declared n disagrees with X")
+    _check_declared(obj, "g", T.g, f"X holds {T.g} matrices")
+    _check_declared(obj, "n", T.n, f"X holds {T.n}x{T.n} matrices")
     return T
 
 

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import lcm
 
 from .clifford import QuadraticSpace, _terms_times_gen, blade_row, indices_of
-from .rings import HALF, InvariantViolation, Poly, axpy, czero, regular_at, join_rings, ring_of
+from .rings import HALF, InvariantViolation, Poly, axpy, czero, join_rings, ring_of
 
 
 class LieClosureError(ArithmeticError):
@@ -136,8 +136,7 @@ def unscale(v, Dk):
     form D Q of :meth:`QuadraticSpace.scaled` that is Dk = D^k times it
     (k = (|a| + |b| - |c|)/2 for blades a b -> c): a ``Fraction`` for an
     ``int`` (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``.
-    Values of ``RatFun`` and ``Dual`` spaces, which run unscaled, pass
-    through."""
+    Values of ``RatFun`` spaces, which run unscaled, pass through."""
     if type(v) is int:
         return Fraction(v, Dk)
     if type(v) is Poly:
@@ -399,56 +398,3 @@ def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
                     for mask, coeff in terms.items()
                 }
     return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks)
-
-
-def quotient_lie_from_tensor(T: AlgebraTensor, m: int) -> QuotientLieAlgebra:
-    """Degree-<=2 shadow of an even-Clifford multiplication tensor: the
-    commutators of the bivector coordinates, modulo the identity coordinate.
-    This is the reconstruction witness for injectivity of the tensor map."""
-    pairs = lie_pairs(m)
-    npairs = len(pairs)
-    if T.dim < 1 + npairs:
-        raise ValueError("tensor too small to contain the bivector block")
-    table = {}
-    for ai in range(npairs):
-        for bi in range(ai + 1, npairs):
-            i, j = ai + 1, bi + 1  # tensor coordinates of the bivectors
-            com = axpy({}, 1, T.entry(i, j))
-            axpy(com, -1, T.entry(j, i))
-            exp = {}
-            for k, v in com.items():
-                if k == 0:
-                    continue
-                if k > npairs:
-                    raise LieClosureError(
-                        "tensor commutator leaves the degree-<=2 block"
-                    )
-                exp[pairs[k - 1]] = v
-            table[(pairs[ai], pairs[bi])] = exp
-    return QuotientLieAlgebra(m=m, table=table)
-
-
-def integrality_witness(V: QuadraticSpace) -> bool:
-    """True iff every structure constant of L' is regular at t = 0.
-
-    The constants are linear in the entries of the bilinear form, so this
-    holds iff every entry of 2Q(t) is regular at 0; both criteria are
-    computed and must agree.
-    """
-    if V.m < 3:
-        raise ValueError("need m >= 3 so the constants determine the form")
-    consts = structure_constants(V, check_jacobi=False)
-    const_regular = all(
-        regular_at(v, Fraction(0))
-        for exp in consts.table.values()
-        for v in exp.values()
-    )
-    gram_regular = all(
-        regular_at(2 * v, Fraction(0)) for row in V.gram for v in row
-    )
-    if const_regular != gram_regular:
-        raise InvariantViolation(
-            "regularity of constants and of the form disagree; "
-            "this contradicts their linear relation"
-        )
-    return const_regular

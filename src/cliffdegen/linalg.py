@@ -83,10 +83,6 @@ def nullspace_dense(rows: list, ncols: int) -> list:
     return basis
 
 
-def rank_dense(rows: list, ncols: int) -> int:
-    return echelon(rows).dim
-
-
 def solve_augmented(rows: list, n: int) -> list:
     """Rows of X with A X = B, for augmented dense rows [A | B] whose left
     n x n block A is invertible."""

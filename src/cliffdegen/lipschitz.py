@@ -154,16 +154,6 @@ def norm_scalar(x: Multivector, V: QuadraticSpace):
     return None
 
 
-def is_glip(x: Multivector, V: QuadraticSpace) -> bool:
-    """Lipschitz with invertible scalar norm (the unit group of the monoid)."""
-    return lipschitz_report(x, V)["verdict"] in ("group", "spin")
-
-
-def is_spin_kernel(x: Multivector, V: QuadraticSpace) -> bool:
-    """Even Lipschitz unit of norm exactly one."""
-    return lipschitz_report(x, V)["verdict"] == "spin"
-
-
 def lipschitz_report(x: Multivector, V: QuadraticSpace) -> dict:
     member = is_lipschitz(x, V)
     z = norm_scalar(x, V)
@@ -185,8 +175,8 @@ def lipschitz_report(x: Multivector, V: QuadraticSpace) -> dict:
 
 
 def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
-    """Solve, over the dual numbers, for the even directions X such that
-    1 + eps X is Lipschitz.
+    """Solve, to first order in eps (eps^2 = 0), for the even directions X
+    such that 1 + eps X is Lipschitz.
 
     The epsilon coefficient of (1 + eps X) (x) tau(1 + eps X) is
     X (x) 1 + 1 (x) tau(X), so membership is a rational linear condition on

@@ -67,9 +67,6 @@ class RootSystemData:
     def is_dominant(self, lam) -> bool:
         return all(dot(lam, a) >= 0 for a in self.simple_roots)
 
-    def reflect(self, v, alpha):
-        return vsub(v, vscale(self.coroot_pairing(v, alpha), alpha))
-
     def fundamental_weights(self) -> tuple:
         """omega_i in the span of the roots, <omega_i, alpha_j^v> = delta_ij:
         omega_i = sum_k x_ki alpha_k, where X solves the Cartan-type system

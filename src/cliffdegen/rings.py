@@ -1,16 +1,15 @@
-"""Exact coefficient rings: rationals, polynomials in t, rational functions
-in t, and dual numbers (square-zero epsilon over the rationals).
+"""Exact coefficient rings: rationals, polynomials in t and rational
+functions in t.
 
 Everything here is exact; no floats are accepted anywhere.  Arithmetic is
-value-driven: a plain ``Fraction`` coerces into any of the other rings, a
-``Poly`` coerces into ``RatFun``, and ``Dual`` mixes only with rationals.
-Mixing a parametric value with a dual number raises
+value-driven: a plain ``Fraction`` coerces into either of the other rings and
+a ``Poly`` coerces into ``RatFun``, so the rings form the chain
+Q in Q[t] in Q(t).  A value of any other type raises
 :class:`CoefficientRingMismatch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -19,7 +18,7 @@ HALF = Fraction(1, 2)
 
 
 class CoefficientRingMismatch(TypeError):
-    """Raised when values from incompatible coefficient rings are combined."""
+    """Raised for a value that is not an exact coefficient."""
 
 
 class PoleError(ArithmeticError):
@@ -91,11 +90,6 @@ class Poly(_Ring):
     def t() -> "Poly":
         return Poly((0, 1))
 
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -151,16 +145,6 @@ class Poly(_Ring):
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (Fraction, Rational)):
-            d = _fr(other)
-            if d == 0:
-                raise ZeroDivisionError("polynomial division by zero scalar")
-            return Poly([c / d for c in self.coeffs])
-        if isinstance(other, Poly):
-            return RatFun(self, other)
-        return NotImplemented
 
     def divide_out_root(self, c) -> "Poly":
         """Exact synthetic division by (t - c); requires self(c) == 0."""
@@ -294,12 +278,6 @@ class RatFun(_Ring):
             raise ZeroDivisionError("division by zero rational function")
         return RatFun(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -315,80 +293,14 @@ class RatFun(_Ring):
         return f"RatFun({self.num!r} / {self.den!r})"
 
 
-@dataclass(frozen=True)
-class Dual(_Ring):
-    """Dual number a + b*eps with eps^2 = 0, over the rationals."""
-
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b=0) -> "Dual":
-        return Dual(_fr(a), _fr(b))
-
-    @staticmethod
-    def eps() -> "Dual":
-        return Dual(Fraction(0), Fraction(1))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, Dual):
-            return other
-        if isinstance(other, (Fraction, Rational)):
-            return Dual(_fr(other), Fraction(0))
-        if isinstance(other, (Poly, RatFun)):
-            raise CoefficientRingMismatch("cannot mix dual numbers with t-parametric values")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.a, -self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.a == 0:
-            raise ZeroDivisionError("dual number with nilpotent (or zero) divisor")
-        inv = Dual(1 / o.a, -o.b / (o.a * o.a))
-        return self * inv
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-
 # ---------------------------------------------------------------------------
 # ring descriptors
 
 RATIONAL = "rational"
 POLY_T = "poly_t"
 RATFUN_T = "ratfun_t"
-DUAL = "dual"
 
-_ORDER = {RATIONAL: 0, POLY_T: 1, RATFUN_T: 2, DUAL: 3}
+_ORDER = {RATIONAL: 0, POLY_T: 1, RATFUN_T: 2}
 
 
 def ring_of(value) -> str:
@@ -398,22 +310,13 @@ def ring_of(value) -> str:
         return POLY_T
     if isinstance(value, RatFun):
         return RATFUN_T
-    if isinstance(value, Dual):
-        return DUAL
     raise CoefficientRingMismatch(f"unsupported coefficient: {value!r}")
 
 
 def join_rings(r1: str, r2: str) -> str:
-    """Smallest common ring, or raise. Rationals embed everywhere; the
-    t-parametric tower and dual numbers do not mix."""
-    if r1 == r2:
-        return r1
-    lo, hi = sorted((r1, r2), key=_ORDER.get)
-    if lo == RATIONAL:
-        return hi
-    if {lo, hi} == {POLY_T, RATFUN_T}:
-        return RATFUN_T
-    raise CoefficientRingMismatch(f"incompatible coefficient rings: {r1}, {r2}")
+    """Smallest common ring: the larger of the two in the chain
+    Q in Q[t] in Q(t)."""
+    return r1 if _ORDER[r1] >= _ORDER[r2] else r2
 
 
 def czero(v) -> bool:
@@ -437,7 +340,7 @@ def axpy(acc: dict, c, terms: dict) -> dict:
 
 def as_coeff(x):
     """Normalise a raw input (int/Fraction/str 'p/q'/ring value) to a ring value."""
-    if isinstance(x, (Poly, RatFun, Dual, Fraction)):
+    if isinstance(x, (Poly, RatFun, Fraction)):
         return x
     if isinstance(x, str):
         return Fraction(x)
@@ -447,20 +350,13 @@ def as_coeff(x):
 
 
 def eval_coeff(v, c: Fraction) -> Fraction:
-    """Specialise a coefficient at t = c. Rationals pass through; dual
-    numbers are not specialisable."""
-    if isinstance(v, Poly):
+    """Specialise a coefficient at t = c. Rationals pass through."""
+    if isinstance(v, (Poly, RatFun)):
         return v(c)
-    if isinstance(v, RatFun):
-        return v(c)
-    if isinstance(v, Dual):
-        raise CoefficientRingMismatch("dual numbers have no t to specialise")
     return _fr(v)
 
 
 def regular_at(v, c: Fraction) -> bool:
     if isinstance(v, RatFun):
         return v.is_regular_at(c)
-    if isinstance(v, Dual):
-        return False
     return True

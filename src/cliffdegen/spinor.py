@@ -311,39 +311,3 @@ def restrict_even_to_odd(ell: int) -> dict:
         "plus_matches": rp == spin_small,
         "minus_matches": rm == spin_small,
     }
-
-
-def central_involution_check(ell: int) -> dict:
-    """Build w as the product over i of (n_i + p_i)(n_i - p_i), an orthogonal
-    volume element for the even split form, and verify: w^2 = e_0, w
-    anticommutes with every basis vector, and w acts as +c on S+ and -c on
-    S- for a single scalar c."""
-    W = WittDecomposition(ell, odd=False)
-    V = W.space()
-    w = Multivector.scalar(1)
-    for i in range(1, ell + 1):
-        x = W.n(i) + W.p(i)
-        y = W.n(i) - W.p(i)
-        w = geometric_product(w, geometric_product(x, y, V), V)
-    sq = geometric_product(w, w, V)
-    square_ok = sq == Multivector.scalar(1)
-    anti_ok = True
-    for k in range(1, W.m + 1):
-        e = Multivector.basis_vector(k)
-        if not (geometric_product(w, e, V) + geometric_product(e, w, V)).is_zero():
-            anti_ok = False
-            break
-    cols = spinor_columns(w, W)
-    c = cols[0].get(0, Fraction(0))
-    scalar_ok = True
-    for s, col in enumerate(cols):
-        want = c if s.bit_count() % 2 == 0 else -c
-        if col != ({s: want} if want else {}):
-            scalar_ok = False
-    return {
-        "ell": ell,
-        "square_is_identity": square_ok,
-        "anticommutes_with_vectors": anti_ok,
-        "acts_by_plus_minus_scalar": scalar_ok,
-        "scalar": c,
-    }

@@ -44,21 +44,23 @@ def test_parametric_space_round_trip():
 
 def test_multivector_round_trip():
     x = Multivector.scalar(Fraction(3, 2)) + Multivector.blade((1, 3), -2)
-    obj = jsonio.encode_multivector(x)
-    assert obj == {"[]": "3/2", "[1,3]": "-2"}
-    assert jsonio.decode_multivector(obj, 3) == x
+    assert jsonio.decode_multivector({"[]": "3/2", "[1,3]": "-2"}, 3) == x
 
 
 def test_tensor_round_trip():
     T = theta_tensor(QuadraticSpace.diagonal([1, 2, 3]))
     obj = jsonio.encode_tensor(T)
-    back = jsonio.decode_tensor(obj)
-    assert back == T
+    assert (obj["dim"], obj["identity"]) == (T.dim, T.identity)
+    assert obj["c"] == sorted(obj["c"], key=lambda entry: entry[:3])
+    back = {}
+    for i, j, k, v in obj["c"]:
+        back.setdefault((i, j), {})[k] = Fraction(v)
+    assert back == T.c
 
 
 def test_tuple_round_trip_and_fingerprint_order():
     T = MatrixTuple.of([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
-    obj = jsonio.encode_tuple(T)
+    obj = {"g": 2, "n": 2, "X": [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}
     assert jsonio.decode_tuple(obj).X == T.X
     f = jsonio.encode_fingerprint(trace_fingerprint(T, 2))
     words = [tuple(w) for w, _ in f["traces"]]
@@ -149,6 +151,13 @@ def test_form_tensor_at_is_parsed_once_as_an_exact_rational(capsys, tmp_path):
     assert payload["specialized_at"] == "1/2"
     fibre = QuadraticSpace.diagonal([Fraction(1, 2), Fraction(1, 3), Fraction(9, 4)])
     assert payload["tensor"] == jsonio.encode_tensor(theta_tensor(fibre))
+
+
+def test_spinor_weights_tsv_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    tsv = tmp_path / "missing" / "w.tsv"
+    code, out, err = run_cli(capsys, ["spinor", "weights", "--ell", "2", "--tsv", str(tsv)])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: cannot write --tsv") and "Traceback" not in err
 
 
 def test_spinor_check_and_weights(capsys, tmp_path):
@@ -265,6 +274,32 @@ def test_exponent_notation_is_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path), "--at", "1e5"])
     assert (code, out) == (1, "")
     assert err.startswith("input error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, kind",
+    [
+        (["form", "tensor"], {"m": "3", "Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "str"),
+        (["form", "tensor"], {"m": True, "Q": [["1"]]}, "bool"),
+        (["localmodel", "simple"], {"g": True, "n": True, "X": [[["1"]]]}, "bool"),
+    ],
+    ids=["m-string", "m-true", "g-n-true"],
+)
+def test_a_declared_size_must_be_a_json_integer(capsys, tmp_path, argv, doc, kind):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv + ["--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: declared") and f"must be an integer, got {kind}" in err
+
+
+def test_an_input_error_echoes_a_shortened_value(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"Q": [[{"x": list(range(3000))}]]}))
+    code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error") and "characters)" in err
+    assert len(err.encode()) < 500
 
 
 def test_form_tensor_refuses_a_boolean_entry(capsys, tmp_path):

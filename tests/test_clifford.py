@@ -12,17 +12,15 @@ from cliffdegen.clifford import (
     BladeIndexError,
     Multivector,
     QuadraticSpace,
-    even_part,
     filtration_degree,
     geometric_product,
-    grade_involution,
     is_even,
     is_odd,
     indices_of,
     reverse,
-    specialize,
+    specialize_space,
 )
-from cliffdegen.rings import CoefficientRingMismatch, Dual, PoleError, Poly, RatFun
+from cliffdegen.rings import CoefficientRingMismatch, PoleError, Poly, RatFun, eval_coeff
 
 HALF = Fraction(1, 2)
 
@@ -65,16 +63,7 @@ def test_reverse_examples():
     assert reverse(Multivector.blade((1, 2)), V) == want
 
 
-def test_grade_involution_examples():
-    assert grade_involution(Multivector.basis_vector(1)) == Multivector.basis_vector(1).scale(-1)
-    assert grade_involution(Multivector.blade((1, 2))) == Multivector.blade((1, 2))
-    x = Multivector.scalar(5) + Multivector.blade((1, 2, 3))
-    assert grade_involution(x) == Multivector.scalar(5) - Multivector.blade((1, 2, 3))
-
-
 def test_even_part_and_filtration():
-    x = Multivector.basis_vector(1) + Multivector.blade((1, 2))
-    assert even_part(x) == Multivector.blade((1, 2))
     assert filtration_degree(Multivector.scalar(1)) == 0
     assert filtration_degree(Multivector.zero()) == 0
     # m = 5: even blades number 2^4
@@ -84,24 +73,14 @@ def test_even_part_and_filtration():
 
 def test_specialize_examples():
     t = Poly.t()
-    x = Multivector({1: t})
-    assert specialize(x, 0) == Multivector.zero()
-    y = Multivector({0: t + 1})
-    assert specialize(y, 1) == Multivector.scalar(2)
-    z = Multivector({0b11: RatFun(Poly.const(1), Poly((1, -1)))})  # 1/(1-t)
+    V = QuadraticSpace([[t, 1], [1, t + 1]])
+    assert specialize_space(V, 0).gram == ((0, 1), (1, 1))
+    assert specialize_space(V, Fraction(1, 2)).gram == ((HALF, 1), (1, Fraction(3, 2)))
+    pole = QuadraticSpace.diagonal([t, RatFun(Poly.const(1), Poly((1, -1)))])  # 1/(1-t)
+    assert specialize_space(pole, 0).gram == ((0, 0), (0, 1))
     with pytest.raises(PoleError) as err:
-        specialize(z, 1)
-    assert "[1, 2]" in str(err.value)
-
-
-def test_degeneracy_rank_report():
-    assert QuadraticSpace.diagonal([1, 2, 3]).degeneracy_rank() == 3
-    assert QuadraticSpace.diagonal([1, 2, 0]).degeneracy_rank() == 2
-    assert QuadraticSpace.zero(4).degeneracy_rank() == 0
-    V = QuadraticSpace([[0, HALF], [HALF, 0]])
-    assert V.degeneracy_rank() == 2
-    with pytest.raises(CoefficientRingMismatch):
-        QuadraticSpace.diagonal([Poly.t()]).degeneracy_rank()
+        specialize_space(pole, 1)
+    assert "(2,2)" in str(err.value)
 
 
 def test_index_out_of_range_and_ring_mismatch():
@@ -109,7 +88,7 @@ def test_index_out_of_range_and_ring_mismatch():
     with pytest.raises(BladeIndexError):
         gp(Multivector.blade((3,)), Multivector.scalar(1), V)
     with pytest.raises(CoefficientRingMismatch):
-        gp(Multivector({0: Poly.t()}), Multivector({0: Dual.eps()}), V)
+        Multivector({0: 0.5})
 
 
 # --- hypothesis properties ---------------------------------------------
@@ -187,12 +166,18 @@ def test_reverse_antiautomorphism(data):
     assert reverse(lo, V) == lo
 
 
+def _grade_involution(x):
+    """Each blade of cardinality k scaled by (-1)^k."""
+    return Multivector({m: (-c if m.bit_count() % 2 else c) for m, c in x.terms.items()})
+
+
 @settings(max_examples=40, deadline=None)
 @given(space_and_elements(nelems=2))
 def test_grade_involution_automorphism(data):
+    # the product is graded by parity, so the grade involution respects it
     V, (x, y) = data
-    assert grade_involution(gp(x, y, V)) == gp(
-        grade_involution(x), grade_involution(y), V
+    assert _grade_involution(gp(x, y, V)) == gp(
+        _grade_involution(x), _grade_involution(y), V
     )
 
 
@@ -241,17 +226,20 @@ def test_parametric_product_stays_polynomial():
     assert prod == Multivector({0: -t})
 
 
-def test_specialize_commutes_with_product():
-    from cliffdegen.clifford import specialize_space
+def _specialize(x, c):
+    """Coefficient-wise substitution t = c."""
+    return Multivector({m: eval_coeff(v, Fraction(c)) for m, v in x.terms.items()})
 
+
+def test_specialize_commutes_with_product():
     t = Poly.t()
     V = QuadraticSpace([[Poly.const(1), t], [t, Poly.const(2)]])
     x = Multivector({0b01: t, 0b11: Poly.const(3)})
     y = Multivector({0b10: t + 1, 0: Poly.const(-1)})
     for c in (0, 1, Fraction(5, 2)):
         Vc = specialize_space(V, c)
-        lhs = specialize(gp(x, y, V), c)
-        rhs = gp(specialize(x, c), specialize(y, c), Vc)
+        lhs = _specialize(gp(x, y, V), c)
+        rhs = gp(_specialize(x, c), _specialize(y, c), Vc)
         assert lhs == rhs
 
 
@@ -283,11 +271,8 @@ def test_scaled_space_is_the_integer_form():
     for out in S._gen_cache.values():
         for c in out.values():
             assert type(c) is int or type(c) is Poly and all(type(x) is int for x in c.coeffs)
-    for W in (
-        QuadraticSpace.diagonal([RatFun(Poly.const(1), Poly.t()), 1]),
-        QuadraticSpace.diagonal([Dual.eps(), 1]),
-    ):
-        assert W.scaled() == (1, W) and W.scaled()[1] is W
+    W = QuadraticSpace.diagonal([RatFun(Poly.const(1), Poly.t()), 1])
+    assert W.scaled() == (1, W) and W.scaled()[1] is W
 
 
 def test_scaled_space_is_freed_with_its_space_without_the_cycle_collector():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cliffdegen.acceptance import _inverse_unimodular
-from cliffdegen.linalg import echelon, nullspace_dense, rank_dense, solve_augmented
+from cliffdegen.linalg import echelon, nullspace_dense, solve_augmented
 
 sympy = pytest.importorskip("sympy")
 
@@ -63,7 +63,7 @@ def test_nullspace_and_rank_match_sympy(case):
     got = nullspace_dense(rows, ncols)
     assert got == want
     assert all(isinstance(x, Fraction) for vec in got for x in vec)
-    assert rank_dense(rows, ncols) == M.rank()
+    assert echelon(rows).dim == M.rank()
 
 
 @settings(max_examples=100, deadline=None)

@@ -21,6 +21,7 @@ from cliffdegen.plethysm import (
     vadd,
     verify_plethysm,
     vscale,
+    vsub,
     weyl_dim,
     _adjoint_highest_weight,
     _fundamental_of_dim,
@@ -146,7 +147,8 @@ def test_weyl_invariance_spot_checks():
         for a in R.simple_roots:
             reflected = {}
             for wt, m in w.items():
-                reflected[R.reflect(wt, a)] = reflected.get(R.reflect(wt, a), 0) + m
+                s_wt = vsub(wt, vscale(R.coroot_pairing(wt, a), a))  # s_a(wt)
+                reflected[s_wt] = reflected.get(s_wt, 0) + m
             assert reflected == w
 
 

@@ -1,5 +1,5 @@
 """Spinor actions, matrix identifications, weights, restriction, and the
-central involution."""
+volume element on the half-spin modules."""
 
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from cliffdegen.spinor import (
     UnknownGenerator,
     WittDecomposition,
     cartan_element,
-    central_involution_check,
     clifford_action,
     even_algebra_isomorphism_check,
     halfspin_split,
@@ -326,47 +325,22 @@ def test_restriction_examples():
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_central_involution(ell):
-    rep = central_involution_check(ell)
-    assert rep["square_is_identity"]
-    assert rep["anticommutes_with_vectors"]
-    assert rep["acts_by_plus_minus_scalar"]
-    assert rep["scalar"] ** 2 == 1
-
-
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_central_involution_reads_every_column(monkeypatch, ell):
-    # dense reference: w is c on S+ and -c on S-, entry by entry
+    # w, the product over i of (n_i + p_i)(n_i - p_i), is an orthogonal
+    # volume element of the even split form: w^2 = 1, w anticommutes with
+    # every vector, and w acts as c on S+ and as -c on S-
     W = WittDecomposition(ell, odd=False)
-    real = spinor.spinor_columns
-    w_cols = []
-
-    def spy(x, W):
-        w_cols.append(x)
-        return real(x, W)
-
-    monkeypatch.setattr(spinor, "spinor_columns", spy)
-    rep = central_involution_check(ell)
-    (w,) = w_cols
-    mat = spinor_matrix(w, W)
-    c = mat[0][0]
-    assert rep["scalar"] == c and type(rep["scalar"]) is Fraction
-    assert all(
-        mat[r][k] == (0 if r != k else c if r.bit_count() % 2 == 0 else -c)
-        for r in range(1 << ell)
-        for k in range(1 << ell)
-    )
-    # one wrong entry anywhere in w's columns is caught
-    for s in (0, (1 << ell) - 1):
-        for bad in ({s: Fraction(7)}, {s: c, s ^ 1: Fraction(1)}, {}):
-
-            def corrupt(x, W, s=s, bad=bad):
-                cols = real(x, W)
-                cols[s] = dict(bad)
-                return cols
-
-            monkeypatch.setattr(spinor, "spinor_columns", corrupt)
-            rep = central_involution_check(ell)
-            assert not rep["acts_by_plus_minus_scalar"]
+    V = W.space()
+    w = Multivector.scalar(1)
+    for i in range(1, ell + 1):
+        w = geometric_product(w, geometric_product(W.n(i) + W.p(i), W.n(i) - W.p(i), V), V)
+    assert geometric_product(w, w, V) == Multivector.scalar(1)
+    for k in range(1, W.m + 1):
+        e = Multivector.basis_vector(k)
+        assert (geometric_product(w, e, V) + geometric_product(e, w, V)).is_zero()
+    cols = spinor.spinor_columns(w, W)
+    c = cols[0][0]
+    assert c * c == 1
+    assert cols == [{s: c if s.bit_count() % 2 == 0 else -c} for s in range(1 << ell)]
 
 
 def test_spinor_matrix_multiplicative():
