@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
-from .linalg import SpanBasis, echelon, nullspace_dense
-from .rings import InvariantViolation, Poly, RatFun, czero, eval_coeff, regular_at
+from .linalg import SpanBasis, nullspace_dense
+from .rings import InvariantViolation, Poly, RatFun, axpy, czero, eval_coeff, regular_at
 
 
 class NoWitness(ArithmeticError):
@@ -62,37 +63,53 @@ class RadicalReport:
 
 def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
     """Kernel of the trace form of left multiplication, certified as a
-    nilpotent two-sided ideal."""
-    if T.ring() != "rational":
+    nilpotent two-sided ideal.
+
+    On a tensor of ``scale`` D the work runs on its entries over D Q, and
+    the basis is reported over the e_a.  With lambda_a = D^(|a|/2) and
+    Lambda = diag(lambda_a), f_a = lambda_a e_a gives
+    gram_T = Lambda^-1 gram_S Lambda^-1: gram_S has the pivot columns of
+    gram_T, and its kernel vector y of free column fc (y's last nonzero
+    entry) maps to gram_T's as x_j = lambda_j y_j / lambda_fc."""
+    if not T.is_rational():
         raise ValueError("radical computation requires rational coefficients")
     T.verify_unital()
     d = T.dim
-    # Tr(L_i L_j) = sum over k, l of c[i,k][l] * c[j,l][k]: list the entries
-    # c[i,k][l] once by their slot (k, l) and join slot (k, l) with (l, k)
-    by_slot: dict = {}
-    for (i, k), row in T.c.items():
-        for l, v in row.items():
-            by_slot.setdefault((k, l), []).append((i, v))
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    for (k, l), left in by_slot.items():
-        right = by_slot.get((l, k))
-        if right is None:
-            continue
-        for i, v in left:
-            gi = gram[i]
-            for j, w in right:
-                gi[j] += v * w
+    # the algebra is associative, so L_i L_j = L_(e_i e_j) and
+    # Tr(L_i L_j) = sum over k of c[i,j][k] Tr(L_k), Tr(L_k) = sum over l
+    # of c[k,l][l]: one pass over the entries for the traces, one for gram
+    trace: dict = {}
+    for (k, l), row in T.c.items():
+        v = row.get(l)
+        if v:
+            trace[k] = trace.get(k, 0) + v
+    gram = [[0] * d for _ in range(d)]
+    for (i, j), row in T.c.items():
+        gram[i][j] = sum(v * trace[k] for k, v in row.items() if k in trace)
     kernel = nullspace_dense(gram, d)
     if not kernel:
         return RadicalReport(dimension=0, basis=[], nilpotency_index=1)
-    span = echelon(kernel)
-    sparse = [{k: v for k, v in enumerate(vec) if v != 0} for vec in kernel]
+    # the checks run on T's own entries, with the kernel vectors scaled by
+    # the lcm L of their denominators to ints w.  The vector of free column
+    # fc (its last nonzero entry) reads 1 there and 0 at the other free
+    # columns, so p lies in the span exactly when L p = sum of p[fc] w_fc.
+    L = lcm(*(v.denominator for vec in kernel for v in vec))
+    sparse = [{k: int(v * L) for k, v in enumerate(vec) if v} for vec in kernel]
+    free = [max(w) for w in sparse]
+    by_free = dict(zip(free, sparse))
+
+    def in_span(p: dict) -> bool:
+        acc: dict = {}
+        for k, c in p.items():
+            if k in by_free:
+                axpy(acc, c, by_free[k])
+        return acc == {k: L * c for k, c in p.items()}
+
     # two-sided ideal check against every basis element
-    for vec in sparse:
+    for w in sparse:
         for x in range(d):
-            for prod in (T.multiply(vec, {x: 1}), T.multiply({x: 1}, vec)):
-                if not span.contains(prod):
-                    raise InvariantViolation("trace-form kernel is not an ideal")
+            if not (in_span(T.multiply(w, {x: 1})) and in_span(T.multiply({x: 1}, w))):
+                raise InvariantViolation("trace-form kernel is not an ideal")
     # nilpotency: powers of the ideal shrink strictly to zero
     current = sparse
     index = 1
@@ -108,35 +125,63 @@ def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
             raise InvariantViolation("radical is not nilpotent")
         current = vecs
         index += 1
-    return RadicalReport(dimension=len(kernel), basis=kernel, nilpotency_index=index)
+    basis = kernel
+    if T.scale != 1:
+        lam = [T.scale ** (mask.bit_count() >> 1) for mask in T.basis_masks]
+        basis = [
+            [lam[j] * y / lam[fc] for j, y in enumerate(vec)]
+            for fc, vec in zip(free, kernel)
+        ]
+    return RadicalReport(dimension=len(basis), basis=basis, nilpotency_index=index)
+
+
+def _integer_row(row) -> tuple:
+    """(scale, polys): the row times its scale, over Z[t].  The scale is
+    the product of the row's ``RatFun`` denominators times the lcm of the
+    coefficient denominators that this product leaves."""
+    polys = [v.num if isinstance(v, RatFun) else v if isinstance(v, Poly) else Poly.const(v) for v in row]
+    scale = Poly.const(1)
+    for i, v in enumerate(row):
+        if isinstance(v, RatFun):
+            scale = scale * v.den
+            polys = [p if j == i else p * v.den for j, p in enumerate(polys)]
+    L = lcm(*(c.denominator for p in polys + [scale] for c in p.coeffs))
+    return scale * L, [Poly([int(c * L) for c in p.coeffs]) for p in polys]
 
 
 def _det_fraction_field(rows) -> RatFun:
-    """Determinant over Q(t) by Gaussian elimination with division."""
+    """Determinant over Q(t), in lowest terms.
+
+    Each row is cleared to Z[t] (:func:`_integer_row`), and Bareiss'
+    fraction-free elimination (Math. Comp. 22, 1968) runs on the result:
+    after step k, entry (i, j) is the minor of rows 0..k, i and columns
+    0..k, j, so dividing by the previous pivot is exact and the entries stay
+    in Z[t] at the degree of a minor."""
     n = len(rows)
-    mat = [[v if isinstance(v, RatFun) else RatFun(v if isinstance(v, Poly) else Poly.const(v), Poly.const(1)) for v in row] for row in rows]
-    det = RatFun.const(1)
+    scales, mat = zip(*(_integer_row(row) for row in rows))
+    mat = list(mat)
     sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
+    prev = Poly.const(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if mat[r][k]), None)
         if pivot is None:
             return RatFun.const(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
-        pv = mat[col][col]
-        det = det * pv
-        for r in range(col + 1, n):
-            if mat[r][col].is_zero():
-                continue
-            f = mat[r][col] / pv
-            for c2 in range(col, n):
-                mat[r][c2] = mat[r][c2] - f * mat[col][c2]
-    return det * RatFun.const(sign)
+        p = mat[k][k]
+        for i in range(k + 1, n):
+            ri, a = mat[i], mat[i][k]
+            for j in range(k + 1, n):
+                q, r = divmod(p * ri[j] - a * mat[k][j], prev)
+                if r:
+                    raise InvariantViolation("a Bareiss step did not divide exactly")
+                ri[j] = q
+        prev = p
+    den = Poly.const(sign)
+    for s in scales:
+        den = den * s
+    return RatFun(prev, den).reduced()
 
 
 @dataclass
@@ -144,7 +189,9 @@ class SpecializationWitness:
     """Data certifying the arc-wise degeneration of a matrix algebra: the
     family is free on the even-blade basis over the local ring at t = 0,
     the generic fibre is nondegenerate (hence a full matrix algebra over the
-    algebraic closure), and the special fibre is the recorded tensor."""
+    algebraic closure), and the special fibre is the recorded tensor, on
+    the integer form D Q (its ``scale`` is D; the radical basis is over the
+    e_a)."""
 
     m: int
     det_generic: object  # det(2Q(t)) as an exact parametric value
@@ -170,7 +217,9 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     det = _det_fraction_field(two_q)
     if czero(det):
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
-    special = theta_tensor(F.at(0))
+    # the fibres' tensors stay over D Q: the radicals run on them, and the
+    # encoder prints the special fibre over Q
+    special = theta_tensor(F.at(0), scaled=True)
     rad = jacobson_radical(special)
     cpoint = None
     for k in range(1, 100):
@@ -182,7 +231,7 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
             break
     if cpoint is None:
         raise NoWitness("no regular rational point with nondegenerate fibre found")
-    generic_rad = jacobson_radical(theta_tensor(F.at(cpoint)))
+    generic_rad = jacobson_radical(theta_tensor(F.at(cpoint), scaled=True))
     if generic_rad.dimension != 0:
         raise InvariantViolation("nondegenerate fibre has nonzero radical")
     return SpecializationWitness(

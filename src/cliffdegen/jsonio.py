@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .clifford import Multivector, QuadraticSpace, mask_of
 from .degeneration import SpecializationWitness
-from .liestructure import AlgebraTensor
+from .liestructure import AlgebraTensor, unscale
 from .localmodels import MatrixTuple, TraceFingerprint
 from .rings import Poly, RatFun
 
@@ -151,10 +151,20 @@ def decode_multivector(obj, m: int) -> Multivector:
 
 
 def encode_tensor(T: AlgebraTensor) -> dict:
+    """The entries over Q: on a tensor of ``scale`` D each entry is divided
+    by D^k, k = (|a| + |b| - |c|)/2, as it is encoded."""
+    D = T.scale
+    if D != 1:
+        bits = [mask.bit_count() for mask in T.basis_masks]
+        powers = [D**k for k in range(max(bits) + 1)]
     entries = []
     for (i, j) in sorted(T.c):
-        for k in sorted(T.c[(i, j)]):
-            entries.append([i, j, k, encode_coeff(T.c[(i, j)][k])])
+        row = T.c[(i, j)]
+        for k in sorted(row):
+            v = row[k]
+            if D != 1:
+                v = unscale(v, powers[(bits[i] + bits[j] - bits[k]) >> 1])
+            entries.append([i, j, k, encode_coeff(v)])
     return {"dim": T.dim, "identity": T.identity, "c": entries}
 
 

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import lcm
 
 from .clifford import QuadraticSpace, _terms_times_gen, blade_row, indices_of
-from .rings import HALF, InvariantViolation, Poly, axpy, czero, join_rings, ring_of
+from .rings import HALF, InvariantViolation, Poly, axpy, czero
 
 
 class LieClosureError(ArithmeticError):
@@ -318,12 +318,18 @@ class AlgebraTensor:
     ``c[(i, j)]`` is the sparse expansion of basis_i * basis_j; the basis
     order for Clifford tensors is blades by cardinality then lexicographic
     index tuple, so tensors compare bit-for-bit.
+
+    A Clifford tensor with ``scale`` D > 1 is that of the integer form D Q
+    (``theta_tensor(V, scaled=True)``): the even algebra of Q in the basis
+    f_a = D^(|a|/2) e_a.  Entry c of (f_a)(f_b) is D^k times entry c of
+    (e_a)(e_b), k = (|a| + |b| - |c|)/2.
     """
 
     dim: int
     identity: int
     c: dict
     basis_masks: tuple = field(default=None)
+    scale: int = 1
 
     def entry(self, i: int, j: int) -> dict:
         return self.c.get((i, j), {})
@@ -347,17 +353,17 @@ class AlgebraTensor:
             if self.entry(j, e) != {j: 1}:
                 raise InvariantViolation(f"identity fails on the right at {j}")
 
-    def ring(self) -> str:
-        r = "rational"
+    def is_rational(self) -> bool:
         for row in self.c.values():
             for v in row.values():
-                r = join_rings(r, ring_of(v))
-        return r
+                if type(v) is not int and type(v) is not Fraction:
+                    return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraTensor):
             return NotImplemented
-        if (self.dim, self.identity) != (other.dim, other.identity):
+        if (self.dim, self.identity, self.scale) != (other.dim, other.identity, other.scale):
             return False
         keys = set(self.c) | set(other.c)
         for k in keys:
@@ -373,14 +379,16 @@ def even_blade_basis(m: int) -> tuple:
     return tuple(masks)
 
 
-def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
+def theta_tensor(V: QuadraticSpace, scaled: bool = False) -> AlgebraTensor:
     """Multiplication tensor of the even Clifford algebra in the canonical
     even-blade basis, with e_0 as the identity: a point of the variety of
     algebra structures with distinguished unit.
 
     Each row of products is taken on the integer form D Q of
     :meth:`QuadraticSpace.scaled`, and each entry, the coefficient of blade
-    c in (blade a)(blade b), is divided once by D^k, k = (|a| + |b| - |c|)/2."""
+    c in (blade a)(blade b), is divided once by D^k, k = (|a| + |b| - |c|)/2.
+    With ``scaled`` the entries stay those over D Q, and the tensor has
+    ``scale`` D (see :class:`AlgebraTensor`)."""
     masks = even_blade_basis(V.m)
     index = {mask: k for k, mask in enumerate(masks)}
     D, S = V.scaled()
@@ -391,10 +399,14 @@ def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
         na = ma.bit_count()
         for j, mb in enumerate(masks):
             terms = products[mb]
-            if terms:
+            if not terms:
+                continue
+            if scaled:
+                c[(i, j)] = {index[mask]: coeff for mask, coeff in terms.items()}
+            else:
                 nab = na + mb.bit_count()
                 c[(i, j)] = {
                     index[mask]: unscale(coeff, powers[(nab - mask.bit_count()) >> 1])
                     for mask, coeff in terms.items()
                 }
-    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks)
+    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks, scale=D if scaled else 1)

@@ -11,8 +11,9 @@ from .rings import axpy
 
 class SpanBasis:
     """Incrementally row-reduced basis of a subspace of a (possibly huge)
-    coordinate space.  Rows are sparse dicts column -> Fraction; every stored
-    row has coefficient 1 at its pivot, which is its minimal column."""
+    coordinate space.  Rows are sparse dicts column -> rational (an ``int``
+    or a ``Fraction``); every stored row has coefficient 1 at its pivot,
+    which is its minimal column."""
 
     def __init__(self):
         self.pivots: dict = {}
@@ -42,7 +43,8 @@ class SpanBasis:
         if not res:
             return False
         col = min(res)
-        inv = 1 / res[col]
+        lead = res[col]  # an int or a Fraction: its inverse is a Fraction
+        inv = Fraction(lead.denominator, lead.numerator)
         self.pivots[col] = {c: v * inv for c, v in res.items()}
         return True
 
@@ -67,9 +69,38 @@ def echelon(rows) -> SpanBasis:
     return span
 
 
+# a prime for the invertibility test of integer matrices
+_P = (1 << 61) - 1
+
+
+def _invertible_mod_p(rows: list) -> bool:
+    """True when the square integer matrix is invertible modulo ``_P``:
+    then its determinant is a nonzero integer, and it is invertible over Q.
+    False says nothing over Q."""
+    mat = [[v % _P for v in row] for row in rows]
+    n = len(mat)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if mat[r][k]), None)
+        if pivot is None:
+            return False
+        mat[k], mat[pivot] = mat[pivot], mat[k]
+        rk = mat[k]
+        inv = pow(rk[k], -1, _P)
+        for r in range(k + 1, n):
+            f = mat[r][k] * inv % _P
+            if f:
+                mat[r] = [(a - f * b) % _P for a, b in zip(mat[r], rk)]
+    return True
+
+
 def nullspace_dense(rows: list, ncols: int) -> list:
-    """Basis of {x : A x = 0} for A given as dense rows of Fractions: one
-    vector per free column of the reduced row echelon form of A."""
+    """Basis of {x : A x = 0} for A given as dense rows of rationals: one
+    vector per free column of the reduced row echelon form of A.  A square
+    ``int`` matrix invertible modulo a prime has none, found without
+    rational arithmetic."""
+    if len(rows) == ncols and all(type(v) is int for row in rows for v in row):
+        if _invertible_mod_p(rows):
+            return []
     pivots = echelon(rows).rref()
     basis = []
     for fc in range(ncols):

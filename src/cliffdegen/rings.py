@@ -146,6 +146,31 @@ class Poly(_Ring):
 
     __rmul__ = __mul__
 
+    def __divmod__(self, other):
+        """(q, r) with self = q other + r and r of lower degree than
+        other.  A quotient coefficient that divides exactly over the ints
+        stays an ``int``, so an exact division over Z[t] stays on ints."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if not other.coeffs:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        div = other.coeffs
+        n, lead = len(div) - 1, div[-1]
+        q = [0] * max(len(rem) - n, 0)
+        for k in reversed(range(len(q))):
+            a = rem[k + n]
+            if not a:
+                continue
+            if type(a) is int and type(lead) is int and not a % lead:
+                a //= lead
+            else:
+                a = Fraction(a) / lead
+            q[k] = a
+            for i, b in enumerate(div):
+                rem[k + i] -= a * b
+        return Poly(q), Poly(rem[:n])
+
     def divide_out_root(self, c) -> "Poly":
         """Exact synthetic division by (t - c); requires self(c) == 0."""
         c = _fr(c)
@@ -193,9 +218,10 @@ class Poly(_Ring):
 class RatFun(_Ring):
     """Quotient of two polynomials in t, with exact pole detection.
 
-    No gcd normalisation is performed; equality is cross-multiplication.
-    Evaluation at a point cancels (t - c) factors exactly before deciding
-    whether the point is a pole.
+    Arithmetic does not reduce; :meth:`reduced` gives lowest terms, which
+    the hash reads.  Equality is cross-multiplication.  Evaluation at a
+    point cancels (t - c) factors exactly before deciding whether the point
+    is a pole.
     """
 
     __slots__ = ("num", "den")
@@ -270,24 +296,29 @@ class RatFun(_Ring):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * o.den, self.den * o.num)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den
 
+    def reduced(self) -> "RatFun":
+        """The same value in lowest terms: numerator and denominator share
+        no factor, and the denominator is monic."""
+        a, b = self.num, self.den
+        while b:  # Euclid: a ends as a gcd of num and den
+            a, b = b, divmod(a, b)[1]
+        num, den = divmod(self.num, a)[0], divmod(self.den, a)[0]
+        s = Fraction(1) / den.coeffs[-1]
+        return RatFun(num * s, den * s)
+
     def __hash__(self):
-        # hash-compatible with == only for canonical constants; RatFun values
-        # are not used as dict keys in the library
-        return 0
+        # equal values have one lowest-terms form; a polynomial hashes as
+        # the Poly (and a constant as the rational) that it equals
+        r = self.reduced()
+        if r.den.coeffs == (1,):
+            return hash(r.num)
+        return hash((r.num.coeffs, r.den.coeffs))
 
     def __repr__(self):
         return f"RatFun({self.num!r} / {self.den!r})"

@@ -1,25 +1,95 @@
-"""Flat families, specialisation commutation, radicals, and witnesses."""
+"""Flat families, specialisation commutation, radicals, and witnesses.
 
+Two constructions that the library replaced stay here as references: the
+determinant by Gaussian elimination over Q(t) and the radical computed on
+the tensor over Q with ``Fraction`` kernel vectors."""
+
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from cliffdegen.cli import main
 from cliffdegen.clifford import QuadraticSpace
 from cliffdegen.degeneration import (
     NoWitness,
+    RadicalReport,
     _det_fraction_field,
     QuadraticFamily,
     certify_specialization,
     jacobson_radical,
 )
+from cliffdegen.jsonio import encode_tensor
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
-from cliffdegen.linalg import echelon
-from cliffdegen.rings import InvariantViolation, Poly, RatFun, czero, eval_coeff
+from cliffdegen.linalg import SpanBasis, echelon, nullspace_dense
+from cliffdegen.rings import InvariantViolation, Poly, RatFun, eval_coeff
+from test_liestructure import form_with_lcm
 
 
 def t():
     return Poly.t()
+
+
+# -- references -------------------------------------------------------------
+
+
+def reference_det(rows) -> RatFun:
+    """Gaussian elimination with division over Q(t), never reduced: each
+    pivot step multiplies the degrees."""
+    n = len(rows)
+    mat = [[v if isinstance(v, RatFun) else RatFun(v, 1) for v in row] for row in rows]
+    det = RatFun.const(1)
+    sign = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
+        if pivot is None:
+            return RatFun.const(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            sign = -sign
+        pv = mat[col][col]
+        det = det * pv
+        for r in range(col + 1, n):
+            if mat[r][col].is_zero():
+                continue
+            f = mat[r][col] * RatFun(pv.den, pv.num)
+            for c2 in range(col, n):
+                mat[r][c2] = mat[r][c2] - f * mat[col][c2]
+    return det * sign
+
+
+def reference_radical(T: AlgebraTensor) -> RadicalReport:
+    """The trace-form kernel over Q, with the ideal and nilpotency checks on
+    ``Fraction`` kernel vectors; T must have scale 1."""
+    assert T.scale == 1
+    d = T.dim
+    by_slot: dict = {}
+    for (i, k), row in T.c.items():
+        for l, v in row.items():
+            by_slot.setdefault((k, l), []).append((i, v))
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for (k, l), left in by_slot.items():
+        for i, v in left:
+            for j, w in by_slot.get((l, k), ()):
+                gram[i][j] += v * w
+    kernel = nullspace_dense(gram, d)
+    if not kernel:
+        return RadicalReport(dimension=0, basis=[], nilpotency_index=1)
+    span = echelon(kernel)
+    sparse = [{k: v for k, v in enumerate(vec) if v != 0} for vec in kernel]
+    for vec in sparse:
+        for x in range(d):
+            assert span.contains(T.multiply(vec, {x: 1})) and span.contains(T.multiply({x: 1}, vec))
+    current, index = sparse, 1
+    while current:
+        nxt = SpanBasis()
+        vecs = [p for a in current for b in sparse if (p := T.multiply(a, b)) and nxt.insert(p)]
+        assert len(vecs) < len(current)
+        current = vecs
+        index += 1
+    return RadicalReport(dimension=len(kernel), basis=kernel, nilpotency_index=index)
 
 
 def test_family_requires_regularity_at_zero():
@@ -137,6 +207,20 @@ def test_witness_examples():
     assert w3.radical.dimension == 3
 
 
+def test_witness_of_a_family_with_denominators_prints_the_fibre_over_q():
+    """The special fibre is kept over D Q (D = 6 here) and printed over Q;
+    the radical basis is over the e_a."""
+    third = Poly([0, Fraction(1, 3)])
+    F = QuadraticFamily(QuadraticSpace(
+        [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), third, 0], [0, 0, third]]
+    ))
+    w = certify_specialization(F)
+    Q0 = theta_tensor(F.at(0))
+    assert w.special_fiber.scale == 6
+    assert encode_tensor(w.special_fiber) == encode_tensor(Q0)
+    assert w.radical == reference_radical(Q0) and w.radical.dimension == 2
+
+
 def test_witness_requires_odd_m_and_generic_nondegeneracy():
     with pytest.raises(ValueError):
         certify_specialization(QuadraticFamily.diagonal([1, t()]))
@@ -169,21 +253,20 @@ def test_radical_is_ideal_and_nil_by_construction():
         assert rep.nilpotency_index <= 4
 
 
-def test_det_fraction_field_matches_sympy_with_row_swaps():
+def _sym(v):
     sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
+    if isinstance(v, RatFun):
+        return _sym(v.num) / _sym(v.den)
+    if isinstance(v, Poly):
+        return sum((_sym(c) * sympy.Symbol("t") ** i for i, c in enumerate(v.coeffs)), sympy.Integer(0))
+    return sympy.Rational(v.numerator, v.denominator)
 
-    T = sympy.Symbol("t")
 
-    def sym(v):
-        if isinstance(v, RatFun):
-            return sym(v.num) / sym(v.den)
-        if isinstance(v, Poly):
-            terms = (sympy.Rational(c.numerator, c.denominator) * T**i for i, c in enumerate(v.coeffs))
-            return sum(terms, sympy.Integer(0))
-        return sympy.Rational(v.numerator, v.denominator)
-
-    rng = random.Random(41)
+def _random_rows(rng, n, case):
+    """An n x n matrix of rationals, ``Poly``s and ``RatFun``s.  Case 0
+    makes the first pivot zero; case 1 makes rows 0 and 1 agree up to a
+    factor on the first two columns, so that the second pivot vanishes after
+    the first elimination step."""
 
     def poly():
         return Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))])
@@ -196,26 +279,119 @@ def test_det_fraction_field_matches_sympy_with_row_swaps():
             return poly()
         return RatFun(poly(), Poly([rng.randint(1, 3), rng.randint(-2, 2)]))
 
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if case == 0:
+        rows[0][0] = Fraction(0)
+    elif case == 1:
+        rows[0][0] = rows[0][0] or poly() + Poly.t()
+        f = entry() or Fraction(2)
+        rows[1][0], rows[1][1] = f * rows[0][0], f * rows[0][1]
+    return rows
+
+
+def test_det_fraction_field_matches_sympy_with_row_swaps():
+    """The determinant equals sympy's, and it is sympy's ``cancel`` form up
+    to the scalar that makes the denominator monic: lowest terms."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    T = sympy.Symbol("t")
+    rng = random.Random(41)
     swaps = {"first": 0, "second": 0}
-    for trial in range(90):
+    for trial in range(96):
         case = trial % 3
-        n = rng.randint((2, 3, 1)[case], 4)
-        rows = [[entry() for _ in range(n)] for _ in range(n)]
-        if case == 0:
-            rows[0][0] = Fraction(0)  # the first pivot is zero
-        elif case == 1:
-            # rows 0 and 1 agree up to a factor on the first two columns, so
-            # the second pivot vanishes after the first elimination step
-            rows[0][0] = rows[0][0] or poly() + Poly.t()
-            f = entry() or Fraction(2)
-            rows[1][0], rows[1][1] = f * rows[0][0], f * rows[0][1]
+        n = rng.randint((2, 3, 1)[case], 4 if trial < 72 else 7)
+        rows = _random_rows(rng, n, case)
         got = _det_fraction_field(rows)
         assert isinstance(got, RatFun)
-        M = DomainMatrix.from_Matrix(sympy.Matrix([[sym(v) for v in row] for row in rows]))
-        K = M.domain
-        want = sympy.cancel(K.to_sympy(M.to_field().det()))
-        # got = num/den is not reduced: compare num with want * den in Q(t)
-        assert K.from_sympy(sym(got.num)) == K.from_sympy(want) * K.from_sympy(sym(got.den)), rows
+        M = DomainMatrix.from_Matrix(sympy.Matrix([[_sym(v) for v in row] for row in rows]))
+        want = sympy.cancel(M.domain.to_sympy(M.to_field().det()))
+        num, den = (sympy.Poly(x, T, domain="QQ") for x in sympy.fraction(want))
+        lead = den.LC()
+        assert sympy.Poly(_sym(got.num), T, domain="QQ") == num.quo_ground(lead), rows
+        assert sympy.Poly(_sym(got.den), T, domain="QQ") == den.quo_ground(lead), rows
+        assert got.den.coeffs[-1] == 1
         if want != 0 and case < 2:
             swaps[("first", "second")[case]] += 1
     assert min(swaps.values()) >= 8, swaps
+
+
+def test_det_matches_the_elimination_over_q_t():
+    rng = random.Random(43)
+    for trial in range(45):
+        case = trial % 3
+        rows = _random_rows(rng, rng.randint((2, 3, 1)[case], 4), case)
+        got, want = _det_fraction_field(rows), reference_det(rows)
+        assert got == want, rows
+        assert hash(got) == hash(want)
+
+
+def _roadmap_family(rng, m, ratfuns):
+    """Upper-triangle entries a + b t with a, b = randint(-4, 4)/randint(1, 3);
+    the first ``ratfuns`` off-diagonal ones are divided by 1 + c t,
+    c = randint(1, 3)."""
+    Q = [[None] * m for _ in range(m)]
+    off = 0
+    for i in range(m):
+        for j in range(i, m):
+            a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+            v = [str(a), str(b)]
+            if i != j and off < ratfuns:
+                v = {"num": v, "den": ["1", str(rng.randint(1, 3))]}
+                off += 1
+            Q[i][j] = Q[j][i] = v
+    return {"m": m, "Q": Q}
+
+
+@pytest.mark.parametrize("ratfuns", [0, 2, 4, 6])
+def test_dense_m7_families_analyze_fast_with_a_det_of_minor_size(capsys, tmp_path, ratfuns):
+    """Unreduced elimination over Q(t) spent 33.7 s on the det of the first
+    of these families (2.0 GHz Xeon) and printed degree 1825 over 1818; the
+    det in lowest terms has degree at most 7, plus 2 for each pair of
+    entries with a denominator 1 + c t."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(_roadmap_family(random.Random(5), 7, ratfuns)))
+    start = time.perf_counter()
+    code = main(["degenerate", "analyze", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    det = json.loads(capsys.readouterr().out)["payload"]["det"]
+    assert len(det["num"]) - 1 <= 7 + 2 * ratfuns and len(det["den"]) - 1 <= 2 * ratfuns
+    assert det["den"][-1] == "1"
+    assert elapsed < 1.0
+
+
+def _low_rank_form(rng, m):
+    """A^T diag(d) A with A an integer r x m matrix, r < m, and each d_k of
+    denominator 2 or 3."""
+    r = rng.randint(0, m - 1)
+    A = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(r)]
+    d = [Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3])) for _ in range(r)]
+    return QuadraticSpace(
+        [[sum((A[k][i] * d[k] * A[k][j] for k in range(r)), Fraction(0)) for j in range(m)] for i in range(m)]
+    )
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_integer_radical_matches_the_fraction_reference(D):
+    """The radical of the tensor over D Q, reported over the e_a, is the
+    reference's on the tensor over Q, basis vector for basis vector; so is
+    the radical of the tensor over Q."""
+    rng = random.Random(f"integer-radical/{D}")
+    mixed = 0
+    for m in (2, 3, 3, 4, 4, 5, 5, 6):
+        forms = [form_with_lcm(rng, m, D, "degenerate")]
+        if m < 6:
+            forms.append(_low_rank_form(rng, m))
+        for V in forms:
+            T = theta_tensor(V, scaled=True)
+            assert T.scale == V.scaled()[0]
+            want = reference_radical(theta_tensor(V))
+            got = jacobson_radical(T)
+            assert got == want, (D, m)
+            assert jacobson_radical(theta_tensor(V)) == want, (D, m)
+            assert all(type(y) is Fraction for vec in got.basis for y in vec)
+            # a vector across grades is where lambda_j / lambda_fc is not 1
+            grades = [{T.basis_masks[k].bit_count() for k, y in enumerate(vec) if y} for vec in got.basis]
+            mixed += T.scale > 1 and any(len(g) > 1 for g in grades)
+    assert mixed >= 2

@@ -1,10 +1,11 @@
-"""Every name a library module imports is used in that module, and every
-import sits at module level."""
+"""Every name a library module, test or script imports is used in that
+module, and every library import sits at module level."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cliffdegen"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cliffdegen"
 
 
 def unused_imports(source: str) -> list:
@@ -52,6 +53,17 @@ def test_library_modules_have_no_unused_imports():
     found = {
         path.name: unused
         for path in sorted(SRC.glob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_tests_and_scripts_have_no_unused_imports():
+    paths = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(paths) > 10
+    found = {
+        f"{path.parent.name}/{path.name}": unused
+        for path in paths
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}

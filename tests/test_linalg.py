@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cliffdegen.acceptance import _inverse_unimodular
-from cliffdegen.linalg import echelon, nullspace_dense, solve_augmented
+from cliffdegen.linalg import _P, SpanBasis, echelon, nullspace_dense, solve_augmented
 
 sympy = pytest.importorskip("sympy")
 
@@ -82,3 +82,36 @@ def test_inverse_matches_sympy(g):
     inv = to_sympy(g).inv()
     n = len(g)
     assert _inverse_unimodular(g) == [[from_sympy(inv[i, j]) for j in range(n)] for i in range(n)]
+
+
+int_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(int_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_nullspace_of_a_square_int_matrix_matches_sympy(rows):
+    """Square int matrices take the invertibility test modulo a prime
+    first; singular ones still get the exact kernel."""
+    n = len(rows)
+    want = [[from_sympy(x) for x in vec] for vec in sympy.Matrix(rows).nullspace()]
+    got = nullspace_dense(rows, n)
+    assert got == want
+    assert all(type(x) is Fraction for vec in got for x in vec)
+
+
+def test_an_int_matrix_singular_only_modulo_the_prime_gets_its_kernel_exactly():
+    # invertible over Q with determinant 2 * _P, so singular modulo _P
+    assert nullspace_dense([[_P, 0], [0, 2]], 2) == []
+    assert nullspace_dense([[_P, _P], [1, 1]], 2) == [[Fraction(-1), Fraction(1)]]
+
+
+def test_span_basis_keeps_int_rows_exact():
+    span = SpanBasis()
+    assert span.insert({0: 2, 1: 3})
+    assert span.pivots[0] == {0: 1, 1: Fraction(3, 2)}
+    assert all(type(v) is Fraction for v in span.pivots[0].values())
+    assert span.insert({1: 6, 2: -4}) and not span.insert({0: 4, 1: 12, 2: -4})
+    assert span.contains({0: 2, 1: 9, 2: -4})
+    rows = span.rref()
+    assert all(type(v) is Fraction for row in rows.values() for v in row.values())
+    assert rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: Fraction(-2, 3)}}

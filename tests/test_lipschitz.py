@@ -13,7 +13,6 @@ from cliffdegen.clifford import (
     reverse,
 )
 from cliffdegen.lipschitz import (
-    DoubledAlgebra,
     doubled_algebra,
     embed_pair,
     infinitesimal_lipschitz,

@@ -123,3 +123,39 @@ def test_subtraction_works_in_both_directions():
     assert 1 - t == Poly((1, -1)) and t - 1 == Poly((-1, 1))
     assert 1 - RatFun(t, t + 1) == RatFun(Poly.const(1), t + 1)
     assert t - RatFun(t, Poly.const(1)) == 0 and RatFun(t, Poly.const(1)) - t == 0
+
+
+def test_poly_divmod():
+    t = Poly.t()
+    p = (2 * t + 3) * (t * t - 5) + 7
+    q, r = divmod(p, 2 * t + 3)
+    assert (q, r) == (t * t - 5, Poly.const(7))
+    # an exact division over Z[t] stays on ints
+    assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    q, r = divmod(t * t + 1, 2 * t)
+    assert (q, r) == (Poly.const(Fraction(1, 2)) * t, Poly.const(1))
+    assert divmod(Poly.const(3), t) == (Poly(), Poly.const(3))
+    with pytest.raises(ZeroDivisionError):
+        divmod(t, Poly())
+
+
+def test_ratfun_reduced_is_lowest_terms_with_a_monic_denominator():
+    t = Poly.t()
+    r = RatFun((t - 1) * (t + 2) * 3, (t - 1) * (2 * t + 4) * (t + 5))
+    low = r.reduced()
+    assert (low.num, low.den) == (Poly.const(Fraction(3, 2)), t + 5)
+    assert low == r
+    assert RatFun(Poly(), t * t + 1).reduced().den == Poly.const(1)
+    assert RatFun(t * 4, Poly.const(2)).reduced().num == 2 * t
+
+
+def test_ratfun_hash_agrees_with_equality():
+    t = Poly.t()
+    assert RatFun(t, t) == 1 and hash(RatFun(t, t)) == hash(1) == hash(RatFun.const(1))
+    assert hash(RatFun(t * 2, Poly.const(2))) == hash(t)
+    a = RatFun(t + 1, t * t - 1)
+    b = RatFun(Poly.const(3), 3 * t - 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, RatFun(Poly.const(1), t - 1)}) == 1
+    assert hash(RatFun(t, t + 1)) != hash(RatFun(t, t + 2))
+

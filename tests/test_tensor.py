@@ -16,6 +16,7 @@ from cliffdegen.clifford import (
     geometric_product,
 )
 from cliffdegen.degeneration import jacobson_radical
+from cliffdegen.jsonio import encode_tensor
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.rings import Poly, RatFun, czero
 from test_liestructure import PRIMORIAL_97, form_with_lcm
@@ -209,6 +210,10 @@ def test_scaled_theta_tensor_matches_the_reference(D, shape):
         assert V.scaled()[0] == D
         T = theta_tensor(V)
         assert exact(T) == exact(reference_theta_tensor(V)), (D, shape, m)
+        # the tensor over D Q has int entries and prints as the one over Q
+        S = theta_tensor(V, scaled=True)
+        assert S.scale == D and all(type(v) is int for row in S.c.values() for v in row.values())
+        assert set(S.c) == set(T.c) and encode_tensor(S) == encode_tensor(T), (D, shape, m)
         # the entries of a b -> c with |a| + |b| >= |c| + 4 are divided by D^k, k >= 2
         masks = T.basis_masks
         deep += any(
@@ -232,6 +237,7 @@ def test_scaled_theta_tensor_matches_the_reference_over_other_rings():
             else:
                 assert V.scaled() == (1, V) and V.scaled()[1] is V
             assert exact(theta_tensor(V)) == exact(reference_theta_tensor(V)), (form.__name__, m)
+            assert encode_tensor(theta_tensor(V, scaled=True)) == encode_tensor(theta_tensor(V))
 
 
 def test_blade_row_lists_every_product_in_mask_order():
