@@ -65,10 +65,11 @@ def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
     """Kernel of the trace form of left multiplication, certified as a
     nilpotent two-sided ideal.
 
-    On a tensor of ``scale`` D the work runs on its entries over D Q, and
-    the basis is reported over the e_a.  With lambda_a = D^(|a|/2) and
-    Lambda = diag(lambda_a), f_a = lambda_a e_a gives
-    gram_T = Lambda^-1 gram_S Lambda^-1: gram_S has the pivot columns of
+    The work runs on T's own entries, those over D Q for a tensor of
+    ``scale`` D, and the basis is reported over the e_a.  With the
+    f_a = lambda_a e_a of :meth:`AlgebraTensor.lambdas` and
+    Lambda = diag(lambda_a), gram_T = Lambda^-1 gram_S Lambda^-1 for the
+    trace forms over Q and over D Q: gram_S has the pivot columns of
     gram_T, and its kernel vector y of free column fc (y's last nonzero
     entry) maps to gram_T's as x_j = lambda_j y_j / lambda_fc."""
     if not T.is_rational():
@@ -127,7 +128,7 @@ def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
         index += 1
     basis = kernel
     if T.scale != 1:
-        lam = [T.scale ** (mask.bit_count() >> 1) for mask in T.basis_masks]
+        lam = T.lambdas()
         basis = [
             [lam[j] * y / lam[fc] for j, y in enumerate(vec)]
             for fc, vec in zip(free, kernel)
@@ -217,9 +218,7 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     det = _det_fraction_field(two_q)
     if czero(det):
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
-    # the fibres' tensors stay over D Q: the radicals run on them, and the
-    # encoder prints the special fibre over Q
-    special = theta_tensor(F.at(0), scaled=True)
+    special = theta_tensor(F.at(0))
     rad = jacobson_radical(special)
     cpoint = None
     for k in range(1, 100):
@@ -231,7 +230,7 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
             break
     if cpoint is None:
         raise NoWitness("no regular rational point with nondegenerate fibre found")
-    generic_rad = jacobson_radical(theta_tensor(F.at(cpoint), scaled=True))
+    generic_rad = jacobson_radical(theta_tensor(F.at(cpoint)))
     if generic_rad.dimension != 0:
         raise InvariantViolation("nondegenerate fibre has nonzero radical")
     return SpecializationWitness(

@@ -151,19 +151,16 @@ def decode_multivector(obj, m: int) -> Multivector:
 
 
 def encode_tensor(T: AlgebraTensor) -> dict:
-    """The entries over Q: on a tensor of ``scale`` D each entry is divided
-    by D^k, k = (|a| + |b| - |c|)/2, as it is encoded."""
-    D = T.scale
-    if D != 1:
-        bits = [mask.bit_count() for mask in T.basis_masks]
-        powers = [D**k for k in range(max(bits) + 1)]
+    """The entries over Q: entry k of basis_i basis_j is divided by
+    lambda_i lambda_j / lambda_k (:meth:`AlgebraTensor.lambdas`) as it is
+    encoded."""
+    lam = T.lambdas()
     entries = []
     for (i, j) in sorted(T.c):
         row = T.c[(i, j)]
+        lij = lam[i] * lam[j]
         for k in sorted(row):
-            v = row[k]
-            if D != 1:
-                v = unscale(v, powers[(bits[i] + bits[j] - bits[k]) >> 1])
+            v = row[k] if T.scale == 1 else unscale(row[k], lij // lam[k])
             entries.append([i, j, k, encode_coeff(v)])
     return {"dim": T.dim, "identity": T.identity, "c": entries}
 

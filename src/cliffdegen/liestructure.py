@@ -319,10 +319,10 @@ class AlgebraTensor:
     order for Clifford tensors is blades by cardinality then lexicographic
     index tuple, so tensors compare bit-for-bit.
 
-    A Clifford tensor with ``scale`` D > 1 is that of the integer form D Q
-    (``theta_tensor(V, scaled=True)``): the even algebra of Q in the basis
-    f_a = D^(|a|/2) e_a.  Entry c of (f_a)(f_b) is D^k times entry c of
-    (e_a)(e_b), k = (|a| + |b| - |c|)/2.
+    A Clifford tensor of ``scale`` D is that of the integer form D Q
+    (:func:`theta_tensor`): the even algebra of Q in the basis
+    f_a = lambda_a e_a, lambda_a = D^(|a|/2) (:meth:`lambdas`).  Entry c of
+    f_a f_b is lambda_a lambda_b / lambda_c times entry c of e_a e_b.
     """
 
     dim: int
@@ -333,6 +333,12 @@ class AlgebraTensor:
 
     def entry(self, i: int, j: int) -> dict:
         return self.c.get((i, j), {})
+
+    def lambdas(self) -> list:
+        """lambda_a per basis index: basis element a is lambda_a e_a."""
+        if self.scale == 1:
+            return [1] * self.dim
+        return [self.scale ** (mask.bit_count() >> 1) for mask in self.basis_masks]
 
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two sparse vectors {basis index: nonzero coeff}."""
@@ -379,34 +385,24 @@ def even_blade_basis(m: int) -> tuple:
     return tuple(masks)
 
 
-def theta_tensor(V: QuadraticSpace, scaled: bool = False) -> AlgebraTensor:
+def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
     """Multiplication tensor of the even Clifford algebra in the canonical
     even-blade basis, with e_0 as the identity: a point of the variety of
     algebra structures with distinguished unit.
 
-    Each row of products is taken on the integer form D Q of
-    :meth:`QuadraticSpace.scaled`, and each entry, the coefficient of blade
-    c in (blade a)(blade b), is divided once by D^k, k = (|a| + |b| - |c|)/2.
-    With ``scaled`` the entries stay those over D Q, and the tensor has
-    ``scale`` D (see :class:`AlgebraTensor`)."""
+    The products are taken on the integer form D Q of
+    :meth:`QuadraticSpace.scaled`, and the tensor has ``scale`` D (its
+    entries are ``int``s, or ``Poly``s with ``int`` coefficients, on a form
+    over Q or Q[t]); :func:`cliffdegen.jsonio.encode_tensor` prints them
+    over Q."""
     masks = even_blade_basis(V.m)
     index = {mask: k for k, mask in enumerate(masks)}
     D, S = V.scaled()
-    powers = [D**k for k in range(V.m + 1)]
     c = {}
     for i, ma in enumerate(masks):
         products = blade_row(S, ma)
-        na = ma.bit_count()
         for j, mb in enumerate(masks):
             terms = products[mb]
-            if not terms:
-                continue
-            if scaled:
+            if terms:
                 c[(i, j)] = {index[mask]: coeff for mask, coeff in terms.items()}
-            else:
-                nab = na + mb.bit_count()
-                c[(i, j)] = {
-                    index[mask]: unscale(coeff, powers[(nab - mask.bit_count()) >> 1])
-                    for mask, coeff in terms.items()
-                }
-    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks, scale=D if scaled else 1)
+    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks, scale=D)

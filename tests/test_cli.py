@@ -634,10 +634,9 @@ def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp
 
 
 def test_a_non_unital_fibre_tensor_exits_2_not_as_an_input_error(capsys, tmp_path, monkeypatch):
-    def without_left_unit_at_1(V, **kwargs):
-        T = theta_tensor(V, **kwargs)
-        T.c[(T.identity, 1)] = {}
-        return T
+    def without_left_unit_at_1(V):
+        T = theta_tensor(V)
+        return liestructure.AlgebraTensor(dim=T.dim, identity=T.identity, c={**T.c, (T.identity, 1): {}})
 
     monkeypatch.setattr(degeneration, "theta_tensor", without_left_unit_at_1)
     path = tmp_path / "family.json"

@@ -25,7 +25,7 @@ from cliffdegen.jsonio import encode_tensor
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import SpanBasis, echelon, nullspace_dense
 from cliffdegen.rings import InvariantViolation, Poly, RatFun, eval_coeff
-from test_liestructure import form_with_lcm
+from test_liestructure import form_with_lcm, over_q
 
 
 def t():
@@ -116,14 +116,14 @@ def _specialize_tensor(T, c):
         vals = {k: x for k, v in row.items() if (x := eval_coeff(v, c))}
         if vals:
             out[key] = vals
-    return AlgebraTensor(dim=T.dim, identity=T.identity, c=out, basis_masks=T.basis_masks)
+    return AlgebraTensor(dim=T.dim, identity=T.identity, c=out, basis_masks=T.basis_masks, scale=T.scale)
 
 
 def test_constant_family_and_commutation():
     F = QuadraticFamily.diagonal([1, t(), 2])
     T = theta_tensor(F.space)
-    for c in (0, 5, Fraction(-3, 2)):
-        assert _specialize_tensor(T, c) == theta_tensor(F.at(c))
+    for c in (0, 5, Fraction(-3, 2)):  # the fibre at -3/2 has scale 2, the family 1
+        assert over_q(_specialize_tensor(T, c)) == over_q(theta_tensor(F.at(c)))
     Fc = QuadraticFamily.diagonal([1, 2, 3])
     Tc = theta_tensor(Fc.space)
     assert _specialize_tensor(Tc, 7) == Tc
@@ -217,8 +217,8 @@ def test_witness_of_a_family_with_denominators_prints_the_fibre_over_q():
     w = certify_specialization(F)
     Q0 = theta_tensor(F.at(0))
     assert w.special_fiber.scale == 6
-    assert encode_tensor(w.special_fiber) == encode_tensor(Q0)
-    assert w.radical == reference_radical(Q0) and w.radical.dimension == 2
+    assert encode_tensor(w.special_fiber) == encode_tensor(over_q(Q0))
+    assert w.radical == reference_radical(over_q(Q0)) and w.radical.dimension == 2
 
 
 def test_witness_requires_odd_m_and_generic_nondegeneracy():
@@ -346,9 +346,11 @@ def _roadmap_family(rng, m, ratfuns):
 @pytest.mark.parametrize("ratfuns", [0, 2, 4, 6])
 def test_dense_m7_families_analyze_fast_with_a_det_of_minor_size(capsys, tmp_path, ratfuns):
     """Unreduced elimination over Q(t) spent 33.7 s on the det of the first
-    of these families (2.0 GHz Xeon) and printed degree 1825 over 1818; the
-    det in lowest terms has degree at most 7, plus 2 for each pair of
-    entries with a denominator 1 + c t."""
+    of these families and printed degree 1825 over 1818; the det in lowest
+    terms has degree at most 7, plus 2 for each pair of entries with a
+    denominator 1 + c t.  Each analyze took about 0.4 s on a shared 2-core
+    2.0 GHz Xeon: the 8 s bound leaves 20 times that for a loaded machine
+    and still fails the unreduced elimination."""
     path = tmp_path / "family.json"
     path.write_text(json.dumps(_roadmap_family(random.Random(5), 7, ratfuns)))
     start = time.perf_counter()
@@ -358,7 +360,7 @@ def test_dense_m7_families_analyze_fast_with_a_det_of_minor_size(capsys, tmp_pat
     det = json.loads(capsys.readouterr().out)["payload"]["det"]
     assert len(det["num"]) - 1 <= 7 + 2 * ratfuns and len(det["den"]) - 1 <= 2 * ratfuns
     assert det["den"][-1] == "1"
-    assert elapsed < 1.0
+    assert elapsed < 8.0
 
 
 def _low_rank_form(rng, m):
@@ -384,12 +386,12 @@ def test_integer_radical_matches_the_fraction_reference(D):
         if m < 6:
             forms.append(_low_rank_form(rng, m))
         for V in forms:
-            T = theta_tensor(V, scaled=True)
+            T = theta_tensor(V)
             assert T.scale == V.scaled()[0]
-            want = reference_radical(theta_tensor(V))
+            want = reference_radical(over_q(T))
             got = jacobson_radical(T)
             assert got == want, (D, m)
-            assert jacobson_radical(theta_tensor(V)) == want, (D, m)
+            assert jacobson_radical(over_q(T)) == want, (D, m)
             assert all(type(y) is Fraction for vec in got.basis for y in vec)
             # a vector across grades is where lambda_j / lambda_fc is not 1
             grades = [{T.basis_masks[k].bit_count() for k, y in enumerate(vec) if y} for vec in got.basis]

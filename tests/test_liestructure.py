@@ -124,6 +124,18 @@ def test_reconstruct_needs_three_indices():
         reconstruct_form(structure_constants(QuadraticSpace.diagonal([1, 2])))
 
 
+def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
+    """T in the basis e_a, of scale 1: entry k of e_i e_j is entry k of
+    f_i f_j divided by lambda_i lambda_j / lambda_k, through the same
+    ``unscale`` that the encoder uses."""
+    lam = T.lambdas()
+    c = {
+        (i, j): {k: liestructure.unscale(v, lam[i] * lam[j] // lam[k]) for k, v in row.items()}
+        for (i, j), row in T.c.items()
+    }
+    return liestructure.AlgebraTensor(dim=T.dim, identity=T.identity, c=c, basis_masks=T.basis_masks)
+
+
 def test_theta_tensor_shape_and_unit():
     T = theta_tensor(QuadraticSpace.diagonal([1, 1, 1]))
     assert T.dim == 4
