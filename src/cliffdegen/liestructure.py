@@ -10,9 +10,18 @@ module implements and tests.
 Two independent paths compute the constants:
 
 * :func:`structure_constants` expands actual commutators through the
-  blade product, on the integer form D Q (D the lcm of Q's denominators);
+  blade product;
 * :func:`transcribe_constants` writes them down directly from the rewriting
   relations (elementary index algebra, no product machinery).
+
+Both run on the integer form D Q of :meth:`QuadraticSpace.scaled` (D the lcm
+of the denominators of Q's coefficients; 1 for a ``RatFun`` form), and a
+:class:`QuotientLieAlgebra` keeps its table there, with ``scale`` D.  The
+constants are linear in the form, so each is D times the one of Q: the table
+is that of Q in the basis D s(i,j), the bivector part of the basis change
+of :class:`AlgebraTensor`.  The Jacobi check runs on these values, and
+:func:`reconstruct_form` reads the bilinear form of D Q off them and divides
+the recovered entries by D once.
 
 The bracket of two basis bivectors, for distinct indices, is (writing s(x,y)
 for the class of e_x e_y modulo e_0, so s(y,x) = -s(x,y)):
@@ -38,10 +47,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .clifford import QuadraticSpace, _terms_times_gen, blade_row, indices_of
-from .rings import HALF, InvariantViolation, Poly, axpy, czero
+from .rings import InvariantViolation, Poly, RatFun, axpy, czero
 
 
 class LieClosureError(ArithmeticError):
@@ -63,10 +71,12 @@ def _oriented(x: int, y: int):
 
 @dataclass
 class QuotientLieAlgebra:
-    """Structure constants of L' = L / <e_0> on the basis s(i,j), i < j."""
+    """Structure constants of L' = L / <e_0> on the basis s(i,j), i < j,
+    each ``scale`` times the constant of the form (module docstring)."""
 
     m: int
     table: dict  # (pair_a, pair_b) with pair_a < pair_b lex -> {pair: coeff}
+    scale: int = 1
 
     @property
     def dimension(self) -> int:
@@ -80,40 +90,34 @@ class QuotientLieAlgebra:
         return {k: -v for k, v in self.table.get((pb, pa), {}).items()}
 
     def jacobi_sum(self, a, b, c) -> dict:
-        """[[a,b],c] + [[b,c],a] + [[c,a],b] over the basis, zeros dropped."""
+        """[[a,b],c] + [[b,c],a] + [[c,a],b] over the basis, zeros dropped,
+        over Q: the sum of the stored constants divided by scale^2."""
         acc: dict = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for p, v in self.bracket(x, y).items():
                 axpy(acc, v, self.bracket(p, z))
-        return acc
+        s2 = self.scale * self.scale
+        return {p: unscale(v, s2) for p, v in acc.items()}
 
     def _indexed_table(self, pairs) -> list:
         """``br[i][j]``: the bracket of pairs i and j as (index, coeff)
-        tuples, antisymmetric.  Rational constants are all scaled by the lcm
-        D of their denominators to plain ints: a Jacobi sum is homogeneous
-        quadratic in the constants, so the scaled sum is D^2 times the true
-        one and vanishes exactly when it does.  Other rings keep their
-        values (D = 1)."""
+        tuples, antisymmetric, with the stored constants."""
         index = {p: i for i, p in enumerate(pairs)}
-        values = [v for exp in self.table.values() for v in exp.values()]
-        rational = all(isinstance(v, (int, Fraction)) for v in values)
-        D = lcm(*(v.denominator for v in values)) if rational else 1
         n = len(pairs)
         br = [[()] * n for _ in range(n)]
         for (pa, pb), exp in self.table.items():
             if pa < pb:  # bracket() reads only these keys
-                row = [
-                    (index[p], v.numerator * (D // v.denominator) if rational else v)
-                    for p, v in exp.items()
-                ]
+                row = tuple((index[p], v) for p, v in exp.items())
                 i, j = index[pa], index[pb]
-                br[i][j] = tuple(row)
+                br[i][j] = row
                 br[j][i] = tuple((p, -v) for p, v in row)
         return br
 
     def verify_jacobi(self, triples=None):
         """Raise LieClosureError on the first triple (of pair indices; all
-        of them by default) whose Jacobi sum is nonzero."""
+        of them by default) whose Jacobi sum is nonzero.  The sum is
+        homogeneous quadratic in the constants, so on the stored ones it is
+        scale^2 times the sum over Q and vanishes exactly when that does."""
         pairs = lie_pairs(self.m)
         if triples is None:
             triples = combinations(range(len(pairs)), 3)
@@ -124,7 +128,7 @@ class QuotientLieAlgebra:
                 for p, v in br[x][y]:
                     for k, w in br[p][z]:
                         acc[k] = acc.get(k, 0) + v * w
-            if any(acc.values()):  # worded from the unscaled sum
+            if any(acc.values()):  # worded from the sum over Q
                 a, b, c = pairs[ia], pairs[ib], pairs[ic]
                 raise LieClosureError(
                     f"Jacobi fails on {a},{b},{c}: {self.jacobi_sum(a, b, c)}"
@@ -132,28 +136,27 @@ class QuotientLieAlgebra:
 
 
 def unscale(v, Dk):
-    """The coefficient over Q of v, a product coefficient over the integer
-    form D Q of :meth:`QuadraticSpace.scaled` that is Dk = D^k times it
-    (k = (|a| + |b| - |c|)/2 for blades a b -> c): a ``Fraction`` for an
-    ``int`` (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``.
-    Values of ``RatFun`` spaces, which run unscaled, pass through."""
-    if type(v) is int:
+    """The coefficient over Q of v, a coefficient over the integer form
+    D Q of :meth:`QuadraticSpace.scaled` that is Dk = D^k times it (k =
+    (|a| + |b| - |c|)/2 for blades a b -> c): a ``Fraction`` for a rational
+    (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``.  Values
+    of ``RatFun`` spaces, which run unscaled, pass through."""
+    if type(v) is int or type(v) is Fraction:
         return Fraction(v, Dk)
     if type(v) is Poly:
         return Poly([Fraction(c, Dk) for c in v.coeffs])
     return v
 
 
-def build_even_lie(V: QuadraticSpace) -> dict:
-    """The brackets of the even Lie algebra, basis [e_0, e_i e_j (i<j)],
-    from the product, verifying closure: (pair_a, pair_b), pair_a < pair_b
-    lex, maps to {label: coeff} with labels "e0" or a pair.
+def build_even_lie(V: QuadraticSpace) -> tuple:
+    """``(D, brackets)``: the brackets of the even Lie algebra of the
+    integer form D Q of :meth:`QuadraticSpace.scaled`, basis [e_0, e_i e_j
+    (i<j)], from the product, verifying closure: (pair_a, pair_b), pair_a <
+    pair_b lex, maps to {label: coeff} with labels "e0" or a pair.
 
-    The products of two bivector blades are taken on the integer form D Q
-    of :meth:`QuadraticSpace.scaled`; a product of four generators is
-    homogeneous of degree (4 - c)/2 in Q on a blade of cardinality c, so
-    the bracket's e_0 coefficient is divided by D^2 and its bivector
-    coefficients by D."""
+    A product of four generators is homogeneous of degree (4 - c)/2 in Q on
+    a blade of cardinality c, so each e_0 coefficient is D^2 times the one
+    of Q and each bivector coefficient D times it."""
     pairs = lie_pairs(V.m)
     D, S = V.scaled()
     masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
@@ -173,27 +176,28 @@ def build_even_lie(V: QuadraticSpace) -> dict:
             for mask, c in com.items():
                 k = mask.bit_count()
                 if k == 0:
-                    expansion["e0"] = unscale(c, D * D)
+                    expansion["e0"] = c
                 elif k == 2:
-                    expansion[indices_of(mask)] = unscale(c, D)
+                    expansion[indices_of(mask)] = c
                 else:
                     raise LieClosureError(
                         f"[{pa},{pb}] leaves the basis span at blade {indices_of(mask)}"
                     )
             brackets[(pa, pb)] = expansion
-    return brackets
+    return D, brackets
 
 
 def structure_constants(V: QuadraticSpace, check_jacobi: bool = True) -> QuotientLieAlgebra:
     """Constants of L' computed from the geometric product (never from the
-    transcription, which serves as an independent oracle)."""
+    transcription, which serves as an independent oracle), with scale D."""
     if V.m < 2:
         raise ValueError("need m >= 2 for bivectors to exist")
+    D, brackets = build_even_lie(V)
     table = {
         key: {p: c for p, c in exp.items() if p != "e0"}
-        for key, exp in build_even_lie(V).items()
+        for key, exp in brackets.items()
     }
-    out = QuotientLieAlgebra(m=V.m, table=table)
+    out = QuotientLieAlgebra(m=V.m, table=table, scale=D)
     if check_jacobi:
         npairs = out.dimension
         if npairs <= 21:  # m <= 7: all triples
@@ -207,27 +211,15 @@ def structure_constants(V: QuadraticSpace, check_jacobi: bool = True) -> Quotien
     return out
 
 
-def transcribe_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
-    """Direct transcription of the bracket identities in the module
-    docstring; shares no code with the geometric product.
-
-    The constants are linear in the form, so a rational form is scaled here
-    by the lcm D of its denominators, the identities run on ``int``s, and
-    each constant is divided by D once."""
-    m = V.m
-    pairs = lie_pairs(m)
+def _transcribe(bil) -> dict:
+    """The table of the bracket identities in the module docstring on the
+    bilinear form ``bil``: bil[i-1][j-1] = b(e_i, e_j), so bil[s-1][s-1] =
+    2 q(e_s).  The constants are read off ``bil`` without a division."""
+    pairs = lie_pairs(len(bil))
     table = {}
-    gram = V.gram
-    rational = V.ring == "rational"
-    if rational:
-        D = lcm(*(v.denominator for row in gram for v in row))
-        gram = [[v.numerator * (D // v.denominator) for v in row] for row in gram]
-
-    def qform(i):
-        return gram[i - 1][i - 1]
 
     def bform(i, j):
-        return 2 * gram[i - 1][j - 1]
+        return bil[i - 1][j - 1]
 
     def add(dst, x, y, coeff):
         if czero(coeff):
@@ -254,57 +246,70 @@ def transcribe_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
                 x = a if b == s else b
                 y = c if d == s else d
                 sign = (1 if b == s else -1) * (1 if c == s else -1)
-                add(exp, x, y, sign * 2 * qform(s))
+                add(exp, x, y, sign * bform(s, s))
                 add(exp, x, s, -sign * bform(s, y))
                 add(exp, s, y, -sign * bform(x, s))
             # two shared indices means identical pairs: bracket is zero
-            if rational:
-                exp = {p: Fraction(v, D) for p, v in exp.items()}
             table[(pairs[ai], pairs[bi])] = exp
-    return QuotientLieAlgebra(m=m, table=table)
+    return table
+
+
+def transcribe_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
+    """Direct transcription of the bracket identities in the module
+    docstring, on the gram of the integer form D Q that
+    :meth:`QuadraticSpace.scaled` returns, with scale D; it multiplies no
+    generators, so it shares no code with the geometric product."""
+    D, S = V.scaled()
+    bil = [[2 * v for v in row] for row in S.gram]
+    return QuotientLieAlgebra(m=V.m, table=_transcribe(bil), scale=D)
+
+
+def _entry_over_q(v, k):
+    """An entry of Q from k = 2 scale times it: a ``Fraction``, a ``Poly``
+    of ``Fraction``s, or a ``RatFun`` in lowest terms."""
+    if type(v) is RatFun:
+        return (v * Fraction(1, k)).reduced()
+    return unscale(v, k)
 
 
 def reconstruct_form(L: QuotientLieAlgebra) -> QuadraticSpace:
     """Read the form off the bracket table and verify it reproduces the
     table exactly.  Requires m >= 3; below that the table carries no
-    information about the form."""
+    information about the form.
+
+    The bilinear form of scale Q is read off the stored constants and
+    transcribed back without a division; only the m^2 entries of the
+    returned form are divided, by 2 scale."""
     m = L.m
     if m < 3:
         raise ValueError("reconstruction needs m >= 3")
-    q = {}
-    b = {}
-    # diagonal entries: 2 q(e_s) multiplies s(x,y) in [s(x,s), s(s,y)]
+    bil = [[0] * m for _ in range(m)]
+    # diagonal entries: b(e_s, e_s) = 2 q(e_s) multiplies s(x,y) in [s(x,s), s(s,y)]
     for j in range(2, m):
-        coeffs = L.bracket((1, j), (j, m))
-        q[j] = coeffs.get((1, m), 0) * HALF
-    q[1] = -L.bracket((1, 2), (1, 3)).get((2, 3), 0) * HALF
-    q[m] = -L.bracket((1, m), (2, m)).get((1, 2), 0) * HALF
-    # off-diagonal entries b(j,l): coefficient of s(i,j) in [s(i,j), s(j,l)]
+        bil[j - 1][j - 1] = L.bracket((1, j), (j, m)).get((1, m), 0)
+    bil[0][0] = -L.bracket((1, 2), (1, 3)).get((2, 3), 0)
+    bil[m - 1][m - 1] = -L.bracket((1, m), (2, m)).get((1, 2), 0)
+    # off-diagonal entries b(j,l): minus the coefficient of s(i,j) in [s(i,j), s(j,l)]
     for j in range(1, m + 1):
         for l in range(j + 1, m + 1):
             if j >= 2:
-                b[(j, l)] = -L.bracket((1, j), (j, l)).get((1, j), 0)
+                v = -L.bracket((1, j), (j, l)).get((1, j), 0)
             else:
                 u = 2 if l != 2 else 3
                 key_u, key_l = (1, u), (1, l)
-                b[(j, l)] = -L.bracket(key_u, key_l).get(key_u, 0)
-    gram = [[None] * m for _ in range(m)]
-    for i in range(1, m + 1):
-        gram[i - 1][i - 1] = q[i]
-    for (j, l), v in b.items():
-        gram[j - 1][l - 1] = v * HALF
-        gram[l - 1][j - 1] = v * HALF
-    V = QuadraticSpace(gram)
+                v = -L.bracket(key_u, key_l).get(key_u, 0)
+            bil[j - 1][l - 1] = bil[l - 1][j - 1] = v
     # consistency: the recovered form must reproduce every constant
-    expected = transcribe_constants(V)
-    for key in set(expected.table) | set(L.table):
+    expected = _transcribe(bil)
+    for key in set(expected) | set(L.table):
         got = L.table.get(key, {})
-        want = expected.table.get(key, {})
+        want = expected.get(key, {})
         if set(got) != set(want) or any(got[p] != want[p] for p in got):
             raise ReconstructionError(
                 f"constants at {key} are not those of any symmetric form"
             )
-    return V
+    k = 2 * L.scale
+    return QuadraticSpace([[_entry_over_q(v, k) for v in row] for row in bil])
 
 
 # ---------------------------------------------------------------------------

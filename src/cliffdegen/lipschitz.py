@@ -41,8 +41,10 @@ class DoubledAlgebra:
     the cached blade conversion between them."""
 
     def __init__(self, V: QuadraticSpace):
-        self.base = V
-        m = V.m
+        # only m of V is kept: V keeps this algebra (doubled_algebra), and a
+        # reference back would make a cycle that only the cyclic garbage
+        # collector frees, with both spaces' product caches
+        self.m = m = V.m
         zero = [[0] * m for _ in range(m)]
         top = [list(row) + list(zrow) for row, zrow in zip(V.gram, zero)]
         bot = [list(zrow) + [-v for v in row] for zrow, row in zip(zero, V.gram)]
@@ -64,7 +66,7 @@ class DoubledAlgebra:
     def _verify_isotropic(self):
         """delta and delta' really are isotropic families for q (+) -q,
         computed in the f/g presentation where nothing is built in."""
-        m = self.base.m
+        m = self.m
         for i in range(1, m + 1):
             for j in range(i, m + 1):
                 for sgn in (1, -1):
@@ -96,7 +98,7 @@ class DoubledAlgebra:
         cached = self._unbalanced_cache.get(mask)
         if cached is not None:
             return cached
-        m = self.base.m
+        m = self.m
         low = (1 << m) - 1
         conv = self._convert_blade(mask)
         unbal = {
@@ -128,7 +130,7 @@ def embed_pair(x: Multivector, y: Multivector, D: DoubledAlgebra) -> Multivector
     g-word of y.  Since every f index precedes every g index, the product of
     the two blades is itself a canonical blade and no sign appears; the
     convention is validated by the calibration facts in the tests."""
-    m = D.base.m
+    m = D.m
     out: dict = {}
     for ma, ca in x.terms.items():
         axpy(out, ca, {ma | (mb << m): cb for mb, cb in y.terms.items()})

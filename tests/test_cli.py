@@ -2,8 +2,10 @@
 encodings used on the wire."""
 
 import hashlib
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -126,6 +128,70 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, ["form", "reconstruct", "--m", "4", "--random", "--seed", "3"])
     _, out2, _ = run_cli(capsys, ["form", "reconstruct", "--m", "4", "--random", "--seed", "3"])
     assert out1 == out2
+
+
+# sha256 of the stdout and the exit code of `form reconstruct`, recorded
+# before its table moved to D Q: the recovered forms print byte for byte
+RECONSTRUCT_PINS = {
+    "--random --m 3 --seed 1 --trials 5": ("f5f415d26b1bd4ef3e34e1645280c77761c19adc7f3768957ff982aa316b6b55", 0),
+    "--random --m 4 --seed 2 --trials 4": ("b885898451d1da4c09645d93de26a74a3b33f84c987500985e1090f2fb9b25c6", 0),
+    "--random --m 5 --seed 3 --trials 3": ("130973cd73ca5c92f21944d49dedccc758ef38d86b46580c67984e5726adb0b9", 0),
+    "--random --m 6 --seed 4 --trials 2": ("a6dbcf7768af12cdbe8a2fb1aca8a67f6c5da38acf38b5ec7c467a54ba7aa804", 0),
+    "--random --m 7 --seed 5 --trials 2": ("483281df56a113ffa3ba14d3fdf935ffeee4c4afa4024ab2e13ce9ffe4f34daa", 0),
+    "--random --m 8 --seed 6 --trials 1": ("20c5182492cea469a83a7519a5a10f0983f71862cf04cb6d340b20caf8de536e", 0),
+    "--random --m 9 --seed 7 --trials 1": ("e1411f911370f3906b4712f9fb0d405c29cacddb85cb9e9075fda7038b6218c1", 0),
+    "--random --m 12 --seed 8 --trials 1": ("e84af712b5bed010cace3c1cb3999d1804016f7b3ca958e3103b45d847db31f9", 0),
+    "--input poly.json": ("ed32ca8d1676207e03853f6abe656fd5ec21190fa3ff6cf66c5f20d7098702a6", 0),
+}
+# a dense form over Q[t] whose coefficient denominators have lcm 12
+POLY_FORM = {
+    "m": 4,
+    "Q": [
+        [["1", "1/2"], "0", ["0", "-1/3"], "2"],
+        ["0", ["3"], "1/2", "0"],
+        [["0", "-1/3"], "1/2", ["-1", "0", "1/4"], "0"],
+        ["2", "0", "0", ["0", "1"]],
+    ],
+}
+
+
+@pytest.mark.parametrize("args", sorted(RECONSTRUCT_PINS))
+def test_reconstruct_stdout_is_pinned(capsys, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poly.json").write_text(json.dumps(POLY_FORM))
+    code, out, _ = run_cli(capsys, ["form", "reconstruct"] + args.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == RECONSTRUCT_PINS[args]
+
+
+def test_reconstruct_prints_a_ratfun_entry_in_lowest_terms(capsys, monkeypatch):
+    doc = {"m": 3, "Q": [[{"num": ["1"], "den": ["1", "1"]}, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run_cli(capsys, ["form", "reconstruct", "--input", "-"])
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["matches"] is True
+    assert payload["recovered_Q"]["Q"] == doc["Q"]
+
+
+def test_a_cached_parser_prints_what_a_fresh_one_does(capsys, monkeypatch):
+    runs = [
+        (["form", "reconstruct", "--random", "--m", "3", "--seed", "1"], ""),
+        (["form", "reconstruct", "--m", "three"], ""),
+        (["form", "reconstruct", "--input", "-"], json.dumps(POLY_FORM)),
+    ]
+
+    def run(argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, argv)
+        return code, out, err if code == 1 else None  # others end in a timing
+
+    alone = []
+    for argv, stdin in runs:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv, stdin))
+    assert [code for code, _, _ in alone] == [0, 1, 0]
+    cli.build_parser.cache_clear()
+    assert [run(argv, stdin) for argv, stdin in runs] == alone
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_form_tensor_with_specialization(capsys, tmp_path):

@@ -21,6 +21,7 @@ from cliffdegen.liestructure import (
     structure_constants,
     theta_tensor,
     transcribe_constants,
+    unscale,
 )
 from cliffdegen.rings import Poly, RatFun, axpy, regular_at
 
@@ -37,8 +38,27 @@ def random_symmetric(rng, m, den=3):
     return QuadraticSpace(g)
 
 
+def lie_over_q(L):
+    """L's table over Q, of scale 1: each stored constant divided by
+    ``scale`` through ``unscale``, so rationals become ``Fraction``s."""
+    return QuotientLieAlgebra(
+        m=L.m,
+        table={k: {p: unscale(v, L.scale) for p, v in exp.items()} for k, exp in L.table.items()},
+    )
+
+
+def brackets_over_q(D, brackets):
+    """``build_even_lie``'s brackets over Q: the e_0 coefficients divided by
+    D^2, the bivector ones by D."""
+    return {
+        key: {p: unscale(v, D * D if p == "e0" else D) for p, v in exp.items()}
+        for key, exp in brackets.items()
+    }
+
+
 def test_even_lie_dimension_and_identity_bracket():
-    brackets = build_even_lie(QuadraticSpace.diagonal([1, 1, 1]))
+    D, brackets = build_even_lie(QuadraticSpace.diagonal([1, 1, 1]))
+    assert D == 1
     # [a12, a23] = 2 a13 for the identity form
     assert brackets[((1, 2), (2, 3))] == {(1, 3): 2}
 
@@ -60,7 +80,8 @@ def test_four_index_bracket_lands_on_the_cross_pair():
     # class of e1 e4, and with no factor 2): [a12, a34] = a23.
     g = [[0, 0, 0, HALF], [0, 0, 0, 0], [0, 0, 0, 0], [HALF, 0, 0, 0]]
     L = structure_constants(QuadraticSpace(g))
-    got = L.bracket((1, 2), (3, 4))
+    assert L.scale == 2
+    got = lie_over_q(L).bracket((1, 2), (3, 4))
     assert got == {(2, 3): 1}
     assert got.get((1, 4), 0) == 0
 
@@ -70,7 +91,7 @@ def test_three_index_bracket_reads():
     rng = random.Random(5)
     V = random_symmetric(rng, 4)
     L = structure_constants(V)
-    got = L.bracket((1, 2), (2, 4))
+    got = lie_over_q(L).bracket((1, 2), (2, 4))
     assert got.get((1, 4), 0) == 2 * V.q(2)
     assert got.get((1, 2), 0) == -V.b(2, 4)
     assert got.get((2, 4), 0) == -V.b(1, 2)
@@ -81,7 +102,8 @@ def test_product_agrees_with_transcription_oracle():
     for m in range(2, 8):
         for _ in range(3):
             V = random_symmetric(rng, m)
-            assert structure_constants(V).table == transcribe_constants(V).table
+            L, T = structure_constants(V), transcribe_constants(V)
+            assert (L.scale, L.table) == (T.scale, T.table)
 
 
 def test_jacobi_all_triples_small_and_random_large():
@@ -114,7 +136,7 @@ def test_reconstruct_rejects_inconsistent_constants():
     corrupted = dict(L.table)
     corrupted[key] = dict(corrupted[key])
     corrupted[key][(1, 2)] = corrupted[key].get((1, 2), 0) + 1
-    bad = type(L)(m=3, table=corrupted)
+    bad = type(L)(m=3, table=corrupted, scale=L.scale)
     with pytest.raises(ReconstructionError):
         reconstruct_form(bad)
 
@@ -152,12 +174,12 @@ def _bivector_block_constants(T, m):
         for bi in range(ai + 1, len(pairs)):
             com = axpy(dict(T.entry(ai + 1, bi + 1)), -1, T.entry(bi + 1, ai + 1))
             table[(pairs[ai], pairs[bi])] = {pairs[k - 1]: v for k, v in com.items() if k}
-    return QuotientLieAlgebra(m=m, table=table)
+    return QuotientLieAlgebra(m=m, table=table, scale=T.scale)
 
 
 def test_theta_tensor_injectivity_via_reconstruction():
     A = QuadraticSpace.diagonal([1, 2, 3])
-    B = QuadraticSpace.diagonal([1, 2, 4])
+    B = QuadraticSpace.diagonal([1, 2, Fraction(4, 3)])
     TA, TB = theta_tensor(A), theta_tensor(B)
     assert TA != TB
     for V, T in ((A, TA), (B, TB)):
@@ -248,7 +270,7 @@ def jacobi_outcome(check, L, triples=None):
 def corrupt(L, key, label, delta):
     table = {k: dict(v) for k, v in L.table.items()}
     table[key][label] = table[key].get(label, 0) + delta
-    return QuotientLieAlgebra(m=L.m, table=table)
+    return QuotientLieAlgebra(m=L.m, table=table, scale=L.scale)
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -260,7 +282,7 @@ def test_jacobi_catches_one_corrupted_constant(m):
     bad = corrupt(L, (pairs[0], (2, 3)), pairs[0], Fraction(1, 3))
     with pytest.raises(LieClosureError) as info:
         bad.verify_jacobi()
-    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad)
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, lie_over_q(bad))
     assert str(info.value).startswith("Jacobi fails on ")
 
 
@@ -285,7 +307,9 @@ def random_table(rng, m, ring, density):
 
 def scaled(L, lam):
     return QuotientLieAlgebra(
-        m=L.m, table={k: {p: lam * v for p, v in exp.items()} for k, exp in L.table.items()}
+        m=L.m,
+        table={k: {p: lam * v for p, v in exp.items()} for k, exp in L.table.items()},
+        scale=L.scale,
     )
 
 
@@ -293,12 +317,13 @@ def to_poly(L):
     return QuotientLieAlgebra(
         m=L.m,
         table={k: {p: Poly.const(v) for p, v in exp.items()} for k, exp in L.table.items()},
+        scale=L.scale,
     )
 
 
 def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
-    # the unscaled sum is recomputed only to word a failure, so counting
-    # its calls shows that the integer kernel alone decided each triple
+    # the sum over Q is recomputed only to word a failure, so counting its
+    # calls shows that the kernel on the stored constants decided each triple
     recomputed = []
     unscaled = QuotientLieAlgebra.jacobi_sum
 
@@ -336,7 +361,7 @@ def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
         triples = None
         if rng.random() < 0.3:
             triples = [tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(20)]
-        want = jacobi_outcome(reference_verify_jacobi, L, triples)
+        want = jacobi_outcome(reference_verify_jacobi, lie_over_q(L), triples)
         recomputed.clear()
         got = jacobi_outcome(QuotientLieAlgebra.verify_jacobi, L, triples)
         assert got == want, (trial, m)
@@ -350,7 +375,8 @@ def test_jacobi_honours_explicit_triples_in_order_with_repeats():
     pairs = lie_pairs(4)
     bad = corrupt(L, (pairs[0], pairs[3]), pairs[5], Fraction(2))
     every = list(combinations(range(len(pairs)), 3))
-    failing = [tr for tr in every if jacobi_outcome(reference_verify_jacobi, bad, [tr])]
+    ref = lie_over_q(bad)
+    failing = [tr for tr in every if jacobi_outcome(reference_verify_jacobi, ref, [tr])]
     passing = [tr for tr in every if tr not in failing]
     assert len(failing) >= 2 and passing
     bad.verify_jacobi(passing + passing[::-1])  # only triples that hold
@@ -358,10 +384,10 @@ def test_jacobi_honours_explicit_triples_in_order_with_repeats():
     order = [passing[0], passing[0], failing[-1], failing[0], failing[-1]]
     with pytest.raises(LieClosureError) as info:
         bad.verify_jacobi(order)
-    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad, [failing[-1]])
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, ref, [failing[-1]])
     with pytest.raises(LieClosureError) as info:
         bad.verify_jacobi(iter(failing))  # any iterable, read once
-    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, bad, [failing[0]])
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, ref, [failing[0]])
 
 
 # --- the integer-scaled bracket and transcription ---------------------------
@@ -460,17 +486,19 @@ def test_scaled_brackets_match_the_fraction_reference(D, shape):
         # the D^2 coefficients are read; a diagonal form has none
         if shape == "dense" and m >= 3 or shape == "degenerate" and m >= 4:
             assert any("e0" in exp for exp in want.values())
-        assert_same_table(build_even_lie(V), want)
-        assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
-        assert_same_table(structure_constants(V).table, transcribe_constants(V).table)
+        assert_same_table(brackets_over_q(*build_even_lie(V)), want)
+        T = transcribe_constants(V)
+        assert T.scale == D
+        assert_same_table(lie_over_q(T).table, reference_transcribe_constants(V))
+        assert_same_table(structure_constants(V).table, T.table)
 
 
 def test_scaled_brackets_on_the_zero_form():
     for m in range(2, 7):
         V = QuadraticSpace.zero(m)
         assert V.scaled()[0] == 1
-        assert_same_table(build_even_lie(V), reference_build_even_lie(V))
-        assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
+        assert_same_table(brackets_over_q(*build_even_lie(V)), reference_build_even_lie(V))
+        assert_same_table(lie_over_q(transcribe_constants(V)).table, reference_transcribe_constants(V))
 
 
 def parametric_forms(rng):
@@ -512,8 +540,8 @@ def test_scaled_path_passes_other_rings_through_unchanged():
         else:
             assert (D, S) == (1, V) and S is V
         rings.add(V.ring)
-        assert_same_table(build_even_lie(V), reference_build_even_lie(V))
-        assert_same_table(transcribe_constants(V).table, reference_transcribe_constants(V))
+        assert_same_table(brackets_over_q(*build_even_lie(V)), reference_build_even_lie(V))
+        assert_same_table(lie_over_q(transcribe_constants(V)).table, reference_transcribe_constants(V))
     assert rings == {"poly_t", "ratfun_t"}
     assert len(poly_lcms) > 2 and 1 in poly_lcms
 
@@ -522,14 +550,161 @@ def test_transcription_shares_no_code_with_the_product(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("product code reached")
 
-    monkeypatch.setattr(QuadraticSpace, "scaled", forbidden)
+    # the transcription reads the gram of D Q from scaled(), which
+    # multiplies no generators: the spaces it returns keep an empty product
+    # cache
+    returned = []
+    scaled = QuadraticSpace.scaled
+
+    def recorded(V):
+        returned.append(scaled(V))
+        return returned[-1]
+
+    monkeypatch.setattr(QuadraticSpace, "scaled", recorded)
     for module in (clifford, liestructure):
         for name in ("geometric_product", "_terms_times_gen", "_blade_times_gen", "blade_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     rng = random.Random(4)
     for V in (form_with_lcm(rng, 5, 60, "dense"), QuadraticSpace.diagonal([Poly.t(), 1, 2])):
-        assert transcribe_constants(V).table == reference_transcribe_constants(V)
+        assert lie_over_q(transcribe_constants(V)).table == reference_transcribe_constants(V)
+    assert [D for D, _ in returned] == [60, 1]
+    assert all(not S._gen_cache for _, S in returned)
     with pytest.raises(AssertionError):
         build_even_lie(form_with_lcm(rng, 3, 6, "dense"))
     assert not hasattr(liestructure, "geometric_product")
+
+
+# --- the table over D Q, from product to reconstruction ---------------------
+
+
+def reference_reconstruct_form(L):
+    """The reconstruction that reconstruct_form replaced, on a table over Q:
+    it halves the constants into the gram of Q and compares the table with
+    the Fraction transcription of that gram."""
+    m = L.m
+    if m < 3:
+        raise ValueError("reconstruction needs m >= 3")
+    q = {}
+    b = {}
+    for j in range(2, m):
+        coeffs = L.bracket((1, j), (j, m))
+        q[j] = coeffs.get((1, m), 0) * HALF
+    q[1] = -L.bracket((1, 2), (1, 3)).get((2, 3), 0) * HALF
+    q[m] = -L.bracket((1, m), (2, m)).get((1, 2), 0) * HALF
+    for j in range(1, m + 1):
+        for l in range(j + 1, m + 1):
+            if j >= 2:
+                b[(j, l)] = -L.bracket((1, j), (j, l)).get((1, j), 0)
+            else:
+                u = 2 if l != 2 else 3
+                key_u, key_l = (1, u), (1, l)
+                b[(j, l)] = -L.bracket(key_u, key_l).get(key_u, 0)
+    gram = [[None] * m for _ in range(m)]
+    for i in range(1, m + 1):
+        gram[i - 1][i - 1] = q[i]
+    for (j, l), v in b.items():
+        gram[j - 1][l - 1] = v * HALF
+        gram[l - 1][j - 1] = v * HALF
+    V = QuadraticSpace(gram)
+    expected = reference_transcribe_constants(V)
+    for key in set(expected) | set(L.table):
+        got = L.table.get(key, {})
+        want = expected.get(key, {})
+        if set(got) != set(want) or any(got[p] != want[p] for p in got):
+            raise ReconstructionError(f"constants at {key} are not those of any symmetric form")
+    return V
+
+
+def _poly_form():
+    t = Poly.t()
+    third = Fraction(1, 3)
+    return QuadraticSpace(
+        [
+            [t * HALF + 1, 0, -third * t, 2, 0],
+            [0, 3, HALF, 0, t],
+            [-third * t, HALF, t * t * Fraction(1, 4) - 1, 0, 0],
+            [2, 0, 0, t, Fraction(5, 7)],
+            [0, t, 0, Fraction(5, 7), -t],
+        ]
+    )
+
+
+def _ratfun_form():
+    t = Poly.t()
+    g = [[Fraction(0)] * 5 for _ in range(5)]
+    g[0][0] = RatFun(Poly.const(1), t + 1)
+    g[1][1] = RatFun(t, Poly([2, 0, 1]))
+    g[2][2] = RatFun(Poly([1, -1]), Poly([3, 1]))
+    g[3][3], g[4][4] = Fraction(1, 2), RatFun(t * t, Poly([1, 1]))
+    g[0][2] = g[2][0] = RatFun(Poly.const(Fraction(2, 3)), Poly([1, 2]))
+    g[1][4] = g[4][1] = Fraction(-3, 4)
+    return QuadraticSpace(g)
+
+
+FOUR_FORMS = {
+    "rational-D1": lambda: form_with_lcm(random.Random(41), 5, 1, "dense"),
+    "rational-primorial97": lambda: form_with_lcm(random.Random(42), 5, PRIMORIAL_97, "dense"),
+    "poly": _poly_form,
+    "ratfun": _ratfun_form,
+}
+FOUR_SCALES = {"rational-D1": 1, "rational-primorial97": PRIMORIAL_97, "poly": 84, "ratfun": 1}
+
+
+@pytest.mark.parametrize("kind", sorted(FOUR_FORMS))
+def test_scaled_table_matches_the_references_over_q(kind):
+    V = FOUR_FORMS[kind]()
+    L, T = structure_constants(V), transcribe_constants(V)
+    assert L.scale == T.scale == FOUR_SCALES[kind]
+    if kind != "ratfun":  # stored as built: ints, or Polys with int coefficients
+        for exp in L.table.values():
+            for v in exp.values():
+                assert type(v) is int or all(type(c) is int for c in v.coeffs)
+    want = reference_transcribe_constants(V)
+    assert_same_table(lie_over_q(T).table, want)
+    D, brackets = build_even_lie(V)
+    assert D == L.scale
+    assert_same_table(brackets_over_q(D, brackets), reference_build_even_lie(V))
+    assert lie_over_q(L).table == want
+    R = reconstruct_form(L)
+    assert R.gram == V.gram == reference_reconstruct_form(lie_over_q(L)).gram
+    for row in R.gram:
+        for v in row:
+            if isinstance(v, RatFun):  # printed in lowest terms
+                r = v.reduced()
+                assert (v.num.coeffs, v.den.coeffs) == (r.num.coeffs, r.den.coeffs)
+            else:
+                assert type(v) is Fraction or all(type(c) is Fraction for c in v.coeffs)
+
+
+@pytest.mark.parametrize("kind", sorted(FOUR_FORMS))
+def test_a_corrupted_scaled_table_fails_as_over_q(kind):
+    V = FOUR_FORMS[kind]()
+    L = structure_constants(V)
+    pairs = lie_pairs(V.m)
+    # one more on the stored 2 q(e_2), which reconstruct_form reads from
+    # [s(1,2), s(2,m)]: over D Q the recovered gram entry (2,2) is
+    # half-integral
+    m = V.m
+    bad = corrupt(L, ((1, 2), (2, m)), (1, m), 1)
+    with pytest.raises(ReconstructionError) as info:
+        reconstruct_form(bad)
+    with pytest.raises(ReconstructionError) as ref:
+        reference_reconstruct_form(lie_over_q(bad))
+    assert str(info.value) == str(ref.value)
+    assert str(info.value).startswith("constants at ((")
+    # a Jacobi failure is worded over Q, as by the reference loop
+    bad = corrupt(L, (pairs[0], (2, 3)), pairs[0], 1)
+    with pytest.raises(LieClosureError) as info:
+        bad.verify_jacobi()
+    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, lie_over_q(bad))
+
+
+def test_reconstruct_divides_a_ratfun_entry_into_lowest_terms():
+    t = Poly.t()
+    V = QuadraticSpace.diagonal([RatFun(Poly.const(1), t + 1), 1, 1])
+    L = structure_constants(V)
+    # the table's entry is unreduced: (1 + t)/(1 + t)^2 after the product
+    assert reference_reconstruct_form(L).gram[0][0].den.coeffs == (1, 2, 1)
+    R = reconstruct_form(L)
+    assert (R.gram[0][0].num.coeffs, R.gram[0][0].den.coeffs) == ((1,), (1, 1))

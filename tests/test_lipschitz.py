@@ -57,10 +57,13 @@ def test_doubled_algebra_does_not_outlive_its_space():
     V = QuadraticSpace.diagonal([1, 2, 3])
     assert is_lipschitz(Multivector.basis_vector(1), V)
     assert doubled_algebra(V) is doubled_algebra(V)
-    ref = weakref.ref(V)
-    del V
-    gc.collect()
-    assert ref() is None
+    refs = weakref.ref(V), weakref.ref(doubled_algebra(V))
+    gc.disable()  # both go by reference counting: no cycle through the space
+    try:
+        del V
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_unit_group_and_spin_kernel_examples():
