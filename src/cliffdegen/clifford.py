@@ -10,6 +10,10 @@ The convention throughout: q(x) = x^T Q x and b(x, y) = q(x+y) - q(x) - q(y)
 = 2 x^T Q y, so b(e_i, e_i) = 2 q(e_i).  Degenerate Q is a first-class
 citizen; nothing below assumes invertibility.
 
+A :class:`QuadraticSpace` keeps ``int`` entries as ``int``s and every
+product starts from the literal 1, so a form over Z computes on ``int``s;
+:meth:`QuadraticSpace.scaled` gives such a form, D Q, as a plain space.
+
 The product rewrites words using exactly the two relations
     e_i^2 = q(e_i) e_0,
     e_i e_j + e_j e_i = b(e_i, e_j) e_0,
@@ -24,13 +28,12 @@ from math import lcm
 from .rings import (
     PoleError,
     Poly,
+    RatFun,
     as_coeff,
     axpy,
     czero,
     eval_coeff,
     regular_at,
-    ring_of,
-    join_rings,
 )
 
 
@@ -40,8 +43,9 @@ class BladeIndexError(IndexError):
 
 class QuadraticSpace:
     """Symmetric m x m matrix Q over an exact coefficient ring, with
-    q(x) = x^T Q x.  Immutable after construction (the product cache is
-    filled lazily but is append-only)."""
+    q(x) = x^T Q x.  Entries are kept as :func:`~cliffdegen.rings.as_coeff`
+    gives them, so ``int``s stay ``int``s.  Immutable after construction
+    (the product cache is filled lazily but is append-only)."""
 
     def __init__(self, gram):
         rows = [tuple(as_coeff(v) for v in row) for row in gram]
@@ -54,12 +58,6 @@ class QuadraticSpace:
                     raise ValueError(f"gram matrix not symmetric at ({i},{j})")
         self.m = m
         self.gram = tuple(rows)
-        ring = "rational"
-        for row in rows:
-            for v in row:
-                ring = join_rings(ring, ring_of(v))
-        self.ring = ring
-        self._one = Fraction(1)  # unit coefficient of the product cache
         self._gen_cache: dict = {}
         self._doubled = None  # lipschitz.DoubledAlgebra, built on first use
 
@@ -90,9 +88,10 @@ class QuadraticSpace:
         ``int`` coefficients.  A coefficient of a product of k generators
         that lies on a blade of cardinality c is homogeneous of degree
         (k - c)/2 in Q, so it is D^((k - c)/2) times the one over Q.
-        A ``RatFun`` space gives ``(1, self)``.  Built on each
-        call: every caller asks once per space."""
-        if self.ring not in ("rational", "poly_t"):
+        S is an ordinary space: its ``int`` entries stay ``int``s.  A space
+        with a ``RatFun`` entry gives ``(1, self)``.  Built on each call:
+        every caller asks once per space."""
+        if any(isinstance(v, RatFun) for row in self.gram for v in row):
             return 1, self
         D = lcm(
             *(c.denominator for row in self.gram for v in row
@@ -104,11 +103,7 @@ class QuadraticSpace:
                 return Poly([int(c * D) for c in v.coeffs])
             return int(v * D)
 
-        gram = tuple(tuple(times_d(v) for v in row) for row in self.gram)
-        S = QuadraticSpace(gram)
-        S.gram = gram  # as built: the constructor makes ints Fractions
-        S._one = 1
-        return D, S
+        return D, QuadraticSpace([[times_d(v) for v in row] for row in self.gram])
 
     def __eq__(self, other):
         return isinstance(other, QuadraticSpace) and self.gram == other.gram
@@ -237,13 +232,13 @@ def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
         return cached
     jbit = 1 << (j - 1)
     if mask == 0:
-        out = {jbit: space._one}
+        out = {jbit: 1}
     else:
         t = mask.bit_length()  # largest 1-based index in the blade
         tbit = 1 << (t - 1)
         rest = mask ^ tbit
         if t < j:
-            out = {mask | jbit: space._one}
+            out = {mask | jbit: 1}
         elif t == j:
             qj = space.q(j)
             out = {} if czero(qj) else {rest: qj}
@@ -272,7 +267,7 @@ def blade_row(space: QuadraticSpace, ma: int) -> list:
     smaller mask whose product is already known, and ma * b is that product
     times e_t: one generator step per blade."""
     _check_mask(ma, space.m)
-    row = [{ma: space._one}]
+    row = [{ma: 1}]
     for b in range(1, 1 << space.m):
         t = b.bit_length()
         row.append(_terms_times_gen(space, row[b ^ (1 << (t - 1))], t))
@@ -302,7 +297,7 @@ def reverse(x: Multivector, space: QuadraticSpace) -> Multivector:
     out: dict = {}
     for mask, c in x.terms.items():
         _check_mask(mask, space.m)
-        terms = {0: Fraction(1)}
+        terms = {0: 1}
         for j in reversed(indices_of(mask)):
             terms = _terms_times_gen(space, terms, j)
         axpy(out, c, terms)

@@ -16,7 +16,7 @@ is a two-sided ideal and nilpotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -200,7 +200,6 @@ class SpecializationWitness:
     radical: RadicalReport
     generic_check_point: Fraction
     generic_radical_dim: int
-    family: QuadraticFamily = field(repr=False, default=None)
 
 
 def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
@@ -240,5 +239,4 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
         radical=rad,
         generic_check_point=cpoint,
         generic_radical_dim=generic_rad.dimension,
-        family=F,
     )

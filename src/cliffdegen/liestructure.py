@@ -9,13 +9,15 @@ module implements and tests.
 
 Two independent paths compute the constants:
 
-* :func:`structure_constants` expands actual commutators through the
-  blade product;
+* :func:`build_even_lie` expands actual commutators through the blade
+  product and returns the quotient algebra, its e_0 terms dropped;
+  :func:`structure_constants` adds the Jacobi check;
 * :func:`transcribe_constants` writes them down directly from the rewriting
   relations (elementary index algebra, no product machinery).
 
-Both run on the integer form D Q of :meth:`QuadraticSpace.scaled` (D the lcm
-of the denominators of Q's coefficients; 1 for a ``RatFun`` form), and a
+Both run on the integer form D Q of :meth:`QuadraticSpace.scaled`, a plain
+space whose entries are ``int``s or ``Poly``s over Z (D the lcm of the
+denominators of Q's coefficients; 1 for a form with a ``RatFun`` entry), and a
 :class:`QuotientLieAlgebra` keeps its table there, with ``scale`` D.  The
 constants are linear in the form, so each is D times the one of Q: the table
 is that of Q in the basis D s(i,j), the bivector part of the basis change
@@ -49,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .clifford import QuadraticSpace, _terms_times_gen, blade_row, indices_of
-from .rings import InvariantViolation, Poly, RatFun, axpy, czero
+from .rings import InvariantViolation, Poly, axpy, czero
 
 
 class LieClosureError(ArithmeticError):
@@ -89,16 +91,6 @@ class QuotientLieAlgebra:
             return dict(self.table.get((pa, pb), {}))
         return {k: -v for k, v in self.table.get((pb, pa), {}).items()}
 
-    def jacobi_sum(self, a, b, c) -> dict:
-        """[[a,b],c] + [[b,c],a] + [[c,a],b] over the basis, zeros dropped,
-        over Q: the sum of the stored constants divided by scale^2."""
-        acc: dict = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for p, v in self.bracket(x, y).items():
-                axpy(acc, v, self.bracket(p, z))
-        s2 = self.scale * self.scale
-        return {p: unscale(v, s2) for p, v in acc.items()}
-
     def _indexed_table(self, pairs) -> list:
         """``br[i][j]``: the bracket of pairs i and j as (index, coeff)
         tuples, antisymmetric, with the stored constants."""
@@ -115,9 +107,13 @@ class QuotientLieAlgebra:
 
     def verify_jacobi(self, triples=None):
         """Raise LieClosureError on the first triple (of pair indices; all
-        of them by default) whose Jacobi sum is nonzero.  The sum is
-        homogeneous quadratic in the constants, so on the stored ones it is
-        scale^2 times the sum over Q and vanishes exactly when that does."""
+        of them by default) whose Jacobi sum [[a,b],c] + [[b,c],a] +
+        [[c,a],b] is nonzero.  The sum is homogeneous quadratic in the
+        constants, so on the stored ones it is scale^2 times the sum over Q
+        and vanishes exactly when that does.  A failure is worded over Q,
+        from the held sum divided by scale^2; like ``axpy``, the sum drops a
+        key whose coefficient cancels, so its keys run in the order of
+        ``axpy`` over :meth:`bracket`."""
         pairs = lie_pairs(self.m)
         if triples is None:
             triples = combinations(range(len(pairs)), 3)
@@ -127,47 +123,53 @@ class QuotientLieAlgebra:
             for x, y, z in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
                 for p, v in br[x][y]:
                     for k, w in br[p][z]:
-                        acc[k] = acc.get(k, 0) + v * w
-            if any(acc.values()):  # worded from the sum over Q
+                        s = acc.get(k, 0) + v * w
+                        if s:
+                            acc[k] = s
+                        else:
+                            acc.pop(k, None)
+            if acc:
+                s2 = self.scale * self.scale
+                over_q = {pairs[k]: unscale(v, s2) for k, v in acc.items()}
                 a, b, c = pairs[ia], pairs[ib], pairs[ic]
-                raise LieClosureError(
-                    f"Jacobi fails on {a},{b},{c}: {self.jacobi_sum(a, b, c)}"
-                )
+                raise LieClosureError(f"Jacobi fails on {a},{b},{c}: {over_q}")
 
 
 def unscale(v, Dk):
     """The coefficient over Q of v, a coefficient over the integer form
     D Q of :meth:`QuadraticSpace.scaled` that is Dk = D^k times it (k =
     (|a| + |b| - |c|)/2 for blades a b -> c): a ``Fraction`` for a rational
-    (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``.  Values
-    of ``RatFun`` spaces, which run unscaled, pass through."""
+    (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``, and for
+    a ``RatFun`` (whose spaces run unscaled, but whose recovered form is
+    divided by 2) v / Dk in lowest terms."""
     if type(v) is int or type(v) is Fraction:
         return Fraction(v, Dk)
     if type(v) is Poly:
         return Poly([Fraction(c, Dk) for c in v.coeffs])
-    return v
+    return (v * Fraction(1, Dk)).reduced()
 
 
-def build_even_lie(V: QuadraticSpace) -> tuple:
-    """``(D, brackets)``: the brackets of the even Lie algebra of the
-    integer form D Q of :meth:`QuadraticSpace.scaled`, basis [e_0, e_i e_j
-    (i<j)], from the product, verifying closure: (pair_a, pair_b), pair_a <
-    pair_b lex, maps to {label: coeff} with labels "e0" or a pair.
+def build_even_lie(V: QuadraticSpace) -> QuotientLieAlgebra:
+    """The quotient algebra L' of the integer form D Q of
+    :meth:`QuadraticSpace.scaled`, with scale D, from the product and not
+    checked for Jacobi.  Closure is verified: a commutator of two basis
+    bivectors with a term on a blade of cardinality other than 0 or 2
+    raises LieClosureError; its e_0 term is what the quotient drops.
 
     A product of four generators is homogeneous of degree (4 - c)/2 in Q on
-    a blade of cardinality c, so each e_0 coefficient is D^2 times the one
-    of Q and each bivector coefficient D times it."""
+    a blade of cardinality c, so each bivector coefficient is D times the
+    one of Q."""
     pairs = lie_pairs(V.m)
     D, S = V.scaled()
     masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
 
     def product(ma, pb):  # blade ma times e_i e_j, on S
-        terms = {ma: S._one}
+        terms = {ma: 1}
         for j in pb:
             terms = _terms_times_gen(S, terms, j)
         return terms
 
-    brackets = {}
+    table = {}
     for ai, pa in enumerate(pairs):
         for bi in range(ai + 1, len(pairs)):
             pb = pairs[bi]
@@ -175,39 +177,33 @@ def build_even_lie(V: QuadraticSpace) -> tuple:
             expansion = {}
             for mask, c in com.items():
                 k = mask.bit_count()
-                if k == 0:
-                    expansion["e0"] = c
-                elif k == 2:
+                if k == 2:
                     expansion[indices_of(mask)] = c
-                else:
+                elif k:
                     raise LieClosureError(
                         f"[{pa},{pb}] leaves the basis span at blade {indices_of(mask)}"
                     )
-            brackets[(pa, pb)] = expansion
-    return D, brackets
+            table[(pa, pb)] = expansion
+    return QuotientLieAlgebra(m=V.m, table=table, scale=D)
 
 
-def structure_constants(V: QuadraticSpace, check_jacobi: bool = True) -> QuotientLieAlgebra:
+def structure_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
     """Constants of L' computed from the geometric product (never from the
-    transcription, which serves as an independent oracle), with scale D."""
+    transcription, which serves as an independent oracle), with scale D,
+    checked for Jacobi on every triple for m <= 7 and on a seeded sample of
+    200 above."""
     if V.m < 2:
         raise ValueError("need m >= 2 for bivectors to exist")
-    D, brackets = build_even_lie(V)
-    table = {
-        key: {p: c for p, c in exp.items() if p != "e0"}
-        for key, exp in brackets.items()
-    }
-    out = QuotientLieAlgebra(m=V.m, table=table, scale=D)
-    if check_jacobi:
-        npairs = out.dimension
-        if npairs <= 21:  # m <= 7: all triples
-            out.verify_jacobi()
-        else:
-            rng = random.Random(20210 + V.m)
-            sample = [
-                tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(200)
-            ]
-            out.verify_jacobi(sample)
+    out = build_even_lie(V)
+    npairs = out.dimension
+    if npairs <= 21:  # m <= 7: all triples
+        out.verify_jacobi()
+    else:
+        rng = random.Random(20210 + V.m)
+        sample = [
+            tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(200)
+        ]
+        out.verify_jacobi(sample)
     return out
 
 
@@ -264,14 +260,6 @@ def transcribe_constants(V: QuadraticSpace) -> QuotientLieAlgebra:
     return QuotientLieAlgebra(m=V.m, table=_transcribe(bil), scale=D)
 
 
-def _entry_over_q(v, k):
-    """An entry of Q from k = 2 scale times it: a ``Fraction``, a ``Poly``
-    of ``Fraction``s, or a ``RatFun`` in lowest terms."""
-    if type(v) is RatFun:
-        return (v * Fraction(1, k)).reduced()
-    return unscale(v, k)
-
-
 def reconstruct_form(L: QuotientLieAlgebra) -> QuadraticSpace:
     """Read the form off the bracket table and verify it reproduces the
     table exactly.  Requires m >= 3; below that the table carries no
@@ -309,7 +297,7 @@ def reconstruct_form(L: QuotientLieAlgebra) -> QuadraticSpace:
                 f"constants at {key} are not those of any symmetric form"
             )
     k = 2 * L.scale
-    return QuadraticSpace([[_entry_over_q(v, k) for v in row] for row in bil])
+    return QuadraticSpace([[unscale(v, k) for v in row] for row in bil])
 
 
 # ---------------------------------------------------------------------------

@@ -224,13 +224,6 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
         spin_rows.append(row)
     spin_solutions = nullspace_dense(spin_rows, K)
     return {
-        "m": m,
-        "solution_dim": len(solutions),
-        "expected_dim": expected_dim,
         "equals_even_filtration_le2": equals,
         "spin_dim": len(spin_solutions),
-        "expected_spin_dim": m * (m - 1) // 2,
-        "solution_basis": [
-            {masks[k]: vec[k] for k in range(K) if vec[k] != 0} for vec in solutions
-        ],
     }

@@ -260,7 +260,6 @@ class EmbeddingData:
     """Cartan embedding data from an orthogonal representation: one
     representative weight per coordinate of the ambient so(2l)."""
 
-    subalgebra: str
     mu: tuple  # length l, one representative per +- pair (zeros allowed)
 
     @property
@@ -268,7 +267,7 @@ class EmbeddingData:
         return len(self.mu)
 
 
-def build_embedding(label: str, weights: dict) -> EmbeddingData:
+def build_embedding(weights: dict) -> EmbeddingData:
     """Organize the weight multiset of an orthogonal representation into
     +-pairs and pick the lexicographically positive representative of each;
     zero weights (necessarily of even multiplicity) pair among themselves."""
@@ -290,7 +289,7 @@ def build_embedding(label: str, weights: dict) -> EmbeddingData:
             mu.extend([w] * rem[w])
         rem[w] = 0
         rem[neg] = 0
-    return EmbeddingData(subalgebra=label, mu=tuple(sorted(mu, reverse=True)))
+    return EmbeddingData(mu=tuple(sorted(mu, reverse=True)))
 
 
 def restrict_weights(E: EmbeddingData) -> tuple:
@@ -416,7 +415,7 @@ def verify_plethysm(case: str) -> dict:
     defining = irrep_weights(R, hw)
     if sum(defining.values()) != spec["dim"]:
         raise InvariantViolation("defining representation has unexpected dimension")
-    E = build_embedding(R.label, defining)
+    E = build_embedding(defining)
     if E.ell != spec["ell"]:
         raise InvariantViolation("embedding size differs from the expected Witt index")
     out = {"case": case, "type": R.label, "defining_dim": spec["dim"], "ell": E.ell}

@@ -2,9 +2,11 @@
 functions in t.
 
 Everything here is exact; no floats are accepted anywhere.  Arithmetic is
-value-driven: a plain ``Fraction`` coerces into either of the other rings and
-a ``Poly`` coerces into ``RatFun``, so the rings form the chain
-Q in Q[t] in Q(t).  A value of any other type raises
+value-driven: a rational (an ``int`` or a ``Fraction``) coerces into either
+of the other rings and a ``Poly`` coerces into ``RatFun``, so the rings form
+the chain Q in Q[t] in Q(t).  An ``int`` stays an ``int`` (in
+:func:`as_coeff`, and as a coefficient of a ``Poly``), so a form over Z
+computes on ``int``s.  A value of any other type raises
 :class:`CoefficientRingMismatch`.
 """
 
@@ -324,32 +326,6 @@ class RatFun(_Ring):
         return f"RatFun({self.num!r} / {self.den!r})"
 
 
-# ---------------------------------------------------------------------------
-# ring descriptors
-
-RATIONAL = "rational"
-POLY_T = "poly_t"
-RATFUN_T = "ratfun_t"
-
-_ORDER = {RATIONAL: 0, POLY_T: 1, RATFUN_T: 2}
-
-
-def ring_of(value) -> str:
-    if isinstance(value, (Fraction, Rational)):
-        return RATIONAL
-    if isinstance(value, Poly):
-        return POLY_T
-    if isinstance(value, RatFun):
-        return RATFUN_T
-    raise CoefficientRingMismatch(f"unsupported coefficient: {value!r}")
-
-
-def join_rings(r1: str, r2: str) -> str:
-    """Smallest common ring: the larger of the two in the chain
-    Q in Q[t] in Q(t)."""
-    return r1 if _ORDER[r1] >= _ORDER[r2] else r2
-
-
 def czero(v) -> bool:
     """Exact zero test across all supported coefficient types (each ring
     value is false exactly when it is zero)."""
@@ -370,8 +346,10 @@ def axpy(acc: dict, c, terms: dict) -> dict:
 
 
 def as_coeff(x):
-    """Normalise a raw input (int/Fraction/str 'p/q'/ring value) to a ring value."""
-    if isinstance(x, (Poly, RatFun, Fraction)):
+    """Normalise a raw input (int/Fraction/str 'p/q'/ring value) to a ring
+    value.  An ``int`` stays an ``int``, so that a form over Z computes on
+    ``int``s; other rationals become ``Fraction``s."""
+    if type(x) is int or isinstance(x, (Poly, RatFun, Fraction)):
         return x
     if isinstance(x, str):
         return Fraction(x)

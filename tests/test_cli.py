@@ -163,6 +163,67 @@ def test_reconstruct_stdout_is_pinned(capsys, tmp_path, monkeypatch, args):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == RECONSTRUCT_PINS[args]
 
 
+# sha256 of the stdout and the exit code of `form tensor`, `form reconstruct`
+# and `degenerate analyze` on inputs over Q, Q[t] and Q(t), recorded before
+# integer entries stopped becoming Fractions and the ring descriptors went
+# (`form reconstruct --input poly.json` is pinned above)
+FORM_INPUTS = {
+    "rational.json": {
+        "m": 4,
+        "Q": [
+            ["1", "1/2", "0", "-2/3"],
+            ["1/2", "-3", "1/5", "0"],
+            ["0", "1/5", "0", "7/4"],
+            ["-2/3", "0", "7/4", "2"],
+        ],
+    },
+    "poly.json": POLY_FORM,
+    "ratfun.json": {
+        "m": 3,
+        "Q": [
+            [{"num": ["1", "1"], "den": ["2", "0", "1"]}, "1/2", ["0", "1"]],
+            ["1/2", {"num": ["0", "1"], "den": ["1", "-1"]}, "0"],
+            [["0", "1"], "0", "3"],
+        ],
+    },
+    # families regular at t = 0, nondegenerate generically, degenerate at 0
+    "poly_family.json": {
+        "m": 3,
+        "Q": [
+            [["1", "1"], ["0", "1/2"], "0"],
+            [["0", "1/2"], "2", "0"],
+            ["0", "0", ["0", "1"]],
+        ],
+    },
+    "ratfun_family.json": {
+        "m": 3,
+        "Q": [
+            [{"num": ["1"], "den": ["1", "1"]}, "0", "1/3"],
+            ["0", {"num": ["0", "2"], "den": ["1", "0", "1"]}, "0"],
+            ["1/3", "0", "1"],
+        ],
+    },
+}
+FORM_PINS = {
+    "form tensor --input rational.json": ("bacd438f6ea660e254cfcde317a2a348ae3474e6977870f748e40d05d68ed775", 0),
+    "form tensor --input poly.json": ("87343afdb56a88b44e44b099ac1dc506d3988bd9f99be2fb535298de7bd0ed9f", 0),
+    "form tensor --input ratfun.json": ("d5f3650c583e76f78cbcfd8ac53e6df680adc396889572b69c26182b1627647a", 0),
+    "form reconstruct --input rational.json": ("e1832976812f6efd58e3c7049bb1b78cd4b0e48eb9afab80497daecf7bcbeeff", 0),
+    "form reconstruct --input ratfun.json": ("ce46c50b18e6b28f6de10d8858881aa50c28fffa85753dfd3fcc38862b79ebef", 0),
+    "degenerate analyze --input poly_family.json": ("6a62896df50f9c27eedb659031e285183811b0ff96ce44b1eab04904060ccab2", 0),
+    "degenerate analyze --input ratfun_family.json": ("2a3d7e199a20ee0e3e5f27f078a6e86d950f793355871464bee5f1792524b543", 0),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FORM_PINS))
+def test_form_and_degenerate_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in FORM_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, argv.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == FORM_PINS[argv]
+
+
 def test_reconstruct_prints_a_ratfun_entry_in_lowest_terms(capsys, monkeypatch):
     doc = {"m": 3, "Q": [[{"num": ["1"], "den": ["1", "1"]}, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))

@@ -262,8 +262,10 @@ def test_scaled_space_is_the_integer_form():
     D, S = P.scaled()
     assert D == 12
     assert S.gram == ((Poly([6, 4]), 3), (3, Poly([0, 12])))
-    assert S.ring == "poly_t" and S._one == 1
+    # an ordinary space: the constructor keeps its ints as it found them
     assert [type(v) for row in S.gram for v in row] == [Poly, int, int, Poly]
+    assert QuadraticSpace(S.gram).gram == S.gram
+    assert [type(v) for row in QuadraticSpace(S.gram).gram for v in row] == [Poly, int, int, Poly]
     assert all(type(c) is int for v in (S.gram[0][0], S.gram[1][1]) for c in v.coeffs)
     assert S.scaled()[0] == 1
     gp(e2 + e1, e1 + e2, S)

@@ -47,20 +47,16 @@ def lie_over_q(L):
     )
 
 
-def brackets_over_q(D, brackets):
-    """``build_even_lie``'s brackets over Q: the e_0 coefficients divided by
-    D^2, the bivector ones by D."""
-    return {
-        key: {p: unscale(v, D * D if p == "e0" else D) for p, v in exp.items()}
-        for key, exp in brackets.items()
-    }
+def quotient(brackets):
+    """``reference_build_even_lie``'s brackets modulo e_0: the table of L'."""
+    return {key: {p: v for p, v in exp.items() if p != "e0"} for key, exp in brackets.items()}
 
 
 def test_even_lie_dimension_and_identity_bracket():
-    D, brackets = build_even_lie(QuadraticSpace.diagonal([1, 1, 1]))
-    assert D == 1
+    L = build_even_lie(QuadraticSpace.diagonal([1, 1, 1]))
+    assert L.scale == 1 and L.dimension == 3
     # [a12, a23] = 2 a13 for the identity form
-    assert brackets[((1, 2), (2, 3))] == {(1, 3): 2}
+    assert L.table[((1, 2), (2, 3))] == {(1, 3): 2}
 
 
 def test_zero_form_brackets_vanish_in_quotient():
@@ -149,10 +145,15 @@ def test_reconstruct_needs_three_indices():
 def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
     """T in the basis e_a, of scale 1: entry k of e_i e_j is entry k of
     f_i f_j divided by lambda_i lambda_j / lambda_k, through the same
-    ``unscale`` that the encoder uses."""
+    ``unscale`` that the encoder uses.  A ``RatFun`` entry, of a tensor of
+    scale 1 that the encoder prints as it is, passes through unreduced."""
     lam = T.lambdas()
+
+    def entry(v, Dk):
+        return v if type(v) is RatFun else liestructure.unscale(v, Dk)
+
     c = {
-        (i, j): {k: liestructure.unscale(v, lam[i] * lam[j] // lam[k]) for k, v in row.items()}
+        (i, j): {k: entry(v, lam[i] * lam[j] // lam[k]) for k, v in row.items()}
         for (i, j), row in T.c.items()
     }
     return liestructure.AlgebraTensor(dim=T.dim, identity=T.identity, c=c, basis_masks=T.basis_masks)
@@ -200,7 +201,7 @@ def test_theta_tensor_parametric_entries():
 
 def _constants_regular_at_zero(V) -> bool:
     """Every structure constant of L' is regular at t = 0."""
-    table = structure_constants(V, check_jacobi=False).table
+    table = build_even_lie(V).table
     return all(regular_at(v, Fraction(0)) for exp in table.values() for v in exp.values())
 
 
@@ -322,16 +323,16 @@ def to_poly(L):
 
 
 def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
-    # the sum over Q is recomputed only to word a failure, so counting its
-    # calls shows that the kernel on the stored constants decided each triple
-    recomputed = []
-    unscaled = QuotientLieAlgebra.jacobi_sum
+    # the held sum is divided over Q only to word a failure, so counting the
+    # divisions shows that the kernel on the stored constants decided each
+    # triple
+    divided = []
 
-    def counted(self, a, b, c):
-        recomputed.append((a, b, c))
-        return unscaled(self, a, b, c)
+    def counted(v, Dk):
+        divided.append(v)
+        return unscale(v, Dk)
 
-    monkeypatch.setattr(QuotientLieAlgebra, "jacobi_sum", counted)
+    monkeypatch.setattr(liestructure, "unscale", counted)
     rng = random.Random(2024)
     t = Poly.t()
     verdicts = {True: 0, False: 0}
@@ -342,15 +343,15 @@ def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
             L = random_table(rng, m, rng.choice(["rational", "poly"]), rng.choice([0.02, 0.1, 0.3]))
         elif kind == 1:  # true tables: rational, scaled by a rational, over Q[t]
             if rng.random() < 0.6:
-                L = structure_constants(random_symmetric(rng, m), check_jacobi=False)
+                L = build_even_lie(random_symmetric(rng, m))
                 if rng.random() < 0.5:  # lam [,] is a Lie bracket too
                     lam = Fraction(rng.randint(1, 5), rng.randint(2, 7))
                     L = scaled(L, lam)
             else:
                 diag = [Poly([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(m)]
-                L = structure_constants(QuadraticSpace.diagonal(diag), check_jacobi=False)
+                L = build_even_lie(QuadraticSpace.diagonal(diag))
         else:  # true tables with one constant changed
-            L = structure_constants(random_symmetric(rng, m), check_jacobi=False)
+            L = build_even_lie(random_symmetric(rng, m))
             if kind == 3:
                 L = to_poly(L)
             pairs = lie_pairs(m)
@@ -362,10 +363,10 @@ def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
         if rng.random() < 0.3:
             triples = [tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(20)]
         want = jacobi_outcome(reference_verify_jacobi, lie_over_q(L), triples)
-        recomputed.clear()
+        divided.clear()
         got = jacobi_outcome(QuotientLieAlgebra.verify_jacobi, L, triples)
         assert got == want, (trial, m)
-        assert len(recomputed) == (want is not None), (trial, m)
+        assert bool(divided) == (want is not None), (trial, m)
         verdicts[want is None] += 1
     assert min(verdicts.values()) >= 20  # both verdicts are exercised
 
@@ -483,10 +484,13 @@ def test_scaled_brackets_match_the_fraction_reference(D, shape):
         V = form_with_lcm(rng, m, D, shape)
         assert V.scaled()[0] == D
         want = reference_build_even_lie(V)
-        # the D^2 coefficients are read; a diagonal form has none
+        # the commutators have e_0 terms, which the quotient drops; a
+        # diagonal form has none
         if shape == "dense" and m >= 3 or shape == "degenerate" and m >= 4:
             assert any("e0" in exp for exp in want.values())
-        assert_same_table(brackets_over_q(*build_even_lie(V)), want)
+        L = build_even_lie(V)
+        assert L.scale == D
+        assert_same_table(lie_over_q(L).table, quotient(want))
         T = transcribe_constants(V)
         assert T.scale == D
         assert_same_table(lie_over_q(T).table, reference_transcribe_constants(V))
@@ -497,7 +501,7 @@ def test_scaled_brackets_on_the_zero_form():
     for m in range(2, 7):
         V = QuadraticSpace.zero(m)
         assert V.scaled()[0] == 1
-        assert_same_table(brackets_over_q(*build_even_lie(V)), reference_build_even_lie(V))
+        assert_same_table(lie_over_q(build_even_lie(V)).table, quotient(reference_build_even_lie(V)))
         assert_same_table(lie_over_q(transcribe_constants(V)).table, reference_transcribe_constants(V))
 
 
@@ -530,7 +534,8 @@ def test_scaled_path_passes_other_rings_through_unchanged():
     rings, poly_lcms = set(), set()
     for V in parametric_forms(random.Random(77)):
         D, S = V.scaled()
-        if V.ring == "poly_t":
+        ring = "ratfun_t" if any(isinstance(v, RatFun) for row in V.gram for v in row) else "poly_t"
+        if ring == "poly_t":
             coeffs = [c for row in V.gram for v in row for c in (v.coeffs if isinstance(v, Poly) else (v,))]
             assert D == lcm(*(c.denominator for c in coeffs))
             poly_lcms.add(D)
@@ -539,8 +544,8 @@ def test_scaled_path_passes_other_rings_through_unchanged():
             assert S is not V
         else:
             assert (D, S) == (1, V) and S is V
-        rings.add(V.ring)
-        assert_same_table(brackets_over_q(*build_even_lie(V)), reference_build_even_lie(V))
+        rings.add(ring)
+        assert_same_table(lie_over_q(build_even_lie(V)).table, quotient(reference_build_even_lie(V)))
         assert_same_table(lie_over_q(transcribe_constants(V)).table, reference_transcribe_constants(V))
     assert rings == {"poly_t", "ratfun_t"}
     assert len(poly_lcms) > 2 and 1 in poly_lcms
@@ -617,15 +622,19 @@ def reference_reconstruct_form(L):
 
 
 def _poly_form():
+    # rational entries are Fractions, so that the references over Q, which
+    # compute on the entries as given, build Fractions where the table over
+    # Q has them
     t = Poly.t()
     third = Fraction(1, 3)
+    zero, two, three = Fraction(0), Fraction(2), Fraction(3)
     return QuadraticSpace(
         [
-            [t * HALF + 1, 0, -third * t, 2, 0],
-            [0, 3, HALF, 0, t],
-            [-third * t, HALF, t * t * Fraction(1, 4) - 1, 0, 0],
-            [2, 0, 0, t, Fraction(5, 7)],
-            [0, t, 0, Fraction(5, 7), -t],
+            [t * HALF + 1, zero, -third * t, two, zero],
+            [zero, three, HALF, zero, t],
+            [-third * t, HALF, t * t * Fraction(1, 4) - 1, zero, zero],
+            [two, zero, zero, t, Fraction(5, 7)],
+            [zero, t, zero, Fraction(5, 7), -t],
         ]
     )
 
@@ -662,9 +671,9 @@ def test_scaled_table_matches_the_references_over_q(kind):
                 assert type(v) is int or all(type(c) is int for c in v.coeffs)
     want = reference_transcribe_constants(V)
     assert_same_table(lie_over_q(T).table, want)
-    D, brackets = build_even_lie(V)
-    assert D == L.scale
-    assert_same_table(brackets_over_q(D, brackets), reference_build_even_lie(V))
+    B = build_even_lie(V)
+    assert B.scale == L.scale
+    assert_same_table(lie_over_q(B).table, quotient(reference_build_even_lie(V)))
     assert lie_over_q(L).table == want
     R = reconstruct_form(L)
     assert R.gram == V.gram == reference_reconstruct_form(lie_over_q(L)).gram

@@ -77,7 +77,7 @@ def _case_embedding(case: str) -> EmbeddingData:
     else:
         R = root_system("F4") if case == "f4" else root_system("C", 3)
         hw = _fundamental_of_dim(R, 26 if case == "f4" else 14, orthogonal_only=case == "c3")
-    return build_embedding(R.label, irrep_weights(R, hw))
+    return build_embedding(irrep_weights(R, hw))
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ def test_halfspin_negation_symmetry():
 
 
 def test_restrict_zero_embedding_preserves_multiplicity():
-    E = EmbeddingData(subalgebra="trivial", mu=tuple([(Fraction(0),)] * 3))
+    E = EmbeddingData(mu=tuple([(Fraction(0),)] * 3))
     W = halfspin_weights(3, "+")
     out = reference_restrict(W, E)
     assert out == {(Fraction(0),): sum(W.values())}
@@ -181,7 +181,7 @@ def test_restrict_zero_embedding_preserves_multiplicity():
 
 
 def test_restrict_validates_shapes():
-    E = EmbeddingData(subalgebra="x", mu=((Fraction(1),),))
+    E = EmbeddingData(mu=((Fraction(1),),))
     with pytest.raises(EmbeddingError):
         reference_restrict({(HALF, HALF): 1}, E)
     with pytest.raises(EmbeddingError):
@@ -189,26 +189,26 @@ def test_restrict_validates_shapes():
     # the fold reads only the embedding: it refuses one with no weights or
     # with weights of unequal lengths
     with pytest.raises(EmbeddingError, match="no weights"):
-        restrict_weights(EmbeddingData(subalgebra="x", mu=()))
+        restrict_weights(EmbeddingData(mu=()))
     for mu in (((Fraction(1),), (Fraction(1), Fraction(0))), ((HALF, HALF), (Fraction(1),))):
         with pytest.raises(EmbeddingError, match="unequal lengths"):
-            restrict_weights(EmbeddingData(subalgebra="x", mu=mu))
+            restrict_weights(EmbeddingData(mu=mu))
 
 
 def test_build_embedding_structure():
     R = root_system("G2")
     w = irrep_weights(R, _adjoint_highest_weight(R))
-    E = build_embedding("G2", w)
+    E = build_embedding(w)
     assert E.ell == 7
     zero = tuple(Fraction(0) for _ in range(3))
     assert sum(1 for mu in E.mu if mu == zero) == 1
     with pytest.raises(EmbeddingError):
-        build_embedding("bad", {(Fraction(1), Fraction(0), Fraction(0)): 1})
+        build_embedding({(Fraction(1), Fraction(0), Fraction(0)): 1})
 
 
 def test_g2_restriction_top_weight_is_rho():
     R = root_system("G2")
-    E = build_embedding("G2", irrep_weights(R, _adjoint_highest_weight(R)))
+    E = build_embedding(irrep_weights(R, _adjoint_highest_weight(R)))
     res = reference_restrict(halfspin_weights(7, "+"), E)
     assert sum(res.values()) == 64
     top = max(res, key=lambda w: (dot(w, R.rho), w))
@@ -259,11 +259,11 @@ def test_representative_choice_invariance():
     # flipping pair representatives changes the restriction by a Weyl
     # element of so(2l); identified constituents must not change
     R = root_system("G2")
-    E = build_embedding("G2", irrep_weights(R, _adjoint_highest_weight(R)))
+    E = build_embedding(irrep_weights(R, _adjoint_highest_weight(R)))
     flipped = list(E.mu)
     flipped[0] = vscale(-1, flipped[0])
     flipped[3] = vscale(-1, flipped[3])
-    E2 = EmbeddingData(subalgebra="G2", mu=tuple(flipped))
+    E2 = EmbeddingData(mu=tuple(flipped))
     out1 = identify_irreducible(reference_restrict(halfspin_weights(7, "+"), E), R)
     out2 = identify_irreducible(reference_restrict(halfspin_weights(7, "+"), E2), R)
     assert out1 == out2
@@ -324,7 +324,7 @@ def test_fold_matches_the_enumeration_on_random_embeddings():
         pool = [tuple(rng.choice(small) for _ in range(width)) for _ in range(3)]
         # draws from a small pool repeat, so distinct sign vectors collide
         mu = tuple(rng.choice(pool) for _ in range(ell))
-        E = EmbeddingData(subalgebra="random", mu=mu)
+        E = EmbeddingData(mu=mu)
         plus, minus = restrict_weights(E)
         want_plus, want_minus = reference_halves(E)
         assert plus == want_plus and minus == want_minus
@@ -346,7 +346,7 @@ def test_fold_matches_the_enumeration_on_the_three_cases(case):
 def test_fold_keeps_the_halves_apart():
     # one weight per sign vector: the halves are the two parity classes
     mu = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-    plus, minus = restrict_weights(EmbeddingData(subalgebra="D3", mu=mu))
+    plus, minus = restrict_weights(EmbeddingData(mu=mu))
     assert plus == halfspin_weights(3, "+") and minus == halfspin_weights(3, "-")
 
 
@@ -354,7 +354,7 @@ def _kostant(label, rank):
     """Both half-spin modules of the adjoint representation, restricted and
     added, as identified constituents."""
     R = root_system(label, rank)
-    E = build_embedding(R.label, irrep_weights(R, _adjoint_highest_weight(R)))
+    E = build_embedding(irrep_weights(R, _adjoint_highest_weight(R)))
     plus, minus = restrict_weights(E)
     both = dict(plus)
     for w, m in minus.items():

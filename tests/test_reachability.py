@@ -1,13 +1,19 @@
 """Every library function and method is reached from an entry point: the
 command line (``cli.main``), the acceptance battery (``ALL_CRITERIA`` and
-``run_criterion``) or a script under ``scripts/``.
+``run_criterion``) or a script under ``scripts/``; and every field the
+library stores is read.
 
 The scan reads ``src/cliffdegen`` with ``ast`` and follows names, not types:
 a reached body that reads a name, as a variable or as an attribute, reaches
 every top-level function, class, module-level assignment and method of that
 name in the library.  Reaching a class runs its bases, decorators,
 class-level statements and dunder methods, which Python calls implicitly;
-dunder methods are never reported themselves."""
+dunder methods are never reported themselves.
+
+A field is a dataclass field or an attribute that a method sets as
+``self.name``; it is read when library or script code reads ``.name`` of
+anything.  Tests do not count: a field only they read is dead weight on
+every object that carries it."""
 
 import ast
 from pathlib import Path
@@ -112,11 +118,70 @@ def stale_allowlist(defs: dict, seen: set, allowlist) -> list:
     return sorted(q for q in allowlist if q not in defs or q in seen)
 
 
-def library_scan():
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def fields(modules: dict) -> set:
+    """Qualified names ("mod.C.name") of the fields of each top-level class
+    of each module {name: source}: its annotated class-level names if it is
+    a dataclass, and each ``self.name`` its methods assign."""
+    out = set()
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            dataclass = _is_dataclass(node)
+            for item in node.body:
+                if dataclass and isinstance(item, ast.AnnAssign):
+                    out.add(f"{mod}.{node.name}.{item.target.id}")
+                elif isinstance(item, FUNCTIONS):
+                    for inner in ast.walk(item):
+                        if (
+                            isinstance(inner, ast.Attribute)
+                            and isinstance(inner.ctx, ast.Store)
+                            and isinstance(inner.value, ast.Name)
+                            and inner.value.id == "self"
+                        ):
+                            out.add(f"{mod}.{node.name}.{inner.attr}")
+    return out
+
+
+def attributes_read(trees) -> set:
+    """Every ``.name`` that the parsed ``trees`` read (not assign)."""
+    return {
+        inner.attr
+        for tree in trees
+        for inner in ast.walk(tree)
+        if isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load)
+    }
+
+
+def unread(field_names, read: set) -> list:
+    return sorted(q for q in field_names if q.rsplit(".", 1)[1] not in read)
+
+
+def _sources():
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    defs = definitions(modules)
     scripts = [ast.parse(path.read_text()) for path in sorted((ROOT / "scripts").glob("*.py"))]
+    return modules, scripts
+
+
+def library_scan():
+    modules, scripts = _sources()
+    defs = definitions(modules)
     return defs, reached(defs, ENTRY_POINTS, names_read(scripts))
+
+
+def field_scan() -> list:
+    """The library's fields that neither it nor a script reads."""
+    modules, scripts = _sources()
+    trees = [ast.parse(source) for source in modules.values()] + scripts
+    return unread(fields(modules), attributes_read(trees))
 
 
 SYNTHETIC = {
@@ -166,6 +231,36 @@ def test_the_scan_finds_an_unreached_function():
     assert "lib.shared" in seen and "lib.Base.__eq__" in seen
 
 
+SYNTHETIC_FIELDS = {
+    "lib": (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int = field(default=0)\n"
+        "    LIMIT = 3\n"
+        "class Box:\n"
+        "    def __init__(self, v):\n"
+        "        self.v = v\n"
+        "        self.w = v\n"
+        "    def grow(self):\n"
+        "        self.w = self.v + 1\n"
+        "def use(p):\n"
+        "    p.right = 1\n"
+        "    return p.left\n"
+    ),
+}
+
+
+def test_the_field_scan_finds_an_unread_field():
+    found = fields(SYNTHETIC_FIELDS)
+    # an unannotated class attribute is no dataclass field
+    assert found == {"lib.Pair.left", "lib.Pair.right", "lib.Box.v", "lib.Box.w"}
+    read = attributes_read([ast.parse(SYNTHETIC_FIELDS["lib"])])
+    # assigning a field, to self or to another object, does not read it
+    assert unread(found, read) == ["lib.Box.w", "lib.Pair.right"]
+
+
 def test_the_scan_refuses_a_stale_allowlist_entry():
     defs = definitions(SYNTHETIC)
     seen = reached(defs, ["app.main"])
@@ -184,3 +279,7 @@ def test_every_library_function_is_reached_from_an_entry_point():
 def test_the_allowlist_names_only_unreached_functions():
     defs, seen = library_scan()
     assert stale_allowlist(defs, seen, ALLOWLIST) == []
+
+
+def test_every_library_field_is_read():
+    assert field_scan() == []

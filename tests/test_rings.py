@@ -8,11 +8,10 @@ from cliffdegen.rings import (
     PoleError,
     Poly,
     RatFun,
+    as_coeff,
     axpy,
     czero,
-    join_rings,
     regular_at,
-    ring_of,
 )
 
 
@@ -55,21 +54,23 @@ def test_ratfun_equality_cross_multiplies():
 
 
 def test_ring_mixing_rules():
-    assert join_rings("rational", "poly_t") == "poly_t"
-    assert join_rings("poly_t", "ratfun_t") == "ratfun_t"
-    assert join_rings("ratfun_t", "rational") == "ratfun_t"
-    assert join_rings("poly_t", "poly_t") == "poly_t"
+    # a value coerces up the chain Q in Q[t] in Q(t)
+    t = Poly.t()
+    assert type(t + Fraction(1, 2)) is Poly and type(t + 1) is Poly
+    assert type(RatFun(Poly.const(1), t) + t) is RatFun
+    assert type(Fraction(1, 2) * RatFun.const(1)) is RatFun
     # a float is no exact coefficient, in any ring
     with pytest.raises(CoefficientRingMismatch):
-        ring_of(0.5)
+        as_coeff(0.5)
     with pytest.raises(CoefficientRingMismatch):
         Poly((1, 0.5))
 
 
-def test_ring_of_and_regularity():
-    assert ring_of(Fraction(1)) == "rational"
-    assert ring_of(Poly.t()) == "poly_t"
-    assert ring_of(RatFun.const(1)) == "ratfun_t"
+def test_as_coeff_keeps_ints_and_regularity():
+    # an int stays an int; a bool or a string becomes a Fraction
+    assert [type(as_coeff(v)) for v in (3, True, "3", "1/2", Fraction(3))] == [int] + [Fraction] * 4
+    assert as_coeff(True) == 1 and as_coeff("1/2") == Fraction(1, 2)
+    assert [type(as_coeff(v)) for v in (Poly.t(), RatFun.const(1))] == [Poly, RatFun]
     assert regular_at(Poly.t(), Fraction(0))
     assert not regular_at(RatFun(Poly.const(1), Poly.t()), Fraction(0))
 
