@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import Multivector, filtration_degree, is_even
+from .clifford import Multivector, filtration_degree, is_even, mask_of
 from .liestructure import lie_pairs
 from .linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_trace, nullspace_dense
 from .rings import HALF, InvariantViolation
@@ -190,15 +190,10 @@ def spin_image_tuple(elements, ell: int, odd: bool = True) -> MatrixTuple:
                     f"coefficient vector length {len(el)} != {len(pairs)}"
                 )
             coeffs = {p: Fraction(c) for p, c in zip(pairs, el)}
-        mv = Multivector()
-        scalar_shift = Fraction(0)
-        for (i, j), c in coeffs.items():
-            if c == 0:
-                continue
-            mv = mv + Multivector.blade((i, j), c)
-            scalar_shift += c * V.b(i, j)
-        mat = spinor_matrix(mv, W)
-        shift = scalar_shift * HALF
+        # one Multivector of the pair blades (it drops the zero ones)
+        x = Multivector({mask_of(p): c for p, c in coeffs.items()})
+        shift = HALF * sum(c * V.b(i, j) for (i, j), c in coeffs.items())
+        mat = spinor_matrix(x, W)
         for r in range(dim):
             mat[r][r] -= shift
         mats.append(tuple(tuple(row) for row in mat))

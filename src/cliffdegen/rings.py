@@ -173,20 +173,6 @@ class Poly(_Ring):
                 rem[k + i] -= a * b
         return Poly(q), Poly(rem[:n])
 
-    def divide_out_root(self, c) -> "Poly":
-        """Exact synthetic division by (t - c); requires self(c) == 0."""
-        c = _fr(c)
-        if self(c) != 0:
-            raise ValueError("not a root; division would not be exact")
-        out = []
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-            out.append(acc)
-        # the last accumulator is the (zero) remainder
-        out.pop()
-        return Poly(list(reversed(out)))
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
@@ -222,8 +208,8 @@ class RatFun(_Ring):
 
     Arithmetic does not reduce; :meth:`reduced` gives lowest terms, which
     the hash reads.  Equality is cross-multiplication.  Evaluation at a
-    point cancels (t - c) factors exactly before deciding whether the point
-    is a pole.
+    point where the denominator vanishes goes through lowest terms before
+    deciding whether the point is a pole.
     """
 
     __slots__ = ("num", "den")
@@ -246,28 +232,16 @@ class RatFun(_Ring):
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def _reduced_at(self, c):
-        """Cancel common (t - c) factors; return (num, den) with one of them
-        nonvanishing at c."""
-        num, den = self.num, self.den
-        while not num.is_zero() and num(c) == 0 and den(c) == 0:
-            num = num.divide_out_root(c)
-            den = den.divide_out_root(c)
-        return num, den
-
     def is_regular_at(self, c) -> bool:
-        num, den = self._reduced_at(c)
-        if num.is_zero():
-            return True
-        return den(c) != 0
+        return self.den(c) != 0 or self.reduced().den(c) != 0
 
     def __call__(self, c) -> Fraction:
-        num, den = self._reduced_at(c)
-        if num.is_zero():
-            return Fraction(0)
-        d = den(c)
-        if d == 0:
-            raise PoleError(f"pole at t = {c}")
+        num, d = self.num, self.den(c)
+        if d == 0:  # cancel the common factors; c may still be a pole
+            r = self.reduced()
+            num, d = r.num, r.den(c)
+            if d == 0:
+                raise PoleError(f"pole at t = {c}")
         return num(c) / d
 
     def _coerce(self, other):

@@ -13,6 +13,10 @@ relations x y + y x = b(x,y), x^2 = q(x) hold as operators):
 * p_i contracts i away with the same Koszul sign, scaled by b(p_i, n_i) = 1;
 * u acts on a monomial of degree k by (-1)^k.
 
+Basis vector k of the ambient space (n_k, p_(k-l) or u) acts through one
+bit-level step, :func:`_step`, which gives its signed partial permutation of
+the monomials; a blade acts as the composite of its steps.
+
 S+ / S- are the even / odd exterior-degree halves (the empty monomial lies
 in S+); each has dimension 2^(l-1).
 """
@@ -25,6 +29,7 @@ from fractions import Fraction
 from .clifford import (
     Multivector,
     QuadraticSpace,
+    _check_mask,
     geometric_product,
     indices_of,
     is_even,
@@ -62,55 +67,18 @@ class WittDecomposition:
         return Multivector.basis_vector(self.ell + i)
 
 
-class UnknownGenerator(ValueError):
-    pass
-
-
-def clifford_action(gen, subset: int, W: WittDecomposition) -> dict:
-    """Action of a Witt generator on a wedge monomial (bitmask over {1..l}).
-
-    Returns a sparse spinor element {bitmask: sign}, with at most one term:
-    each generator acts as a signed partial permutation of the monomials.
-    """
-    kind = gen[0]
-    if kind == "n":
-        i = gen[1]
-        bit = 1 << (i - 1)
-        if subset & bit:
-            return {}
-        sign = -1 if (subset & (bit - 1)).bit_count() % 2 else 1
-        return {subset | bit: sign}
-    if kind == "p":
-        i = gen[1]
-        bit = 1 << (i - 1)
-        if not subset & bit:
-            return {}
-        sign = -1 if (subset & (bit - 1)).bit_count() % 2 else 1
-        return {subset ^ bit: sign}
-    if kind == "u":
-        if not W.odd:
-            raise UnknownGenerator("u is only present for odd m")
-        sign = -1 if subset.bit_count() % 2 else 1
-        return {subset: sign}
-    raise UnknownGenerator(f"unknown generator {gen!r}")
-
-
-def _gen_of_index(k: int, W: WittDecomposition):
-    """Witt generator corresponding to basis index k of the ambient space."""
-    if 1 <= k <= W.ell:
-        return ("n", k)
-    if W.ell < k <= 2 * W.ell:
-        return ("p", k - W.ell)
-    if W.odd and k == W.m:
-        return ("u",)
-    raise UnknownGenerator(f"index {k} outside the Witt basis")
-
-
-def _apply_gen(gen, vec: dict, W: WittDecomposition) -> dict:
-    out: dict = {}
-    for subset, c in vec.items():
-        axpy(out, c, clifford_action(gen, subset, W))
-    return out
+def _step(k: int, subset: int, W: WittDecomposition):
+    """Basis vector e_k of the ambient space on a wedge monomial (bitmask
+    over {1..l}): (monomial, sign), or None when e_k kills it.  Each
+    generator acts as a signed partial permutation of the monomials."""
+    ell = W.ell
+    if k > 2 * ell:  # u: the parity sign
+        return subset, -1 if subset.bit_count() % 2 else 1
+    bit = 1 << (k - 1 if k <= ell else k - ell - 1)
+    if bool(subset & bit) == (k <= ell):
+        return None  # n_i needs bit i absent, p_i needs it present
+    # n_i wedges bit i on, p_i contracts it away: the same Koszul sign
+    return subset ^ bit, -1 if (subset & (bit - 1)).bit_count() % 2 else 1
 
 
 def spinor_columns(x: Multivector, W: WittDecomposition) -> list:
@@ -119,20 +87,23 @@ def spinor_columns(x: Multivector, W: WittDecomposition) -> list:
 
     A blade acts as the composite of its generators, rightmost first.
     """
-    words = [
-        (coeff, [_gen_of_index(k, W) for k in reversed(indices_of(mask))])
-        for mask, coeff in x.terms.items()
-    ]
+    words = []
+    for mask, coeff in x.terms.items():
+        _check_mask(mask, W.m)
+        words.append((coeff, indices_of(mask)[::-1]))
     cols = []
     for col in range(1 << W.ell):
         acc: dict = {}
         for coeff, word in words:
-            vec = {col: 1}  # integer signs until the coefficient
-            for gen in word:
-                vec = _apply_gen(gen, vec, W)
-                if not vec:
+            row, sign = col, 1  # an integer sign until the coefficient
+            for k in word:
+                hit = _step(k, row, W)
+                if hit is None:
                     break
-            axpy(acc, coeff, vec)
+                row, s = hit
+                sign *= s
+            else:
+                axpy(acc, coeff, {row: sign})
         cols.append(acc)
     return cols
 

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from cliffdegen import acceptance, cli, degeneration, jsonio, liestructure, lipschitz
+from cliffdegen import acceptance, cli, degeneration, jsonio, liestructure, lipschitz, localmodels
 from cliffdegen.cli import main
 from cliffdegen.clifford import Multivector, QuadraticSpace
 from cliffdegen.liestructure import theta_tensor
@@ -304,8 +304,9 @@ def test_spinor_check_and_weights(capsys, tmp_path):
 # sha256 of stdout and the exit code of each command, recorded before the
 # spinor checks moved to sparse columns and the half-spin restriction to a
 # fold (the two `spinor weights` lines: before `--type D` was read from
-# spin_weights instead of merging the two halves); `plethysm verify f4` is
-# pinned by the plethysm criterion's digest
+# spin_weights instead of merging the two halves; the three l = 5 lines:
+# before the Witt generators acted through one bit-level step);
+# `plethysm verify f4` is pinned by the plethysm criterion's digest
 PINNED_STDOUT = {
     "spinor weights --ell 4 --type D": ("c50da334c7ef6a3b8e195c903cdad0ef8f55cefbc0832fe4d01e3012fb8a9dc7", 0),
     "spinor weights --ell 3": ("2d9f59f2563b357f9de832227dbf91c771c4a8c03b88293a1266a2f3bdce58b5", 0),
@@ -318,6 +319,9 @@ PINNED_STDOUT = {
     "spinor check --ell 3 --even": ("eac776e98a48ec0620b22667f8261818fff20a2cfbc11f814da2bbf286a8bee3", 0),
     "spinor check --ell 4 --odd": ("34669cf60eb676dde19c9558ef7ff62f090657b2dd32c5a17ffd49cb3ea8ee42", 0),
     "spinor check --ell 4 --even": ("b6959ed17009ee43cd48c8f767b7de2b686fa8a858a03fffd96b56b3b2f52bef", 0),
+    "spinor check --ell 5 --odd": ("8a9d014c49fe108e79ae85c9e7e9624a3908ceb45b02bc7ed12a0c929fb1287a", 0),
+    "spinor check --ell 5 --even": ("127513148548ef5412f39e8b553189fb5a556c746bb406428685a73b0c6650a3", 0),
+    "spinor weights --ell 5 --halfspin -": ("2ae64c89e715186abe95f738ff37a2f0ee9db6d44531310c8f71eea4ae7db50f", 0),
     "plethysm verify g2": ("3fd11709c57d2e0d0004dc52cc31ad5ca967e7422007b9e1fa8be52b32a9a475", 0),
     "plethysm verify g2 --halfspin +": ("c1842094e36ee6767f3fe4f0293b3ec9db48368715b0731ed0301e5afc467a75", 0),
     "plethysm verify g2 --halfspin -": ("8439ec77f07a0c3e3c014c903e4aa50b2dea14af2c82ec6bd45ce5240c69b34c", 0),
@@ -741,6 +745,37 @@ def test_spinor_size_guards_refuse_before_any_work(capsys, monkeypatch, argv, ca
     for ell in (0, cap):
         with pytest.raises(_Reached):
             main(argv + ["--ell", str(ell)])
+
+
+@pytest.mark.parametrize("action", ["simple", "sequiv", "centralizer"])
+def test_localmodel_size_guard_refuses_before_any_product(capsys, tmp_path, monkeypatch, action):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("generates_full_algebra", "is_cyclic_vector", "s_equivalent", "trace_fingerprint", "centralizer_dim"):
+        monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setattr(localmodels, "mat_mul", reached)
+    path = tmp_path / "in.json"
+
+    def unit_tuple(n):
+        X = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+        tup = {"X": [X, X]}
+        doc = {
+            "simple": {"tuple": tup, "vector": ["1"] * n},
+            "sequiv": {"first": tup, "second": tup},
+            "centralizer": {"tuple": tup, "h": [X]},
+        }[action]
+        path.write_text(json.dumps(doc))
+        return ["localmodel", action, "--input", str(path)]
+
+    cap = cli.MAX_LOCALMODEL_N
+    for n in (cap + 1, 40):
+        code, out, err = run_cli(capsys, unit_tuple(n))
+        assert (code, out) == (1, "")
+        assert "usage error" in err and str(cap) in err and str(n * n) in err
+    # at the cap the work starts (and stops at the patched entry point)
+    with pytest.raises(_Reached):
+        main(unit_tuple(cap))
 
 
 def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffdegen.rings import (
     CoefficientRingMismatch,
@@ -24,14 +25,6 @@ def test_poly_basics():
     assert Poly.const(Fraction(1, 2)) + Fraction(1, 2) == Poly.const(1)
 
 
-def test_poly_divide_out_root():
-    t = Poly.t()
-    p = t * t - 1
-    assert p.divide_out_root(1) == t + 1
-    with pytest.raises(ValueError):
-        p.divide_out_root(2)
-
-
 def test_ratfun_regularity_with_cancellation():
     t = Poly.t()
     r = RatFun(t, t)  # == 1 away from 0, and regular there after cancellation
@@ -45,6 +38,40 @@ def test_ratfun_regularity_with_cancellation():
     ok = RatFun(t, t + 1)
     assert ok.is_regular_at(0)
     assert ok(0) == 0
+    # repeated roots: t^2/t vanishes at 0, and t/t^2 has a pole there
+    zero = RatFun(t * t, t)
+    assert zero.is_regular_at(0)
+    assert zero(0) == 0
+    pole2 = RatFun(t, t * t)
+    assert not pole2.is_regular_at(0)
+    with pytest.raises(PoleError):
+        pole2(0)
+
+
+_SMALL_POLY = st.lists(st.integers(min_value=-3, max_value=3), max_size=4).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _SMALL_POLY,
+    _SMALL_POLY.filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.integers(min_value=0, max_value=3),
+)
+def test_evaluation_through_a_common_factor(p, q, c, k):
+    # p r / q r with r = (t - c)^k has the value of p / q in lowest terms
+    r = Poly.const(1)
+    for _ in range(k):
+        r = r * (Poly.t() - c)
+    f = RatFun(p * r, q * r)
+    low = RatFun(p, q).reduced()
+    regular = low.den(c) != 0
+    assert f.is_regular_at(c) == regular
+    if regular:
+        assert f(c) == low.num(c) / low.den(c)
+    else:
+        with pytest.raises(PoleError):
+            f(c)
 
 
 def test_ratfun_equality_cross_multiplies():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliffdegen import cli, spinor
 from cliffdegen.clifford import (
+    BladeIndexError,
     Multivector,
     filtration_degree,
     geometric_product,
@@ -15,10 +16,9 @@ from cliffdegen.clifford import (
 )
 from cliffdegen.rings import InvariantViolation
 from cliffdegen.spinor import (
-    UnknownGenerator,
     WittDecomposition,
+    _step,
     cartan_element,
-    clifford_action,
     even_algebra_isomorphism_check,
     halfspin_split,
     restrict_even_to_odd,
@@ -94,33 +94,34 @@ def dense_operator_span(W):
     return span.dim, block_ok
 
 
-def _koszul_flipped(action):
+def _koszul_flipped(step):
     """p_i takes its sign from the monomials above i instead of below."""
 
-    def flipped(gen, subset, W):
-        bit = 1 << (gen[1] - 1) if gen[0] == "p" else 0
+    def flipped(k, subset, W):
+        i = k - W.ell  # p_i is basis vector l + i
+        bit = 1 << (i - 1) if 1 <= i <= W.ell else 0
         if subset & bit:
-            return {subset ^ bit: (-1) ** (subset >> gen[1]).bit_count()}
-        return action(gen, subset, W)
+            return subset ^ bit, (-1) ** (subset >> i).bit_count()
+        return step(k, subset, W)
 
     return flipped
 
 
-def _n_sign_dropped(action):
+def _n_sign_dropped(step):
     """n_i wedges on with sign +1 always."""
 
-    def dropped(gen, subset, W):
-        out = action(gen, subset, W)
-        return {s: abs(v) for s, v in out.items()} if gen[0] == "n" else out
+    def dropped(k, subset, W):
+        out = step(k, subset, W)
+        return (out[0], abs(out[1])) if out and k <= W.ell else out
 
     return dropped
 
 
-def _u_unsigned(action):
+def _u_unsigned(step):
     """u acts as the identity instead of the parity sign."""
 
-    def unsigned(gen, subset, W):
-        return {subset: 1} if gen[0] == "u" else action(gen, subset, W)
+    def unsigned(k, subset, W):
+        return (subset, 1) if W.odd and k == W.m else step(k, subset, W)
 
     return unsigned
 
@@ -142,7 +143,7 @@ def test_sparse_relations_match_the_dense_reference(ell, odd):
 
 @pytest.mark.parametrize("mutate,ell,odd", WRONG_ACTIONS)
 def test_a_wrong_action_fails_both_checks_alike(monkeypatch, mutate, ell, odd):
-    monkeypatch.setattr(spinor, "clifford_action", mutate(clifford_action))
+    monkeypatch.setattr(spinor, "_step", mutate(_step))
     W = WittDecomposition(ell, odd=odd)
     sparse, dense = verify_action_relations(W), dense_relations(W)
     assert dense is not None and sparse == dense
@@ -208,31 +209,44 @@ def test_witt_space_gram():
 
 
 def test_action_examples():
-    W = WittDecomposition(2, odd=True)
+    W = WittDecomposition(2, odd=True)  # n_1, n_2, p_1, p_2, u = e_1..e_5
     # n_1 wedges onto the empty monomial
-    assert clifford_action(("n", 1), 0, W) == {0b01: 1}
+    assert _step(1, 0, W) == (0b01, 1)
     # p_1 contracts n_1 ^ n_2 to n_2 (Koszul sign +1: position of 1 is first)
-    assert clifford_action(("p", 1), 0b11, W) == {0b10: 1}
+    assert _step(3, 0b11, W) == (0b10, 1)
+    # n_2 wedges on past n_1, and p_2 contracts past it (Koszul sign -1)
+    assert _step(2, 0b01, W) == (0b11, -1)
+    assert _step(4, 0b11, W) == (0b01, -1)
+    # n_i kills a monomial holding i, p_i one without it
+    assert _step(1, 0b01, W) is None and _step(3, 0b10, W) is None
     # u flips the sign of odd monomials
-    assert clifford_action(("u",), 0b01, W) == {0b01: -1}
-    with pytest.raises(UnknownGenerator):
-        clifford_action(("x", 1), 0, W)
-    with pytest.raises(UnknownGenerator):
-        clifford_action(("u",), 0, WittDecomposition(2, odd=False))
+    assert _step(5, 0b01, W) == (0b01, -1)
+    assert _step(5, 0b11, W) == (0b11, 1)
+    # a blade index outside 1..m: past the Witt basis, or u at even m
+    with pytest.raises(BladeIndexError):
+        spinor.spinor_columns(Multivector.basis_vector(6), W)
+    with pytest.raises(BladeIndexError):
+        spinor.spinor_columns(Multivector.basis_vector(5), WittDecomposition(2, odd=False))
+
+
+def _apply(k, vec, W):
+    """e_k on a sparse spinor element {monomial: coeff}, through the step."""
+    out = {}
+    for subset, c in vec.items():
+        hit = _step(k, subset, W)
+        if hit is not None:
+            out[hit[0]] = out.get(hit[0], 0) + c * hit[1]
+    return out
 
 
 def test_contraction_verified_against_relation():
     # oracle for the p-action: p_1 n_1 + n_1 p_1 must be the identity
     W = WittDecomposition(2, odd=True)
+    n1, p1 = 1, 3
     for subset in range(4):
-        via_pn = clifford_action(("p", 1), subset, W) if subset & 1 else {}
-        acc = {}
-        for s2, c in clifford_action(("n", 1), subset, W).items():
-            for s3, c2 in clifford_action(("p", 1), s2, W).items():
-                acc[s3] = acc.get(s3, 0) + c * c2
-        for s2, c in clifford_action(("p", 1), subset, W).items():
-            for s3, c2 in clifford_action(("n", 1), s2, W).items():
-                acc[s3] = acc.get(s3, 0) + c * c2
+        acc = _apply(p1, _apply(n1, {subset: 1}, W), W)
+        for s, c in _apply(n1, _apply(p1, {subset: 1}, W), W).items():
+            acc[s] = acc.get(s, 0) + c
         assert acc == {subset: 1}
 
 
