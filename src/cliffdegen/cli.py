@@ -24,8 +24,8 @@ from .degeneration import NoWitness, QuadraticFamily, certify_specialization
 from .liestructure import (
     LieClosureError,
     ReconstructionError,
+    build_even_lie,
     reconstruct_form,
-    structure_constants,
     theta_tensor,
 )
 from .lipschitz import lipschitz_report
@@ -53,9 +53,9 @@ MAX_FINGERPRINT_WORDS = 1 << 16
 
 # `form reconstruct` brackets every pair of the m(m-1)/2 bivectors, about
 # m^4/8 brackets whose table it keeps.  Larger m is refused before any work
-# (on a 2.0 GHz Xeon core, one random dense form takes about 0.8 s at a peak
-# RSS of 57 MB for m = 20, 1.8 s at 103 MB for m = 24 and 4.6 s at 179 MB
-# for m = 28).
+# (on a shared 2-core 2.0 GHz Xeon, one random dense form takes about 0.6 s
+# at a peak RSS of 41 MB for m = 20, 1.4 s at 69 MB for m = 24 and 2.4 s at
+# 114 MB for m = 28, each in a fresh process).
 MAX_RECONSTRUCT_M = 24
 
 # `form tensor` and `degenerate analyze` build the even-algebra tensor: the
@@ -68,10 +68,11 @@ MAX_TENSOR_M = 8
 
 # `spinor check` compares the even algebra, of dimension 2^(2l) (odd m) or
 # 2^(2l-1), with the operators on the 2^l-dimensional spin module: the span
-# of 2^(2l) sparse operators with 2^l entries each.  On a 2.0 GHz Xeon core
-# l = 6 takes about 0.9 s (even) and 1.5 s (odd) at a peak RSS of about
-# 20 MB, and each step of l multiplies the time by about 7, so larger l is
-# refused.
+# of 2^(2l) sparse operators with 2^l entries each.  On a shared 2-core
+# 2.0 GHz Xeon, l = 6 takes about 0.5 s (even) and 0.6 s (odd) in a fresh
+# process at a peak RSS of about 20 MB, and each step of l multiplies the
+# time by about 4 to 5 (l = 7 takes 1.6 s and 2.6 s in process), so larger
+# l is refused.
 MAX_SPINOR_CHECK_ELL = 6
 
 # `spinor weights` lists the 2^l weights of the spin module, the scale of
@@ -145,7 +146,7 @@ def _cmd_form_reconstruct(args):
         ok = True
         for _ in range(trials):
             V = acceptance._random_symmetric(rng, args.m)
-            R = reconstruct_form(structure_constants(V))
+            R = reconstruct_form(build_even_lie(V))
             match = R.gram == V.gram
             ok = ok and match
             payload["results"].append(
@@ -154,7 +155,7 @@ def _cmd_form_reconstruct(args):
         return ("pass" if ok else "fail"), payload
     V = jsonio.decode_space(_load_input(args.input))
     _check_reconstruct_m(V.m)
-    R = reconstruct_form(structure_constants(V))
+    R = reconstruct_form(build_even_lie(V))
     match = R.gram == V.gram
     return ("pass" if match else "fail"), {
         "recovered_Q": jsonio.encode_space(R),

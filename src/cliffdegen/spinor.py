@@ -179,30 +179,22 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
         return report
     span = SpanBasis()
     block_ok = True
-    # the operator entry (r, c) is a coordinate of End(S), or in the even
-    # case of End(S+) (+) End(S-), each half indexed within itself
-    halves = ([], [])
-    for s in range(dim):
-        halves[s.bit_count() % 2].append(s)
-    index = {s: i for half in halves for i, s in enumerate(half)}
-    n_plus, n_minus = map(len, halves)
+    # the operator entry (r, c) is coordinate r * dim + c of End(S); the
+    # even case keeps those within End(S+) (+) End(S-), and a span's rank
+    # does not depend on how its coordinates are labelled
     for mask in masks:
         cols = spinor_columns(Multivector({mask: Fraction(1)}), W)
         vec = {}
         for c, col in enumerate(cols):
-            cp = c.bit_count() % 2
             for r, v in col.items():
-                if W.odd:
-                    vec[r * dim + c] = v
-                elif r.bit_count() % 2 != cp:
+                if not W.odd and (r ^ c).bit_count() % 2:
                     # even elements must preserve the parity split
                     block_ok = False
-                elif cp == 0:
-                    vec[index[r] * n_plus + index[c]] = v
                 else:
-                    vec[n_plus * n_plus + index[r] * n_minus + index[c]] = v
+                    vec[r * dim + c] = v
         span.insert(vec)
-    target = dim * dim if W.odd else n_plus * n_plus + n_minus * n_minus
+    # |S+|^2 + |S-|^2 in the even case (|S-| = 0 when l = 0)
+    target = dim * dim if W.odd else (dim - dim // 2) ** 2 + (dim // 2) ** 2
     report["block_structure_ok"] = block_ok if not W.odd else None
     report["operator_rank"] = span.dim
     report["target_dim"] = target

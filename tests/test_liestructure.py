@@ -1,6 +1,7 @@
 """Even Lie structure, the transcription oracle, form reconstruction, and
 multiplication tensors."""
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,6 @@ from cliffdegen.liestructure import (
     even_blade_basis,
     lie_pairs,
     reconstruct_form,
-    structure_constants,
     theta_tensor,
     transcribe_constants,
     unscale,
@@ -60,13 +60,13 @@ def test_even_lie_dimension_and_identity_bracket():
 
 
 def test_zero_form_brackets_vanish_in_quotient():
-    L = structure_constants(QuadraticSpace.zero(4))
+    L = build_even_lie(QuadraticSpace.zero(4))
     assert all(not exp for exp in L.table.values())
 
 
 def test_flat_dimension_under_degeneration():
     for diag in ([1, 2, 3], [1, 2, 0], [0, 0, 0]):
-        L = structure_constants(QuadraticSpace.diagonal(diag))
+        L = build_even_lie(QuadraticSpace.diagonal(diag))
         assert L.dimension == 3
 
 
@@ -75,7 +75,7 @@ def test_four_index_bracket_lands_on_the_cross_pair():
     # coefficient on the class of e2 e3 with coefficient 1 (not on the
     # class of e1 e4, and with no factor 2): [a12, a34] = a23.
     g = [[0, 0, 0, HALF], [0, 0, 0, 0], [0, 0, 0, 0], [HALF, 0, 0, 0]]
-    L = structure_constants(QuadraticSpace(g))
+    L = build_even_lie(QuadraticSpace(g))
     assert L.scale == 2
     got = lie_over_q(L).bracket((1, 2), (3, 4))
     assert got == {(2, 3): 1}
@@ -86,7 +86,7 @@ def test_three_index_bracket_reads():
     # [a_ij, a_jl] = 2 q(e_j) a_il - b(j,l) a_ij - b(i,j) a_jl
     rng = random.Random(5)
     V = random_symmetric(rng, 4)
-    L = structure_constants(V)
+    L = build_even_lie(V)
     got = lie_over_q(L).bracket((1, 2), (2, 4))
     assert got.get((1, 4), 0) == 2 * V.q(2)
     assert got.get((1, 2), 0) == -V.b(2, 4)
@@ -98,36 +98,32 @@ def test_product_agrees_with_transcription_oracle():
     for m in range(2, 8):
         for _ in range(3):
             V = random_symmetric(rng, m)
-            L, T = structure_constants(V), transcribe_constants(V)
+            L, T = build_even_lie(V), transcribe_constants(V)
             assert (L.scale, L.table) == (T.scale, T.table)
 
 
 def test_jacobi_all_triples_small_and_random_large():
     rng = random.Random(3)
-    for m in (3, 5, 7):
-        structure_constants(random_symmetric(rng, m)).verify_jacobi()
-    L = structure_constants(random_symmetric(rng, 12))
-    npairs = len(lie_pairs(12))
-    triples = [tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(150)]
-    L.verify_jacobi(triples)
+    for m in (3, 5, 7, 9):
+        build_even_lie(random_symmetric(rng, m)).verify_jacobi()
 
 
 def test_reconstruct_examples():
     V = QuadraticSpace.diagonal([1, 1, 1])
-    assert reconstruct_form(structure_constants(V)).gram == V.gram
+    assert reconstruct_form(build_even_lie(V)).gram == V.gram
     V0 = QuadraticSpace.zero(4)
-    assert reconstruct_form(structure_constants(V0)).gram == V0.gram
+    assert reconstruct_form(build_even_lie(V0)).gram == V0.gram
 
 
 def test_reconstruct_round_trip_100_random():
     rng = random.Random(23)
     for _ in range(100):
         V = random_symmetric(rng, rng.choice([3, 4, 5]))
-        assert reconstruct_form(structure_constants(V)).gram == V.gram
+        assert reconstruct_form(build_even_lie(V)).gram == V.gram
 
 
 def test_reconstruct_rejects_inconsistent_constants():
-    L = structure_constants(QuadraticSpace.diagonal([1, 2, 3]))
+    L = build_even_lie(QuadraticSpace.diagonal([1, 2, 3]))
     key = ((1, 2), (2, 3))
     corrupted = dict(L.table)
     corrupted[key] = dict(corrupted[key])
@@ -138,8 +134,9 @@ def test_reconstruct_rejects_inconsistent_constants():
 
 
 def test_reconstruct_needs_three_indices():
-    with pytest.raises(ValueError):
-        reconstruct_form(structure_constants(QuadraticSpace.diagonal([1, 2])))
+    for diag in ([], [1], [1, 2]):
+        with pytest.raises(ValueError, match="needs m >= 3"):
+            reconstruct_form(build_even_lie(QuadraticSpace.diagonal(diag)))
 
 
 def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
@@ -260,9 +257,9 @@ def reference_verify_jacobi(L, triples=None):
             raise LieClosureError(f"Jacobi fails on {a},{b},{c}: {acc}")
 
 
-def jacobi_outcome(check, L, triples=None):
+def jacobi_outcome(check, L, *triples):
     try:
-        check(L, triples)
+        check(L, *triples)
     except LieClosureError as exc:
         return str(exc)
     return None
@@ -277,7 +274,7 @@ def corrupt(L, key, label, delta):
 @pytest.mark.parametrize("m", [4, 5])
 def test_jacobi_catches_one_corrupted_constant(m):
     V = random_symmetric(random.Random(m), m)
-    L = structure_constants(V)
+    L = build_even_lie(V)
     pairs = lie_pairs(m)
     # [s(1,2), s(2,3)] gains a term on s(1,2): not the bracket of any form
     bad = corrupt(L, (pairs[0], (2, 3)), pairs[0], Fraction(1, 3))
@@ -358,37 +355,82 @@ def test_jacobi_matches_the_reference_loop_on_random_tables(monkeypatch):
             key = rng.choice(sorted(L.table))
             delta = Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
             L = corrupt(L, key, rng.choice(pairs), delta * t if kind == 3 else delta)
-        npairs = len(lie_pairs(m))
-        triples = None
-        if rng.random() < 0.3:
-            triples = [tuple(sorted(rng.sample(range(npairs), 3))) for _ in range(20)]
-        want = jacobi_outcome(reference_verify_jacobi, lie_over_q(L), triples)
+        want = jacobi_outcome(reference_verify_jacobi, lie_over_q(L))
         divided.clear()
-        got = jacobi_outcome(QuotientLieAlgebra.verify_jacobi, L, triples)
+        got = jacobi_outcome(QuotientLieAlgebra.verify_jacobi, L)
         assert got == want, (trial, m)
         assert bool(divided) == (want is not None), (trial, m)
         verdicts[want is None] += 1
     assert min(verdicts.values()) >= 20  # both verdicts are exercised
 
 
-def test_jacobi_honours_explicit_triples_in_order_with_repeats():
-    L = structure_constants(random_symmetric(random.Random(8), 4))
+def test_jacobi_reports_the_first_failing_triple_in_order():
+    L = build_even_lie(random_symmetric(random.Random(8), 4))
     pairs = lie_pairs(4)
     bad = corrupt(L, (pairs[0], pairs[3]), pairs[5], Fraction(2))
     every = list(combinations(range(len(pairs)), 3))
     ref = lie_over_q(bad)
     failing = [tr for tr in every if jacobi_outcome(reference_verify_jacobi, ref, [tr])]
-    passing = [tr for tr in every if tr not in failing]
-    assert len(failing) >= 2 and passing
-    bad.verify_jacobi(passing + passing[::-1])  # only triples that hold
-    bad.verify_jacobi([])
-    order = [passing[0], passing[0], failing[-1], failing[0], failing[-1]]
+    assert len(failing) >= 2 and failing[0] != every[0]
     with pytest.raises(LieClosureError) as info:
-        bad.verify_jacobi(order)
-    assert str(info.value) == jacobi_outcome(reference_verify_jacobi, ref, [failing[-1]])
-    with pytest.raises(LieClosureError) as info:
-        bad.verify_jacobi(iter(failing))  # any iterable, read once
+        bad.verify_jacobi()
     assert str(info.value) == jacobi_outcome(reference_verify_jacobi, ref, [failing[0]])
+
+
+# --- Jacobi by theorem --------------------------------------------------------
+#
+# reconstruct_form accepts only tables that equal _transcribe of a symmetric
+# form, so form reconstruct runs no Jacobi check; this proof stands in for
+# it at every m and over every coefficient ring (liestructure's docstring).
+
+
+def first_failing_jacobi_sum(transcribe):
+    """The first of the 455 triples of pair indices whose Jacobi sum, on
+    ``transcribe`` of a generic symmetric 6 x 6 form of sympy symbols b_ij,
+    does not expand to 0; None when every sum does."""
+    sympy = pytest.importorskip("sympy")
+    b = sympy.symbols("b1:7(1:7)")  # b[6 i + j] is b_(i+1)(j+1)
+    bil = [[b[6 * min(i, j) + max(i, j)] for j in range(6)] for i in range(6)]
+    L = QuotientLieAlgebra(m=6, table=transcribe(bil))
+    pairs = lie_pairs(6)
+    for triple in combinations(range(len(pairs)), 3):
+        a, bb, c = (pairs[i] for i in triple)
+        acc: dict = {}
+        for x, y, z in ((a, bb, c), (bb, c, a), (c, a, bb)):
+            for p, v in L.bracket(x, y).items():
+                for k, w in L.bracket(p, z).items():
+                    acc[k] = acc.get(k, 0) + v * w
+        if any(sympy.expand(v) != 0 for v in acc.values()):
+            return triple
+    return None
+
+
+def mutant_transcribe(old, new):
+    """``_transcribe`` with the one occurrence of ``old`` in its source
+    replaced by ``new``, compiled in the namespace of liestructure."""
+    import inspect
+
+    source = inspect.getsource(liestructure._transcribe)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(liestructure))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace["_transcribe"]
+
+
+def test_transcription_satisfies_jacobi_on_a_generic_form():
+    assert first_failing_jacobi_sum(liestructure._transcribe) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("add(exp, a, c, -bform(b, d))", "add(exp, a, c, bform(b, d))"),
+        ("add(exp, d, b, bform(a, c))", "add(exp, d, b, bform(a, d))"),
+    ],
+    ids=["sign-flipped", "b(a,c)-as-b(a,d)"],
+)
+def test_the_jacobi_proof_fails_on_a_mutant_transcription(old, new):
+    assert first_failing_jacobi_sum(mutant_transcribe(old, new)) is not None
 
 
 # --- the integer-scaled bracket and transcription ---------------------------
@@ -494,7 +536,7 @@ def test_scaled_brackets_match_the_fraction_reference(D, shape):
         T = transcribe_constants(V)
         assert T.scale == D
         assert_same_table(lie_over_q(T).table, reference_transcribe_constants(V))
-        assert_same_table(structure_constants(V).table, T.table)
+        assert_same_table(L.table, T.table)
 
 
 def test_scaled_brackets_on_the_zero_form():
@@ -663,7 +705,7 @@ FOUR_SCALES = {"rational-D1": 1, "rational-primorial97": PRIMORIAL_97, "poly": 8
 @pytest.mark.parametrize("kind", sorted(FOUR_FORMS))
 def test_scaled_table_matches_the_references_over_q(kind):
     V = FOUR_FORMS[kind]()
-    L, T = structure_constants(V), transcribe_constants(V)
+    L, T = build_even_lie(V), transcribe_constants(V)
     assert L.scale == T.scale == FOUR_SCALES[kind]
     if kind != "ratfun":  # stored as built: ints, or Polys with int coefficients
         for exp in L.table.values():
@@ -671,9 +713,7 @@ def test_scaled_table_matches_the_references_over_q(kind):
                 assert type(v) is int or all(type(c) is int for c in v.coeffs)
     want = reference_transcribe_constants(V)
     assert_same_table(lie_over_q(T).table, want)
-    B = build_even_lie(V)
-    assert B.scale == L.scale
-    assert_same_table(lie_over_q(B).table, quotient(reference_build_even_lie(V)))
+    assert_same_table(lie_over_q(L).table, quotient(reference_build_even_lie(V)))
     assert lie_over_q(L).table == want
     R = reconstruct_form(L)
     assert R.gram == V.gram == reference_reconstruct_form(lie_over_q(L)).gram
@@ -689,7 +729,7 @@ def test_scaled_table_matches_the_references_over_q(kind):
 @pytest.mark.parametrize("kind", sorted(FOUR_FORMS))
 def test_a_corrupted_scaled_table_fails_as_over_q(kind):
     V = FOUR_FORMS[kind]()
-    L = structure_constants(V)
+    L = build_even_lie(V)
     pairs = lie_pairs(V.m)
     # one more on the stored 2 q(e_2), which reconstruct_form reads from
     # [s(1,2), s(2,m)]: over D Q the recovered gram entry (2,2) is
@@ -712,7 +752,7 @@ def test_a_corrupted_scaled_table_fails_as_over_q(kind):
 def test_reconstruct_divides_a_ratfun_entry_into_lowest_terms():
     t = Poly.t()
     V = QuadraticSpace.diagonal([RatFun(Poly.const(1), t + 1), 1, 1])
-    L = structure_constants(V)
+    L = build_even_lie(V)
     # the table's entry is unreduced: (1 + t)/(1 + t)^2 after the product
     assert reference_reconstruct_form(L).gram[0][0].den.coeffs == (1, 2, 1)
     R = reconstruct_form(L)
