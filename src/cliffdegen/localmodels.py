@@ -91,22 +91,22 @@ class TraceFingerprint:
 
 def trace_fingerprint(T: MatrixTuple, L: int = None) -> TraceFingerprint:
     """Traces of all words of length <= L (default n^2), computed along the
-    word tree with running products."""
+    word tree with running products.  The tree is walked with an explicit
+    stack, so L is not bounded by the recursion limit."""
     if L is None:
         L = T.n * T.n
     traces = {(): Fraction(T.n)}
     mats = T.as_lists()
-
-    def descend(word, prod, depth):
+    stack = [((), identity_matrix(T.n))]
+    while stack:
+        word, prod = stack.pop()
+        if len(word) == L:
+            continue
         for a in range(1, T.g + 1):
             nxt = mat_mul(prod, mats[a - 1])
             w = word + (a,)
             traces[w] = mat_trace(nxt)
-            if depth + 1 < L:
-                descend(w, nxt, depth + 1)
-
-    if L > 0:
-        descend((), identity_matrix(T.n), 0)
+            stack.append((w, nxt))
     return TraceFingerprint(g=T.g, n=T.n, length_bound=L, traces=traces)
 
 

@@ -17,16 +17,25 @@ depend on the choice; that invariance is asserted in the tests.
 Identification of a multiset as a sum of irreducible characters is by greedy
 peel-off: repeatedly take the weight maximizing <., rho> (any maximizer of
 that functional over a character's support is a highest weight), subtract
-the full character computed by the Freudenthal recursion, and demand
-nonnegative remainders.  Characteristic-0 character separation makes this
-sound and canonical.
+its full character, and demand nonnegative remainders.  Characteristic-0
+character separation makes this sound and canonical.  A character comes
+from the Freudenthal recursion run on its dominant weights only, each
+result spread over its Weyl orbit; the total is checked against the Weyl
+dimension formula.
+
+Every weight and root of these systems lies in (1/2)Z^n, so the recursion,
+the orbits and the peel-off run on int tuples equal to twice the weight;
+Fractions appear only in what the public functions take and return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
+from math import lcm
+from operator import add, mul, sub
 
 from .linalg import solve_augmented
 from .rings import HALF, InvariantViolation, axpy
@@ -36,33 +45,44 @@ def _tup(v):
     return tuple(Fraction(x) for x in v)
 
 
+def _doubled(v, exc_type=ValueError):
+    """2v as ints, for v in (1/2)Z^n."""
+    v = _tup(v)
+    if any(x.denominator > 2 for x in v):
+        raise exc_type(f"{v} does not lie in (1/2)Z^{len(v)}")
+    return tuple(2 * x.numerator // x.denominator for x in v)
+
+
+def _halved(v):
+    return tuple(Fraction(x, 2) for x in v)
+
+
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vscale(c, a):
     return tuple(c * x for x in a)
 
 
-def dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def dot(a, b):
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
 class RootSystemData:
     label: str
     rank: int
-    ambient: int
     simple_roots: tuple
     positive_roots: tuple
     rho: tuple
 
     def coroot_pairing(self, lam, alpha) -> Fraction:
-        return 2 * dot(lam, alpha) / dot(alpha, alpha)
+        return Fraction(2 * dot(lam, alpha), dot(alpha, alpha))
 
     def is_dominant(self, lam) -> bool:
         return all(dot(lam, a) >= 0 for a in self.simple_roots)
@@ -79,13 +99,9 @@ class RootSystemData:
             for j in range(n)
         ]
         X = solve_augmented(aug, n)
-        outs = []
-        for i in range(n):
-            w = tuple(Fraction(0) for _ in range(self.ambient))
-            for k in range(n):
-                w = vadd(w, vscale(X[k][i], simple[k]))
-            outs.append(w)
-        return tuple(outs)
+        return tuple(
+            reduce(vadd, (vscale(X[k][i], simple[k]) for k in range(n))) for i in range(n)
+        )
 
 
 def _eps(i, n):
@@ -108,37 +124,23 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
         rank = {"G2": 2, "F4": 4}[label]
     if rank is None:
         raise ValueError("rank required for classical types")
+    n = rank
     if label == "B":
-        n = rank
         simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [_eps(n - 1, n)]
         pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
-        ambient = n
     elif label == "C":
-        n = rank
         simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [vscale(2, _eps(n - 1, n))]
         pos = [vscale(2, _eps(i, n)) for i in range(n)] + _eps_pairs(n)
-        ambient = n
     elif label == "D":
-        n = rank
         simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [
             vadd(_eps(n - 2, n), _eps(n - 1, n))
         ]
         pos = _eps_pairs(n)
-        ambient = n
     elif label == "G2":
         simple = [_tup((1, -1, 0)), _tup((-2, 1, 1))]
-        a1, a2 = simple
-        pos = [
-            a1,
-            a2,
-            vadd(a1, a2),
-            vadd(vscale(2, a1), a2),
-            vadd(vscale(3, a1), a2),
-            vadd(vscale(3, a1), vscale(2, a2)),
-        ]
-        ambient = 3
+        steps = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
+        pos = [vadd(vscale(i, simple[0]), vscale(j, simple[1])) for i, j in steps]
     elif label == "F4":
-        n = 4
         simple = [
             vsub(_eps(1, n), _eps(2, n)),
             vsub(_eps(2, n), _eps(3, n)),
@@ -146,20 +148,13 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
             vscale(HALF, _tup((1, -1, -1, -1))),
         ]
         pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
-        for signs in iproduct((1, -1), repeat=3):
-            pos.append(
-                vscale(HALF, _tup((1, signs[0], signs[1], signs[2])))
-            )
-        ambient = n
+        pos += [vscale(HALF, _tup((1, *signs))) for signs in iproduct((1, -1), repeat=3)]
     else:
         raise ValueError(f"unsupported type {label}")
-    rho = tuple(
-        sum((a[k] for a in pos), Fraction(0)) * HALF for k in range(ambient)
-    )
+    rho = vscale(HALF, reduce(vadd, pos))
     R = RootSystemData(
         label=label if label in ("G2", "F4") else f"{label}{rank}",
         rank=rank,
-        ambient=ambient,
         simple_roots=tuple(simple),
         positive_roots=tuple(pos),
         rho=rho,
@@ -182,95 +177,95 @@ def weyl_dim(R: RootSystemData, lam) -> int:
     num = Fraction(1)
     lr = vadd(lam, R.rho)
     for a in R.positive_roots:
-        num *= dot(lr, a) / dot(R.rho, a)
+        num *= Fraction(dot(lr, a), dot(R.rho, a))
     if num.denominator != 1:
         raise InvariantViolation("Weyl dimension did not come out integral")
     return int(num)
 
 
-_irrep_cache: dict = {}
+def _orbit(mu, simple) -> set:
+    """Weyl orbit of the dominant (doubled) weight mu: every conjugate is
+    reached from mu by simple reflections that lower the weight."""
+    coroots = [(a, dot(a, a)) for a in simple]
+    orbit, frontier = {mu}, {mu}
+    while frontier:
+        lower = set()
+        for v in frontier:
+            for a, norm in coroots:
+                pairing = 2 * dot(v, a) // norm
+                if pairing > 0:
+                    lower.add(vsub(v, vscale(pairing, a)))
+        frontier = lower - orbit
+        orbit |= frontier
+    return orbit
+
+
+def _character(R: RootSystemData, lam, exc_type=NonDominantWeight) -> dict:
+    """Weight multiset of the irreducible with doubled highest weight lam,
+    keyed by doubled weights.
+
+    The dominant weights below lam are reached from lam by positive-root
+    steps between dominant weights (Stembridge, Adv. Math. 136, 1998).  The
+    Freudenthal recursion runs on them in decreasing <., rho> (Moody and
+    Patera, Bull. AMS 7, 1982): every mu + k alpha it reads is conjugate to
+    a higher dominant weight, whose orbit is already filled.  The total is
+    checked against the Weyl dimension, which also catches a dominant weight
+    the walk missed.
+    """
+    simple = [_doubled(a) for a in R.simple_roots]
+    pos = [_doubled(a) for a in R.positive_roots]
+    rho = _doubled(R.rho)
+    if any(dot(lam, a) < 0 or 2 * dot(lam, a) % dot(a, a) for a in simple):
+        raise exc_type(f"{_halved(lam)} is not dominant integral for {R.label}")
+    dominant, frontier = {lam}, {lam}
+    while frontier:
+        lower = {vsub(nu, a) for nu in frontier for a in pos} - dominant
+        frontier = {mu for mu in lower if all(dot(mu, a) >= 0 for a in simple)}
+        dominant |= frontier
+    lr = vadd(lam, rho)
+    top = dot(lr, lr)
+    mult = {}
+    for mu in sorted(dominant, key=lambda w: (-dot(w, rho), w)):
+        m = 1
+        if mu != lam:
+            acc = 0
+            for a in pos:
+                up = vadd(mu, a)
+                while up in mult:
+                    acc += mult[up] * dot(up, a)
+                    up = vadd(up, a)
+            mr = vadd(mu, rho)
+            den = top - dot(mr, mr)
+            if acc <= 0 or den <= 0 or 2 * acc % den:
+                raise InvariantViolation("Freudenthal recursion produced a non-multiplicity")
+            m = 2 * acc // den
+        for w in _orbit(mu, simple):
+            mult[w] = m
+    total = sum(mult.values())
+    if total != weyl_dim(R, _halved(lam)):
+        raise InvariantViolation(
+            f"weight total {total} disagrees with Weyl dimension for {_halved(lam)}"
+        )
+    return mult
 
 
 def irrep_weights(R: RootSystemData, lam) -> dict:
-    """Full weight multiset of the irreducible with highest weight lam, by
-    the Freudenthal multiplicity recursion.
-
-    Candidates are explored downward by simple-root steps from lam (the
-    weight diagram is connected under such steps); a candidate with
-    vanishing Freudenthal numerator/denominator is not a weight and spawns
-    no children.  The total multiplicity is checked against the Weyl
-    dimension formula before returning.
-    """
-    lam = _tup(lam)
-    key = (R.label, R.rank, lam)
-    cached = _irrep_cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    if not R.is_dominant(lam):
-        raise NonDominantWeight(f"{lam} is not dominant for {R.label}")
-    lr = vadd(lam, R.rho)
-    norm_top = dot(lr, lr)
-    mult = {lam: 1}
-    frontier = [lam]
-    while frontier:
-        candidates = set()
-        for mu in frontier:
-            for a in R.simple_roots:
-                candidates.add(vsub(mu, a))
-        frontier = []
-        for mu in sorted(candidates):
-            if mu in mult:
-                continue
-            mr = vadd(mu, R.rho)
-            denom = norm_top - dot(mr, mr)
-            if denom <= 0:
-                continue
-            acc = Fraction(0)
-            for a in R.positive_roots:
-                k = 1
-                while True:
-                    up = vadd(mu, vscale(k, a))
-                    m_up = mult.get(up, 0)
-                    if m_up == 0:
-                        break
-                    acc += m_up * dot(up, a)
-                    k += 1
-            if acc == 0:
-                continue
-            m_mu = 2 * acc / denom
-            if m_mu.denominator != 1 or m_mu <= 0:
-                raise InvariantViolation("Freudenthal recursion produced a non-multiplicity")
-            mult[mu] = int(m_mu)
-            frontier.append(mu)
-    total = sum(mult.values())
-    if total != weyl_dim(R, lam):
-        raise InvariantViolation(
-            f"weight total {total} disagrees with Weyl dimension for {lam}"
-        )
-    _irrep_cache[key] = dict(mult)
-    return dict(mult)
+    """Full weight multiset of the irreducible with highest weight lam."""
+    char = _character(R, _doubled(lam, NonDominantWeight))
+    return {_halved(w): m for w, m in char.items()}
 
 
 class EmbeddingError(ValueError):
     pass
 
 
-@dataclass
-class EmbeddingData:
+def build_embedding(weights: dict) -> tuple:
     """Cartan embedding data from an orthogonal representation: one
-    representative weight per coordinate of the ambient so(2l)."""
+    representative weight per coordinate of the ambient so(2l).
 
-    mu: tuple  # length l, one representative per +- pair (zeros allowed)
-
-    @property
-    def ell(self) -> int:
-        return len(self.mu)
-
-
-def build_embedding(weights: dict) -> EmbeddingData:
-    """Organize the weight multiset of an orthogonal representation into
-    +-pairs and pick the lexicographically positive representative of each;
-    zero weights (necessarily of even multiplicity) pair among themselves."""
+    Organize the weight multiset into +-pairs and pick the lexicographically
+    positive representative of each; zero weights (necessarily of even
+    multiplicity) pair among themselves."""
     rem = dict(weights)
     mu = []
     zerow = next((w for w in rem if all(x == 0 for x in w)), None)
@@ -289,34 +284,38 @@ def build_embedding(weights: dict) -> EmbeddingData:
             mu.extend([w] * rem[w])
         rem[w] = 0
         rem[neg] = 0
-    return EmbeddingData(mu=tuple(sorted(mu, reverse=True)))
+    return tuple(sorted(mu, reverse=True))
 
 
-def restrict_weights(E: EmbeddingData) -> tuple:
-    """Both half-spin multisets of so(2l) pushed through the embedding, as
-    (S+, S-); S+ holds the weights (s_1..s_l), s_i = +-1/2, with an even
-    number of negative entries.  Each goes to sum_i s_i mu_i, and
-    multiplicities add.
+def restrict_weights(mu: tuple) -> tuple:
+    """Both half-spin multisets of so(2l) pushed through the embedding mu (l
+    weights), as (S+, S-); S+ holds the weights (s_1..s_l), s_i = +-1/2,
+    with an even number of negative entries.  Each goes to sum_i s_i mu_i,
+    and multiplicities add.
 
     The image is the product over i of ({+mu_i/2} + {-mu_i/2}), so the
     factors are folded in one at a time into multiplicities keyed by
-    (partial weight, parity of the minus signs so far)."""
-    if not E.mu:
+    (partial weight, parity of the minus signs so far).  The fold runs on
+    the ints D mu_i, D the lcm of the denominators, and divides by 2D only
+    when it writes the halves out."""
+    if not mu:
         raise EmbeddingError("embedding has no weights to restrict along")
-    width = len(E.mu[0])
-    if any(len(mu) != width for mu in E.mu):
+    width = len(mu[0])
+    if any(len(m) != width for m in mu):
         raise EmbeddingError("embedding weights have unequal lengths")
-    states = {(tuple(Fraction(0) for _ in range(width)), 0): 1}
-    for mu in E.mu:
-        half = vscale(HALF, mu)
+    mu = [_tup(m) for m in mu]
+    D = lcm(*(x.denominator for m in mu for x in m))
+    states = {((0,) * width, 0): 1}
+    for m in mu:
+        step = tuple(x.numerator * (D // x.denominator) for x in m)
         folded: dict = {}
         for (wt, parity), mult in states.items():
-            for key in ((vadd(wt, half), parity), (vsub(wt, half), parity ^ 1)):
+            for key in ((vadd(wt, step), parity), (vsub(wt, step), parity ^ 1)):
                 folded[key] = folded.get(key, 0) + mult
         states = folded
     halves = ({}, {})
     for (wt, parity), mult in states.items():
-        halves[parity][wt] = mult
+        halves[parity][tuple(Fraction(x, 2 * D) for x in wt)] = mult
     return halves
 
 
@@ -331,28 +330,22 @@ def identify_irreducible(W: dict, R: RootSystemData):
     "multiplicity"}]; a single entry of multiplicity 1 means W is itself an
     irreducible character.
     """
-    remaining = {w: m for w, m in W.items() if m}
+    rho = _doubled(R.rho)
+    remaining = {_doubled(w, NotACharacter): m for w, m in W.items() if m}
     constituents = []
     while remaining:
-        lam = max(remaining, key=lambda w: (dot(w, R.rho), w))
-        if not R.is_dominant(lam):
-            raise NotACharacter(
-                f"maximal weight {lam} is not dominant for {R.label}"
-            )
+        lam = max(remaining, key=lambda w: (dot(w, rho), w))
+        hw = _halved(lam)
         mult = remaining[lam]
-        char = irrep_weights(R, lam)
+        char = _character(R, lam, NotACharacter)
         axpy(remaining, -mult, char)
         for w in char:
             if remaining.get(w, 0) < 0:
                 raise NotACharacter(
-                    f"multiplicity of {w} drops below zero peeling {lam}"
+                    f"multiplicity of {_halved(w)} drops below zero peeling {hw}"
                 )
         constituents.append(
-            {
-                "highest_weight": lam,
-                "dim": weyl_dim(R, lam),
-                "multiplicity": mult,
-            }
+            {"highest_weight": hw, "dim": weyl_dim(R, hw), "multiplicity": mult}
         )
     return constituents
 
@@ -388,8 +381,8 @@ def _adjoint_highest_weight(R: RootSystemData):
 
 
 CASES = {
-    "g2": {"type": "G2", "defining": "adjoint", "dim": 14, "ell": 7},
-    "f4": {"type": "F4", "defining": "fundamental", "dim": 26, "ell": 13},
+    "g2": {"type": ("G2",), "defining": "adjoint", "dim": 14, "ell": 7},
+    "f4": {"type": ("F4",), "defining": "fundamental", "dim": 26, "ell": 13},
     "c3": {"type": ("C", 3), "defining": "fundamental", "dim": 14, "ell": 7},
 }
 
@@ -406,8 +399,7 @@ def verify_plethysm(case: str) -> dict:
     if case not in CASES:
         raise ValueError(f"unknown case {case}; expected one of {sorted(CASES)}")
     spec = CASES[case]
-    t = spec["type"]
-    R = root_system(t) if isinstance(t, str) else root_system(*t)
+    R = root_system(*spec["type"])
     if spec["defining"] == "adjoint":
         hw = _adjoint_highest_weight(R)
     else:
@@ -416,9 +408,9 @@ def verify_plethysm(case: str) -> dict:
     if sum(defining.values()) != spec["dim"]:
         raise InvariantViolation("defining representation has unexpected dimension")
     E = build_embedding(defining)
-    if E.ell != spec["ell"]:
+    if len(E) != spec["ell"]:
         raise InvariantViolation("embedding size differs from the expected Witt index")
-    out = {"case": case, "type": R.label, "defining_dim": spec["dim"], "ell": E.ell}
+    out = {"case": case, "type": R.label, "defining_dim": spec["dim"], "ell": len(E)}
     results = {
         sign: identify_irreducible(restricted, R)
         for sign, restricted in zip(("+", "-"), restrict_weights(E))

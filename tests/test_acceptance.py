@@ -23,7 +23,7 @@ BUDGETS = {
     "lipschitz-monoid-axioms": 60,
     "matrix-algebra-degeneration": 30,
     "plethysm-g2": 10,
-    "plethysm-f4-c3": 120,
+    "plethysm-f4-c3": 2,
     "local-models": 30,
     "weyl-dimension-self-consistency": 60,
 }

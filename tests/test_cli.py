@@ -623,6 +623,15 @@ def test_sequiv_fingerprint_size_guard_refuses_before_any_work(capsys, tmp_path,
     assert (code, out) == (1, "")
 
 
+def test_sequiv_fingerprints_at_g1_run_past_the_recursion_limit(capsys, tmp_path):
+    path = _sequiv_input(tmp_path, [[[1]]], [[[1]]])
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints", "--L", "1200"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["equivalent"] is True
+    assert len(payload["first_fingerprint"]["traces"]) == 1201
+
+
 def test_sequiv_at_n6_uses_the_word_span(capsys, tmp_path):
     # the fingerprint would list 2^37 - 1 words per tuple here
     rng = random.Random(6)

@@ -60,6 +60,12 @@ def test_fingerprint_contents():
     assert f.length_bound == 2
 
 
+def test_fingerprint_walks_past_the_recursion_limit():
+    # g = 1 admits L far above the interpreter's recursion limit
+    f = trace_fingerprint(MatrixTuple.of([[[1]]]), 2000)
+    assert f.traces == {(1,) * k: 1 for k in range(2001)}
+
+
 def test_sequiv_examples():
     a = MatrixTuple.of([[[1, 0], [0, 2]], [[0, 0], [0, 0]]])
     b = MatrixTuple.of([[[2, 0], [0, 1]], [[0, 0], [0, 0]]])

@@ -8,7 +8,6 @@ from itertools import product as iproduct
 import pytest
 
 from cliffdegen.plethysm import (
-    EmbeddingData,
     EmbeddingError,
     NonDominantWeight,
     NotACharacter,
@@ -48,29 +47,79 @@ def halfspin_weights(ell: int, sign: str = "+") -> dict:
     return out
 
 
-def reference_restrict(W: dict, E: EmbeddingData) -> dict:
+def reference_restrict(W: dict, mu: tuple) -> dict:
     """Push a half-spin multiset of so(2l) through the embedding: the weight
     (s_1..s_l) with s_i = +-1/2 goes to sum_i s_i mu_i; multiplicities add."""
     out: dict = {}
     for wt, mult in W.items():
-        if len(wt) != E.ell:
+        if len(wt) != len(mu):
             raise EmbeddingError(
-                f"weight length {len(wt)} does not match embedding size {E.ell}"
+                f"weight length {len(wt)} does not match embedding size {len(mu)}"
             )
         if any(abs(s) != HALF for s in wt):
             raise EmbeddingError("restriction expects +-1/2 coordinates")
-        acc = tuple(Fraction(0) for _ in E.mu[0])
-        for s, m in zip(wt, E.mu):
+        acc = tuple(Fraction(0) for _ in mu[0])
+        for s, m in zip(wt, mu):
             acc = vadd(acc, vscale(s, m))
         out[acc] = out.get(acc, 0) + mult
     return out
 
 
-def reference_halves(E: EmbeddingData) -> tuple:
-    return tuple(reference_restrict(halfspin_weights(E.ell, sign), E) for sign in "+-")
+def reference_halves(mu: tuple) -> tuple:
+    return tuple(reference_restrict(halfspin_weights(len(mu), sign), mu) for sign in "+-")
 
 
-def _case_embedding(case: str) -> EmbeddingData:
+# --- reference: Freudenthal over the whole weight diagram ----------------
+
+
+def reference_irrep_weights(R, lam) -> dict:
+    """Full weight multiset by the Freudenthal recursion over every weight.
+
+    Candidates are explored downward by simple-root steps from lam (the
+    weight diagram is connected under such steps); a candidate with
+    vanishing Freudenthal numerator/denominator is not a weight and spawns
+    no children.  The total multiplicity is checked against the Weyl
+    dimension formula before returning.
+    """
+    lam = tuple(Fraction(x) for x in lam)
+    lr = vadd(lam, R.rho)
+    norm_top = dot(lr, lr)
+    mult = {lam: 1}
+    frontier = [lam]
+    while frontier:
+        candidates = set()
+        for mu in frontier:
+            for a in R.simple_roots:
+                candidates.add(vsub(mu, a))
+        frontier = []
+        for mu in sorted(candidates):
+            if mu in mult:
+                continue
+            mr = vadd(mu, R.rho)
+            denom = norm_top - dot(mr, mr)
+            if denom <= 0:
+                continue
+            acc = Fraction(0)
+            for a in R.positive_roots:
+                k = 1
+                while True:
+                    up = vadd(mu, vscale(k, a))
+                    m_up = mult.get(up, 0)
+                    if m_up == 0:
+                        break
+                    acc += m_up * dot(up, a)
+                    k += 1
+            if acc == 0:
+                continue
+            m_mu = 2 * acc / denom
+            assert m_mu.denominator == 1 and m_mu > 0
+            mult[mu] = int(m_mu)
+            frontier.append(mu)
+    assert sum(mult.values()) == weyl_dim(R, lam)
+    return mult
+
+
+def _case_embedding(case: str) -> tuple:
     if case == "g2":
         R = root_system("G2")
         hw = _adjoint_highest_weight(R)
@@ -98,7 +147,7 @@ def test_fundamental_weights_pair_to_the_kronecker_delta(args):
     omegas = R.fundamental_weights()
     assert len(omegas) == R.rank
     for i, omega in enumerate(omegas):
-        assert len(omega) == R.ambient
+        assert len(omega) == len(R.rho)
         for j, alpha in enumerate(R.simple_roots):
             assert R.coroot_pairing(omega, alpha) == (1 if i == j else 0)
 
@@ -173,7 +222,7 @@ def test_halfspin_negation_symmetry():
 
 
 def test_restrict_zero_embedding_preserves_multiplicity():
-    E = EmbeddingData(mu=tuple([(Fraction(0),)] * 3))
+    E = tuple([(Fraction(0),)] * 3)
     W = halfspin_weights(3, "+")
     out = reference_restrict(W, E)
     assert out == {(Fraction(0),): sum(W.values())}
@@ -181,7 +230,7 @@ def test_restrict_zero_embedding_preserves_multiplicity():
 
 
 def test_restrict_validates_shapes():
-    E = EmbeddingData(mu=((Fraction(1),),))
+    E = ((Fraction(1),),)
     with pytest.raises(EmbeddingError):
         reference_restrict({(HALF, HALF): 1}, E)
     with pytest.raises(EmbeddingError):
@@ -189,19 +238,19 @@ def test_restrict_validates_shapes():
     # the fold reads only the embedding: it refuses one with no weights or
     # with weights of unequal lengths
     with pytest.raises(EmbeddingError, match="no weights"):
-        restrict_weights(EmbeddingData(mu=()))
+        restrict_weights(())
     for mu in (((Fraction(1),), (Fraction(1), Fraction(0))), ((HALF, HALF), (Fraction(1),))):
         with pytest.raises(EmbeddingError, match="unequal lengths"):
-            restrict_weights(EmbeddingData(mu=mu))
+            restrict_weights(mu)
 
 
 def test_build_embedding_structure():
     R = root_system("G2")
     w = irrep_weights(R, _adjoint_highest_weight(R))
     E = build_embedding(w)
-    assert E.ell == 7
+    assert len(E) == 7
     zero = tuple(Fraction(0) for _ in range(3))
-    assert sum(1 for mu in E.mu if mu == zero) == 1
+    assert sum(1 for mu in E if mu == zero) == 1
     with pytest.raises(EmbeddingError):
         build_embedding({(Fraction(1), Fraction(0), Fraction(0)): 1})
 
@@ -232,6 +281,12 @@ def test_identify_rejects_non_characters():
     # a dominant weight alone is not a full character unless it is a 1-dim rep
     with pytest.raises(NotACharacter):
         identify_irreducible({(Fraction(2), Fraction(1), Fraction(0)): 1}, R)
+    # dominant but not integral for C3; and off (1/2)Z^3 altogether
+    for top in ((HALF, Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0), Fraction(0))):
+        with pytest.raises(NotACharacter):
+            identify_irreducible({top: 1}, R)
+        with pytest.raises(NonDominantWeight):
+            irrep_weights(R, top)
 
 
 def test_peel_off_soundness_random_dominant():
@@ -243,7 +298,7 @@ def test_peel_off_soundness_random_dominant():
         attempts = 0
         while done < 20 and attempts < 200:
             attempts += 1
-            lam = tuple(Fraction(0) for _ in range(R.ambient))
+            lam = tuple(Fraction(0) for _ in R.rho)
             for w in fw:
                 if rng.random() < 0.5:
                     lam = tuple(a + b for a, b in zip(lam, w))
@@ -260,10 +315,10 @@ def test_representative_choice_invariance():
     # element of so(2l); identified constituents must not change
     R = root_system("G2")
     E = build_embedding(irrep_weights(R, _adjoint_highest_weight(R)))
-    flipped = list(E.mu)
+    flipped = list(E)
     flipped[0] = vscale(-1, flipped[0])
     flipped[3] = vscale(-1, flipped[3])
-    E2 = EmbeddingData(mu=tuple(flipped))
+    E2 = tuple(flipped)
     out1 = identify_irreducible(reference_restrict(halfspin_weights(7, "+"), E), R)
     out2 = identify_irreducible(reference_restrict(halfspin_weights(7, "+"), E2), R)
     assert out1 == out2
@@ -324,9 +379,8 @@ def test_fold_matches_the_enumeration_on_random_embeddings():
         pool = [tuple(rng.choice(small) for _ in range(width)) for _ in range(3)]
         # draws from a small pool repeat, so distinct sign vectors collide
         mu = tuple(rng.choice(pool) for _ in range(ell))
-        E = EmbeddingData(mu=mu)
-        plus, minus = restrict_weights(E)
-        want_plus, want_minus = reference_halves(E)
+        plus, minus = restrict_weights(mu)
+        want_plus, want_minus = reference_halves(mu)
         assert plus == want_plus and minus == want_minus
         assert sum(plus.values()) == sum(minus.values()) == 2 ** (ell - 1)
         assert all(isinstance(x, Fraction) for w in plus for x in w)
@@ -346,32 +400,66 @@ def test_fold_matches_the_enumeration_on_the_three_cases(case):
 def test_fold_keeps_the_halves_apart():
     # one weight per sign vector: the halves are the two parity classes
     mu = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-    plus, minus = restrict_weights(EmbeddingData(mu=mu))
+    plus, minus = restrict_weights(mu)
     assert plus == halfspin_weights(3, "+") and minus == halfspin_weights(3, "-")
 
 
-def _kostant(label, rank):
-    """Both half-spin modules of the adjoint representation, restricted and
-    added, as identified constituents."""
+def _kostant(label, rank=None):
+    """Both half-spin modules of the adjoint representation, restricted, as
+    identified constituents."""
     R = root_system(label, rank)
     E = build_embedding(irrep_weights(R, _adjoint_highest_weight(R)))
-    plus, minus = restrict_weights(E)
-    both = dict(plus)
-    for w, m in minus.items():
-        both[w] = both.get(w, 0) + m
-    return R, E, identify_irreducible(both, R)
+    return R, E, [identify_irreducible(half, R) for half in restrict_weights(E)]
+
+
+# Kostant (Adv. Math. 125, 1997): the spin module of the adjoint
+# representation restricts to 2^floor(r/2) copies of V_rho, r the rank, so
+# each half holds 2^(floor(r/2) - 1) of them
 
 
 def test_kostant_rho_decomposition_b2():
-    # Kostant (Adv. Math. 125, 1997): the spin module of the adjoint
-    # representation restricts to 2^floor(r/2) copies of V_rho
     R, E, out = _kostant("B", 2)
-    assert E.ell == 5
-    assert out == [{"highest_weight": R.rho, "dim": 16, "multiplicity": 2}]
+    assert len(E) == 5
+    assert out == [[{"highest_weight": R.rho, "dim": 16, "multiplicity": 1}]] * 2
 
 
 def test_kostant_rho_decomposition_d4():
-    # 2^14 spin weights; the restriction and the V_rho character dominate
+    # 2^13 spin weights per half; the restriction and the V_rho character
+    # dominate
     R, E, out = _kostant("D", 4)
-    assert E.ell == 14
-    assert out == [{"highest_weight": R.rho, "dim": 4096, "multiplicity": 4}]
+    assert len(E) == 14
+    assert out == [[{"highest_weight": R.rho, "dim": 4096, "multiplicity": 2}]] * 2
+
+
+def test_kostant_rho_decomposition_b4():
+    R, E, out = _kostant("B", 4)
+    assert len(E) == 18
+    assert out == [[{"highest_weight": R.rho, "dim": 2**16, "multiplicity": 2}]] * 2
+
+
+def test_kostant_rho_decomposition_f4():
+    # 2^25 spin weights per half in 15145 distinct ones, 58 of them dominant
+    R, E, out = _kostant("F4")
+    assert len(E) == 26
+    assert out == [[{"highest_weight": R.rho, "dim": 2**24, "multiplicity": 2}]] * 2
+
+
+# --- the dominant-weight recursion against the full diagram ----------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G2",), ("F4",)],
+    ids=lambda args: "".join(map(str, args)),
+)
+def test_dominant_recursion_matches_the_full_diagram(args):
+    # the full diagram of rho at rank 4 (1.5 s for D4, 9 s for B4 and C4)
+    # and of F4's second fundamental (1.8 s) is left out
+    R = root_system(*args)
+    lams = list(R.fundamental_weights())
+    if R.rank < 4:
+        lams.append(R.rho)
+    if R.label == "F4":
+        del lams[1]
+    for lam in lams:
+        assert irrep_weights(R, lam) == reference_irrep_weights(R, lam)
