@@ -329,7 +329,7 @@ def criterion_local_models(seed: int = 17) -> dict:
             g = _random_unimodular(rng, n)
             ginv = _inverse_unimodular(g)
             conj = MatrixTuple.of(
-                [mat_mul(g, mat_mul(m, ginv)) for m in base.as_lists()]
+                [mat_mul(g, mat_mul(m, ginv)) for m in base.X]
             )
             conj_trials += 1
             if not s_equivalent(base, conj):
@@ -355,13 +355,11 @@ def criterion_local_models(seed: int = 17) -> dict:
         u = [Fraction(rng.randint(-2, 2)) for _ in range(npairs)]
         v = [Fraction(rng.randint(-2, 2)) for _ in range(npairs)]
         img = spin_image_tuple([u, v], ell, odd=odd)
-        lhs = mat_sub(
-            mat_mul(img.as_lists()[0], img.as_lists()[1]),
-            mat_mul(img.as_lists()[1], img.as_lists()[0]),
-        )
+        x, y = img.X
+        lhs = mat_sub(mat_mul(x, y), mat_mul(y, x))
         bracket = _lie_bracket_coeffs(u, v, W)
-        rhs = spin_image_tuple([bracket], ell, odd=odd).as_lists()[0]
-        if lhs != rhs:
+        rhs = spin_image_tuple([bracket], ell, odd=odd).X[0]
+        if lhs != [list(row) for row in rhs]:
             failures.append(("spin-image-bracket", ell, odd))
     return {
         "name": "local-models",

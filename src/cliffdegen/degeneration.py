@@ -23,7 +23,7 @@ from math import lcm
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
 from .linalg import SpanBasis, nullspace_dense
-from .rings import InvariantViolation, Poly, RatFun, axpy, czero, eval_coeff, regular_at
+from .rings import InvariantViolation, PoleError, Poly, RatFun, axpy, czero, eval_coeff
 
 
 class NoWitness(ArithmeticError):
@@ -37,10 +37,12 @@ class QuadraticFamily:
     space: QuadraticSpace
 
     def __post_init__(self):
-        for row in self.space.gram:
-            for v in row:
-                if not regular_at(v, Fraction(0)):
-                    raise ValueError("family entries must be regular at t = 0")
+        try:
+            for row in self.space.gram:
+                for v in row:
+                    eval_coeff(v, Fraction(0))
+        except PoleError:
+            raise ValueError("family entries must be regular at t = 0") from None
 
     @property
     def m(self) -> int:
@@ -219,17 +221,17 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
     special = theta_tensor(F.at(0))
     rad = jacobson_radical(special)
-    cpoint = None
     for k in range(1, 100):
-        c = Fraction(k)
-        if all(regular_at(v, c) for row in F.space.gram for v in row) and eval_coeff(
-            det, c
-        ) != 0:
-            cpoint = c
+        cpoint = Fraction(k)
+        try:
+            fibre = F.at(cpoint)
+        except PoleError:
+            continue
+        if eval_coeff(det, cpoint) != 0:
             break
-    if cpoint is None:
+    else:
         raise NoWitness("no regular rational point with nondegenerate fibre found")
-    generic_rad = jacobson_radical(theta_tensor(F.at(cpoint)))
+    generic_rad = jacobson_radical(theta_tensor(fibre))
     if generic_rad.dimension != 0:
         raise InvariantViolation("nondegenerate fibre has nonzero radical")
     return SpecializationWitness(

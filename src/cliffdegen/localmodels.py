@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import Multivector, filtration_degree, is_even, mask_of
+from .clifford import Multivector, mask_of
 from .liestructure import lie_pairs
 from .linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_trace, nullspace_dense
 from .rings import HALF, InvariantViolation
@@ -39,9 +39,6 @@ class MatrixTuple:
             if len(m) != n or any(len(r) != n for r in m):
                 raise ValueError("matrices must share a square shape")
         return MatrixTuple(g=len(mats), n=n, X=mats)
-
-    def as_lists(self):
-        return [[list(row) for row in m] for m in self.X]
 
 
 def word_span(gens, start, rounds=None) -> list:
@@ -70,7 +67,7 @@ def word_span(gens, start, rounds=None) -> list:
 def generates_full_algebra(T: MatrixTuple) -> bool:
     """The words in X_1..X_g span all n x n matrices; by Burnside this is
     equivalent to simplicity of the natural module."""
-    return len(word_span(T.as_lists(), [identity_matrix(T.n)])) == T.n * T.n
+    return len(word_span(T.X, [identity_matrix(T.n)])) == T.n * T.n
 
 
 def is_cyclic_vector(T: MatrixTuple, v) -> bool:
@@ -78,7 +75,7 @@ def is_cyclic_vector(T: MatrixTuple, v) -> bool:
     v = [Fraction(x) for x in v]
     if len(v) != T.n:
         raise ValueError(f"vector length {len(v)} != n = {T.n}")
-    return len(word_span(T.as_lists(), [[[x] for x in v]])) == T.n
+    return len(word_span(T.X, [[[x] for x in v]])) == T.n
 
 
 @dataclass
@@ -96,14 +93,13 @@ def trace_fingerprint(T: MatrixTuple, L: int = None) -> TraceFingerprint:
     if L is None:
         L = T.n * T.n
     traces = {(): Fraction(T.n)}
-    mats = T.as_lists()
     stack = [((), identity_matrix(T.n))]
     while stack:
         word, prod = stack.pop()
         if len(word) == L:
             continue
         for a in range(1, T.g + 1):
-            nxt = mat_mul(prod, mats[a - 1])
+            nxt = mat_mul(prod, T.X[a - 1])
             w = word + (a,)
             traces[w] = mat_trace(nxt)
             stack.append((w, nxt))
@@ -140,12 +136,12 @@ def centralizer_dim(T: MatrixTuple, h_basis) -> int:
     span = SpanBasis()
     for m in h:
         span.insert(flatten(m))
-    for x in T.as_lists():
+    for x in T.X:
         if not span.contains(flatten(x)):
             raise ValueError("tuple element outside span(h)")
     d = len(h)
     rows = []
-    for x in T.as_lists():
+    for x in T.X:
         # [sum_k y_k h_k, x] = 0: one equation per matrix entry
         comms = [mat_mul(hk, x) for hk in h]
         comms2 = [mat_mul(x, hk) for hk in h]
@@ -165,12 +161,11 @@ def spin_image_tuple(elements, ell: int, odd: bool = True) -> MatrixTuple:
     """Spinor image of a tuple of even-Lie-algebra classes for the split
     form of Witt index ell (odd flag selects so(2l+1) vs so(2l)).
 
-    Each element is either a coefficient vector over the bivector pairs
-    (lexicographic (i,j), i<j, for the Witt-ordered basis) or a Multivector
-    lying in the even filtration-degree-<=2 part.  The class is lifted to
-    its unique anti-automorphism-odd representative (subtracting half the
-    trace-of-form scalar), whose spinor matrix represents it; operator
-    brackets of images equal images of Lie brackets on the nose.
+    Each element is a coefficient vector over the bivector pairs
+    (lexicographic (i,j), i<j, for the Witt-ordered basis).  The class is
+    lifted to its unique anti-automorphism-odd representative (subtracting
+    half the trace-of-form scalar), whose spinor matrix represents it;
+    operator brackets of images equal images of Lie brackets on the nose.
     """
     W = WittDecomposition(ell, odd=odd)
     V = W.space()
@@ -179,17 +174,10 @@ def spin_image_tuple(elements, ell: int, odd: bool = True) -> MatrixTuple:
     dim = 1 << ell
     mats = []
     for el in elements:
-        if isinstance(el, Multivector):
-            if not is_even(el) or filtration_degree(el) > 2:
-                raise NotInLieSpan("element outside the even degree-<=2 span")
-            coeffs = {p: el.coefficient(p) for p in pairs}
-        else:
-            el = list(el)
-            if len(el) != len(pairs):
-                raise NotInLieSpan(
-                    f"coefficient vector length {len(el)} != {len(pairs)}"
-                )
-            coeffs = {p: Fraction(c) for p, c in zip(pairs, el)}
+        el = list(el)
+        if len(el) != len(pairs):
+            raise NotInLieSpan(f"coefficient vector length {len(el)} != {len(pairs)}")
+        coeffs = {p: Fraction(c) for p, c in zip(pairs, el)}
         # one Multivector of the pair blades (it drops the zero ones)
         x = Multivector({mask_of(p): c for p, c in coeffs.items()})
         shift = HALF * sum(c * V.b(i, j) for (i, j), c in coeffs.items())

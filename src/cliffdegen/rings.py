@@ -232,9 +232,6 @@ class RatFun(_Ring):
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def is_regular_at(self, c) -> bool:
-        return self.den(c) != 0 or self.reduced().den(c) != 0
-
     def __call__(self, c) -> Fraction:
         num, d = self.num, self.den(c)
         if d == 0:  # cancel the common factors; c may still be a pole
@@ -337,9 +334,3 @@ def eval_coeff(v, c: Fraction) -> Fraction:
     if isinstance(v, (Poly, RatFun)):
         return v(c)
     return _fr(v)
-
-
-def regular_at(v, c: Fraction) -> bool:
-    if isinstance(v, RatFun):
-        return v.is_regular_at(c)
-    return True

@@ -605,21 +605,30 @@ def test_sequiv_rejects_negative_length_bound(capsys, tmp_path):
 
 
 def test_sequiv_fingerprint_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch):
+    class Started(Exception):
+        pass
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("enumeration started")
+        raise Started
 
     monkeypatch.setattr(cli, "trace_fingerprint", forbidden)
     monkeypatch.setattr(cli, "s_equivalent", forbidden)
     X = [[int(i == j) for j in range(4)] for i in range(4)]
+    # the listing holds the sum of (k + 1) g^k over k <= L entries per
+    # tuple: L 2^(L+1) + 1 at g = 2, (L + 1)(L + 2)/2 at g = 1
+    for mats, L in (([X, X], 15), ([X], 1446)):
+        path = _sequiv_input(tmp_path, mats, mats)
+        with pytest.raises(Started):  # the largest L under the cap runs
+            run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints", "--L", str(L)])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints", "--L", str(L + 1)]
+        )
+        assert (code, out) == (1, "")
+        assert str(cli.MAX_FINGERPRINT_ENTRIES) in err
+    # n = 4, g = 2 at the default L = 16
     path = _sequiv_input(tmp_path, [X, X], [X, X])
-    # n = 4, g = 2 at the default L = 16: 2^17 - 1 = 131071 words
-    code, out, err = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints"])
-    assert (code, out) == (1, "")
-    assert str(cli.MAX_FINGERPRINT_WORDS) in err
-    # one past the cap, with g = 1: L + 1 words
-    L = str(cli.MAX_FINGERPRINT_WORDS)
-    path = _sequiv_input(tmp_path, [X], [X])
-    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints", "--L", L])
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--fingerprints"])
     assert (code, out) == (1, "")
 
 

@@ -2,10 +2,14 @@
 infinitesimal theory."""
 
 import gc
+import inspect
 import random
 import weakref
 from fractions import Fraction
 
+import pytest
+
+from cliffdegen import lipschitz
 from cliffdegen.clifford import (
     Multivector,
     QuadraticSpace,
@@ -20,6 +24,7 @@ from cliffdegen.lipschitz import (
     lipschitz_report,
     norm_scalar,
 )
+from cliffdegen.rings import Poly
 
 HALF = Fraction(1, 2)
 
@@ -39,6 +44,79 @@ def test_embed_pair_calibration():
     # the extension contract on the diagonal: image of (a, a) = f_a + g_a
     both = embed_pair(e1, one, D) + embed_pair(one, e1, D)
     assert both == Multivector.basis_vector(1) + Multivector.basis_vector(3)
+
+
+# --- the doubled space, certified once ---------------------------------------
+
+
+def monomial_form(m):
+    """The m x m form over Q[t] whose upper-triangle entries are the distinct
+    monomials t^0, t^1, ...: a relation with integer coefficients in the
+    entries of Q that holds on it holds for every form of size m."""
+    gram = [[None] * m for _ in range(m)]
+    k = 0
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = Poly([0] * k + [1])
+            k += 1
+    return QuadraticSpace(gram)
+
+
+DOUBLED_RELATION_FORMS = [monomial_form(m) for m in range(1, 7)] + [QuadraticSpace.zero(3)]
+
+
+def doubled_relation_failures(algebra_class, V) -> list:
+    """The pairs (a, b) of generator images, 1..m for the f's and m+1..2m
+    for the g's, whose anticommutator in the delta/delta' space is not the
+    scalar of q (+) -q: b(e_i, e_j) for two f's, -b(e_i, e_j) for two g's,
+    0 for an f and a g."""
+    D = algebra_class(V)
+    m = V.m
+    failures = []
+    for a in range(1, 2 * m + 1):
+        for b in range(a, 2 * m + 1):
+            i, j = (a - 1) % m + 1, (b - 1) % m + 1
+            if (a > m) != (b > m):
+                want = 0
+            else:
+                want = V.b(i, j) if a <= m else -V.b(i, j)
+            x, y = D._delta_images[a], D._delta_images[b]
+            anti = gp(x, y, D.dd_space) + gp(y, x, D.dd_space)
+            if anti != Multivector.scalar(want):
+                failures.append((a, b))
+    return failures
+
+
+def test_delta_images_satisfy_the_doubled_relations():
+    for V in DOUBLED_RELATION_FORMS:
+        assert doubled_relation_failures(lipschitz.DoubledAlgebra, V) == [], V
+
+
+def mutant_doubled_algebra(old, new):
+    """``DoubledAlgebra`` with the one occurrence of ``old`` in the source of
+    lipschitz.py replaced by ``new``, compiled in the namespace of lipschitz."""
+    source = inspect.getsource(lipschitz)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(lipschitz))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace["DoubledAlgebra"]
+
+
+_DD_GRAM = "[zero + row for row in two_q] + [row + zero for row in two_q]"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[[2 * v for v in row]", "[[v for v in row]"),
+        (_DD_GRAM, "[row + row for row in two_q] + [row + zero for row in two_q]"),
+        (f"QuadraticSpace({_DD_GRAM})", "QuadraticSpace.zero(2 * m)"),
+    ],
+    ids=["pairing-halved", "delta-not-isotropic", "zero-form"],
+)
+def test_the_doubled_relations_fail_on_a_mutant_doubled_space(old, new):
+    mutant = mutant_doubled_algebra(old, new)
+    assert any(doubled_relation_failures(mutant, V) for V in DOUBLED_RELATION_FORMS)
 
 
 def test_membership_examples():

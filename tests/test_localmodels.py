@@ -113,7 +113,7 @@ def test_conjugation_invariance_random():
                         f = aug[r][col]
                         aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
             ginv = [row[n:] for row in aug]
-            conj = MatrixTuple.of([mat_mul(g, mat_mul(m, ginv)) for m in base.as_lists()])
+            conj = MatrixTuple.of([mat_mul(g, mat_mul(m, ginv)) for m in base.X])
             assert s_equivalent(base, conj)
 
 
@@ -139,16 +139,11 @@ def test_spin_image_examples():
     assert generates_full_algebra(pair)
 
 
-def test_spin_image_accepts_multivectors_and_validates():
-    x = Multivector.blade((1, 2), Fraction(1, 2)) + Multivector.scalar(7)
-    img = spin_image_tuple([x], 1, odd=True)
-    assert img.n == 2
+def test_spin_image_validates_the_vector_length():
     with pytest.raises(NotInLieSpan):
         spin_image_tuple([[1, 0]], 1, odd=True)
     with pytest.raises(NotInLieSpan):
-        spin_image_tuple([Multivector.blade((1, 2, 3, 4))], 2, odd=True)
-    with pytest.raises(NotInLieSpan):
-        spin_image_tuple([Multivector.basis_vector(1)], 1, odd=True)
+        spin_image_tuple([[1, 0, 0, 0]], 1, odd=True)
 
 
 def test_spin_image_respects_brackets_exactly():
@@ -164,10 +159,8 @@ def test_spin_image_respects_brackets_exactly():
         u = [Fraction(rng.randint(-2, 2)) for _ in pairs]
         v = [Fraction(rng.randint(-2, 2)) for _ in pairs]
         img = spin_image_tuple([u, v], ell, odd=odd)
-        lhs = mat_sub(
-            mat_mul(img.as_lists()[0], img.as_lists()[1]),
-            mat_mul(img.as_lists()[1], img.as_lists()[0]),
-        )
+        x, y = img.X
+        lhs = mat_sub(mat_mul(x, y), mat_mul(y, x))
         xu = Multivector({})
         xv = Multivector({})
         for c, p in zip(u, pairs):
@@ -176,7 +169,7 @@ def test_spin_image_respects_brackets_exactly():
             xv = xv + Multivector.blade(p, c)
         com = geometric_product(xu, xv, V) - geometric_product(xv, xu, V)
         rhs = spin_image_tuple([[com.coefficient(p) for p in pairs]], ell, odd=odd)
-        assert lhs == rhs.as_lists()[0]
+        assert lhs == [list(row) for row in rhs.X[0]]
 
 
 def test_word_span_stabilises_within_bound():
