@@ -20,7 +20,7 @@ from .clifford import (
     reverse,
 )
 from .degeneration import QuadraticFamily, certify_specialization
-from .linalg import identity_matrix, mat_mul, mat_sub, nullspace_dense, solve_augmented
+from .linalg import identity_matrix, mat_mul, mat_sub, nullspace_dense
 from .liestructure import (
     build_even_lie,
     lie_pairs,
@@ -147,7 +147,8 @@ def _sample_lipschitz_generator(rng: random.Random, V: QuadraticSpace) -> Multiv
 
 def criterion_lipschitz_axioms(seed: int = 13, samples: int = 500) -> dict:
     """5: membership of vectors and lambda+ab; tau-stability, scalar norm and
-    monoid closure on sampled products; infinitesimal spaces for
+    monoid closure on sampled products, over diagonal, corank-1, zero and
+    dense rational forms of m = 3..5; infinitesimal spaces for
     nondegenerate, corank-1 and zero forms up to m = 6."""
     rng = random.Random(seed)
     spaces = {}
@@ -155,6 +156,9 @@ def criterion_lipschitz_axioms(seed: int = 13, samples: int = 500) -> dict:
         spaces[(m, "nondeg")] = QuadraticSpace.diagonal(list(range(1, m + 1)))
         spaces[(m, "corank1")] = QuadraticSpace.diagonal(list(range(1, m)) + [0])
         spaces[(m, "zero")] = QuadraticSpace.zero(m)
+        spaces[(m, "dense")] = QuadraticSpace(
+            [[Fraction(1 + i * j % 3, 1 + i + j) for j in range(m)] for i in range(m)]
+        )
     failures = []
     # structured membership: every basis vector and every 1 + e_i e_j
     for key, V in spaces.items():
@@ -326,8 +330,7 @@ def criterion_local_models(seed: int = 17) -> dict:
             ]
         )
         for _ in range(25):
-            g = _random_unimodular(rng, n)
-            ginv = _inverse_unimodular(g)
+            g, ginv = _random_unimodular(rng, n)
             conj = MatrixTuple.of(
                 [mat_mul(g, mat_mul(m, ginv)) for m in base.X]
             )
@@ -379,21 +382,16 @@ def _lie_bracket_coeffs(u, v, W):
 
 
 def _random_unimodular(rng: random.Random, n: int):
-    """Product of elementary integer shears: always invertible over Q."""
-    g = identity_matrix(n)
+    """A product of elementary integer shears, and its inverse: the inverse
+    shears (entry -c) multiplied in reverse order."""
+    g, ginv = identity_matrix(n), identity_matrix(n)
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-2, 2)
-        e = identity_matrix(n)
-        e[i][j] = Fraction(c)
-        g = mat_mul(g, e)
-    return g
-
-
-def _inverse_unimodular(g):
-    n = len(g)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(g)]
-    return solve_augmented(aug, n)
+        e, einv = identity_matrix(n), identity_matrix(n)
+        e[i][j], einv[i][j] = Fraction(c), Fraction(-c)
+        g, ginv = mat_mul(g, e), mat_mul(einv, ginv)
+    return g, ginv
 
 
 def criterion_weyl_dim_consistency() -> dict:

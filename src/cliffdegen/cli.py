@@ -83,12 +83,13 @@ MAX_SPINOR_CHECK_ELL = 6
 # roughly doubles both).
 MAX_SPINOR_WEIGHTS_ELL = 16
 
-# `lipschitz test` embeds x (x) tau(x) in the Clifford algebra of dimension
-# 4^m of the doubled space and converts its blades to the isotropic
-# presentation.  Larger m is refused before any product (on a 2.0 GHz Xeon
-# core, the sum of all even blades takes about 4 s at m = 6 and 37 s at
-# m = 7 for a dense rational form, and 0.9 s at m = 6 and 5.7 s at m = 7
-# for the unit form).
+# `lipschitz test` decides membership by the swap derivation on the 4^m
+# monomials of the doubled exterior algebra (no product), and multiplies
+# x tau(x) in Cl(q) for the norm.  Larger m is refused before any work (on a
+# shared 2-core 2.0 GHz Xeon, the sum of all even blades takes about 0.17 s
+# at a peak RSS of 17 MB at m = 6 in a fresh process, for a dense rational
+# form and for the unit form alike; in process, 0.3 s at m = 7 and 1.3 s at
+# m = 8 for the dense form, most of it in the norm's product).
 MAX_LIPSCHITZ_M = 6
 
 # `localmodel simple|sequiv|centralizer` close word spans of n x n matrices
@@ -118,7 +119,7 @@ def _load_input(path: str):
     except OSError as exc:
         raise UsageError(f"cannot read input: {exc}") from exc
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_int=jsonio.parse_int)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -441,6 +442,17 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # exact results may pass Python's limit on int -> str digits; inputs are
+    # held to it (jsonio.MAX_DIGITS) before they are converted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     name = args.group + (f" {args.action}" if getattr(args, "action", None) else "")
     t0 = time.time()
     try:

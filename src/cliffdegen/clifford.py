@@ -58,7 +58,6 @@ class QuadraticSpace:
         self.m = m
         self.gram = tuple(rows)
         self._gen_cache: dict = {}
-        self._doubled = None  # lipschitz.DoubledAlgebra, built on first use
 
     @staticmethod
     def diagonal(qs) -> "QuadraticSpace":
@@ -168,10 +167,6 @@ class Multivector:
     @staticmethod
     def basis_vector(i: int) -> "Multivector":
         return Multivector({1 << (i - 1): Fraction(1)})
-
-    @staticmethod
-    def blade(indices, c=1) -> "Multivector":
-        return Multivector({mask_of(indices): as_coeff(c)})
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):

@@ -9,6 +9,8 @@ a multivector maps compact blade-index keys like "[1,3]" to coefficients.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .clifford import Multivector, QuadraticSpace, mask_of
@@ -20,6 +22,14 @@ from .rings import Poly, RatFun
 
 class InputFormatError(ValueError):
     pass
+
+
+# Python's default limit on the digits of an int <-> str conversion (4300).
+# An input integer past it is refused here before it is converted;
+# ``cli.main`` lifts the interpreter's limit while it runs, so that exact
+# results past it can be printed.
+MAX_DIGITS = sys.int_info.default_max_str_digits
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def _short(obj, limit: int = 80) -> str:
@@ -65,6 +75,9 @@ def decode_rational(obj) -> Fraction:
     if isinstance(obj, str):
         if "e" in obj or "E" in obj:
             raise InputFormatError(f"bad rational {_short(obj)}: exponent notation is not accepted")
+        # Fraction reads "1_000" as one integer: count its digits together
+        if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(obj.replace("_", ""))):
+            raise InputFormatError(f"bad rational {_short(obj)}: an integer of more than {MAX_DIGITS} digits")
         try:
             return Fraction(obj)
         except ValueError as exc:
@@ -74,6 +87,14 @@ def decode_rational(obj) -> Fraction:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     raise InputFormatError(f"expected a rational, got {_short(obj)}")
+
+
+def parse_int(text: str) -> int:
+    """``parse_int`` for ``json.loads``: a JSON integer of more than
+    ``MAX_DIGITS`` digits is refused before it is converted."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise InputFormatError(f"integer {_short(text)}: more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def _decode_poly(obj) -> Poly:
@@ -132,7 +153,7 @@ def decode_multivector(obj, m: int) -> Multivector:
     terms = {}
     for key, cval in obj.items():
         try:
-            idx = json.loads(key)
+            idx = json.loads(key, parse_int=parse_int)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise InputFormatError(f"bad blade key {_short(key)}") from exc
         if not isinstance(idx, list) or not all(

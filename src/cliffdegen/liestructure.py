@@ -85,10 +85,6 @@ class QuotientLieAlgebra:
     table: dict  # (pair_a, pair_b) with pair_a < pair_b lex -> {pair: coeff}
     scale: int = 1
 
-    @property
-    def dimension(self) -> int:
-        return self.m * (self.m - 1) // 2
-
     def bracket(self, pa, pb) -> dict:
         if pa == pb:
             return {}

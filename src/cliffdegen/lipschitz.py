@@ -1,29 +1,39 @@
 """Clifford-Lipschitz monoid, its unit group and spin kernel, and the
 infinitesimal (Lie algebra) theory, for arbitrary possibly degenerate forms.
 
-The membership test doubles the space: on V (+) V carry the form q (+) -q,
-with two generator systems:
+An element x of Cl(q) is Lipschitz when it is homogeneous and x (x) tau(x)
+is *balanced* in Cl(q (+) -q).  On V (+) V carry the form q (+) -q, with
+two generator systems:
 
-* f_i = (e_i, 0), g_i = (0, e_i): gram matrix diag(Q, -Q); the pair
-  x (x) y embeds as (image of x in the f's) * (image of y in the g's);
-* delta_i = (e_i, e_i), delta'_i = (e_i, -e_i): two totally isotropic
-  families with b(delta_i, delta'_j) = 2 b(e_i, e_j).
+* f_i = (e_i, 0), g_i = (0, e_i): gram matrix diag(Q, -Q), with f_a g_b a
+  canonical blade;
+* delta_i = f_i + g_i, delta'_i = f_i - g_i: two totally isotropic families.
 
-Only the delta/delta' space is built: an f/g blade is converted by
-multiplying out the images f_i = (delta_i + delta'_i)/2 and
-g_i = (delta_i - delta'_i)/2 there.  That both families are isotropic and
-that these images satisfy the relations of q (+) -q is certified once, in
-the tests (``tests/test_lipschitz.py``, on a generic form of every m <= 6),
-not at run time.
+Balanced means: every canonical blade of the delta/delta' system in the
+element has equal delta- and delta'-degree.  The test is decided in the
+exterior algebra, with no Clifford product, by two classical facts
+(C. Chevalley, *The Algebraic Theory of Spinors*, 1954; J. Helmstetter and
+A. Micali, *Quadratic Mappings and Clifford Algebras*, Birkhauser 2008):
 
-Written in canonical blades of the delta/delta' system, the doubled algebra
-has the distinguished subspace spanned by the *balanced* blades (equal
-delta- and delta'-degree); its dimension is sum_j C(m,j)^2 = C(2m, m).
-An element x of the base algebra is Lipschitz when it is homogeneous and
-x (x) tau(x) lands in that subspace, i.e. when the unbalanced part of its
-image vanishes.  The graded sign convention of the embedding is fixed by
-calibration: vectors and the elements lambda + a b must be members, which
-pins the blade-wise embedding used here.
+1. The twisted opposite of Cl(q) is Cl(-q) through e_i -> e_i.  Through
+   it tau(e_b) = e_bk ... e_b1 becomes psi(e_b) = (-1)^(k(k-1)/2) g_b for a
+   canonical blade of k generators, so x (x) tau(x) is
+   sum c_a c_b (-1)^(|b|(|b|-1)/2) f_a g_b: nothing is multiplied in Cl(q).
+2. Cl(q (+) -q) is Lambda(V (+) V) with its product deformed by a bilinear
+   form beta, beta(w, w) = (q (+) -q)(w); for beta triangular on an ordered
+   basis, the canonical blades of that basis are its exterior monomials.
+   The triangular forms of the f/g system, diag(beta_Q, -beta_Q), and of
+   the delta/delta' system both vanish on two deltas and on two delta's,
+   so their difference is an alternating form that pairs only a delta
+   with a delta'.  Passing from f/g blades to delta/delta' blades is exp
+   of the contraction by it, which keeps (delta-degree - delta'-degree).
+   So an element is balanced exactly when its f/g exterior coefficients
+   lie in the kernel of the derivation H that is 1 on delta and -1 on
+   delta', i.e. swaps f_i and g_i.
+
+The tests compare H, over every f/g monomial for m <= 4, with the
+unbalanced part that the explicit delta/delta' product gives
+(``tests/test_lipschitz.py``).
 """
 
 from __future__ import annotations
@@ -40,96 +50,59 @@ from .clifford import (
 )
 from .liestructure import even_blade_basis
 from .linalg import nullspace_dense
-from .rings import HALF, axpy, czero
+from .rings import axpy, czero
 
 
 class DoubledAlgebra:
-    """The Clifford algebra of q (+) -q in the delta/delta' system, the
-    images of the f's and g's there, and the cached blade conversion."""
+    """Lambda(V (+) V) in the monomials f_a ^ g_b, keyed by the mask
+    a | b << m, and its swap derivation H (module docstring)."""
 
     def __init__(self, V: QuadraticSpace):
-        # only m of V is kept: V keeps this algebra (doubled_algebra), and a
-        # reference back would make a cycle that only the cyclic garbage
-        # collector frees, with both spaces' product caches
-        self.m = m = V.m
-        # the gram of the delta/delta' system: both families isotropic, and
-        # b(delta_i, delta'_j) = 2 b(e_i, e_j) = 4 Q[i][j]
-        zero = [0] * m
-        two_q = [[2 * v for v in row] for row in V.gram]
-        self.dd_space = QuadraticSpace([zero + row for row in two_q] + [row + zero for row in two_q])
-        self._delta_images = {}
-        for i in range(1, m + 1):
-            d = Multivector.basis_vector(i)
-            dp = Multivector.basis_vector(m + i)
-            self._delta_images[i] = (d + dp).scale(HALF)  # image of f_i
-            self._delta_images[m + i] = (d - dp).scale(HALF)  # image of g_i
-        self._convert_cache = {0: Multivector.scalar(1)}
-        self._unbalanced_cache: dict = {}
+        self.m = V.m
 
-    def _convert_blade(self, mask: int) -> Multivector:
-        cached = self._convert_cache.get(mask)
-        if cached is not None:
-            return cached
-        top = mask.bit_length()
-        rest = mask ^ (1 << (top - 1))
-        conv = geometric_product(
-            self._convert_blade(rest), self._delta_images[top], self.dd_space
-        )
-        self._convert_cache[mask] = conv
-        return conv
-
-    def _unbalanced_of_blade(self, mask: int) -> dict:
-        """Unbalanced (delta-degree != delta'-degree) part of the conversion
-        of one f/g blade; this is all the membership test consumes."""
-        cached = self._unbalanced_cache.get(mask)
-        if cached is not None:
-            return cached
+    def unbalanced(self, terms: dict) -> dict:
+        """H of sum c f_a ^ g_b for ``terms`` {a | b << m: c}: empty exactly
+        when the element is balanced.  An index in both a and b gives
+        nothing (moving it repeats a generator); one in a alone moves to b,
+        one in b alone to a, past the f's above it and the g's below it."""
         m = self.m
         low = (1 << m) - 1
-        conv = self._convert_blade(mask)
-        unbal = {
-            dmask: c
-            for dmask, c in conv.terms.items()
-            if (dmask & low).bit_count() != (dmask >> m).bit_count()
-        }
-        self._unbalanced_cache[mask] = unbal
-        return unbal
-
-    def unbalanced(self, x: Multivector) -> dict:
-        """Unbalanced part, in delta/delta' blades, of an element written in
-        the f/g presentation."""
-        acc: dict = {}
-        for mask, c in x.terms.items():
-            axpy(acc, c, self._unbalanced_of_blade(mask))
-        return acc
+        out: dict = {}
+        for key, c in terms.items():
+            a, b = key & low, key >> m
+            moved = a ^ b
+            step = {}
+            while moved:
+                bit = moved & -moved
+                moved ^= bit
+                odd = ((a & -(bit << 1)).bit_count() + (b & (bit - 1)).bit_count()) & 1
+                step[key ^ bit ^ (bit << m)] = -1 if odd else 1
+            axpy(out, c, step)
+        return out
 
 
 def doubled_algebra(V: QuadraticSpace) -> DoubledAlgebra:
-    """The doubled algebra of V, built on first use and kept on V."""
-    if V._doubled is None:
-        V._doubled = DoubledAlgebra(V)
-    return V._doubled
+    """The doubled algebra of V; it holds only m, so it is built on each
+    call."""
+    return DoubledAlgebra(V)
 
 
-def embed_pair(x: Multivector, y: Multivector, D: DoubledAlgebra) -> Multivector:
-    """Image of x (x) y in the doubled algebra: the f-word of x times the
-    g-word of y.  Since every f index precedes every g index, the product of
-    the two blades is itself a canonical blade and no sign appears; the
-    convention is validated by the calibration facts in the tests."""
-    m = D.m
-    out: dict = {}
-    for ma, ca in x.terms.items():
-        axpy(out, ca, {ma | (mb << m): cb for mb, cb in y.terms.items()})
-    return Multivector(out)
+def _psi_sign(mask: int) -> int:
+    """(-1)^(k(k-1)/2) for a blade of k generators: psi(e_b) = sign * g_b."""
+    return -1 if mask.bit_count() & 2 else 1
 
 
 def is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
-    """Homogeneous and x (x) tau(x) lies in the balanced subspace: its image
-    has no unbalanced part."""
+    """Homogeneous, and x (x) tau(x) = sum c_a c_b psi(e_b) f_a g_b is
+    balanced: H kills it."""
     if not is_homogeneous(x):
         return False
     D = doubled_algebra(V)
-    return not D.unbalanced(embed_pair(x, reverse(x, V), D))
+    m = D.m
+    pair: dict = {}
+    for ma, ca in x.terms.items():
+        axpy(pair, ca, {ma | (mb << m): _psi_sign(mb) * cb for mb, cb in x.terms.items()})
+    return not D.unbalanced(pair)
 
 
 def norm_scalar(x: Multivector, V: QuadraticSpace):
@@ -174,23 +147,22 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     """
     m = V.m
     D = doubled_algebra(V)
-    one = Multivector.scalar(1)
     masks = even_blade_basis(m)
     K = len(masks)
     unbal_cols = []
     tau_rows = []  # expansion of tau(E_k) over the even blade basis
     index = {mask: k for k, mask in enumerate(masks)}
     for mask in masks:
-        blade = Multivector({mask: Fraction(1)})
-        v = embed_pair(blade, one, D) + embed_pair(one, reverse(blade, V), D)
-        unbal_cols.append(D.unbalanced(v))
+        # X (x) 1 + 1 (x) psi(X) for X = E_k (for E_0 the two keys meet: H
+        # kills the scalar either way)
+        unbal_cols.append(D.unbalanced({mask: 1, mask << m: _psi_sign(mask)}))
         trow = [Fraction(0)] * K
-        for m2, c in reverse(blade, V).terms.items():
+        for m2, c in reverse(Multivector({mask: Fraction(1)}), V).terms.items():
             trow[index[m2]] += c
         tau_rows.append(trow)
 
     keys = sorted(set().union(*unbal_cols)) if unbal_cols else []
-    eq_rows = [[col.get(k, Fraction(0)) for col in unbal_cols] for k in keys]
+    eq_rows = [[col.get(k, 0) for col in unbal_cols] for k in keys]
     solutions = nullspace_dense(eq_rows, K)
     expected_dim = 1 + m * (m - 1) // 2
     # the solution space should be exactly span(e_0, 2-blades)

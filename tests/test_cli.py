@@ -14,7 +14,7 @@ import pytest
 
 from cliffdegen import acceptance, cli, degeneration, jsonio, liestructure, lipschitz, localmodels
 from cliffdegen.cli import main
-from cliffdegen.clifford import Multivector, QuadraticSpace
+from cliffdegen.clifford import Multivector, QuadraticSpace, mask_of
 from cliffdegen.liestructure import theta_tensor
 from cliffdegen.linalg import identity_matrix, mat_mul
 from cliffdegen.localmodels import MatrixTuple, trace_fingerprint
@@ -46,7 +46,7 @@ def test_parametric_space_round_trip():
 
 
 def test_multivector_round_trip():
-    x = Multivector.scalar(Fraction(3, 2)) + Multivector.blade((1, 3), -2)
+    x = Multivector.scalar(Fraction(3, 2)) + Multivector({mask_of((1, 3)): -2})
     assert jsonio.decode_multivector({"[]": "3/2", "[1,3]": "-2"}, 3) == x
 
 
@@ -436,6 +436,72 @@ def test_exponent_notation_is_refused(capsys, tmp_path):
     assert err.startswith("input error") and "Traceback" not in err
 
 
+def test_a_number_past_the_digit_limit_is_refused_before_it_is_converted(capsys, tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    def exact(obj):  # Fraction, but never on a string past the limit
+        assert not (isinstance(obj, str) and len(obj) > jsonio.MAX_DIGITS), "converted"
+        return Fraction(obj)
+
+    monkeypatch.setattr(cli, "theta_tensor", reached)
+    monkeypatch.setattr(jsonio, "Fraction", exact)
+    path = tmp_path / "space.json"
+    digits = "9" * jsonio.MAX_DIGITS
+    for text in (
+        json.dumps({"Q": [[digits + "9"]]}),
+        json.dumps({"Q": [["1/" + digits + "9"]]}),
+        json.dumps({"Q": [["0." + digits + "9"]]}),
+        '{"Q": [[' + digits + "9]]}",  # a JSON integer
+        '{"Q": [[-' + digits + "9]]}",
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error") and f"more than {jsonio.MAX_DIGITS} digits" in err
+        assert len(err.encode()) < 500
+    path.write_text(json.dumps({"V": {"Q": [["1"]]}, "x": {"[" + digits + "9]": "1"}}))  # a blade key
+    code, out, err = run_cli(capsys, ["lipschitz", "test", "--input", str(path)])
+    assert (code, out) == (1, "") and f"more than {jsonio.MAX_DIGITS} digits" in err
+    # at the limit the work starts (and stops at the patched entry point)
+    for text in (json.dumps({"Q": [[digits]]}), '{"Q": [[-' + digits + "]]}"):
+        path.write_text(text)
+        with pytest.raises(_Reached):
+            main(["form", "tensor", "--input", str(path)])
+
+
+def test_form_tensor_prints_entries_past_the_digit_limit(capsys, tmp_path):
+    a = "7" * 1500 + "/3"
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"Q": [[a if i == j else "0" for j in range(5)] for i in range(5)]}))
+    code, out, err = run_cli(capsys, ["form", "tensor", "--input", str(path)])
+    assert code == 0 and "Traceback" not in err
+    entries = {entry[-1].lstrip("-") for entry in json.loads(out)["payload"]["tensor"]["c"]}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        # e1234 e1234 = q1 q2 q3 q4 = a^4 on the diagonal form: 5998 characters
+        assert str(Fraction(a) ** 4) in entries
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_main_restores_the_interpreters_digit_limit(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for text in ('{"Q": [["1"]]}', '{"Q": [["x"]]}'):  # exit 0 and exit 1
+            path.write_text(text)
+            main(["form", "tensor", "--input", str(path)])
+            assert sys.get_int_max_str_digits() == 5000
+        main(["form", "no-such-action"])  # refused by the parser, before the limit is lifted
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv, doc, kind",
     [
@@ -480,6 +546,30 @@ def test_lipschitz_vector_is_group(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["payload"]["verdict"] == "group"
     assert doc["payload"]["norm_scalar"] == "3"
+
+
+def _dense_even_sum(m):
+    Q = [[str(Fraction(1 + i * j % 3, 1 + i + j)) for j in range(m)] for i in range(m)]
+    blades = [[i + 1 for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
+    return {"V": {"Q": Q}, "x": {json.dumps(b, separators=(",", ":")): "1" for b in blades if len(b) % 2 == 0}}
+
+
+@pytest.mark.parametrize(
+    "doc, norm",
+    [
+        # e1 (e1 + e2), a product of two invertible vectors
+        ({"V": {"Q": [["1", "1/2"], ["1/2", "2"]]}, "x": {"[]": "1", "[1,2]": "1"}}, "4"),
+        (_dense_even_sum(6), "1455928963/21049875"),
+    ],
+    ids=["one-plus-e12", "dense-m6-even-sum"],
+)
+def test_lipschitz_on_a_dense_form_is_group(capsys, tmp_path, doc, norm):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, ["lipschitz", "test", "--input", str(path)])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert (payload["cl0_member"], payload["verdict"], payload["norm_scalar"]) == (True, "group", norm)
 
 
 def test_degenerate_analyze_pass_and_fail(capsys, tmp_path):

@@ -2,13 +2,14 @@
 echelon forms, nullspaces, ranks and linear solves on random rational
 matrices must agree exactly."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cliffdegen.acceptance import _inverse_unimodular
-from cliffdegen.linalg import _P, SpanBasis, echelon, nullspace_dense, solve_augmented
+from cliffdegen.acceptance import _random_unimodular
+from cliffdegen.linalg import _P, SpanBasis, echelon, identity_matrix, mat_mul, nullspace_dense, solve_augmented
 
 sympy = pytest.importorskip("sympy")
 
@@ -81,7 +82,15 @@ def test_solve_square_matches_sympy(A, data):
 def test_inverse_matches_sympy(g):
     inv = to_sympy(g).inv()
     n = len(g)
-    assert _inverse_unimodular(g) == [[from_sympy(inv[i, j]) for j in range(n)] for i in range(n)]
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    assert solve_augmented(aug, n) == [[from_sympy(inv[i, j]) for j in range(n)] for i in range(n)]
+
+
+def test_random_unimodular_returns_its_inverse():
+    rng = random.Random(5)
+    for n in (2, 3, 4) * 10:
+        g, ginv = _random_unimodular(rng, n)
+        assert mat_mul(g, ginv) == identity_matrix(n)
 
 
 int_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**30), 10**30))

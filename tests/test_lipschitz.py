@@ -1,11 +1,10 @@
 """Lipschitz monoid membership, unit group, spin kernel, and the
 infinitesimal theory."""
 
-import gc
 import inspect
 import random
-import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,39 +13,135 @@ from cliffdegen.clifford import (
     Multivector,
     QuadraticSpace,
     geometric_product,
+    is_homogeneous,
+    mask_of,
     reverse,
 )
+from cliffdegen.linalg import SpanBasis, nullspace_dense
 from cliffdegen.lipschitz import (
-    doubled_algebra,
-    embed_pair,
     infinitesimal_lipschitz,
     is_lipschitz,
     lipschitz_report,
     norm_scalar,
 )
-from cliffdegen.rings import Poly
-
-HALF = Fraction(1, 2)
+from cliffdegen.rings import HALF, Poly, axpy
 
 
 def gp(x, y, V):
     return geometric_product(x, y, V)
 
 
+def blade(indices, c=1):
+    return Multivector({mask_of(indices): c})
+
+
+# --- the reference: the doubled Clifford algebra, multiplied out -------------
+#
+# The membership test of an earlier version of the library: every f/g blade
+# is multiplied out in the Clifford algebra of q (+) -q in the delta/delta'
+# system.  It is kept here to check the swap derivation against.
+
+
+class ReferenceDoubledAlgebra:
+    """The Clifford algebra of q (+) -q in the delta/delta' system, the
+    images of the f's and g's there, and the cached blade conversion."""
+
+    def __init__(self, V: QuadraticSpace):
+        self.m = m = V.m
+        # the gram of the delta/delta' system: both families isotropic, and
+        # b(delta_i, delta'_j) = 2 b(e_i, e_j) = 4 Q[i][j]
+        zero = [0] * m
+        two_q = [[2 * v for v in row] for row in V.gram]
+        self.dd_space = QuadraticSpace([zero + row for row in two_q] + [row + zero for row in two_q])
+        self._delta_images = {}
+        for i in range(1, m + 1):
+            d = Multivector.basis_vector(i)
+            dp = Multivector.basis_vector(m + i)
+            self._delta_images[i] = (d + dp).scale(HALF)  # image of f_i
+            self._delta_images[m + i] = (d - dp).scale(HALF)  # image of g_i
+        self._convert_cache = {0: Multivector.scalar(1)}
+        self._unbalanced_cache: dict = {}
+
+    def _convert_blade(self, mask: int) -> Multivector:
+        cached = self._convert_cache.get(mask)
+        if cached is not None:
+            return cached
+        top = mask.bit_length()
+        rest = mask ^ (1 << (top - 1))
+        conv = geometric_product(
+            self._convert_blade(rest), self._delta_images[top], self.dd_space
+        )
+        self._convert_cache[mask] = conv
+        return conv
+
+    def _unbalanced_of_blade(self, mask: int) -> dict:
+        """Unbalanced (delta-degree != delta'-degree) part of the conversion
+        of one f/g blade; this is all the membership test consumes."""
+        cached = self._unbalanced_cache.get(mask)
+        if cached is not None:
+            return cached
+        m = self.m
+        low = (1 << m) - 1
+        conv = self._convert_blade(mask)
+        unbal = {
+            dmask: c
+            for dmask, c in conv.terms.items()
+            if (dmask & low).bit_count() != (dmask >> m).bit_count()
+        }
+        self._unbalanced_cache[mask] = unbal
+        return unbal
+
+    def unbalanced(self, x: Multivector) -> dict:
+        """Unbalanced part, in delta/delta' blades, of an element written in
+        the f/g presentation."""
+        acc: dict = {}
+        for mask, c in x.terms.items():
+            axpy(acc, c, self._unbalanced_of_blade(mask))
+        return acc
+
+
+def embed_pair(x: Multivector, y: Multivector, D: ReferenceDoubledAlgebra) -> Multivector:
+    """Image of x (x) y in the doubled algebra: the f-word of x times the
+    g-word of y.  Since every f index precedes every g index, the product of
+    the two blades is itself a canonical blade and no sign appears; the
+    convention is validated by the calibration facts in the tests."""
+    m = D.m
+    out: dict = {}
+    for ma, ca in x.terms.items():
+        axpy(out, ca, {ma | (mb << m): cb for mb, cb in y.terms.items()})
+    return Multivector(out)
+
+
+def psi(x: Multivector) -> Multivector:
+    """tau(x) read through the twisted opposite Cl(q)^to = Cl(-q): the
+    canonical blade of k generators times (-1)^(k(k-1)/2)."""
+    return Multivector({mask: (-1) ** (mask.bit_count() * (mask.bit_count() - 1) // 2) * c
+                        for mask, c in x.terms.items()})
+
+
+def reference_is_lipschitz(x: Multivector, V: QuadraticSpace, tau) -> bool:
+    """Homogeneous, and the product-based image of x (x) tau(x) in the
+    delta/delta' system has no unbalanced blade."""
+    if not is_homogeneous(x):
+        return False
+    D = ReferenceDoubledAlgebra(V)
+    return not D.unbalanced(embed_pair(x, tau(x), D))
+
+
 def test_embed_pair_calibration():
     V = QuadraticSpace.diagonal([2, 3])
-    D = doubled_algebra(V)
+    D = ReferenceDoubledAlgebra(V)
     e1 = Multivector.basis_vector(1)
     one = Multivector.scalar(1)
     assert embed_pair(e1, one, D) == Multivector.basis_vector(1)
     assert embed_pair(one, e1, D) == Multivector.basis_vector(3)  # g_1 sits at m+1
-    assert embed_pair(e1, e1, D) == Multivector.blade((1, 3))
+    assert embed_pair(e1, e1, D) == blade((1, 3))
     # the extension contract on the diagonal: image of (a, a) = f_a + g_a
     both = embed_pair(e1, one, D) + embed_pair(one, e1, D)
     assert both == Multivector.basis_vector(1) + Multivector.basis_vector(3)
 
 
-# --- the doubled space, certified once ---------------------------------------
+# --- the reference's doubled space, certified once ---------------------------
 
 
 def monomial_form(m):
@@ -89,17 +184,18 @@ def doubled_relation_failures(algebra_class, V) -> list:
 
 def test_delta_images_satisfy_the_doubled_relations():
     for V in DOUBLED_RELATION_FORMS:
-        assert doubled_relation_failures(lipschitz.DoubledAlgebra, V) == [], V
+        assert doubled_relation_failures(ReferenceDoubledAlgebra, V) == [], V
 
 
-def mutant_doubled_algebra(old, new):
-    """``DoubledAlgebra`` with the one occurrence of ``old`` in the source of
-    lipschitz.py replaced by ``new``, compiled in the namespace of lipschitz."""
-    source = inspect.getsource(lipschitz)
+def mutant_class(owner, name, old, new):
+    """The class ``name`` compiled from the source of ``owner`` (a module or
+    a class) with its one occurrence of ``old`` replaced by ``new``, in the
+    namespace the original was defined in."""
+    source = inspect.getsource(owner)
     assert source.count(old) == 1, old
-    namespace = dict(vars(lipschitz))
+    namespace = dict(vars(inspect.getmodule(owner)))
     exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
-    return namespace["DoubledAlgebra"]
+    return namespace[name]
 
 
 _DD_GRAM = "[zero + row for row in two_q] + [row + zero for row in two_q]"
@@ -115,33 +211,214 @@ _DD_GRAM = "[zero + row for row in two_q] + [row + zero for row in two_q]"
     ids=["pairing-halved", "delta-not-isotropic", "zero-form"],
 )
 def test_the_doubled_relations_fail_on_a_mutant_doubled_space(old, new):
-    mutant = mutant_doubled_algebra(old, new)
+    mutant = mutant_class(ReferenceDoubledAlgebra, "ReferenceDoubledAlgebra", old, new)
     assert any(doubled_relation_failures(mutant, V) for V in DOUBLED_RELATION_FORMS)
+
+
+# --- the swap derivation against the reference ------------------------------
+
+
+def kernel_ranks(derivation_class, V) -> tuple:
+    """rank U, rank H and rank [U; H], for U the reference's unbalanced map
+    and H the derivation, each taken over all 4^m f/g monomials: equal
+    ranks mean equal row spaces, so the two maps have the same kernel."""
+    ref, H = ReferenceDoubledAlgebra(V), derivation_class(V)
+    rows_u: dict = {}
+    rows_h: dict = {}
+    for key in range(4 ** V.m):
+        for row, c in ref.unbalanced(Multivector({key: 1})).items():
+            rows_u.setdefault(row, {})[key] = c
+        for row, c in H.unbalanced({key: 1}).items():
+            rows_h.setdefault(row, {})[key] = c
+    U, Hs, both = SpanBasis(), SpanBasis(), SpanBasis()
+    for span, rows in ((U, rows_u), (Hs, rows_h)):
+        for row in rows.values():
+            span.insert(row)
+            both.insert(row)
+    return U.dim, Hs.dim, both.dim
+
+
+def dense_form(rng, m, corank=0):
+    """A random dense rational m x m form; with ``corank=1`` its last row
+    and column are changed so that e_1 + ... + e_{m-1} - e_m lies in the
+    radical."""
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if corank:
+        for i in range(m - 1):
+            g[i][m - 1] = g[m - 1][i] = sum(g[i][j] for j in range(m - 1))
+        g[m - 1][m - 1] = sum(g[i][m - 1] for i in range(m - 1))
+    return QuadraticSpace(g)
+
+
+def kernel_forms():
+    rng = random.Random(19)
+    forms = []
+    for m in range(1, 5):
+        forms += [
+            dense_form(rng, m),
+            QuadraticSpace.diagonal([rng.randint(1, 3) * (-1) ** i for i in range(m)]),
+            QuadraticSpace.diagonal([i % 2 for i in range(m)]),  # degenerate
+            QuadraticSpace.zero(m),
+        ]
+        if m > 1:
+            forms.append(dense_form(rng, m, corank=1))
+    return forms
+
+
+KERNEL_FORMS = kernel_forms()
+
+
+def test_the_swap_derivation_has_the_kernel_of_the_reference():
+    for V in KERNEL_FORMS:
+        # 4^m monomials, C(2m, m) of them balanced
+        unbalanced_dim = 4 ** V.m - comb(2 * V.m, V.m)
+        assert kernel_ranks(lipschitz.DoubledAlgebra, V) == (unbalanced_dim,) * 3, V.gram
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (" + (b & (bit - 1)).bit_count()", ""),
+        ("moved = a ^ b", "moved = a & ~b"),
+    ],
+    ids=["sign-without-the-g-term", "f-to-g-only"],
+)
+def test_the_kernel_test_fails_on_a_mutant_derivation(old, new):
+    mutant = mutant_class(lipschitz, "DoubledAlgebra", old, new)
+    assert any(len(set(kernel_ranks(mutant, V))) > 1 for V in KERNEL_FORMS)
+
+
+def _diagonal_space(rng):
+    m = rng.choice([2, 3, 4])
+    return QuadraticSpace.diagonal([rng.randint(-2, 3) for _ in range(m)])
+
+
+def _sample_generator(rng, V):
+    m = V.m
+    if rng.random() < 0.5:
+        return Multivector({1 << i: Fraction(rng.randint(-3, 3)) for i in range(m)})
+    a = Multivector({1 << i: Fraction(rng.randint(-2, 2)) for i in range(m)})
+    b = Multivector({1 << i: Fraction(rng.randint(-2, 2)) for i in range(m)})
+    return Multivector.scalar(rng.randint(-3, 3)) + gp(a, b, V)
+
+
+def _sample_element(rng, V):
+    """A product of 1-3 vectors or elements lambda + a b, or a random even
+    or odd element."""
+    kind = rng.choice(["product", "product", "even", "odd"])
+    if kind == "product":
+        x = _sample_generator(rng, V)
+        for _ in range(rng.randint(0, 2)):
+            x = gp(x, _sample_generator(rng, V), V)
+        return x
+    parity = kind == "odd"
+    return Multivector({
+        mask: Fraction(rng.randint(-2, 2))
+        for mask in range(1 << V.m)
+        if mask.bit_count() % 2 == parity and rng.random() < 0.5
+    })
+
+
+def test_reverse_is_psi_on_diagonal_forms():
+    rng = random.Random(4)
+    for _ in range(60):
+        V = _diagonal_space(rng)
+        x = _sample_element(rng, V)
+        assert reverse(x, V) == psi(x)
+
+
+def test_verdicts_match_the_product_reference():
+    """On diagonal forms the reference reads tau(x) through ``reverse`` (as
+    the library once did); on dense forms through psi."""
+    rng = random.Random(6)
+    verdicts = set()
+    for k in range(160):
+        if k % 2:
+            V = dense_form(rng, rng.choice([2, 3, 4]), corank=rng.randint(0, 1))
+            tau = psi
+        else:
+            V = _diagonal_space(rng)
+            tau = lambda x, V=V: reverse(x, V)  # noqa: E731
+        x = _sample_element(rng, V)
+        member = is_lipschitz(x, V)
+        assert member == reference_is_lipschitz(x, V, tau), (V.gram, x)
+        verdicts.add((k % 2, member))
+    assert len(verdicts) == 4  # members and non-members on both kinds of form
+
+
+def orthogonal_volume(V):
+    """The product of a Q-orthogonal basis of V, found by Gram-Schmidt from
+    e_1, ..., e_m, or None when a step meets an isotropic vector."""
+    m, Q = V.m, V.gram
+
+    def b(u, w):
+        return sum(u[i] * Q[i][j] * w[j] for i in range(m) for j in range(m))
+
+    basis = []
+    for k in range(m):
+        u = [Fraction(int(i == k)) for i in range(m)]
+        for w in basis:
+            c = b(u, w) / b(w, w)
+            u = [ui - c * wi for ui, wi in zip(u, w)]
+        if b(u, u) == 0:
+            return None
+        basis.append(u)
+    out = Multivector.scalar(1)
+    for u in basis:
+        out = gp(out, Multivector({1 << i: c for i, c in enumerate(u)}), V)
+    return out
+
+
+def test_membership_of_units_on_dense_forms_is_x_v_tau_x_in_v():
+    """For x with nonzero scalar norm on a nondegenerate form, x is
+    Lipschitz exactly when it is homogeneous and x e_i tau(x) is a vector
+    for every i.  Below m = 6 every such homogeneous x passes; 1 + c w, for
+    w the volume of an orthogonal basis at m = 6, has the scalar norm
+    1 - c^2 w^2 and fails."""
+    rng = random.Random(8)
+    seen = set()
+    for k in range(240):
+        V = dense_form(rng, 6 if k % 16 == 0 else rng.choice([2, 3, 4]))
+        if nullspace_dense([list(row) for row in V.gram], V.m):
+            continue
+        if V.m == 6:
+            w = orthogonal_volume(V)
+            if w is None:
+                continue
+            x = Multivector.scalar(1) + w.scale(rng.choice([-2, -1, 1, 2]))
+        else:
+            x = _sample_element(rng, V)
+        if not norm_scalar(x, V):
+            continue
+        tx = reverse(x, V)
+        twisted = all(
+            all(mask.bit_count() == 1 for mask in gp(gp(x, Multivector.basis_vector(i), V), tx, V).terms)
+            for i in range(1, V.m + 1)
+        )
+        member = is_homogeneous(x) and twisted
+        assert is_lipschitz(x, V) == member, (V.gram, x)
+        seen.add((V.m == 6, member))
+    assert seen == {(False, True), (True, False)}
 
 
 def test_membership_examples():
     V = QuadraticSpace.diagonal([1, 2, 3])
     assert is_lipschitz(Multivector.basis_vector(1), V)
     assert is_lipschitz(Multivector.scalar(1), V)
-    assert is_lipschitz(Multivector.scalar(3) + Multivector.blade((1, 2)), V)
+    assert is_lipschitz(Multivector.scalar(3) + blade((1, 2)), V)
     # non-homogeneous elements are rejected outright
     assert not is_lipschitz(Multivector.scalar(1) + Multivector.basis_vector(1), V)
     # 1 + quadrivector is homogeneous but fails the graded membership
     V4 = QuadraticSpace.diagonal([1, 1, 2, 3])
-    assert not is_lipschitz(Multivector.scalar(1) + Multivector.blade((1, 2, 3, 4)), V4)
-
-
-def test_doubled_algebra_does_not_outlive_its_space():
-    V = QuadraticSpace.diagonal([1, 2, 3])
-    assert is_lipschitz(Multivector.basis_vector(1), V)
-    assert doubled_algebra(V) is doubled_algebra(V)
-    refs = weakref.ref(V), weakref.ref(doubled_algebra(V))
-    gc.disable()  # both go by reference counting: no cycle through the space
-    try:
-        del V
-        assert [ref() for ref in refs] == [None, None]
-    finally:
-        gc.enable()
+    assert not is_lipschitz(Multivector.scalar(1) + blade((1, 2, 3, 4)), V4)
+    # a product of two invertible vectors on a non-diagonal form
+    W = QuadraticSpace([[1, HALF], [HALF, 2]])
+    x = Multivector.scalar(1) + blade((1, 2))
+    assert x == gp(Multivector.basis_vector(1), Multivector.basis_vector(1) + Multivector.basis_vector(2), W)
+    assert is_lipschitz(x, W) and norm_scalar(x, W) == 4
 
 
 def test_unit_group_and_spin_kernel_examples():
@@ -157,15 +434,6 @@ def test_unit_group_and_spin_kernel_examples():
     assert lipschitz_report(x, QuadraticSpace.zero(3))["verdict"] == "monoid"
 
 
-def _sample_generator(rng, V):
-    m = V.m
-    if rng.random() < 0.5:
-        return Multivector({1 << i: Fraction(rng.randint(-3, 3)) for i in range(m)})
-    a = Multivector({1 << i: Fraction(rng.randint(-2, 2)) for i in range(m)})
-    b = Multivector({1 << i: Fraction(rng.randint(-2, 2)) for i in range(m)})
-    return Multivector.scalar(rng.randint(-3, 3)) + gp(a, b, V)
-
-
 def test_monoid_tau_and_norm_properties_sampled():
     rng = random.Random(2)
     spaces = [
@@ -173,6 +441,8 @@ def test_monoid_tau_and_norm_properties_sampled():
         QuadraticSpace.diagonal([1, 2, 0]),
         QuadraticSpace.zero(4),
         QuadraticSpace.diagonal([1, 1, 1, 1, 0]),
+        QuadraticSpace([[1, HALF, 0], [HALF, 2, Fraction(1, 3)], [0, Fraction(1, 3), -1]]),
+        dense_form(random.Random(3), 4, corank=1),
     ]
     for k in range(120):
         V = spaces[k % len(spaces)]
@@ -190,14 +460,14 @@ def test_monoid_tau_and_norm_properties_sampled():
 
 def test_glip_inverse_stays_lipschitz():
     rng = random.Random(9)
-    V = QuadraticSpace.diagonal([1, 2, 3])
     found = 0
-    for _ in range(60):
+    for k in range(60):
+        V = QuadraticSpace.diagonal([1, 2, 3]) if k % 2 else dense_form(rng, 3)
         x = _sample_generator(rng, V)
         if lipschitz_report(x, V)["verdict"] not in ("group", "spin"):
             continue
         z = norm_scalar(x, V)
-        inv = reverse(x, V).scale(1 / z)
+        inv = reverse(x, V).scale(Fraction(1) / z)
         assert gp(x, inv, V) == Multivector.scalar(1)
         assert is_lipschitz(inv, V)
         found += 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffdegen.clifford import Multivector
+from cliffdegen.clifford import Multivector, mask_of
 from cliffdegen.linalg import identity_matrix, mat_mul, mat_sub
 from cliffdegen.localmodels import (
     MatrixTuple,
@@ -164,9 +164,9 @@ def test_spin_image_respects_brackets_exactly():
         xu = Multivector({})
         xv = Multivector({})
         for c, p in zip(u, pairs):
-            xu = xu + Multivector.blade(p, c)
+            xu = xu + Multivector({mask_of(p): c})
         for c, p in zip(v, pairs):
-            xv = xv + Multivector.blade(p, c)
+            xv = xv + Multivector({mask_of(p): c})
         com = geometric_product(xu, xv, V) - geometric_product(xv, xu, V)
         rhs = spin_image_tuple([[com.coefficient(p) for p in pairs]], ell, odd=odd)
         assert lhs == [list(row) for row in rhs.X[0]]

@@ -13,6 +13,7 @@ from cliffdegen.clifford import (
     filtration_degree,
     geometric_product,
     is_even,
+    mask_of,
 )
 from cliffdegen.rings import InvariantViolation
 from cliffdegen.spinor import (
@@ -360,8 +361,8 @@ def test_central_involution(ell):
 def test_spinor_matrix_multiplicative():
     W = WittDecomposition(2, odd=True)
     V = W.space()
-    x = Multivector.blade((1, 4)) + Multivector.scalar(2)
-    y = Multivector.blade((2, 3)) - Multivector.basis_vector(5)
+    x = Multivector({mask_of((1, 4)): 1}) + Multivector.scalar(2)
+    y = Multivector({mask_of((2, 3)): 1}) - Multivector.basis_vector(5)
     from cliffdegen.linalg import mat_mul
 
     assert spinor_matrix(geometric_product(x, y, V), W) == mat_mul(
