@@ -56,17 +56,19 @@ MAX_FINGERPRINT_ENTRIES = 1 << 20
 
 # `form reconstruct` brackets every pair of the m(m-1)/2 bivectors, about
 # m^4/8 brackets whose table it keeps.  Larger m is refused before any work
-# (on a shared 2-core 2.0 GHz Xeon, one random dense form takes about 0.6 s
-# at a peak RSS of 41 MB for m = 20, 1.4 s at 69 MB for m = 24 and 2.4 s at
-# 114 MB for m = 28, each in a fresh process).
+# (on a shared 2-core 2.0 GHz Xeon, one random dense form takes about
+# 0.7-0.9 s at a peak RSS of 39 MB for m = 20, 1.0-1.5 s at 65 MB for m = 24
+# and 3.1 s at 112 MB for m = 28, each in a fresh process).
 MAX_RECONSTRUCT_M = 24
 
 # `form tensor` and `degenerate analyze` build the even-algebra tensor: the
 # 4^(m-1) products of pairs of the 2^(m-1) even blades.  Spaces of larger m
-# are refused before any work (m = 8 is 16384 products: on a 2.0 GHz Xeon
-# core, `form tensor` takes about 3.4 s and prints 6 MB of JSON at a peak
-# RSS of 103 MB for a dense rational form, 0.2 s and 0.3 MB for the unit
-# form, and 13 s and 13 MB at 252 MB for a dense form of degree 1 in t).
+# are refused before any work (m = 8 is 16384 products: on a shared 2-core
+# 2.0 GHz Xeon, in a fresh process, `form tensor` takes about 1.7-2.9 s and
+# prints 8.9 MB of JSON at a peak RSS of 101 MB for a dense form with
+# entries p/q, |p|, q < 100, 0.2 s and 0.3 MB at 24 MB for the unit form,
+# and 10-14 s and 30 MB at 318 MB for a dense form whose entries are
+# a + b t with such a and b).
 MAX_TENSOR_M = 8
 
 # `spinor check` compares the even algebra, of dimension 2^(2l) (odd m) or

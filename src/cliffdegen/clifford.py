@@ -14,10 +14,16 @@ A :class:`QuadraticSpace` keeps ``int`` entries as ``int``s and every
 product starts from the literal 1, so a form over Z computes on ``int``s;
 :meth:`QuadraticSpace.scaled` gives such a form, D Q, as a plain space.
 
-The product rewrites words using exactly the two relations
-    e_i^2 = q(e_i) e_0,
-    e_i e_j + e_j e_i = b(e_i, e_j) e_0,
-i.e. for i > j:  e_i e_j = b(e_i, e_j) e_0 - e_j e_i.
+The product is determined by the two relations
+    e_i^2 = q(e_i) e_0,   e_i e_j + e_j e_i = b(e_i, e_j) e_0,
+and takes one generator at a time by Chevalley's formula for Cl(q) as the
+exterior algebra with a deformed product (The Algebraic Theory of Spinors,
+1954; Helmstetter and Micali, Quadratic Mappings and Clifford Algebras,
+2008).  With beta(e_t, e_j) = b(e_t, e_j) for t > j, q(e_j) for t = j and 0
+for t < j,
+    e_a e_j = e_a ^ e_j + e_a _| beta(., e_j),
+where the contraction drops each t in a with the sign (-1)^#{s in a: s > t}:
+at most |a| + 1 terms, on distinct blades, and nothing to cache.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ class BladeIndexError(IndexError):
 class QuadraticSpace:
     """Symmetric m x m matrix Q over an exact coefficient ring, with
     q(x) = x^T Q x.  Entries are kept as :func:`~cliffdegen.rings.as_coeff`
-    gives them, so ``int``s stay ``int``s.  Immutable after construction
-    (the product cache is filled lazily but is append-only)."""
+    gives them, so ``int``s stay ``int``s.  Immutable: a space holds ``m``
+    and ``gram`` and nothing else."""
 
     def __init__(self, gram):
         rows = [tuple(as_coeff(v) for v in row) for row in gram]
@@ -57,7 +63,6 @@ class QuadraticSpace:
                     raise ValueError(f"gram matrix not symmetric at ({i},{j})")
         self.m = m
         self.gram = tuple(rows)
-        self._gen_cache: dict = {}
 
     @staticmethod
     def diagonal(qs) -> "QuadraticSpace":
@@ -150,7 +155,7 @@ class Multivector:
         clean = {}
         if terms:
             for mask, c in terms.items():
-                c = as_coeff(c) if not hasattr(c, "is_zero") else c
+                c = as_coeff(c)
                 if not czero(c):
                     clean[mask] = c
         self.terms = clean
@@ -215,35 +220,27 @@ class Multivector:
 
 
 def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
-    """Expansion of (canonical blade) * e_j as {blade: coeff}.
-
-    Rewrites by pulling e_j leftward through larger generators, using
-    e_t e_j = b(t,j) e_0 - e_j e_t for t > j and e_j^2 = q(j) e_0.
-    """
-    key = (mask, j)
-    cached = space._gen_cache.get(key)
-    if cached is not None:
-        return cached
+    """(canonical blade e_a) * e_j as {blade: coeff}, by the contraction
+    formula of the module docstring; e_j joins e_a, or squares to q(j)."""
+    gram = space.gram  # beta reads the lower triangle, Q[t][j] with t > j
+    out = {}
+    sign = 1
+    high = mask >> j  # bit k stands for e_(j+k+1)
+    while high:
+        k = high.bit_length()
+        high ^= 1 << (k - 1)
+        c = gram[j + k - 1][j - 1]
+        if c:
+            c = 2 * c
+            out[mask ^ (1 << (j + k - 1))] = c if sign > 0 else -c
+        sign = -sign
     jbit = 1 << (j - 1)
-    if mask == 0:
-        out = {jbit: 1}
+    if not mask & jbit:
+        out[mask | jbit] = sign
     else:
-        t = mask.bit_length()  # largest 1-based index in the blade
-        tbit = 1 << (t - 1)
-        rest = mask ^ tbit
-        if t < j:
-            out = {mask | jbit: 1}
-        elif t == j:
-            qj = space.q(j)
-            out = {} if czero(qj) else {rest: qj}
-        else:
-            btj = space.b(t, j)
-            out = {} if czero(btj) else {rest: btj}
-            # the blades of rest * e_j only involve indices < t, so appending
-            # e_t keeps them canonical
-            inner = _blade_times_gen(space, rest, j)
-            axpy(out, -1, {m2 | tbit: c for m2, c in inner.items()})
-    space._gen_cache[key] = out
+        qj = gram[j - 1][j - 1]
+        if qj:
+            out[mask ^ jbit] = qj if sign > 0 else -qj
     return out
 
 

@@ -221,7 +221,13 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
     special = theta_tensor(F.at(0))
     rad = jacobson_radical(special)
-    for k in range(1, 100):
+    # a point is bad where an entry has a pole or det 2Q vanishes: at most
+    # deg(det numerator) + the sum of the entries' denominator degrees
+    # points, so one more integer point is always a good one
+    bad = len(det.num.coeffs) - 1 + sum(
+        len(v.den.coeffs) - 1 for row in F.space.gram for v in row if isinstance(v, RatFun)
+    )
+    for k in range(1, bad + 2):
         cpoint = Fraction(k)
         try:
             fibre = F.at(cpoint)
@@ -229,8 +235,6 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
             continue
         if eval_coeff(det, cpoint) != 0:
             break
-    else:
-        raise NoWitness("no regular rational point with nondegenerate fibre found")
     generic_rad = jacobson_radical(theta_tensor(fibre))
     if generic_rad.dimension != 0:
         raise InvariantViolation("nondegenerate fibre has nonzero radical")

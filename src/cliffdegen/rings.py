@@ -226,9 +226,6 @@ class RatFun(_Ring):
     def const(c) -> "RatFun":
         return RatFun(Poly.const(c), Poly.const(1))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 

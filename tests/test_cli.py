@@ -572,6 +572,19 @@ def test_lipschitz_on_a_dense_form_is_group(capsys, tmp_path, doc, norm):
     assert (payload["cl0_member"], payload["verdict"], payload["norm_scalar"]) == (True, "group", norm)
 
 
+def test_the_product_reads_the_lower_triangle_of_a_ratfun_form(capsys, tmp_path):
+    # Q[1][2] = t/1 and Q[2][1] = 2t/2 are one value with two printed forms;
+    # the generator step reads Q[t][j] for t > j, so the unreduced norm
+    # carries the denominator 2 of the lower entry
+    t_over_1, two_t_over_2 = {"num": ["0", "1"], "den": ["1"]}, {"num": ["0", "2"], "den": ["2"]}
+    doc = {"V": {"Q": [[["1"], t_over_1], [two_t_over_2, ["1"]]]}, "x": {"[]": "1", "[1,2]": "1"}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, ["lipschitz", "test", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["payload"]["norm_scalar"] == {"num": ["4", "4"], "den": ["2"]}
+
+
 def test_degenerate_analyze_pass_and_fail(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(
@@ -591,6 +604,24 @@ def test_degenerate_analyze_pass_and_fail(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["degenerate", "analyze", "--input", str(bad)])
     assert code == 2
     assert json.loads(out)["verdict"] == "fail"
+
+
+def test_degenerate_analyze_scans_past_every_bad_point(capsys, tmp_path):
+    # diag(prod_{k=1}^{99} (t - k), 1, 1): every fibre at t = 1..99 is
+    # singular, and the scan reaches t = 100 = deg det + 1
+    coeffs = [1]
+    for k in range(1, 100):
+        coeffs = [(coeffs[i - 1] if i else 0) - k * (coeffs[i] if i < len(coeffs) else 0)
+                  for i in range(len(coeffs) + 1)]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(
+        {"m": 3, "Q": [[[str(c) for c in coeffs], [], []], [[], ["1"], []], [[], [], ["1"]]]}
+    ))
+    code, out, _ = run_cli(capsys, ["degenerate", "analyze", "--input", str(path)])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert (payload["generic_check_point"], payload["generic_radical_dim"]) == ("100", 0)
+    assert len(payload["det"]["num"]) == 100
 
 
 def test_plethysm_verify_g2(capsys):

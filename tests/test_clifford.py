@@ -1,13 +1,17 @@
 """Core Clifford arithmetic: anchored examples plus the algebraic laws as
-hypothesis properties."""
+hypothesis properties.  The recursive, memoised rewriting that the closed-form
+generator step replaced stays here as its reference."""
 
 import gc
+import inspect
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffdegen import clifford, jsonio
 from cliffdegen.clifford import (
     BladeIndexError,
     Multivector,
@@ -21,7 +25,7 @@ from cliffdegen.clifford import (
     reverse,
     specialize_space,
 )
-from cliffdegen.rings import CoefficientRingMismatch, PoleError, Poly, RatFun, eval_coeff
+from cliffdegen.rings import CoefficientRingMismatch, PoleError, Poly, RatFun, axpy, czero, eval_coeff
 
 HALF = Fraction(1, 2)
 
@@ -227,6 +231,120 @@ def test_parametric_product_stays_polynomial():
     assert prod == Multivector({0: -t})
 
 
+# --- the generator step against the recursive rewriting -----------------
+
+
+def reference_blade_times_gen(space, mask, j, cache):
+    """The recursive, memoised generator step that the closed form replaced
+    (the cache was the space's own; here it is an argument)."""
+    key = (mask, j)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    jbit = 1 << (j - 1)
+    if mask == 0:
+        out = {jbit: 1}
+    else:
+        t = mask.bit_length()  # largest 1-based index in the blade
+        tbit = 1 << (t - 1)
+        rest = mask ^ tbit
+        if t < j:
+            out = {mask | jbit: 1}
+        elif t == j:
+            qj = space.q(j)
+            out = {} if czero(qj) else {rest: qj}
+        else:
+            btj = space.b(t, j)
+            out = {} if czero(btj) else {rest: btj}
+            # the blades of rest * e_j only involve indices < t, so appending
+            # e_t keeps them canonical
+            inner = reference_blade_times_gen(space, rest, j, cache)
+            axpy(out, -1, {m2 | tbit: c for m2, c in inner.items()})
+    cache[key] = out
+    return out
+
+
+def step_forms(m):
+    """Dense rational, dense Q[t], Q(t), corank-1 and zero forms of rank m,
+    with the integer forms D Q of the first two."""
+    rng = random.Random(m)
+
+    def symmetric(entry):
+        g = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for k in range(i, m):
+                g[i][k] = g[k][i] = entry()
+        return g
+
+    def nonzero_fraction():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+
+    def poly():
+        return Poly([nonzero_fraction(), nonzero_fraction()])
+
+    rational = QuadraticSpace(symmetric(nonzero_fraction))
+    polynomial = QuadraticSpace(symmetric(poly))
+    ratfun = QuadraticSpace(symmetric(lambda: RatFun(poly(), poly())))
+    # P^T diag(d_1, ..., d_(m-1), 0) P with P unitriangular: corank exactly 1
+    d = [nonzero_fraction() for _ in range(m - 1)] + [0]
+    P = [[int(i == k) if k <= i else rng.randint(-3, 3) for k in range(m)] for i in range(m)]
+    corank_one = QuadraticSpace(
+        [[sum(P[r][i] * d[r] * P[r][k] for r in range(m)) for k in range(m)] for i in range(m)]
+    )
+    return [rational, rational.scaled()[1], polynomial, polynomial.scaled()[1], ratfun,
+            corank_one, QuadraticSpace.zero(m)]
+
+
+STEP_FORMS = [V for m in range(1, 7) for V in step_forms(m)]
+
+
+def step_mismatches(step):
+    """Every (gram, mask, j) on STEP_FORMS where ``step`` differs from the
+    reference in its blades and their order, its values, their types or
+    their printed form."""
+    def shape(out):
+        return [(mask, type(c), c, jsonio.encode_coeff(c)) for mask, c in out.items()]
+
+    bad = []
+    for V in STEP_FORMS:
+        cache = {}
+        for mask in range(1 << V.m):
+            for j in range(1, V.m + 1):
+                if shape(step(V, mask, j)) != shape(reference_blade_times_gen(V, mask, j, cache)):
+                    bad.append((V.gram, mask, j))
+    return bad
+
+
+def test_the_generator_step_is_the_recursive_rewriting():
+    assert step_mismatches(clifford._blade_times_gen) == []
+    # on a form over Z, such as D Q from scaled(), the step computes on ints
+    ints = [V for V in STEP_FORMS if all(type(v) is int for row in V.gram for v in row)]
+    assert {V.m for V in ints} == set(range(1, 7))
+    for V in ints:
+        for mask in range(1 << V.m):
+            for j in range(1, V.m + 1):
+                assert all(type(c) is int for c in clifford._blade_times_gen(V, mask, j).values())
+
+
+def mutant_step(old, new):
+    """``_blade_times_gen`` with the one occurrence of ``old`` in its source
+    replaced by ``new``, compiled in the namespace of clifford."""
+    source = inspect.getsource(clifford._blade_times_gen)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(clifford))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace["_blade_times_gen"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("sign = -sign", "sign = sign"), ("c = 2 * c", "c = c")],
+    ids=["sign-never-flips", "contraction-by-q"],
+)
+def test_the_step_test_fails_on_a_mutant_step(old, new):
+    assert step_mismatches(mutant_step(old, new))
+
+
 def _specialize(x, c):
     """Coefficient-wise substitution t = c."""
     return Multivector({m: eval_coeff(v, Fraction(c)) for m, v in x.terms.items()})
@@ -251,11 +369,10 @@ def test_scaled_space_is_the_integer_form():
     assert S.gram == ((6, 4), (4, -15))
     assert all(type(v) is int for row in S.gram for v in row)
     assert S.scaled()[0] == 1
-    # products on S have int coefficients and fill S's cache, not V's
-    e1, e2 = Multivector.basis_vector(1), Multivector.basis_vector(2)
-    gp(e2, e1, S)
-    assert S._gen_cache and not V._gen_cache
-    assert all(type(c) is int for out in S._gen_cache.values() for c in out.values())
+    # products of int multivectors on S have int coefficients
+    x = Multivector({0b01: 1, 0b10: 2, 0b11: -1})
+    for p in (gp(x, x, S), gp(Multivector({0b10: 1}), Multivector({0b01: 1}), S)):
+        assert p.terms and all(type(c) is int for c in p.terms.values())
     assert QuadraticSpace.zero(3).scaled()[0] == 1
     # over Q[t], D is the lcm of the denominators of every coefficient
     t = Poly.t()
@@ -269,11 +386,10 @@ def test_scaled_space_is_the_integer_form():
     assert [type(v) for row in QuadraticSpace(S.gram).gram for v in row] == [Poly, int, int, Poly]
     assert all(type(c) is int for v in (S.gram[0][0], S.gram[1][1]) for c in v.coeffs)
     assert S.scaled()[0] == 1
-    gp(e2 + e1, e1 + e2, S)
-    assert S._gen_cache and not P._gen_cache
-    for out in S._gen_cache.values():
-        for c in out.values():
-            assert type(c) is int or type(c) is Poly and all(type(x) is int for x in c.coeffs)
+    p = gp(x, x, S)
+    assert p.terms
+    for c in p.terms.values():
+        assert type(c) is int or type(c) is Poly and all(type(a) is int for a in c.coeffs)
     W = QuadraticSpace.diagonal([RatFun(Poly.const(1), Poly.t()), 1])
     assert W.scaled() == (1, W) and W.scaled()[1] is W
 

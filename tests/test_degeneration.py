@@ -43,7 +43,7 @@ def reference_det(rows) -> RatFun:
     det = RatFun.const(1)
     sign = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, n) if mat[r][col]), None)
         if pivot is None:
             return RatFun.const(0)
         if pivot != col:
@@ -52,7 +52,7 @@ def reference_det(rows) -> RatFun:
         pv = mat[col][col]
         det = det * pv
         for r in range(col + 1, n):
-            if mat[r][col].is_zero():
+            if not mat[r][col]:
                 continue
             f = mat[r][col] * RatFun(pv.den, pv.num)
             for c2 in range(col, n):
@@ -219,6 +219,24 @@ def test_witness_of_a_family_with_denominators_prints_the_fibre_over_q():
     assert w.special_fiber.scale == 6
     assert encode_tensor(w.special_fiber) == encode_tensor(over_q(Q0))
     assert w.radical == reference_radical(over_q(Q0)) and w.radical.dimension == 2
+
+
+def test_the_check_point_scan_passes_every_pole_and_root():
+    # bad points are poles of an entry or roots of det 2Q: at most the
+    # denominator degrees plus the degree of the det's numerator of them
+    poles = Poly.const(1)
+    for k in range(1, 6):
+        poles = poles * Poly([-k, 1])
+    roots = Poly.const(1)
+    for k in range(6, 10):
+        roots = roots * Poly([-k, 1])
+    for entries, point in (
+        ([RatFun(1, poles), 1, 1], 6),
+        ([RatFun(roots, poles), 1, 1], 10),
+        ([RatFun(1, poles), roots, RatFun(roots, poles)], 10),
+    ):
+        w = certify_specialization(QuadraticFamily.diagonal(entries))
+        assert (w.generic_check_point, w.generic_radical_dim) == (point, 0)
 
 
 def test_witness_requires_odd_m_and_generic_nondegeneracy():

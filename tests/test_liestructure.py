@@ -609,8 +609,7 @@ def test_transcription_shares_no_code_with_the_product(monkeypatch):
         raise AssertionError("product code reached")
 
     # the transcription reads the gram of D Q from scaled(), which
-    # multiplies no generators: the spaces it returns keep an empty product
-    # cache
+    # multiplies no generators
     returned = []
     scaled = QuadraticSpace.scaled
 
@@ -627,7 +626,6 @@ def test_transcription_shares_no_code_with_the_product(monkeypatch):
     for V in (form_with_lcm(rng, 5, 60, "dense"), QuadraticSpace.diagonal([Poly.t(), 1, 2])):
         assert lie_over_q(transcribe_constants(V)).table == reference_transcribe_constants(V)
     assert [D for D, _ in returned] == [60, 1]
-    assert all(not S._gen_cache for _, S in returned)
     with pytest.raises(AssertionError):
         build_even_lie(form_with_lcm(rng, 3, 6, "dense"))
     assert not hasattr(liestructure, "geometric_product")
