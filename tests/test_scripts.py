@@ -22,12 +22,18 @@ def load(name):
     [
         (
             "degeneration_sweep",
-            ["--max-m", "3"],
+            ["--max-m", "5"],
             [
                 "diag(1,..,1,t)     m=3",
                 "diag(1,..,1,t,t)   m=3",
                 "diag(t,..,t)       m=3",
                 "diag(1,..,1,t^2)   m=3",
+                "dense Q0+tI, corank 1  m=3     4        2        2",
+                "diag(1,..,1,t)     m=5",
+                "diag(1,..,1,t,t)   m=5",
+                "diag(t,..,t)       m=5",
+                "diag(1,..,1,t^2)   m=5",
+                "dense Q0+tI, corank 3  m=5    16       14        4",
             ],
         ),
         ("branching_report", [], ["G2    D_7", "C3    D_7", "F4    D_13"]),
