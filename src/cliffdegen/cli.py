@@ -64,10 +64,10 @@ MAX_RECONSTRUCT_M = 24
 # `form tensor` and `degenerate analyze` build the even-algebra tensor: the
 # 4^(m-1) products of pairs of the 2^(m-1) even blades.  Spaces of larger m
 # are refused before any work (m = 8 is 16384 products: on a shared 2-core
-# 2.0 GHz Xeon, in a fresh process, `form tensor` takes about 1.7-2.9 s and
-# prints 8.9 MB of JSON at a peak RSS of 101 MB for a dense form with
+# 2.0 GHz Xeon, in a fresh process, `form tensor` takes about 1.1-1.7 s and
+# prints 8.4 MB of JSON at a peak RSS of 80 MB for a dense form with
 # entries p/q, |p|, q < 100, 0.2 s and 0.3 MB at 24 MB for the unit form,
-# and 10-14 s and 30 MB at 318 MB for a dense form whose entries are
+# and 6-7.5 s and 31 MB at 245 MB for a dense form whose entries are
 # a + b t with such a and b).  `degenerate analyze` takes odd m only, so
 # m <= 7, and builds one tensor, the special fibre's: on Q0 + t I with a
 # dense rational Q0 of corank 0, 4 and 7 at m = 7 it takes about 0.4, 0.45

@@ -46,11 +46,19 @@ class NoWitness(ArithmeticError):
 
 @dataclass
 class QuadraticFamily:
-    """Symmetric form over Q[t] or over rational functions regular at 0."""
+    """Symmetric form over Q[t] or over rational functions regular at 0.
+    Each rational-function entry is kept in lowest terms, reduced once
+    here: its poles are then the roots of its denominator."""
 
     space: QuadraticSpace
 
     def __post_init__(self):
+        gram = [list(row) for row in self.space.gram]
+        for i, row in enumerate(gram):
+            for j in range(i, len(row)):
+                if isinstance(row[j], RatFun):
+                    row[j] = gram[j][i] = row[j].reduced()
+        self.space = QuadraticSpace(gram)
         try:
             for row in self.space.gram:
                 for v in row:
@@ -107,7 +115,9 @@ def jacobson_radical(T: AlgebraTensor) -> list:
     Lambda = diag(lambda_a), gram_T = Lambda^-1 gram_S Lambda^-1 for the
     trace forms over Q and over D Q: gram_S has the pivot columns of
     gram_T, and its kernel vector y of free column fc (y's last nonzero
-    entry) maps to gram_T's as x_j = lambda_j y_j / lambda_fc."""
+    entry) maps to gram_T's as x_j = lambda_j y_j / lambda_fc: a zero stays
+    as it is, and each other coordinate is one ``Fraction`` built from the
+    integers."""
     if not T.is_rational():
         raise ValueError("radical computation requires rational coefficients")
     T.verify_unital()
@@ -130,7 +140,10 @@ def jacobson_radical(T: AlgebraTensor) -> list:
     basis = []
     for vec in kernel:
         fc = max(k for k, y in enumerate(vec) if y)
-        basis.append([lam[j] * y / lam[fc] for j, y in enumerate(vec)])
+        lf = lam[fc]
+        basis.append(
+            [Fraction(lam[j] * y.numerator, lf * y.denominator) if y else y for j, y in enumerate(vec)]
+        )
     return basis
 
 
@@ -222,13 +235,12 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
         raise InvariantViolation(
             f"the trace-form kernel has dimension {len(basis)}, the structure theorem {dim}"
         )
-    # the poles are the roots of the entries' denominators in lowest terms,
-    # each reduced once; a point is bad where an entry has a pole or det 2Q
-    # vanishes: at most deg(det numerator) + the sum of the denominators'
-    # degrees points, so one more integer point is always a good one
-    dens = [
-        v.reduced().den for i, row in enumerate(F.space.gram) for v in row[i:] if isinstance(v, RatFun)
-    ]
+    # the poles are the roots of the entries' denominators, in lowest terms
+    # since the family was built; a point is bad where an entry has a pole
+    # or det 2Q vanishes: at most deg(det numerator) + the sum of the
+    # denominators' degrees points, so one more integer point is always a
+    # good one
+    dens = [v.den for i, row in enumerate(F.space.gram) for v in row[i:] if isinstance(v, RatFun)]
     bad = len(det.num.coeffs) - 1 + sum(len(d.coeffs) - 1 for d in dens)
     for k in range(1, bad + 2):
         cpoint = Fraction(k)

@@ -12,10 +12,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .clifford import Multivector, QuadraticSpace, mask_of
 from .degeneration import SpecializationWitness
-from .liestructure import AlgebraTensor, unscale
+from .liestructure import AlgebraTensor
 from .localmodels import MatrixTuple, TraceFingerprint
 from .rings import Poly, RatFun
 
@@ -171,18 +172,44 @@ def decode_multivector(obj, m: int) -> Multivector:
     return Multivector(terms)
 
 
+class _Quotients(dict):
+    """p -> the text of p / q for a fixed q > 0, as ``str(Fraction(p, q))``
+    prints it: one gcd, the sign on the numerator.  Each p is formatted
+    once; a tensor repeats few distinct values."""
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __missing__(self, p: int) -> str:
+        q = self.q
+        g = gcd(p, q)
+        text = self[p] = str(p // g) if g == q else f"{p // g}/{q // g}"
+        return text
+
+
 def encode_tensor(T: AlgebraTensor) -> dict:
-    """The entries over Q: entry k of basis_i basis_j is divided by
-    lambda_i lambda_j / lambda_k (:meth:`AlgebraTensor.lambdas`) as it is
-    encoded."""
-    lam = T.lambdas()
+    """The entries over Q, ordered by (i, j) and then k.  On a tensor of
+    ``scale`` D > 1 entry k of f_i f_j is an ``int`` (or a ``Poly`` of
+    them) that is D^(h_i + h_j - h_k) times the one over Q, with
+    h = |mask|/2 (lambda_i lambda_j / lambda_k of
+    :meth:`AlgebraTensor.lambdas`): each ``int`` is divided by that power
+    with one gcd, and no ``Fraction`` is built.  A tensor of scale 1
+    prints its entries as they are."""
+    c = T.c
     entries = []
-    for (i, j) in sorted(T.c):
-        row = T.c[(i, j)]
-        lij = lam[i] * lam[j]
+    if T.scale == 1:
+        for (i, j) in sorted(c):
+            row = c[(i, j)]
+            entries.extend([i, j, k, encode_coeff(row[k])] for k in sorted(row))
+        return {"dim": T.dim, "identity": T.identity, "c": entries}
+    h = [mask.bit_count() >> 1 for mask in T.basis_masks]
+    over = [_Quotients(T.scale**e) for e in range(2 * max(h) + 1)]
+    for (i, j) in sorted(c):
+        row = c[(i, j)]
+        hij = h[i] + h[j]
         for k in sorted(row):
-            v = row[k] if T.scale == 1 else unscale(row[k], lij // lam[k])
-            entries.append([i, j, k, encode_coeff(v)])
+            v, texts = row[k], over[hij - h[k]]
+            entries.append([i, j, k, [texts[a] for a in v.coeffs] if type(v) is Poly else texts[v]])
     return {"dim": T.dim, "identity": T.identity, "c": entries}
 
 

@@ -232,6 +232,44 @@ FORM_INPUTS = {
             ["1/3", "0", "1"],
         ],
     },
+    # dense, with denominators 1..10: D = 2520
+    "rational7.json": {
+        "m": 7,
+        "Q": [
+            ["-37/8", "41/2", "63/10", "-79/10", "21/2", "-46/5", "14"],
+            ["41/2", "11/9", "8", "-97/3", "97/10", "-4", "-79/10"],
+            ["63/10", "8", "13/7", "-80/7", "-4/3", "5", "-24"],
+            ["-79/10", "-97/3", "-80/7", "-3/5", "5/3", "92/7", "79/2"],
+            ["21/2", "97/10", "-4/3", "5/3", "99/10", "-53/7", "27/2"],
+            ["-46/5", "-4", "5", "92/7", "-53/7", "-15/8", "23/2"],
+            ["14", "-79/10", "-24", "79/2", "27/2", "23/2", "95"],
+        ],
+    },
+    # dense over Q[t], degrees 0..2 with interior zeros: D = 60
+    "poly5.json": {
+        "m": 5,
+        "Q": [
+            [["-1/3", "7", "5/2"], ["-2"], ["-1/2", "8"], ["-2", "-3/4", "-1/2"], ["-4", "-5/6"]],
+            [["-2"], ["5/2", "-5", "-9/2"], ["-4/3"], ["-1/2", "-3/2"], ["-3/4", "0", "1/2"]],
+            [["-1/2", "8"], ["-4/3"], ["-1"], ["0", "9"], ["1", "0", "1/5"]],
+            [["-2", "-3/4", "-1/2"], ["-1/2", "-3/2"], ["0", "9"], ["3", "-8/3"], ["1/2"]],
+            [["-4", "-5/6"], ["-3/4", "0", "1/2"], ["1", "0", "1/5"], ["1/2"], ["2"]],
+        ],
+    },
+    # Q0 + t I, Q0 dense of corank 3 with D = 30: the radical basis carries
+    # coordinates lambda_j y_j / lambda_fc with lambda_j != lambda_fc
+    "corank3_family.json": {
+        "m": 7,
+        "Q": [
+            [["-1/3", "1"], "2/3", "0", "-1/3", "-1/3", "1/3", "0"],
+            ["2/3", ["1/6", "1"], "-3", "-5/6", "11/3", "-13/6", "3/2"],
+            ["0", "-3", ["5", "1"], "2", "-5", "2", "-1"],
+            ["-1/3", "-5/6", "2", ["-19/30", "1"], "-59/15", "5/6", "1/2"],
+            ["-1/3", "11/3", "-5", "-59/15", ["22/15", "1"], "-5/3", "1"],
+            ["1/3", "-13/6", "2", "5/6", "-5/3", ["1/6", "1"], "1/2"],
+            ["0", "3/2", "-1", "1/2", "1", "1/2", ["-5/2", "1"]],
+        ],
+    },
 }
 FORM_PINS = {
     "form tensor --input rational.json": ("bacd438f6ea660e254cfcde317a2a348ae3474e6977870f748e40d05d68ed775", 0),
@@ -241,6 +279,10 @@ FORM_PINS = {
     "form reconstruct --input ratfun.json": ("ce46c50b18e6b28f6de10d8858881aa50c28fffa85753dfd3fcc38862b79ebef", 0),
     "degenerate analyze --input poly_family.json": ("6a62896df50f9c27eedb659031e285183811b0ff96ce44b1eab04904060ccab2", 0),
     "degenerate analyze --input ratfun_family.json": ("2a3d7e199a20ee0e3e5f27f078a6e86d950f793355871464bee5f1792524b543", 0),
+    # recorded before the tensor was printed from its ints
+    "form tensor --input rational7.json": ("635a4a5d3cc099dd7d3cccd24e6baa671aea8c6f8bcfadc4f076dd35a3e1908b", 0),
+    "form tensor --input poly5.json": ("7d01c22783cd06b05cba2e33b4168e233803a87a6019f8dd897178cd103e3bda", 0),
+    "degenerate analyze --input corank3_family.json": ("1bd249b4ddd486c10f063ead48fb58b33be21c73990f17ba9caa7cd07fec4282", 0),
 }
 
 

@@ -1,10 +1,12 @@
 """Flat families, specialisation commutation, radicals, and witnesses.
 
-Two constructions that the library replaced stay here as references: the
-determinant by Gaussian elimination over Q(t), and the radical computed on
-the tensor over Q with ``Fraction`` kernel vectors, checked to be an ideal
-and nilpotent, with its nilpotency index from the chain of its powers.  The
-library takes the dimension and the index from the structure theorem."""
+Three constructions that the library replaced stay here as references: the
+determinant by Gaussian elimination over Q(t); the radical computed on the
+tensor over Q with ``Fraction`` kernel vectors, checked to be an ideal and
+nilpotent, with its nilpotency index from the chain of its powers (the
+library takes the dimension and the index from the structure theorem); and
+the radical on the tensor over D Q mapped to the e_a by one ``Fraction``
+multiply and divide per coordinate."""
 
 import hashlib
 import json
@@ -96,6 +98,32 @@ def reference_radical(T: AlgebraTensor) -> RadicalReport:
         current = vecs
         index += 1
     return RadicalReport(dimension=len(kernel), basis=kernel, nilpotency_index=index)
+
+
+def reference_lambda_radical(T: AlgebraTensor) -> list:
+    """:func:`jacobson_radical` with a ``Fraction`` multiply and divide for
+    each coordinate of the kernel over D Q, zeros included."""
+    if not T.is_rational():
+        raise ValueError("radical computation requires rational coefficients")
+    T.verify_unital()
+    d = T.dim
+    trace: dict = {}
+    for (k, l), row in T.c.items():
+        v = row.get(l)
+        if v:
+            trace[k] = trace.get(k, 0) + v
+    gram = [[0] * d for _ in range(d)]
+    for (i, j), row in T.c.items():
+        gram[i][j] = sum(v * trace[k] for k, v in row.items() if k in trace)
+    kernel = nullspace_dense(gram, d)
+    if T.scale == 1:
+        return kernel
+    lam = T.lambdas()
+    basis = []
+    for vec in kernel:
+        fc = max(k for k, y in enumerate(vec) if y)
+        basis.append([lam[j] * y / lam[fc] for j, y in enumerate(vec)])
+    return basis
 
 
 def test_family_requires_regularity_at_zero():
@@ -477,6 +505,39 @@ def test_the_structure_theorem_gives_the_reference_radical(kind):
                 assert _printed(w.radical.basis) == _printed(want.basis), (kind, m, r)
 
 
+def _dense_fibre(rng, m, r) -> QuadraticSpace:
+    """P^T diag(q_1, .., q_(m-r), 0, .., 0) P of corank r, P unit upper
+    triangular with entries in -2..2 above the diagonal, each q_k = +-a/b
+    with a in {1, 7, 11, 13} and b in {2, 3, 5}, so D > 1 for r < m."""
+    P = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(m)] for i in range(m)]
+    q = [Fraction(rng.choice([-1, 1]) * rng.choice([1, 7, 11, 13]), rng.choice([2, 3, 5])) for _ in range(m - r)]
+    q += [0] * r
+    return QuadraticSpace(
+        [[sum((P[k][i] * q[k] * P[k][j] for k in range(m)), Fraction(0)) for j in range(m)] for i in range(m)]
+    )
+
+
+def test_the_radical_basis_matches_the_fraction_mapping_reference():
+    """On dense rational fibres of every corank 0..m, m = 3..7, with D > 1
+    (but for the zero form), the basis and its printed strings are the
+    reference's, zeros kept as ``Fraction(0)``; some coordinates have
+    lambda_j != lambda_fc."""
+    rng = random.Random("lambda-radical")
+    uneven = 0
+    for m in range(3, 8):
+        for r in range(m + 1):
+            T = theta_tensor(_dense_fibre(rng, m, r))
+            assert T.scale > 1 or r == m, (m, r)
+            got, want = jacobson_radical(T), reference_lambda_radical(T)
+            assert got == want and _printed(got) == _printed(want), (m, r)
+            assert all(type(y) is Fraction for vec in got for y in vec)
+            lam = T.lambdas()
+            for vec in got:
+                fc = max(k for k, y in enumerate(vec) if y)
+                uneven += any(y and lam[j] != lam[fc] for j, y in enumerate(vec))
+    assert uneven > 0
+
+
 def _orthogonal_product(a: int, b: int, q) -> tuple:
     """e_a e_b over diag(q_1, .., q_m) from the relations alone: each
     generator of b passes the generators of a above it, and e_i^2 = q_i.
@@ -545,16 +606,22 @@ def _pole_family(n):
     return QuadraticFamily.diagonal([RatFun(num, den), 1, 1])
 
 
-def test_the_check_point_scan_reduces_each_entry_once(monkeypatch, capsys, tmp_path):
-    """Poles are tested on the denominators in lowest terms, each reduced
-    once per family: the det and the one rational entry are the two
-    reductions.  Evaluating the entry at each pole reduced it again there,
-    41 reductions in all, and took 0.5-2 s.  The stdout is pinned as it was
-    printed then."""
-    F = _pole_family(40)
+def _count_reductions(monkeypatch) -> list:
+    """A list that grows by one on each call of ``RatFun.reduced``."""
     calls = []
     reduced = RatFun.reduced
     monkeypatch.setattr(RatFun, "reduced", lambda self: calls.append(1) or reduced(self))
+    return calls
+
+
+def test_the_check_point_scan_reduces_each_entry_once(monkeypatch, capsys, tmp_path):
+    """Poles are tested on the denominators in lowest terms, each reduced
+    once per family, as it is built: the det and the one rational entry
+    are the two reductions.  Evaluating the entry at each pole reduced it
+    again there, 41 reductions in all, and took 0.5-2 s.  The stdout is
+    pinned as it was printed then."""
+    calls = _count_reductions(monkeypatch)
+    F = _pole_family(40)
     w = certify_specialization(F)
     assert w.generic_check_point == 81 and len(calls) == 2
     monkeypatch.undo()
@@ -565,6 +632,23 @@ def test_the_check_point_scan_reduces_each_entry_once(monkeypatch, capsys, tmp_p
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d2fe37b708b54c4c4fe1bc8852e55b6f2f981fbda585ed99b18dc6255c8697d4"
     )
+
+
+def test_a_family_reduces_each_rational_entry_once(monkeypatch):
+    """diag((t^2 + t)/t, 1, 1) has a removable singularity at 0.  Its entry
+    is reduced once, when the family is built, and the det once: the
+    regularity check, the special fibre and the check-point scan read the
+    stored lowest terms (they reduced it three times, once each)."""
+    t = Poly.t()
+    calls = _count_reductions(monkeypatch)
+    F = QuadraticFamily.diagonal([RatFun(t * t + t, t), 1, 1])
+    assert len(calls) == 1
+    entry = F.space.gram[0][0]
+    assert (entry.num, entry.den) == (t + 1, Poly.const(1))
+    w = certify_specialization(F)
+    assert len(calls) == 2
+    assert (w.generic_check_point, w.radical.dimension) == (1, 0)
+    assert w.det_generic == RatFun(8 * (t + 1), Poly.const(1))
 
 
 # sha256 of `degenerate analyze` stdout on the m = 7 families below, as the

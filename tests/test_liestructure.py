@@ -142,9 +142,9 @@ def test_reconstruct_needs_three_indices():
 
 def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
     """T in the basis e_a, of scale 1: entry k of e_i e_j is entry k of
-    f_i f_j divided by lambda_i lambda_j / lambda_k, through the same
-    ``unscale`` that the encoder uses.  A ``RatFun`` entry, of a tensor of
-    scale 1 that the encoder prints as it is, passes through unreduced."""
+    f_i f_j divided by lambda_i lambda_j / lambda_k, through ``unscale``.
+    A ``RatFun`` entry, of a tensor of scale 1 that the encoder prints as
+    it is, passes through unreduced."""
     lam = T.lambdas()
 
     def entry(v, Dk):

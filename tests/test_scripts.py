@@ -47,3 +47,19 @@ def test_script_prints_one_row_per_case(capsys, monkeypatch, name, argv, first_c
     assert len(rows) == len(first_columns)
     for row, start in zip(rows, first_columns):
         assert row.startswith(start), row
+
+
+def test_stdout_digest_repeats_on_one_degeneration_cycle(capsys, monkeypatch):
+    """One cycle of `degeneration` at one seed, after its four warm-up ops:
+    one line per op with --per-op, then the workload's line, and the same
+    bytes on a second run."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = load("stdout_digest")
+    argv = ["--workload", "degeneration", "--seeds", "1", "--cycles", "1", "--per-op"]
+    assert digest.main(argv) == 0
+    first = capsys.readouterr().out
+    *ops, total = first.splitlines()
+    assert len(ops) == 18 and total.startswith("degeneration\t18 ops\t")
+    assert all(line.split("\t")[2] in ("0", "2") for line in ops)
+    assert digest.main(argv) == 0
+    assert capsys.readouterr().out == first

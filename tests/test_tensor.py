@@ -1,10 +1,14 @@
 """The even-algebra tensor and its radical against the straightforward
 constructions they replace, kept here as references: the tensor from one
 geometric product per pair of even blades, products of vectors by a dense
-double loop, and the radical as the kernel of a dense Tr(L_i L_j) matrix."""
+double loop, the radical as the kernel of a dense Tr(L_i L_j) matrix, and
+the printed tensor through one ``Fraction`` (or ``Poly`` of them) per
+entry."""
 
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,8 +20,8 @@ from cliffdegen.clifford import (
     geometric_product,
 )
 from cliffdegen.degeneration import jacobson_radical, radical_shape
-from cliffdegen.jsonio import encode_tensor
-from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
+from cliffdegen.jsonio import encode_coeff, encode_tensor
+from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor, unscale
 from cliffdegen.linalg import echelon
 from cliffdegen.rings import Poly, RatFun, czero
 from test_liestructure import PRIMORIAL_97, form_with_lcm, over_q
@@ -109,6 +113,21 @@ def reference_radical(T: AlgebraTensor):
         power = [[Fraction(int(x.p), int(x.q)) for x in r] for r in rows]
         index += 1
     return kernel, index
+
+
+def reference_encode_tensor(T: AlgebraTensor) -> dict:
+    """The entries over Q: entry k of basis_i basis_j is divided by
+    lambda_i lambda_j / lambda_k (:meth:`AlgebraTensor.lambdas`) as it is
+    encoded."""
+    lam = T.lambdas()
+    entries = []
+    for (i, j) in sorted(T.c):
+        row = T.c[(i, j)]
+        lij = lam[i] * lam[j]
+        for k in sorted(row):
+            v = row[k] if T.scale == 1 else unscale(row[k], lij // lam[k])
+            entries.append([i, j, k, encode_coeff(v)])
+    return {"dim": T.dim, "identity": T.identity, "c": entries}
 
 
 # -- forms --------------------------------------------------------------
@@ -297,6 +316,98 @@ def test_sparse_multiply_drops_cancelled_and_nilpotent_terms():
     assert T.multiply({0: 1, 1: 1}, {0: 1, 1: -1}) == {}
     T = theta_tensor(QuadraticSpace.diagonal([1, 1, 1]))
     assert T.multiply({0: 2}, {1: 3}) == {1: 6}
+
+
+# -- printing the tensor from its ints -------------------------------------
+
+PRINT_SCALES = [1, 2, 6, 12, 2**10, 97]
+
+
+def _printed(T: AlgebraTensor) -> str:
+    return json.dumps(encode_tensor(T))
+
+
+def _synthetic_tensor(rng, m: int, D: int) -> AlgebraTensor:
+    """Random sparse entries on the even blades of m generators, of scale D:
+    nonzero ``int``s of either sign, some of them multiples of powers of D,
+    and ``Poly``s of them with zero coefficients inside.  As in a Clifford
+    tensor, e_a e_b has terms on blades c with |c| <= |a| + |b| only."""
+    masks = even_blade_basis(m)
+    d = len(masks)
+    h = [mask.bit_count() >> 1 for mask in masks]
+
+    def number():
+        return rng.choice([-1, 1]) * rng.randint(1, 60) * D ** rng.randint(0, 3) * rng.choice([1, 2, 3, 5])
+
+    c = {}
+    for i in range(d):
+        for j in range(d):
+            if rng.random() < 0.5:
+                continue
+            row = {}
+            below = [k for k in range(d) if h[k] <= h[i] + h[j]]
+            for k in rng.sample(below, rng.randint(1, min(len(below), 4))):
+                if rng.random() < 0.5:
+                    row[k] = number()
+                else:
+                    coeffs = [number() if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 4))]
+                    row[k] = Poly(coeffs + [number()])
+            c[(i, j)] = row
+    return AlgebraTensor(dim=d, identity=0, c=c, basis_masks=masks, scale=D)
+
+
+@pytest.mark.parametrize("D", PRINT_SCALES)
+def test_the_printed_tensor_matches_the_unscale_reference(D):
+    """Byte for byte, on random ints and Polys of every sign, with zero
+    coefficients inside a Poly; with D > 1 some entries are p/q after a
+    cancellation (gcd neither 1 nor q), and some are divided by
+    D^(h_i + h_j - h_k) != D^(h_k)."""
+    rng = random.Random(f"print/{D}")
+    cancelled = uneven = inner_zeros = 0
+    for m in (2, 3, 4, 5, 6):
+        T = _synthetic_tensor(rng, m, D)
+        assert _printed(T) == json.dumps(reference_encode_tensor(T)), (D, m)
+        h = [mask.bit_count() >> 1 for mask in T.basis_masks]
+        for (i, j), row in T.c.items():
+            for k, v in row.items():
+                q = D ** (h[i] + h[j] - h[k])
+                coeffs = v.coeffs if type(v) is Poly else (v,)
+                cancelled += any(1 < gcd(a, q) < q for a in coeffs)
+                uneven += h[i] + h[j] - h[k] != h[k]
+                inner_zeros += 0 in coeffs[1:-1]
+    assert inner_zeros > 0
+    if D > 1:
+        assert cancelled > 0 and uneven > 0
+
+
+def _poly_form_with_lcm(rng, m: int, D: int) -> QuadraticSpace:
+    """A dense form over Q[t] of degree up to 2, with zero middle
+    coefficients, whose coefficient denominators have lcm D."""
+    dens = [q for q in range(1, D + 1) if D % q == 0]
+
+    def entry(i, j):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 3))]
+        if len(coeffs) == 3 and rng.random() < 0.5:
+            coeffs[1] = Fraction(0)
+        return Poly(coeffs)
+
+    V = _symmetric(m, entry)
+    gram = [list(row) for row in V.gram]
+    gram[0][0] = Poly([Fraction(1, D), 0, Fraction(-3, rng.choice(dens))])
+    return QuadraticSpace(gram)
+
+
+@pytest.mark.parametrize("D", PRINT_SCALES)
+def test_theta_tensors_print_as_the_unscale_reference(D):
+    """Clifford tensors over Q and Q[t] of scale D, and over Q(t) (scale
+    1), print byte for byte as the reference prints them."""
+    rng = random.Random(f"print-theta/{D}")
+    for m in (2, 3, 4, 5):
+        forms = ((form_with_lcm(rng, m, D, "dense"), D), (_poly_form_with_lcm(rng, m, D), D), (ratfun_form(rng, m), 1))
+        for V, scale in forms:
+            T = theta_tensor(V)
+            assert T.scale == scale
+            assert _printed(T) == json.dumps(reference_encode_tensor(T)), (D, m, scale)
 
 
 # -- the radical through the joined trace form -----------------------------
