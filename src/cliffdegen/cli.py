@@ -142,6 +142,10 @@ def _check_reconstruct_m(m: int):
 
 
 def _cmd_form_reconstruct(args):
+    if args.random and args.input is not None:
+        raise UsageError("--random and --input exclude each other")
+    if not args.random and (args.m, args.seed, args.trials) != (None, None, None):
+        raise UsageError("--m, --seed and --trials require --random")
     if args.random:
         if args.m is None:
             raise UsageError("--random requires --m")

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals: one sparse echelon core
-(:class:`SpanBasis`) behind spans, ranks, nullspaces and linear solves, and
-small dense matrix helpers used by the local-model routines."""
+(:class:`SpanBasis`) behind spans, ranks and nullspaces, and small dense
+matrix helpers used by the local-model routines."""
 
 from __future__ import annotations
 
@@ -112,16 +112,6 @@ def nullspace_dense(rows: list, ncols: int) -> list:
             vec[col] = -row.get(fc, Fraction(0))
         basis.append(vec)
     return basis
-
-
-def solve_augmented(rows: list, n: int) -> list:
-    """Rows of X with A X = B, for augmented dense rows [A | B] whose left
-    n x n block A is invertible."""
-    pivots = echelon(rows).rref()
-    if any(k not in pivots for k in range(n)):
-        raise ZeroDivisionError("singular system")
-    width = len(rows[0])
-    return [[pivots[k].get(j, Fraction(0)) for j in range(n, width)] for k in range(n)]
 
 
 # --- small dense matrix helpers (lists of lists of Fractions) ---

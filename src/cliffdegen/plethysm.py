@@ -23,6 +23,9 @@ from the Freudenthal recursion run on its dominant weights only, each
 result spread over its Weyl orbit; the total is checked against the Weyl
 dimension formula.
 
+The branching cases restrict along V(theta), theta the highest root of one
+length, whose orthogonality is the parity of <theta, 2 rho^v>.
+
 Every weight and root of these systems lies in (1/2)Z^n, so the recursion,
 the orbits and the peel-off run on int tuples equal to twice the weight;
 Fractions appear only in what the public functions take and return.
@@ -37,7 +40,6 @@ from itertools import product as iproduct
 from math import lcm
 from operator import add, mul, sub
 
-from .linalg import solve_augmented
 from .rings import HALF, InvariantViolation, axpy
 
 
@@ -76,7 +78,6 @@ def dot(a, b):
 @dataclass(frozen=True)
 class RootSystemData:
     label: str
-    rank: int
     simple_roots: tuple
     positive_roots: tuple
     rho: tuple
@@ -86,22 +87,6 @@ class RootSystemData:
 
     def is_dominant(self, lam) -> bool:
         return all(dot(lam, a) >= 0 for a in self.simple_roots)
-
-    def fundamental_weights(self) -> tuple:
-        """omega_i in the span of the roots, <omega_i, alpha_j^v> = delta_ij:
-        omega_i = sum_k x_ki alpha_k, where X solves the Cartan-type system
-        sum_k x_ki <alpha_k, alpha_j^v> = delta_ij, one column per weight."""
-        n = self.rank
-        simple = self.simple_roots
-        aug = [
-            [self.coroot_pairing(simple[k], simple[j]) for k in range(n)]
-            + [Fraction(1 if i == j else 0) for i in range(n)]
-            for j in range(n)
-        ]
-        X = solve_augmented(aug, n)
-        return tuple(
-            reduce(vadd, (vscale(X[k][i], simple[k]) for k in range(n))) for i in range(n)
-        )
 
 
 def _eps(i, n):
@@ -154,7 +139,6 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
     rho = vscale(HALF, reduce(vadd, pos))
     R = RootSystemData(
         label=label if label in ("G2", "F4") else f"{label}{rank}",
-        rank=rank,
         simple_roots=tuple(simple),
         positive_roots=tuple(pos),
         rho=rho,
@@ -354,42 +338,31 @@ def identify_irreducible(W: dict, R: RootSystemData):
 # the three branching cases
 
 
-def _fundamental_of_dim(R: RootSystemData, dim: int, orthogonal_only: bool = False):
-    """Pin a fundamental representation by its dimension (and, for type C,
-    by orthogonality: the epsilon-coordinate sum of the highest weight must
-    be even, since odd weight sums give symplectic representations)."""
-    hits = []
-    for w in R.fundamental_weights():
-        if weyl_dim(R, w) == dim:
-            if orthogonal_only and sum(w) % 2 != 0:
-                continue
-            hits.append(w)
-    if len(hits) != 1:
-        raise EmbeddingError(
-            f"{R.label}: fundamental of dimension {dim} not pinned uniquely ({len(hits)} hits)"
-        )
-    return hits[0]
-
-
-def _adjoint_highest_weight(R: RootSystemData):
-    """Highest root = the dominant long root."""
-    longest = max(dot(a, a) for a in R.positive_roots)
-    hits = [a for a in R.positive_roots if dot(a, a) == longest and R.is_dominant(a)]
-    if len(hits) != 1:
-        raise EmbeddingError("highest root not unique")
-    return hits[0]
+def _highest_root(R: RootSystemData, long: bool):
+    """The highest root of the longest (or the shortest) length: the one
+    dominant root of that length."""
+    norm = (max if long else min)(dot(a, a) for a in R.positive_roots)
+    (root,) = [a for a in R.positive_roots if dot(a, a) == norm and R.is_dominant(a)]
+    return root
 
 
 CASES = {
-    "g2": {"type": ("G2",), "defining": "adjoint", "dim": 14, "ell": 7},
-    "f4": {"type": ("F4",), "defining": "fundamental", "dim": 26, "ell": 13},
-    "c3": {"type": ("C", 3), "defining": "fundamental", "dim": 14, "ell": 7},
+    "g2": {"type": ("G2",), "long": True, "dim": 14, "ell": 7},
+    "f4": {"type": ("F4",), "long": False, "dim": 26, "ell": 13},
+    "c3": {"type": ("C", 3), "long": False, "dim": 14, "ell": 7},
 }
 
 
 def verify_plethysm(case: str) -> dict:
     """Restrict both half-spin modules along the case's defining orthogonal
-    representation and identify the constituents.
+    representation V(lam), lam the highest root of the case's length, and
+    identify the constituents.
+
+    A self-dual V(lam) is orthogonal exactly when <lam, 2 rho^v> is even
+    (Bourbaki, Lie Groups and Lie Algebras, ch. VIII, 7.5).  An odd value,
+    or a dimension or Witt index other than the case's, raises
+    ``InvariantViolation``; ``build_embedding`` refuses a V(lam) that is
+    not self-dual.
 
     For G2 the identified constituent is asserted (in the callers/tests) to
     be the irreducible with highest weight rho and dimension 64; for F4 and
@@ -400,10 +373,12 @@ def verify_plethysm(case: str) -> dict:
         raise ValueError(f"unknown case {case}; expected one of {sorted(CASES)}")
     spec = CASES[case]
     R = root_system(*spec["type"])
-    if spec["defining"] == "adjoint":
-        hw = _adjoint_highest_weight(R)
-    else:
-        hw = _fundamental_of_dim(R, spec["dim"], orthogonal_only=R.label.startswith("C"))
+    hw = _highest_root(R, spec["long"])
+    pairing = sum(R.coroot_pairing(hw, a) for a in R.positive_roots)
+    if pairing % 2:
+        raise InvariantViolation(
+            f"{R.label}: V({', '.join(map(str, hw))}) is not orthogonal: <lambda, 2 rho^v> = {pairing}"
+        )
     defining = irrep_weights(R, hw)
     if sum(defining.values()) != spec["dim"]:
         raise InvariantViolation("defining representation has unexpected dimension")

@@ -399,6 +399,8 @@ PINNED_STDOUT = {
     "plethysm verify c3": ("a07ad6006c76f126e877ad18fa651925d3af0748dc857c19680e978a4ebacf05", 0),
     "plethysm verify c3 --halfspin +": ("d1ae90be3619ac4c8296d2d2a5708c646d0e7209058aa08985e35eddee272bc9", 0),
     "plethysm verify c3 --halfspin -": ("dd2685d769b52d7e2eb8a89560176ce7a605f2ba4917b5cdd872858398447c56", 0),
+    "plethysm verify f4": ("e4d8558207801e426a9aa8abb306ee808bcf78dac205128ea73d24b7e2128067", 0),
+    "plethysm verify f4 --halfspin -": ("7076ec1064ca91465586d4b73ca5a5b567ce9ed2125a2ea20091bb28cb8ab185", 0),
 }
 
 
@@ -855,6 +857,30 @@ def test_reconstruct_random_refuses_trials_below_one(capsys, trials):
 
 class _Reached(Exception):
     pass
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--random --m 3 --input space.json",
+        "--input space.json --m 9 --seed 3 --trials 5",
+        "--input space.json --m 3",
+        "--input space.json --seed 3",
+        "--input space.json --trials 5",
+    ],
+)
+def test_reconstruct_refuses_conflicting_options_before_any_work(capsys, tmp_path, monkeypatch, args):
+    # --input and --random exclude each other, and --m, --seed and --trials
+    # mean something only with --random
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "build_even_lie", reached)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "space.json").write_text(json.dumps({"Q": [["1", "0"], ["0", "1"]]}))
+    code, out, err = run_cli(capsys, ["form", "reconstruct"] + args.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error") and "--random" in err
 
 
 def test_reconstruct_size_guard_refuses_before_any_product(capsys, tmp_path, monkeypatch):

@@ -1,15 +1,15 @@
 """The echelon core against sympy as an independent oracle: reduced row
-echelon forms, nullspaces, ranks and linear solves on random rational
-matrices must agree exactly."""
+echelon forms, nullspaces and ranks on random rational matrices must
+agree exactly."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cliffdegen.acceptance import _random_unimodular
-from cliffdegen.linalg import _P, SpanBasis, echelon, identity_matrix, mat_mul, nullspace_dense, solve_augmented
+from cliffdegen.linalg import _P, SpanBasis, echelon, identity_matrix, mat_mul, nullspace_dense
 
 sympy = pytest.importorskip("sympy")
 
@@ -25,14 +25,6 @@ def matrices(draw, max_rows=6, max_cols=6):
     ncols = draw(st.integers(1, max_cols))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     return draw(st.lists(row, min_size=1, max_size=max_rows)), ncols
-
-
-@st.composite
-def invertible(draw, max_n=4):
-    n = draw(st.integers(1, max_n))
-    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
-    assume(to_sympy(rows).det() != 0)
-    return rows
 
 
 def to_sympy(rows):
@@ -65,25 +57,6 @@ def test_nullspace_and_rank_match_sympy(case):
     assert got == want
     assert all(isinstance(x, Fraction) for vec in got for x in vec)
     assert echelon(rows).dim == M.rank()
-
-
-@settings(max_examples=100, deadline=None)
-@given(invertible(), st.data())
-def test_solve_square_matches_sympy(A, data):
-    n = len(A)
-    b = data.draw(st.lists(entries, min_size=n, max_size=n))
-    x = [row[0] for row in solve_augmented([row + [v] for row, v in zip(A, b)], n)]
-    want = to_sympy(A).LUsolve(to_sympy([[v] for v in b]))
-    assert x == [from_sympy(want[k, 0]) for k in range(n)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(invertible())
-def test_inverse_matches_sympy(g):
-    inv = to_sympy(g).inv()
-    n = len(g)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
-    assert solve_augmented(aug, n) == [[from_sympy(inv[i, j]) for j in range(n)] for i in range(n)]
 
 
 def test_random_unimodular_returns_its_inverse():

@@ -1,13 +1,19 @@
 """Root systems, Freudenthal weights, restriction, and the three branching
 identifications."""
 
+import json
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 
 import pytest
 
+from cliffdegen import plethysm
+from cliffdegen.cli import main
+from cliffdegen.linalg import echelon
 from cliffdegen.plethysm import (
+    CASES,
     EmbeddingError,
     NonDominantWeight,
     NotACharacter,
@@ -22,11 +28,81 @@ from cliffdegen.plethysm import (
     vscale,
     vsub,
     weyl_dim,
-    _adjoint_highest_weight,
-    _fundamental_of_dim,
+    _highest_root,
 )
+from cliffdegen.rings import InvariantViolation
 
 HALF = Fraction(1, 2)
+
+
+# --- reference: the defining weights as they were found before -----------
+# by a search over the fundamental weights, from a linear solve
+
+
+def solve_augmented(rows: list, n: int) -> list:
+    """Rows of X with A X = B, for augmented dense rows [A | B] whose left
+    n x n block A is invertible."""
+    pivots = echelon(rows).rref()
+    if any(k not in pivots for k in range(n)):
+        raise ZeroDivisionError("singular system")
+    width = len(rows[0])
+    return [[pivots[k].get(j, Fraction(0)) for j in range(n, width)] for k in range(n)]
+
+
+def _cartan_augmented(R) -> list:
+    n = len(R.simple_roots)
+    simple = R.simple_roots
+    return [
+        [R.coroot_pairing(simple[k], simple[j]) for k in range(n)]
+        + [Fraction(1 if i == j else 0) for i in range(n)]
+        for j in range(n)
+    ]
+
+
+def fundamental_weights(R) -> tuple:
+    """omega_i in the span of the roots, <omega_i, alpha_j^v> = delta_ij:
+    omega_i = sum_k x_ki alpha_k, where X solves the Cartan-type system
+    sum_k x_ki <alpha_k, alpha_j^v> = delta_ij, one column per weight."""
+    n = len(R.simple_roots)
+    simple = R.simple_roots
+    X = solve_augmented(_cartan_augmented(R), n)
+    return tuple(
+        reduce(vadd, (vscale(X[k][i], simple[k]) for k in range(n))) for i in range(n)
+    )
+
+
+def _fundamental_of_dim(R, dim: int, orthogonal_only: bool = False):
+    """Pin a fundamental representation by its dimension (and, for type C,
+    by orthogonality: the epsilon-coordinate sum of the highest weight must
+    be even, since odd weight sums give symplectic representations)."""
+    hits = []
+    for w in fundamental_weights(R):
+        if weyl_dim(R, w) == dim:
+            if orthogonal_only and sum(w) % 2 != 0:
+                continue
+            hits.append(w)
+    if len(hits) != 1:
+        raise EmbeddingError(
+            f"{R.label}: fundamental of dimension {dim} not pinned uniquely ({len(hits)} hits)"
+        )
+    return hits[0]
+
+
+def _adjoint_highest_weight(R):
+    """Highest root = the dominant long root."""
+    longest = max(dot(a, a) for a in R.positive_roots)
+    hits = [a for a in R.positive_roots if dot(a, a) == longest and R.is_dominant(a)]
+    if len(hits) != 1:
+        raise EmbeddingError("highest root not unique")
+    return hits[0]
+
+
+def reference_defining_weight(case: str):
+    if case == "g2":
+        return _adjoint_highest_weight(root_system("G2"))
+    if case == "f4":
+        return _fundamental_of_dim(root_system("F4"), 26)
+    return _fundamental_of_dim(root_system("C", 3), 14, orthogonal_only=True)
 
 
 # --- enumeration reference: the restriction as it was before the fold ---
@@ -120,13 +196,8 @@ def reference_irrep_weights(R, lam) -> dict:
 
 
 def _case_embedding(case: str) -> tuple:
-    if case == "g2":
-        R = root_system("G2")
-        hw = _adjoint_highest_weight(R)
-    else:
-        R = root_system("F4") if case == "f4" else root_system("C", 3)
-        hw = _fundamental_of_dim(R, 26 if case == "f4" else 14, orthogonal_only=case == "c3")
-    return build_embedding(irrep_weights(R, hw))
+    R = root_system(*CASES[case]["type"])
+    return build_embedding(irrep_weights(R, reference_defining_weight(case)))
 
 
 @pytest.mark.parametrize(
@@ -144,12 +215,18 @@ def test_positive_root_counts(args, count):
 )
 def test_fundamental_weights_pair_to_the_kronecker_delta(args):
     R = root_system(*args)
-    omegas = R.fundamental_weights()
-    assert len(omegas) == R.rank
+    omegas = fundamental_weights(R)
+    assert len(omegas) == (args[1] if len(args) > 1 else {"G2": 2, "F4": 4}[args[0]])
     for i, omega in enumerate(omegas):
         assert len(omega) == len(R.rho)
         for j, alpha in enumerate(R.simple_roots):
             assert R.coroot_pairing(omega, alpha) == (1 if i == j else 0)
+    # the reference solve against sympy's inverse of the Cartan-type matrix
+    sympy = pytest.importorskip("sympy")
+    n = len(omegas)
+    aug = _cartan_augmented(R)
+    inv = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row[:n]] for row in aug]).inv()
+    assert solve_augmented(aug, n) == [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)] for i in range(n)]
 
 
 def test_weyl_dim_examples():
@@ -293,7 +370,7 @@ def test_peel_off_soundness_random_dominant():
     rng = random.Random(77)
     for args in (("G2",), ("C", 3), ("B", 3), ("D", 4), ("F4",)):
         R = root_system(*args)
-        fw = R.fundamental_weights()
+        fw = fundamental_weights(R)
         done = 0
         attempts = 0
         while done < 20 and attempts < 200:
@@ -329,10 +406,90 @@ def test_c3_fundamental_pinning_uses_orthogonality():
     R = root_system("C", 3)
     # both the second and third fundamental have dimension 14; the
     # orthogonality filter must pick the one with even coordinate sum
-    dims = sorted(weyl_dim(R, w) for w in R.fundamental_weights())
+    dims = sorted(weyl_dim(R, w) for w in fundamental_weights(R))
     assert dims == [6, 14, 14]
     hw = _fundamental_of_dim(R, 14, orthogonal_only=True)
     assert sum(hw) % 2 == 0
+    # the coordinate-sum rule is the parity of <lambda, 2 rho^v> on both
+    for w in fundamental_weights(R):
+        assert sum(w) % 2 == _two_rho_vee(R, w) % 2
+
+
+def _two_rho_vee(R, lam):
+    """<lam, 2 rho^v>: the pairing of lam summed over the positive coroots."""
+    return sum(R.coroot_pairing(lam, a) for a in R.positive_roots)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_highest_root_is_the_defining_weight_the_search_found(case):
+    spec = CASES[case]
+    R = root_system(*spec["type"])
+    hw = _highest_root(R, spec["long"])
+    assert hw == reference_defining_weight(case)
+    assert weyl_dim(R, hw) == spec["dim"]
+    assert _two_rho_vee(R, hw) % 2 == 0
+
+
+def _squares(W: dict) -> tuple:
+    """Weight multisets of S^2 V and Lambda^2 V from that of V: a weight
+    basis v_1..v_n gives v_i v_j (i <= j) and v_i ^ v_j (i < j)."""
+    slots = [w for w, m in W.items() for _ in range(m)]
+    sym, alt = {}, {}
+    for i, u in enumerate(slots):
+        for j in range(i, len(slots)):
+            w = vadd(u, slots[j])
+            sym[w] = sym.get(w, 0) + 1
+            if j > i:
+                alt[w] = alt.get(w, 0) + 1
+    return sym, alt
+
+
+def test_the_parity_of_lambda_two_rho_vee_puts_the_invariant_form_in_the_right_square():
+    # a self-dual irreducible V has one invariant bilinear form: it is
+    # symmetric (in S^2 V*) exactly when <lambda, 2 rho^v> is even; the
+    # squares are peeled independently of the parity rule
+    checked = symplectic = 0
+    for args in (("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G2",), ("F4",)):
+        R = root_system(*args)
+        zero = tuple(Fraction(0) for _ in R.rho)
+        for lam in fundamental_weights(R):
+            if weyl_dim(R, lam) > 100:
+                continue
+            W = irrep_weights(R, lam)
+            if {vscale(-1, w): m for w, m in W.items()} != W:
+                continue  # D5's half-spins are dual to each other
+            trivial = [
+                sum(c["multiplicity"] for c in identify_irreducible(square, R) if c["highest_weight"] == zero)
+                for square in _squares(W)
+            ]
+            odd = _two_rho_vee(R, lam) % 2
+            assert trivial == ([0, 1] if odd else [1, 0]), (R.label, lam)
+            checked += 1
+            symplectic += odd
+    assert (checked, symplectic) == (28, 6)
+
+
+# eps1 + eps2 + eps3 of C3: 14-dimensional like the defining weight, but
+# with <lambda, 2 rho^v> = 9 its representation is symplectic
+C3_SYMPLECTIC = (Fraction(1), Fraction(1), Fraction(1))
+
+
+def test_a_symplectic_defining_weight_is_refused(capsys, monkeypatch):
+    R = root_system("C", 3)
+    assert weyl_dim(R, C3_SYMPLECTIC) == 14 and _two_rho_vee(R, C3_SYMPLECTIC) == 9
+    highest_root = plethysm._highest_root
+    monkeypatch.setattr(
+        plethysm, "_highest_root", lambda R, long: C3_SYMPLECTIC if R.label == "C3" else highest_root(R, long)
+    )
+    with pytest.raises(InvariantViolation, match="not orthogonal"):
+        verify_plethysm("c3")
+    code = main(["plethysm", "verify", "c3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    assert doc["payload"] == {"counterexample": "C3: V(1, 1, 1) is not orthogonal: <lambda, 2 rho^v> = 9"}
+    assert main(["plethysm", "verify", "g2"]) == 0
 
 
 def test_verify_plethysm_g2():
@@ -456,8 +613,8 @@ def test_dominant_recursion_matches_the_full_diagram(args):
     # the full diagram of rho at rank 4 (1.5 s for D4, 9 s for B4 and C4)
     # and of F4's second fundamental (1.8 s) is left out
     R = root_system(*args)
-    lams = list(R.fundamental_weights())
-    if R.rank < 4:
+    lams = list(fundamental_weights(R))
+    if len(lams) < 4:
         lams.append(R.rho)
     if R.label == "F4":
         del lams[1]
