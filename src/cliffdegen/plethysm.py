@@ -1,9 +1,12 @@
 """Root-system and weight machinery for the half-spin branching checks.
 
-Weights are tuples of Fractions in a standard rational realization of each
-root system (B/C/D in their natural coordinates; G2 inside the sum-zero
-hyperplane of Q^3; F4 in Q^4).  Weight multisets are dicts weight -> positive
-multiplicity.
+Every root and weight of these systems lies in (1/2)Z^n, so each is an int
+tuple equal to twice the vector, in a standard realization of each root
+system (B/C/D in their natural coordinates; G2 inside the sum-zero
+hyperplane of Q^3; F4 in Q^4).  Roots, rho and the weights the public
+functions take and return are all doubled; halves are written out only in
+the ``verify_plethysm`` payload and in error messages.  Weight multisets
+are dicts weight -> positive multiplicity.
 
 The restriction machinery: an orthogonal representation of H with weight
 multiset closed under negation determines an embedding of Cartans
@@ -25,10 +28,6 @@ dimension formula.
 
 The branching cases restrict along V(theta), theta the highest root of one
 length, whose orthogonality is the parity of <theta, 2 rho^v>.
-
-Every weight and root of these systems lies in (1/2)Z^n, so the recursion,
-the orbits and the peel-off run on int tuples equal to twice the weight;
-Fractions appear only in what the public functions take and return.
 """
 
 from __future__ import annotations
@@ -37,26 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
-from math import lcm
 from operator import add, mul, sub
 
-from .rings import HALF, InvariantViolation, axpy
+from .rings import InvariantViolation, axpy
 
 
-def _tup(v):
-    return tuple(Fraction(x) for x in v)
-
-
-def _doubled(v, exc_type=ValueError):
-    """2v as ints, for v in (1/2)Z^n."""
-    v = _tup(v)
-    if any(x.denominator > 2 for x in v):
-        raise exc_type(f"{v} does not lie in (1/2)Z^{len(v)}")
-    return tuple(2 * x.numerator // x.denominator for x in v)
-
-
-def _halved(v):
-    return tuple(Fraction(x, 2) for x in v)
+def _show(v) -> str:
+    """The vector of doubled coordinates v, written out in halves."""
+    return f"({', '.join(str(Fraction(x, 2)) for x in v)})"
 
 
 def vadd(a, b):
@@ -77,6 +64,10 @@ def dot(a, b):
 
 @dataclass(frozen=True)
 class RootSystemData:
+    """A root system in doubled coordinates: ``simple_roots`` and
+    ``positive_roots`` hold 2 alpha, and ``rho`` holds 2 rho, as int tuples.
+    A pairing <lam, alpha^v> is the same on doubled vectors as on halves."""
+
     label: str
     simple_roots: tuple
     positive_roots: tuple
@@ -86,11 +77,16 @@ class RootSystemData:
         return Fraction(2 * dot(lam, alpha), dot(alpha, alpha))
 
     def is_dominant(self, lam) -> bool:
-        return all(dot(lam, a) >= 0 for a in self.simple_roots)
+        """Dominant integral: <lam, alpha^v> is a nonnegative integer for
+        every simple root alpha."""
+        return all(
+            dot(lam, a) >= 0 and 2 * dot(lam, a) % dot(a, a) == 0 for a in self.simple_roots
+        )
 
 
 def _eps(i, n):
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    """2 eps_i."""
+    return tuple(2 if j == i else 0 for j in range(n))
 
 
 def _eps_pairs(n):
@@ -122,26 +118,20 @@ def root_system(label: str, rank: int = None) -> RootSystemData:
         ]
         pos = _eps_pairs(n)
     elif label == "G2":
-        simple = [_tup((1, -1, 0)), _tup((-2, 1, 1))]
+        simple = [(2, -2, 0), (-4, 2, 2)]
         steps = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
         pos = [vadd(vscale(i, simple[0]), vscale(j, simple[1])) for i, j in steps]
     elif label == "F4":
-        simple = [
-            vsub(_eps(1, n), _eps(2, n)),
-            vsub(_eps(2, n), _eps(3, n)),
-            _eps(3, n),
-            vscale(HALF, _tup((1, -1, -1, -1))),
-        ]
+        simple = [vsub(_eps(1, n), _eps(2, n)), vsub(_eps(2, n), _eps(3, n)), _eps(3, n), (1, -1, -1, -1)]
         pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
-        pos += [vscale(HALF, _tup((1, *signs))) for signs in iproduct((1, -1), repeat=3)]
+        pos += [(1, *signs) for signs in iproduct((1, -1), repeat=3)]
     else:
         raise ValueError(f"unsupported type {label}")
-    rho = vscale(HALF, reduce(vadd, pos))
     R = RootSystemData(
         label=label if label in ("G2", "F4") else f"{label}{rank}",
         simple_roots=tuple(simple),
         positive_roots=tuple(pos),
-        rho=rho,
+        rho=tuple(x // 2 for x in reduce(vadd, pos)),
     )
     for a in R.simple_roots:
         if R.coroot_pairing(R.rho, a) != 1:
@@ -153,18 +143,24 @@ class NonDominantWeight(ValueError):
     pass
 
 
+class NotACharacter(ArithmeticError):
+    """The multiset is not a nonnegative sum of irreducible characters."""
+
+
 def weyl_dim(R: RootSystemData, lam) -> int:
-    """Exact dimension by the product formula."""
-    lam = _tup(lam)
+    """Exact dimension of the irreducible with doubled highest weight lam,
+    by the product formula."""
     if not R.is_dominant(lam):
-        raise NonDominantWeight(f"{lam} is not dominant for {R.label}")
-    num = Fraction(1)
+        raise NonDominantWeight(f"{_show(lam)} is not dominant integral for {R.label}")
     lr = vadd(lam, R.rho)
+    num = den = 1
     for a in R.positive_roots:
-        num *= Fraction(dot(lr, a), dot(R.rho, a))
-    if num.denominator != 1:
+        num *= dot(lr, a)
+        den *= dot(R.rho, a)
+    dim, rem = divmod(num, den)
+    if rem:
         raise InvariantViolation("Weyl dimension did not come out integral")
-    return int(num)
+    return dim
 
 
 def _orbit(mu, simple) -> set:
@@ -184,9 +180,9 @@ def _orbit(mu, simple) -> set:
     return orbit
 
 
-def _character(R: RootSystemData, lam, exc_type=NonDominantWeight) -> dict:
-    """Weight multiset of the irreducible with doubled highest weight lam,
-    keyed by doubled weights.
+def irrep_weights(R: RootSystemData, lam) -> dict:
+    """Full weight multiset of the irreducible with doubled highest weight
+    lam, keyed by doubled weights.
 
     The dominant weights below lam are reached from lam by positive-root
     steps between dominant weights (Stembridge, Adv. Math. 136, 1998).  The
@@ -196,15 +192,12 @@ def _character(R: RootSystemData, lam, exc_type=NonDominantWeight) -> dict:
     checked against the Weyl dimension, which also catches a dominant weight
     the walk missed.
     """
-    simple = [_doubled(a) for a in R.simple_roots]
-    pos = [_doubled(a) for a in R.positive_roots]
-    rho = _doubled(R.rho)
-    if any(dot(lam, a) < 0 or 2 * dot(lam, a) % dot(a, a) for a in simple):
-        raise exc_type(f"{_halved(lam)} is not dominant integral for {R.label}")
+    dim = weyl_dim(R, lam)
+    pos, rho = R.positive_roots, R.rho
     dominant, frontier = {lam}, {lam}
     while frontier:
         lower = {vsub(nu, a) for nu in frontier for a in pos} - dominant
-        frontier = {mu for mu in lower if all(dot(mu, a) >= 0 for a in simple)}
+        frontier = {mu for mu in lower if R.is_dominant(mu)}
         dominant |= frontier
     lr = vadd(lam, rho)
     top = dot(lr, lr)
@@ -223,20 +216,12 @@ def _character(R: RootSystemData, lam, exc_type=NonDominantWeight) -> dict:
             if acc <= 0 or den <= 0 or 2 * acc % den:
                 raise InvariantViolation("Freudenthal recursion produced a non-multiplicity")
             m = 2 * acc // den
-        for w in _orbit(mu, simple):
+        for w in _orbit(mu, R.simple_roots):
             mult[w] = m
     total = sum(mult.values())
-    if total != weyl_dim(R, _halved(lam)):
-        raise InvariantViolation(
-            f"weight total {total} disagrees with Weyl dimension for {_halved(lam)}"
-        )
+    if total != dim:
+        raise InvariantViolation(f"weight total {total} disagrees with Weyl dimension for {_show(lam)}")
     return mult
-
-
-def irrep_weights(R: RootSystemData, lam) -> dict:
-    """Full weight multiset of the irreducible with highest weight lam."""
-    char = _character(R, _doubled(lam, NonDominantWeight))
-    return {_halved(w): m for w, m in char.items()}
 
 
 class EmbeddingError(ValueError):
@@ -263,7 +248,7 @@ def build_embedding(weights: dict) -> tuple:
             continue
         neg = vscale(-1, w)
         if rem.get(neg, 0) != rem[w]:
-            raise EmbeddingError(f"weights not closed under negation at {w}")
+            raise EmbeddingError(f"weights not closed under negation at {_show(w)}")
         if w > neg:
             mu.extend([w] * rem[w])
         rem[w] = 0
@@ -273,63 +258,61 @@ def build_embedding(weights: dict) -> tuple:
 
 def restrict_weights(mu: tuple) -> tuple:
     """Both half-spin multisets of so(2l) pushed through the embedding mu (l
-    weights), as (S+, S-); S+ holds the weights (s_1..s_l), s_i = +-1/2,
-    with an even number of negative entries.  Each goes to sum_i s_i mu_i,
-    and multiplicities add.
+    doubled weights), as (S+, S-) keyed by doubled weights; S+ holds the
+    weights (s_1..s_l), s_i = +-1/2, with an even number of negative
+    entries.  Each goes to sum_i s_i mu_i, and multiplicities add.
 
     The image is the product over i of ({+mu_i/2} + {-mu_i/2}), so the
     factors are folded in one at a time into multiplicities keyed by
-    (partial weight, parity of the minus signs so far).  The fold runs on
-    the ints D mu_i, D the lcm of the denominators, and divides by 2D only
-    when it writes the halves out."""
+    (partial sum of the +-mu_i, parity of the minus signs so far); each sum
+    is halved when the weights are written out.  Every sum is congruent to
+    sum_i mu_i mod 2, so one parity check on it decides, before the fold,
+    whether the restricted weights lie in (1/2)Z^n; ``NotACharacter`` if
+    not."""
     if not mu:
         raise EmbeddingError("embedding has no weights to restrict along")
     width = len(mu[0])
     if any(len(m) != width for m in mu):
         raise EmbeddingError("embedding weights have unequal lengths")
-    mu = [_tup(m) for m in mu]
-    D = lcm(*(x.denominator for m in mu for x in m))
+    if any(x % 2 for x in reduce(vadd, mu)):
+        raise NotACharacter(f"the restricted weights do not lie in (1/2)Z^{width}")
     states = {((0,) * width, 0): 1}
     for m in mu:
-        step = tuple(x.numerator * (D // x.denominator) for x in m)
         folded: dict = {}
         for (wt, parity), mult in states.items():
-            for key in ((vadd(wt, step), parity), (vsub(wt, step), parity ^ 1)):
+            for key in ((vadd(wt, m), parity), (vsub(wt, m), parity ^ 1)):
                 folded[key] = folded.get(key, 0) + mult
         states = folded
     halves = ({}, {})
     for (wt, parity), mult in states.items():
-        halves[parity][tuple(Fraction(x, 2 * D) for x in wt)] = mult
+        halves[parity][tuple(x // 2 for x in wt)] = mult
     return halves
 
 
-class NotACharacter(ArithmeticError):
-    """The multiset is not a nonnegative sum of irreducible characters."""
-
-
 def identify_irreducible(W: dict, R: RootSystemData):
-    """Greedy character peel-off.
+    """Greedy character peel-off of a multiset keyed by doubled weights.
 
     Returns a list of constituents [{"highest_weight", "dim",
-    "multiplicity"}]; a single entry of multiplicity 1 means W is itself an
-    irreducible character.
+    "multiplicity"}], each highest weight doubled; a single entry of
+    multiplicity 1 means W is itself an irreducible character.  A top
+    weight that is not dominant integral raises ``NotACharacter``.
     """
-    rho = _doubled(R.rho)
-    remaining = {_doubled(w, NotACharacter): m for w, m in W.items() if m}
+    remaining = {w: m for w, m in W.items() if m}
     constituents = []
     while remaining:
-        lam = max(remaining, key=lambda w: (dot(w, rho), w))
-        hw = _halved(lam)
+        lam = max(remaining, key=lambda w: (dot(w, R.rho), w))
+        if not R.is_dominant(lam):
+            raise NotACharacter(f"top weight {_show(lam)} is not dominant integral for {R.label}")
         mult = remaining[lam]
-        char = _character(R, lam, NotACharacter)
+        char = irrep_weights(R, lam)
         axpy(remaining, -mult, char)
         for w in char:
             if remaining.get(w, 0) < 0:
                 raise NotACharacter(
-                    f"multiplicity of {_halved(w)} drops below zero peeling {hw}"
+                    f"multiplicity of {_show(w)} drops below zero peeling {_show(lam)}"
                 )
         constituents.append(
-            {"highest_weight": hw, "dim": weyl_dim(R, hw), "multiplicity": mult}
+            {"highest_weight": lam, "dim": sum(char.values()), "multiplicity": mult}
         )
     return constituents
 
@@ -377,7 +360,7 @@ def verify_plethysm(case: str) -> dict:
     pairing = sum(R.coroot_pairing(hw, a) for a in R.positive_roots)
     if pairing % 2:
         raise InvariantViolation(
-            f"{R.label}: V({', '.join(map(str, hw))}) is not orthogonal: <lambda, 2 rho^v> = {pairing}"
+            f"{R.label}: V{_show(hw)} is not orthogonal: <lambda, 2 rho^v> = {pairing}"
         )
     defining = irrep_weights(R, hw)
     if sum(defining.values()) != spec["dim"]:
@@ -393,7 +376,7 @@ def verify_plethysm(case: str) -> dict:
     out["constituents"] = {
         sign: [
             {
-                "highest_weight": [str(x) for x in c["highest_weight"]],
+                "highest_weight": [str(Fraction(x, 2)) for x in c["highest_weight"]],
                 "dim": c["dim"],
                 "multiplicity": c["multiplicity"],
             }
@@ -402,7 +385,7 @@ def verify_plethysm(case: str) -> dict:
         for sign in ("+", "-")
     }
     out["halfspin_agree"] = results["+"] == results["-"]
-    out["rho"] = [str(x) for x in R.rho]
+    out["rho"] = [str(Fraction(x, 2)) for x in R.rho]
     out["is_single_irreducible"] = all(
         len(results[s]) == 1 and results[s][0]["multiplicity"] == 1 for s in ("+", "-")
     )

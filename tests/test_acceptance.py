@@ -22,10 +22,10 @@ BUDGETS = {
     "even-to-odd-spin-restriction": 60,
     "lipschitz-monoid-axioms": 60,
     "matrix-algebra-degeneration": 5,
-    "plethysm-g2": 10,
+    "plethysm-g2": 2,
     "plethysm-f4-c3": 2,
     "local-models": 30,
-    "weyl-dimension-self-consistency": 60,
+    "weyl-dimension-self-consistency": 2,
 }
 
 # sha256 of json.dumps(result, sort_keys=True) for each criterion run as

@@ -376,8 +376,8 @@ def test_spinor_check_and_weights(capsys, tmp_path):
 # spinor checks moved to sparse columns and the half-spin restriction to a
 # fold (the two `spinor weights` lines: before `--type D` was read from
 # spin_weights instead of merging the two halves; the three l = 5 lines:
-# before the Witt generators acted through one bit-level step);
-# `plethysm verify f4` is pinned by the plethysm criterion's digest
+# before the Witt generators acted through one bit-level step; `plethysm
+# verify f4 --halfspin +`: before the branching weights were doubled ints)
 PINNED_STDOUT = {
     "spinor weights --ell 4 --type D": ("c50da334c7ef6a3b8e195c903cdad0ef8f55cefbc0832fe4d01e3012fb8a9dc7", 0),
     "spinor weights --ell 3": ("2d9f59f2563b357f9de832227dbf91c771c4a8c03b88293a1266a2f3bdce58b5", 0),
@@ -400,6 +400,7 @@ PINNED_STDOUT = {
     "plethysm verify c3 --halfspin +": ("d1ae90be3619ac4c8296d2d2a5708c646d0e7209058aa08985e35eddee272bc9", 0),
     "plethysm verify c3 --halfspin -": ("dd2685d769b52d7e2eb8a89560176ce7a605f2ba4917b5cdd872858398447c56", 0),
     "plethysm verify f4": ("e4d8558207801e426a9aa8abb306ee808bcf78dac205128ea73d24b7e2128067", 0),
+    "plethysm verify f4 --halfspin +": ("90bcdd8eef66b8b67f7e8a4244f9a4a2431aee6b3769e5fdda7284c8167f634e", 0),
     "plethysm verify f4 --halfspin -": ("7076ec1064ca91465586d4b73ca5a5b567ce9ed2125a2ea20091bb28cb8ab185", 0),
 }
 

@@ -1,11 +1,18 @@
 """Root systems, Freudenthal weights, restriction, and the three branching
-identifications."""
+identifications.
+
+The library takes and returns every root and weight doubled: an int tuple
+equal to twice the vector.  The references below work in whichever
+coordinates they are given, except the Fraction pipeline, which works in
+natural coordinates and is compared with the library's output halved."""
 
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 
@@ -30,9 +37,228 @@ from cliffdegen.plethysm import (
     weyl_dim,
     _highest_root,
 )
-from cliffdegen.rings import InvariantViolation
+from cliffdegen.rings import InvariantViolation, axpy
 
 HALF = Fraction(1, 2)
+
+
+# --- reference: the natural-coordinate pipeline, Fractions in and out ----
+# the branching code as it was before every root and weight became a
+# doubled int tuple, verbatim but for the names and shorter docstrings: the
+# public functions carry a ref_ prefix, and RootSystemData is RefRootSystem
+
+
+def _tup(v):
+    return tuple(Fraction(x) for x in v)
+
+
+def _doubled(v, exc_type=ValueError):
+    """2v as ints, for v in (1/2)Z^n."""
+    v = _tup(v)
+    if any(x.denominator > 2 for x in v):
+        raise exc_type(f"{v} does not lie in (1/2)Z^{len(v)}")
+    return tuple(2 * x.numerator // x.denominator for x in v)
+
+
+def _halved(v):
+    return tuple(Fraction(x, 2) for x in v)
+
+
+@dataclass(frozen=True)
+class RefRootSystem:
+    label: str
+    simple_roots: tuple
+    positive_roots: tuple
+    rho: tuple
+
+    def coroot_pairing(self, lam, alpha) -> Fraction:
+        return Fraction(2 * dot(lam, alpha), dot(alpha, alpha))
+
+    def is_dominant(self, lam) -> bool:
+        return all(dot(lam, a) >= 0 for a in self.simple_roots)
+
+
+def _eps(i, n):
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def _eps_pairs(n):
+    """The roots eps_i - eps_j and eps_i + eps_j for i < j, in that order."""
+    return [
+        root
+        for i in range(n)
+        for j in range(i + 1, n)
+        for root in (vsub(_eps(i, n), _eps(j, n)), vadd(_eps(i, n), _eps(j, n)))
+    ]
+
+
+def ref_root_system(label: str, rank: int = None) -> RefRootSystem:
+    label = label.upper()
+    if label in ("G2", "F4"):
+        rank = {"G2": 2, "F4": 4}[label]
+    if rank is None:
+        raise ValueError("rank required for classical types")
+    n = rank
+    if label == "B":
+        simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [_eps(n - 1, n)]
+        pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
+    elif label == "C":
+        simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [vscale(2, _eps(n - 1, n))]
+        pos = [vscale(2, _eps(i, n)) for i in range(n)] + _eps_pairs(n)
+    elif label == "D":
+        simple = [vsub(_eps(i, n), _eps(i + 1, n)) for i in range(n - 1)] + [
+            vadd(_eps(n - 2, n), _eps(n - 1, n))
+        ]
+        pos = _eps_pairs(n)
+    elif label == "G2":
+        simple = [_tup((1, -1, 0)), _tup((-2, 1, 1))]
+        steps = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
+        pos = [vadd(vscale(i, simple[0]), vscale(j, simple[1])) for i, j in steps]
+    elif label == "F4":
+        simple = [
+            vsub(_eps(1, n), _eps(2, n)),
+            vsub(_eps(2, n), _eps(3, n)),
+            _eps(3, n),
+            vscale(HALF, _tup((1, -1, -1, -1))),
+        ]
+        pos = [_eps(i, n) for i in range(n)] + _eps_pairs(n)
+        pos += [vscale(HALF, _tup((1, *signs))) for signs in iproduct((1, -1), repeat=3)]
+    else:
+        raise ValueError(f"unsupported type {label}")
+    rho = vscale(HALF, reduce(vadd, pos))
+    R = RefRootSystem(
+        label=label if label in ("G2", "F4") else f"{label}{rank}",
+        simple_roots=tuple(simple),
+        positive_roots=tuple(pos),
+        rho=rho,
+    )
+    for a in R.simple_roots:
+        if R.coroot_pairing(R.rho, a) != 1:
+            raise InvariantViolation("rho fails to pair to 1 with a simple coroot")
+    return R
+
+
+def ref_weyl_dim(R: RefRootSystem, lam) -> int:
+    """Exact dimension by the product formula."""
+    lam = _tup(lam)
+    if not R.is_dominant(lam):
+        raise NonDominantWeight(f"{lam} is not dominant for {R.label}")
+    num = Fraction(1)
+    lr = vadd(lam, R.rho)
+    for a in R.positive_roots:
+        num *= Fraction(dot(lr, a), dot(R.rho, a))
+    if num.denominator != 1:
+        raise InvariantViolation("Weyl dimension did not come out integral")
+    return int(num)
+
+
+def _orbit(mu, simple) -> set:
+    """Weyl orbit of the dominant (doubled) weight mu: every conjugate is
+    reached from mu by simple reflections that lower the weight."""
+    coroots = [(a, dot(a, a)) for a in simple]
+    orbit, frontier = {mu}, {mu}
+    while frontier:
+        lower = set()
+        for v in frontier:
+            for a, norm in coroots:
+                pairing = 2 * dot(v, a) // norm
+                if pairing > 0:
+                    lower.add(vsub(v, vscale(pairing, a)))
+        frontier = lower - orbit
+        orbit |= frontier
+    return orbit
+
+
+def _character(R: RefRootSystem, lam, exc_type=NonDominantWeight) -> dict:
+    """Weight multiset of the irreducible with doubled highest weight lam,
+    keyed by doubled weights."""
+    simple = [_doubled(a) for a in R.simple_roots]
+    pos = [_doubled(a) for a in R.positive_roots]
+    rho = _doubled(R.rho)
+    if any(dot(lam, a) < 0 or 2 * dot(lam, a) % dot(a, a) for a in simple):
+        raise exc_type(f"{_halved(lam)} is not dominant integral for {R.label}")
+    dominant, frontier = {lam}, {lam}
+    while frontier:
+        lower = {vsub(nu, a) for nu in frontier for a in pos} - dominant
+        frontier = {mu for mu in lower if all(dot(mu, a) >= 0 for a in simple)}
+        dominant |= frontier
+    lr = vadd(lam, rho)
+    top = dot(lr, lr)
+    mult = {}
+    for mu in sorted(dominant, key=lambda w: (-dot(w, rho), w)):
+        m = 1
+        if mu != lam:
+            acc = 0
+            for a in pos:
+                up = vadd(mu, a)
+                while up in mult:
+                    acc += mult[up] * dot(up, a)
+                    up = vadd(up, a)
+            mr = vadd(mu, rho)
+            den = top - dot(mr, mr)
+            if acc <= 0 or den <= 0 or 2 * acc % den:
+                raise InvariantViolation("Freudenthal recursion produced a non-multiplicity")
+            m = 2 * acc // den
+        for w in _orbit(mu, simple):
+            mult[w] = m
+    total = sum(mult.values())
+    if total != ref_weyl_dim(R, _halved(lam)):
+        raise InvariantViolation(
+            f"weight total {total} disagrees with Weyl dimension for {_halved(lam)}"
+        )
+    return mult
+
+
+def ref_irrep_weights(R: RefRootSystem, lam) -> dict:
+    """Full weight multiset of the irreducible with highest weight lam."""
+    char = _character(R, _doubled(lam, NonDominantWeight))
+    return {_halved(w): m for w, m in char.items()}
+
+
+def ref_restrict_weights(mu: tuple) -> tuple:
+    """Both half-spin multisets of so(2l) pushed through the embedding mu,
+    folded on the ints D mu_i, D the lcm of the denominators."""
+    if not mu:
+        raise EmbeddingError("embedding has no weights to restrict along")
+    width = len(mu[0])
+    if any(len(m) != width for m in mu):
+        raise EmbeddingError("embedding weights have unequal lengths")
+    mu = [_tup(m) for m in mu]
+    D = lcm(*(x.denominator for m in mu for x in m))
+    states = {((0,) * width, 0): 1}
+    for m in mu:
+        step = tuple(x.numerator * (D // x.denominator) for x in m)
+        folded: dict = {}
+        for (wt, parity), mult in states.items():
+            for key in ((vadd(wt, step), parity), (vsub(wt, step), parity ^ 1)):
+                folded[key] = folded.get(key, 0) + mult
+        states = folded
+    halves = ({}, {})
+    for (wt, parity), mult in states.items():
+        halves[parity][tuple(Fraction(x, 2 * D) for x in wt)] = mult
+    return halves
+
+
+def ref_identify_irreducible(W: dict, R: RefRootSystem):
+    """Greedy character peel-off."""
+    rho = _doubled(R.rho)
+    remaining = {_doubled(w, NotACharacter): m for w, m in W.items() if m}
+    constituents = []
+    while remaining:
+        lam = max(remaining, key=lambda w: (dot(w, rho), w))
+        hw = _halved(lam)
+        mult = remaining[lam]
+        char = _character(R, lam, NotACharacter)
+        axpy(remaining, -mult, char)
+        for w in char:
+            if remaining.get(w, 0) < 0:
+                raise NotACharacter(
+                    f"multiplicity of {_halved(w)} drops below zero peeling {hw}"
+                )
+        constituents.append(
+            {"highest_weight": hw, "dim": ref_weyl_dim(R, hw), "multiplicity": mult}
+        )
+    return constituents
 
 
 # --- reference: the defining weights as they were found before -----------
@@ -66,19 +292,21 @@ def fundamental_weights(R) -> tuple:
     n = len(R.simple_roots)
     simple = R.simple_roots
     X = solve_augmented(_cartan_augmented(R), n)
-    return tuple(
-        reduce(vadd, (vscale(X[k][i], simple[k]) for k in range(n))) for i in range(n)
-    )
+    omegas = [reduce(vadd, (vscale(X[k][i], simple[k]) for k in range(n))) for i in range(n)]
+    # doubled, every fundamental weight of these realizations is integral
+    assert all(x.denominator == 1 for w in omegas for x in w)
+    return tuple(tuple(map(int, w)) for w in omegas)
 
 
 def _fundamental_of_dim(R, dim: int, orthogonal_only: bool = False):
     """Pin a fundamental representation by its dimension (and, for type C,
     by orthogonality: the epsilon-coordinate sum of the highest weight must
-    be even, since odd weight sums give symplectic representations)."""
+    be even, since odd weight sums give symplectic representations; doubled,
+    the sum must be 0 mod 4)."""
     hits = []
     for w in fundamental_weights(R):
         if weyl_dim(R, w) == dim:
-            if orthogonal_only and sum(w) % 2 != 0:
+            if orthogonal_only and sum(w) % 4 != 0:
                 continue
             hits.append(w)
     if len(hits) != 1:
@@ -235,8 +463,10 @@ def test_weyl_dim_examples():
     assert weyl_dim(G2, vscale(0, G2.rho)) == 1
     C3 = root_system("C", 3)
     assert weyl_dim(C3, C3.rho) == 512
-    with pytest.raises(NonDominantWeight):
-        weyl_dim(C3, (-1, 0, 0))
+    # -eps_1 is not dominant, and eps_1 / 2 is dominant but not integral
+    for lam in ((-2, 0, 0), (1, 0, 0)):
+        with pytest.raises(NonDominantWeight):
+            weyl_dim(C3, lam)
 
 
 def test_rho_consistency_all_types():
@@ -250,7 +480,7 @@ def test_g2_adjoint_weights():
     adj = _adjoint_highest_weight(R)
     w = irrep_weights(R, adj)
     assert sum(w.values()) == 14
-    zero = tuple(Fraction(0) for _ in range(3))
+    zero = (0, 0, 0)
     assert w[zero] == 2
     roots = set(R.positive_roots) | {vscale(-1, a) for a in R.positive_roots}
     assert set(w) - {zero} == roots
@@ -258,9 +488,7 @@ def test_g2_adjoint_weights():
 
 def test_trivial_and_f4_fundamental():
     R = root_system("F4")
-    assert irrep_weights(R, tuple(Fraction(0) for _ in range(4))) == {
-        tuple(Fraction(0) for _ in range(4)): 1
-    }
+    assert irrep_weights(R, (0, 0, 0, 0)) == {(0, 0, 0, 0): 1}
     hw = _fundamental_of_dim(R, 26)
     w = irrep_weights(R, hw)
     assert sum(w.values()) == 26
@@ -299,11 +527,11 @@ def test_halfspin_negation_symmetry():
 
 
 def test_restrict_zero_embedding_preserves_multiplicity():
-    E = tuple([(Fraction(0),)] * 3)
+    E = ((0,),) * 3
     W = halfspin_weights(3, "+")
     out = reference_restrict(W, E)
-    assert out == {(Fraction(0),): sum(W.values())}
-    assert restrict_weights(E) == ({(Fraction(0),): 4}, {(Fraction(0),): 4})
+    assert out == {(0,): sum(W.values())}
+    assert restrict_weights(E) == ({(0,): 4}, {(0,): 4})
 
 
 def test_restrict_validates_shapes():
@@ -316,7 +544,7 @@ def test_restrict_validates_shapes():
     # with weights of unequal lengths
     with pytest.raises(EmbeddingError, match="no weights"):
         restrict_weights(())
-    for mu in (((Fraction(1),), (Fraction(1), Fraction(0))), ((HALF, HALF), (Fraction(1),))):
+    for mu in (((2,), (2, 0)), ((1, 1), (2,))):
         with pytest.raises(EmbeddingError, match="unequal lengths"):
             restrict_weights(mu)
 
@@ -326,10 +554,9 @@ def test_build_embedding_structure():
     w = irrep_weights(R, _adjoint_highest_weight(R))
     E = build_embedding(w)
     assert len(E) == 7
-    zero = tuple(Fraction(0) for _ in range(3))
-    assert sum(1 for mu in E if mu == zero) == 1
+    assert sum(1 for mu in E if mu == (0, 0, 0)) == 1
     with pytest.raises(EmbeddingError):
-        build_embedding({(Fraction(1), Fraction(0), Fraction(0)): 1})
+        build_embedding({(2, 0, 0): 1})
 
 
 def test_g2_restriction_top_weight_is_rho():
@@ -346,24 +573,28 @@ def test_identify_round_trip_and_reducible():
     w = irrep_weights(R, R.rho)
     out = identify_irreducible(w, R)
     assert len(out) == 1 and out[0]["highest_weight"] == R.rho and out[0]["multiplicity"] == 1
-    zero = tuple(Fraction(0) for _ in range(3))
+    zero = (0, 0, 0)
     out2 = identify_irreducible({zero: 2}, R)
     assert out2 == [{"highest_weight": zero, "dim": 1, "multiplicity": 2}]
 
 
 def test_identify_rejects_non_characters():
     R = root_system("C", 3)
-    with pytest.raises(NotACharacter):
-        identify_irreducible({(Fraction(-1), Fraction(0), Fraction(0)): 1}, R)
-    # a dominant weight alone is not a full character unless it is a 1-dim rep
-    with pytest.raises(NotACharacter):
-        identify_irreducible({(Fraction(2), Fraction(1), Fraction(0)): 1}, R)
-    # dominant but not integral for C3; and off (1/2)Z^3 altogether
-    for top in ((HALF, Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0), Fraction(0))):
-        with pytest.raises(NotACharacter):
+    # a top weight that is not dominant integral is refused before any
+    # character is built (irrep_weights would raise NonDominantWeight):
+    # -eps_1, then eps_1 / 2 and (eps_1 + eps_2) / 2, dominant but not
+    # integral for C3
+    for top in ((-2, 0, 0), (1, 0, 0), (1, 1, 0)):
+        with pytest.raises(NotACharacter, match="is not dominant integral"):
             identify_irreducible({top: 1}, R)
         with pytest.raises(NonDominantWeight):
             irrep_weights(R, top)
+    # a dominant weight alone is not a full character unless it is a 1-dim rep
+    with pytest.raises(NotACharacter, match="below zero"):
+        identify_irreducible({(4, 2, 0): 1}, R)
+    # below a dominant top, the first non-dominant top is refused as well
+    with pytest.raises(NotACharacter, match=r"top weight \(-1, 0, 0\)"):
+        identify_irreducible({**irrep_weights(R, (2, 0, 0)), (-2, 0, 0): 2}, R)
 
 
 def test_peel_off_soundness_random_dominant():
@@ -375,7 +606,7 @@ def test_peel_off_soundness_random_dominant():
         attempts = 0
         while done < 20 and attempts < 200:
             attempts += 1
-            lam = tuple(Fraction(0) for _ in R.rho)
+            lam = tuple(0 for _ in R.rho)
             for w in fw:
                 if rng.random() < 0.5:
                     lam = tuple(a + b for a, b in zip(lam, w))
@@ -409,10 +640,11 @@ def test_c3_fundamental_pinning_uses_orthogonality():
     dims = sorted(weyl_dim(R, w) for w in fundamental_weights(R))
     assert dims == [6, 14, 14]
     hw = _fundamental_of_dim(R, 14, orthogonal_only=True)
-    assert sum(hw) % 2 == 0
-    # the coordinate-sum rule is the parity of <lambda, 2 rho^v> on both
+    assert hw == (2, 2, 0)
+    # the coordinate-sum rule (the natural coordinates are w / 2) is the
+    # parity of <lambda, 2 rho^v> on both
     for w in fundamental_weights(R):
-        assert sum(w) % 2 == _two_rho_vee(R, w) % 2
+        assert sum(w) // 2 % 2 == _two_rho_vee(R, w) % 2
 
 
 def _two_rho_vee(R, lam):
@@ -444,34 +676,48 @@ def _squares(W: dict) -> tuple:
     return sym, alt
 
 
-def test_the_parity_of_lambda_two_rho_vee_puts_the_invariant_form_in_the_right_square():
-    # a self-dual irreducible V has one invariant bilinear form: it is
-    # symmetric (in S^2 V*) exactly when <lambda, 2 rho^v> is even; the
-    # squares are peeled independently of the parity rule
-    checked = symplectic = 0
-    for args in (("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G2",), ("F4",)):
+SMALL_TYPES = (("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G2",), ("F4",))
+
+
+@lru_cache(maxsize=None)
+def _small_self_dual_fundamentals() -> tuple:
+    """(type, lam, weights of V(lam)) for every self-dual fundamental weight
+    lam of dimension at most 100 of the SMALL_TYPES."""
+    found = []
+    for args in SMALL_TYPES:
         R = root_system(*args)
-        zero = tuple(Fraction(0) for _ in R.rho)
         for lam in fundamental_weights(R):
             if weyl_dim(R, lam) > 100:
                 continue
             W = irrep_weights(R, lam)
             if {vscale(-1, w): m for w, m in W.items()} != W:
                 continue  # D5's half-spins are dual to each other
-            trivial = [
-                sum(c["multiplicity"] for c in identify_irreducible(square, R) if c["highest_weight"] == zero)
-                for square in _squares(W)
-            ]
-            odd = _two_rho_vee(R, lam) % 2
-            assert trivial == ([0, 1] if odd else [1, 0]), (R.label, lam)
-            checked += 1
-            symplectic += odd
+            found.append((args, lam, W))
+    return tuple(found)
+
+
+def test_the_parity_of_lambda_two_rho_vee_puts_the_invariant_form_in_the_right_square():
+    # a self-dual irreducible V has one invariant bilinear form: it is
+    # symmetric (in S^2 V*) exactly when <lambda, 2 rho^v> is even; the
+    # squares are peeled independently of the parity rule
+    checked = symplectic = 0
+    for args, lam, W in _small_self_dual_fundamentals():
+        R = root_system(*args)
+        zero = tuple(0 for _ in R.rho)
+        trivial = [
+            sum(c["multiplicity"] for c in identify_irreducible(square, R) if c["highest_weight"] == zero)
+            for square in _squares(W)
+        ]
+        odd = _two_rho_vee(R, lam) % 2
+        assert trivial == ([0, 1] if odd else [1, 0]), (R.label, lam)
+        checked += 1
+        symplectic += odd
     assert (checked, symplectic) == (28, 6)
 
 
-# eps1 + eps2 + eps3 of C3: 14-dimensional like the defining weight, but
-# with <lambda, 2 rho^v> = 9 its representation is symplectic
-C3_SYMPLECTIC = (Fraction(1), Fraction(1), Fraction(1))
+# eps1 + eps2 + eps3 of C3, doubled: 14-dimensional like the defining
+# weight, but with <lambda, 2 rho^v> = 9 its representation is symplectic
+C3_SYMPLECTIC = (2, 2, 2)
 
 
 def test_a_symplectic_defining_weight_is_refused(capsys, monkeypatch):
@@ -527,22 +773,29 @@ def test_unknown_case_rejected():
 
 
 def test_fold_matches_the_enumeration_on_random_embeddings():
+    # doubled mu_i; the Fraction fold, on the halves, says whether the
+    # restricted weights lie in (1/2)Z^n, and so whether the fold refuses
     rng = random.Random(2024)
-    small = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
-    cancelling = 0
-    for _ in range(60):
+    cancelling = refused = 0
+    for _ in range(80):
         ell = rng.randint(1, 8)
         width = rng.randint(1, 3)
-        pool = [tuple(rng.choice(small) for _ in range(width)) for _ in range(3)]
+        pool = [tuple(rng.randint(-6, 6) for _ in range(width)) for _ in range(3)]
         # draws from a small pool repeat, so distinct sign vectors collide
         mu = tuple(rng.choice(pool) for _ in range(ell))
+        natural = ref_restrict_weights(tuple(_halved(m) for m in mu))
+        if any(x.denominator > 2 for w in natural[0] for x in w):
+            with pytest.raises(NotACharacter, match="do not lie in"):
+                restrict_weights(mu)
+            refused += 1
+            continue
         plus, minus = restrict_weights(mu)
-        want_plus, want_minus = reference_halves(mu)
-        assert plus == want_plus and minus == want_minus
+        assert (plus, minus) == reference_halves(mu)
+        assert (plus, minus) == tuple({_doubled(w): m for w, m in half.items()} for half in natural)
         assert sum(plus.values()) == sum(minus.values()) == 2 ** (ell - 1)
-        assert all(isinstance(x, Fraction) for w in plus for x in w)
+        assert all(type(x) is int for w in plus for x in w)
         cancelling += len(plus) < 2 ** (ell - 1)
-    assert cancelling >= 20
+    assert cancelling >= 20 and refused >= 20
 
 
 @pytest.mark.parametrize("case", ["g2", "c3", "f4"])
@@ -556,9 +809,11 @@ def test_fold_matches_the_enumeration_on_the_three_cases(case):
 
 def test_fold_keeps_the_halves_apart():
     # one weight per sign vector: the halves are the two parity classes
-    mu = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+    # (mu_i = eps_i, doubled; each half-spin weight comes out doubled)
+    mu = tuple(tuple(2 * (i == j) for j in range(3)) for i in range(3))
     plus, minus = restrict_weights(mu)
-    assert plus == halfspin_weights(3, "+") and minus == halfspin_weights(3, "-")
+    for half, sign in ((plus, "+"), (minus, "-")):
+        assert half == {vscale(2, w): m for w, m in halfspin_weights(3, sign).items()}
 
 
 def _kostant(label, rank=None):
@@ -620,3 +875,69 @@ def test_dominant_recursion_matches_the_full_diagram(args):
         del lams[1]
     for lam in lams:
         assert irrep_weights(R, lam) == reference_irrep_weights(R, lam)
+
+
+# --- the doubled pipeline against the Fraction pipeline -------------------
+
+
+def _halved_constituents(constituents: list) -> list:
+    return [{**c, "highest_weight": _halved(c["highest_weight"])} for c in constituents]
+
+
+@pytest.mark.parametrize("args", SMALL_TYPES, ids=lambda args: "".join(map(str, args)))
+def test_the_root_systems_are_the_natural_ones_doubled(args):
+    R, natural = root_system(*args), ref_root_system(*args)
+    assert R.label == natural.label
+    assert tuple(map(_halved, R.simple_roots)) == natural.simple_roots
+    assert tuple(map(_halved, R.positive_roots)) == natural.positive_roots
+    assert _halved(R.rho) == natural.rho
+    assert all(type(x) is int for v in R.positive_roots + R.simple_roots + (R.rho,) for x in v)
+
+
+def test_the_doubled_pipeline_agrees_with_the_fraction_pipeline_on_the_fundamentals():
+    cases = _small_self_dual_fundamentals()
+    assert len(cases) == 28
+    for args, lam, W in cases:
+        R, natural = root_system(*args), ref_root_system(*args)
+        want = ref_irrep_weights(natural, _halved(lam))
+        assert {_halved(w): m for w, m in W.items()} == want
+        assert weyl_dim(R, lam) == ref_weyl_dim(natural, _halved(lam))
+        got = identify_irreducible(W, R)
+        assert got == [{"highest_weight": lam, "dim": weyl_dim(R, lam), "multiplicity": 1}]
+        assert _halved_constituents(got) == ref_identify_irreducible(want, natural)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_doubled_pipeline_agrees_with_the_fraction_pipeline_on_the_three_cases(case):
+    spec = CASES[case]
+    R, natural = root_system(*spec["type"]), ref_root_system(*spec["type"])
+    E = build_embedding(irrep_weights(R, _highest_root(R, spec["long"])))
+    E_natural = build_embedding(ref_irrep_weights(natural, _highest_root(natural, spec["long"])))
+    assert tuple(map(_halved, E)) == E_natural
+    for half, want in zip(restrict_weights(E), ref_restrict_weights(E_natural)):
+        assert {_halved(w): m for w, m in half.items()} == want
+        got = identify_irreducible(half, R)
+        assert _halved_constituents(got) == ref_identify_irreducible(want, natural)
+
+
+def test_an_odd_column_sum_is_not_a_character(capsys, monkeypatch):
+    # mu = (eps_1, (eps_1 + eps_2) / 2), doubled: column sums (3, 1), so
+    # every restricted weight has a coordinate in 1/4 + (1/2)Z
+    mu = ((2, 0), (1, 1))
+    with pytest.raises(NotACharacter, match=r"do not lie in \(1/2\)Z\^2"):
+        restrict_weights(mu)
+    natural = ref_restrict_weights(tuple(map(_halved, mu)))
+    assert all(any(x.denominator == 4 for x in w) for half in natural for w in half)
+    # one odd column is enough, and it reaches the CLI as exit 2
+    with pytest.raises(NotACharacter):
+        restrict_weights(((2, 0, 0), (0, 2, 1), (0, 0, 2)))
+    embedding = plethysm.build_embedding
+    monkeypatch.setattr(
+        plethysm, "build_embedding", lambda W: (vadd(embedding(W)[0], (1, 1, 0)),) + embedding(W)[1:]
+    )
+    with pytest.raises(NotACharacter):
+        verify_plethysm("g2")
+    code = main(["plethysm", "verify", "g2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["payload"] == {"counterexample": "the restricted weights do not lie in (1/2)Z^3"}
