@@ -51,8 +51,8 @@ def main():
         w = certify_specialization(fam)
         dt = time.time() - t0
         print(
-            f"{label:26} {w.special_fiber.dim:>5} {w.radical.dimension:>8} "
-            f"{w.radical.nilpotency_index:>8} {dt:>6.1f}"
+            f"{label:26} {w.special_fiber.dim:>5} {len(w.radical_basis):>8} "
+            f"{w.nilpotency_index:>8} {dt:>6.1f}"
         )
     return 0
 

@@ -40,6 +40,9 @@ from .plethysm import root_system, verify_plethysm, weyl_dim
 from .rings import Poly
 from .spinor import WittDecomposition, even_algebra_isomorphism_check, restrict_even_to_odd
 
+RECONSTRUCTION_TRIALS = 200  # random forms in criterion 1
+LIPSCHITZ_SAMPLES = 500  # sampled products in criterion 5
+
 
 def _random_symmetric(rng: random.Random, m: int) -> QuadraticSpace:
     g = [[Fraction(0)] * m for _ in range(m)]
@@ -51,11 +54,11 @@ def _random_symmetric(rng: random.Random, m: int) -> QuadraticSpace:
     return QuadraticSpace(g)
 
 
-def criterion_form_reconstruction(seed: int = 7, trials: int = 200) -> dict:
+def criterion_form_reconstruction(seed: int = 7) -> dict:
     """1: round-trip reconstruct(constants(Q)) = Q for random Q, m in 3..9."""
     rng = random.Random(seed)
     failures = 0
-    for k in range(trials):
+    for k in range(RECONSTRUCTION_TRIALS):
         m = 3 + k % 7
         V = _random_symmetric(rng, m)
         R = reconstruct_form(build_even_lie(V))
@@ -64,7 +67,7 @@ def criterion_form_reconstruction(seed: int = 7, trials: int = 200) -> dict:
     return {
         "name": "form-reconstruction-round-trip",
         "ok": failures == 0,
-        "details": {"seed": seed, "trials": trials, "failures": failures},
+        "details": {"seed": seed, "trials": RECONSTRUCTION_TRIALS, "failures": failures},
     }
 
 
@@ -145,7 +148,7 @@ def _sample_lipschitz_generator(rng: random.Random, V: QuadraticSpace) -> Multiv
     return Multivector.scalar(lam) + geometric_product(a, b, V)
 
 
-def criterion_lipschitz_axioms(seed: int = 13, samples: int = 500) -> dict:
+def criterion_lipschitz_axioms(seed: int = 13) -> dict:
     """5: membership of vectors and lambda+ab; tau-stability, scalar norm and
     monoid closure on sampled products, over diagonal, corank-1, zero and
     dense rational forms of m = 3..5; infinitesimal spaces for
@@ -175,7 +178,7 @@ def criterion_lipschitz_axioms(seed: int = 13, samples: int = 500) -> dict:
                 if not is_lipschitz(x, V):
                     failures.append(("one-plus-ab", key, (i, j)))
     keys = sorted(spaces)
-    for k in range(samples):
+    for k in range(LIPSCHITZ_SAMPLES):
         V = spaces[keys[k % len(keys)]]
         nfac = rng.randint(1, 3)
         x = _sample_lipschitz_generator(rng, V)
@@ -214,7 +217,7 @@ def criterion_lipschitz_axioms(seed: int = 13, samples: int = 500) -> dict:
         "ok": not failures,
         "details": {
             "seed": seed,
-            "samples": samples,
+            "samples": LIPSCHITZ_SAMPLES,
             "failures": failures[:10],
             "infinitesimal_cases": len(infinitesimal),
         },
@@ -244,17 +247,14 @@ def criterion_degeneration() -> dict:
                 gram[i][j] = tr
                 gram[j][i] = tr
         indep_dim = len(nullspace_dense(gram, d))
-        good = (
-            w.radical.dimension > 0
-            and w.radical.dimension == indep_dim
-            and w.radical.nilpotency_index <= T.dim
-        )
+        dim = len(w.radical_basis)
+        good = dim > 0 and dim == indep_dim and w.nilpotency_index <= T.dim
         rows.append(
             {
                 "m": m,
-                "radical_dim": w.radical.dimension,
+                "radical_dim": dim,
                 "independent_kernel_dim": indep_dim,
-                "nilpotency_index": w.radical.nilpotency_index,
+                "nilpotency_index": w.nilpotency_index,
             }
         )
         ok = ok and good

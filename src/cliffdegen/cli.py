@@ -205,7 +205,7 @@ def _check_ell(ell: int, cap: int):
 
 def _cmd_spinor_check(args):
     _check_ell(args.ell, MAX_SPINOR_CHECK_ELL)
-    W = WittDecomposition(args.ell, odd=args.parity == "odd")
+    W = WittDecomposition(args.ell, odd=not args.even)
     rep = even_algebra_isomorphism_check(W)
     payload = {
         "case": rep["case"],
@@ -229,6 +229,8 @@ def _cmd_spinor_check(args):
 
 def _cmd_spinor_weights(args):
     _check_ell(args.ell, MAX_SPINOR_WEIGHTS_ELL)
+    if args.halfspin and args.type == "B":
+        raise UsageError("--halfspin is a D_l module: it excludes --type B")
     if args.halfspin:
         plus, minus = halfspin_split(args.ell)
         W = plus if args.halfspin == "+" else minus
@@ -303,6 +305,8 @@ def _cmd_localmodel_simple(args):
         if obj.get("vector") is not None:
             vector = jsonio.decode_rationals(obj["vector"], 1, "vector")
         obj = obj["tuple"]
+    elif isinstance(obj, dict) and "vector" in obj:
+        raise jsonio.InputFormatError('a "vector" goes beside a "tuple": {"tuple": tuple, "vector": [...]}')
     T = _decode_local_tuple(obj)
     payload = {"generates_full_algebra": generates_full_algebra(T)}
     if vector is not None:
@@ -389,12 +393,13 @@ def build_parser() -> _Parser:
     ssub = spin.add_subparsers(dest="action", required=True)
     sc = ssub.add_parser("check", help="even algebra vs endomorphisms of the spin module")
     sc.add_argument("--ell", type=int, required=True)
-    sc.add_argument("--odd", dest="parity", action="store_const", const="odd", default="odd")
-    sc.add_argument("--even", dest="parity", action="store_const", const="even")
+    parity = sc.add_mutually_exclusive_group()
+    parity.add_argument("--odd", action="store_true", help="so(2l+1), the default")
+    parity.add_argument("--even", action="store_true", help="so(2l)")
     sc.set_defaults(func=_cmd_spinor_check)
     sw = ssub.add_parser("weights", help="spin / half-spin weight multisets")
     sw.add_argument("--ell", type=int, required=True)
-    sw.add_argument("--type", choices=("B", "D"), default="B")
+    sw.add_argument("--type", choices=("B", "D"), help="default B, or D with --halfspin")
     sw.add_argument("--halfspin", choices=("+", "-"))
     sw.add_argument("--tsv", help="also write the multiset as TSV to this path")
     sw.set_defaults(func=_cmd_spinor_weights)

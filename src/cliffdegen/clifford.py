@@ -189,8 +189,6 @@ class Multivector:
 
     def scale(self, c) -> "Multivector":
         c = as_coeff(c)
-        if czero(c):
-            return Multivector()
         return Multivector({m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -244,11 +242,15 @@ def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
     return out
 
 
-def _terms_times_gen(space: QuadraticSpace, terms: dict, j: int) -> dict:
-    out: dict = {}
-    for mask, c in terms.items():
-        axpy(out, c, _blade_times_gen(space, mask, j))
-    return out
+def _terms_times_word(space: QuadraticSpace, terms: dict, word) -> dict:
+    """terms times the generators e_j of ``word``, one at a time from the
+    left; any indices 1..m in any order, repeats and the empty word too."""
+    for j in word:
+        out: dict = {}
+        for mask, c in terms.items():
+            axpy(out, c, _blade_times_gen(space, mask, j))
+        terms = out
+    return terms
 
 
 def blade_row(space: QuadraticSpace, ma: int) -> list:
@@ -261,7 +263,7 @@ def blade_row(space: QuadraticSpace, ma: int) -> list:
     row = [{ma: 1}]
     for b in range(1, 1 << space.m):
         t = b.bit_length()
-        row.append(_terms_times_gen(space, row[b ^ (1 << (t - 1))], t))
+        row.append(_terms_times_word(space, row[b ^ (1 << (t - 1))], (t,)))
     return row
 
 
@@ -272,10 +274,7 @@ def geometric_product(x: Multivector, y: Multivector, space: QuadraticSpace) -> 
     out: dict = {}
     for mb, cb in y.terms.items():
         _check_mask(mb, space.m)
-        terms = x.terms
-        for j in indices_of(mb):
-            terms = _terms_times_gen(space, terms, j)
-        axpy(out, cb, terms)
+        axpy(out, cb, _terms_times_word(space, x.terms, indices_of(mb)))
     return Multivector(out)
 
 
@@ -288,10 +287,7 @@ def reverse(x: Multivector, space: QuadraticSpace) -> Multivector:
     out: dict = {}
     for mask, c in x.terms.items():
         _check_mask(mask, space.m)
-        terms = {0: 1}
-        for j in reversed(indices_of(mask)):
-            terms = _terms_times_gen(space, terms, j)
-        axpy(out, c, terms)
+        axpy(out, c, _terms_times_word(space, {0: 1}, reversed(indices_of(mask))))
     return Multivector(out)
 
 

@@ -5,8 +5,8 @@ A family is a symmetric matrix over Q[t] (or rational functions regular at
 0).  The even-blade basis is a basis in every fibre, so specialisation is
 coefficient-wise on the multiplication tensor; the witness for the
 degeneration consists of generic nondegeneracy (det 2Q(t) != 0), the special
-fibre tensor with its radical report, and a check point where 2Q has full
-rank.
+fibre tensor with a basis of its radical and its nilpotency index, and a
+check point where 2Q has full rank.
 
 The radical follows from Chevalley's structure theorem (The Algebraic
 Theory of Spinors, 1954; Lam, Introduction to Quadratic Forms over Fields,
@@ -37,7 +37,7 @@ from math import lcm
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
 from .linalg import nullspace_dense
-from .rings import InvariantViolation, PoleError, Poly, RatFun, czero, eval_coeff
+from .rings import InvariantViolation, PoleError, Poly, RatFun, czero
 
 
 class NoWitness(ArithmeticError):
@@ -48,7 +48,8 @@ class NoWitness(ArithmeticError):
 class QuadraticFamily:
     """Symmetric form over Q[t] or over rational functions regular at 0.
     Each rational-function entry is kept in lowest terms, reduced once
-    here: its poles are then the roots of its denominator."""
+    here: its poles are then the roots of its denominator.  The regularity
+    check builds the special fibre Q(0), kept as ``special``."""
 
     space: QuadraticSpace
 
@@ -60,9 +61,7 @@ class QuadraticFamily:
                     row[j] = gram[j][i] = row[j].reduced()
         self.space = QuadraticSpace(gram)
         try:
-            for row in self.space.gram:
-                for v in row:
-                    eval_coeff(v, Fraction(0))
+            self.special = self.at(0)
         except PoleError:
             raise ValueError("family entries must be regular at t = 0") from None
 
@@ -76,13 +75,6 @@ class QuadraticFamily:
 
     def at(self, c) -> QuadraticSpace:
         return specialize_space(self.space, c)
-
-
-@dataclass
-class RadicalReport:
-    dimension: int
-    basis: list  # coordinate vectors over the e_a
-    nilpotency_index: int  # smallest k with radical^k = 0 (1 when radical = 0)
 
 
 def radical_shape(m: int, corank: int) -> tuple:
@@ -134,8 +126,6 @@ def jacobson_radical(T: AlgebraTensor) -> list:
     for (i, j), row in T.c.items():
         gram[i][j] = sum(v * trace[k] for k, v in row.items() if k in trace)
     kernel = nullspace_dense(gram, d)
-    if T.scale == 1:
-        return kernel
     lam = T.lambdas()
     basis = []
     for vec in kernel:
@@ -202,13 +192,14 @@ class SpecializationWitness:
     family is free on the even-blade basis over the local ring at t = 0,
     the generic fibre is nondegenerate (hence a full matrix algebra over the
     algebraic closure), and the special fibre is the recorded tensor, on
-    the integer form D Q (its ``scale`` is D; the radical basis is over the
-    e_a)."""
+    the integer form D Q (its ``scale`` is D), with a basis of its radical
+    over the e_a and the radical's nilpotency index."""
 
     m: int
     det_generic: object  # det(2Q(t)) as an exact parametric value
     special_fiber: AlgebraTensor
-    radical: RadicalReport
+    radical_basis: list  # coordinate vectors over the e_a
+    nilpotency_index: int  # smallest k with radical^k = 0 (1 when radical = 0)
     generic_check_point: Fraction
 
 
@@ -227,10 +218,9 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     det = _det_fraction_field(two_q)
     if czero(det):
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
-    fibre = F.at(0)
-    special = theta_tensor(fibre)
+    special = theta_tensor(F.special)
     basis = jacobson_radical(special)
-    dim, index = radical_shape(F.m, _corank(fibre))
+    dim, index = radical_shape(F.m, _corank(F.special))
     if len(basis) != dim:
         raise InvariantViolation(
             f"the trace-form kernel has dimension {len(basis)}, the structure theorem {dim}"
@@ -252,6 +242,7 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
         m=F.m,
         det_generic=det,
         special_fiber=special,
-        radical=RadicalReport(dimension=dim, basis=basis, nilpotency_index=index),
+        radical_basis=basis,
+        nilpotency_index=index,
         generic_check_point=cpoint,
     )

@@ -31,15 +31,16 @@ class InputFormatError(ValueError):
 # results past it can be printed.
 MAX_DIGITS = sys.int_info.default_max_str_digits
 _DIGIT_RUN = re.compile(r"\d+")
+SHORT_LIMIT = 80  # characters of a bad value echoed in an error message
 
 
-def _short(obj, limit: int = 80) -> str:
-    """repr(obj) for an error message, cut to ``limit`` characters with its
-    full length appended: a huge bad value must not flood stderr."""
+def _short(obj) -> str:
+    """repr(obj) for an error message, cut to ``SHORT_LIMIT`` characters
+    with its full length appended: a huge bad value must not flood stderr."""
     text = repr(obj)
-    if len(text) <= limit:
+    if len(text) <= SHORT_LIMIT:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:SHORT_LIMIT]}... ({len(text)} characters)"
 
 
 def _check_declared(obj: dict, key: str, actual: int, shape: str):
@@ -109,7 +110,7 @@ def decode_coeff(obj):
         return _decode_poly(obj)
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
         num, den = _decode_poly(obj["num"]), _decode_poly(obj["den"])
-        if den.is_zero():
+        if not den:
             raise InputFormatError(f"rational function with a zero denominator: {_short(obj)}")
         return RatFun(num, den)
     if isinstance(obj, (str, int)):
@@ -251,9 +252,9 @@ def encode_witness(w: SpecializationWitness) -> dict:
         "m": w.m,
         "det": encode_coeff(w.det_generic),
         "special_fiber": encode_tensor(w.special_fiber),
-        "radical_dim": w.radical.dimension,
-        "radical_basis": [[encode_rational(v) for v in vec] for vec in w.radical.basis],
-        "radical_nilpotency_index": w.radical.nilpotency_index,
+        "radical_dim": len(w.radical_basis),
+        "radical_basis": [[encode_rational(v) for v in vec] for vec in w.radical_basis],
+        "radical_nilpotency_index": w.nilpotency_index,
         "generic_check_point": encode_rational(w.generic_check_point),
         # a witness certifies the generic fibre semisimple: det 2Q(t) != 0
         "generic_radical_dim": 0,

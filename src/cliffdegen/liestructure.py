@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .clifford import QuadraticSpace, _terms_times_gen, blade_row, indices_of
+from .clifford import QuadraticSpace, _terms_times_word, blade_row, indices_of
 from .rings import InvariantViolation, Poly, axpy, czero
 
 
@@ -168,18 +168,12 @@ def build_even_lie(V: QuadraticSpace) -> QuotientLieAlgebra:
     pairs = lie_pairs(V.m)
     D, S = V.scaled()
     masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
-
-    def product(ma, pb):  # blade ma times e_i e_j, on S
-        terms = {ma: 1}
-        for j in pb:
-            terms = _terms_times_gen(S, terms, j)
-        return terms
-
     table = {}
     for ai, pa in enumerate(pairs):
         for bi in range(ai + 1, len(pairs)):
-            pb = pairs[bi]
-            com = axpy(product(masks[ai], pb), -1, product(masks[bi], pa))
+            pb = pairs[bi]  # e_a e_b - e_b e_a: each blade times the other's word
+            ab = _terms_times_word(S, {masks[ai]: 1}, pb)
+            com = axpy(ab, -1, _terms_times_word(S, {masks[bi]: 1}, pa))
             expansion = {}
             for mask, c in com.items():
                 k = mask.bit_count()

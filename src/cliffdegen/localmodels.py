@@ -86,12 +86,10 @@ class TraceFingerprint:
     traces: dict  # word tuple over 1..g -> Fraction; includes the empty word
 
 
-def trace_fingerprint(T: MatrixTuple, L: int = None) -> TraceFingerprint:
-    """Traces of all words of length <= L (default n^2), computed along the
-    word tree with running products.  The tree is walked with an explicit
-    stack, so L is not bounded by the recursion limit."""
-    if L is None:
-        L = T.n * T.n
+def trace_fingerprint(T: MatrixTuple, L: int) -> TraceFingerprint:
+    """Traces of all words of length <= L, computed along the word tree
+    with running products.  The tree is walked with an explicit stack, so L
+    is not bounded by the recursion limit."""
     traces = {(): Fraction(T.n)}
     stack = [((), identity_matrix(T.n))]
     while stack:
@@ -157,7 +155,7 @@ class NotInLieSpan(ValueError):
     pass
 
 
-def spin_image_tuple(elements, ell: int, odd: bool = True) -> MatrixTuple:
+def spin_image_tuple(elements, ell: int, odd: bool) -> MatrixTuple:
     """Spinor image of a tuple of even-Lie-algebra classes for the split
     form of Witt index ell (odd flag selects so(2l+1) vs so(2l)).
 

@@ -6,8 +6,10 @@ value-driven: a rational (an ``int`` or a ``Fraction``) coerces into either
 of the other rings and a ``Poly`` coerces into ``RatFun``, so the rings form
 the chain Q in Q[t] in Q(t).  An ``int`` stays an ``int`` (in
 :func:`as_coeff`, and as a coefficient of a ``Poly``), so a form over Z
-computes on ``int``s.  A value of any other type raises
-:class:`CoefficientRingMismatch`.
+computes on ``int``s.  A value of any other type, a string included,
+raises :class:`CoefficientRingMismatch`: text is parsed only by
+``jsonio.decode_rational``, which refuses exponent notation and over-long
+integers before it expands them.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ class Poly(_Ring):
     @staticmethod
     def t() -> "Poly":
         return Poly((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -217,7 +216,7 @@ class RatFun(_Ring):
     def __init__(self, num, den):
         num = num if isinstance(num, Poly) else Poly.const(num)
         den = den if isinstance(den, Poly) else Poly.const(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
@@ -227,7 +226,7 @@ class RatFun(_Ring):
         return RatFun(Poly.const(c), Poly.const(1))
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def __call__(self, c) -> Fraction:
         num, d = self.num, self.den(c)
@@ -314,13 +313,12 @@ def axpy(acc: dict, c, terms: dict) -> dict:
 
 
 def as_coeff(x):
-    """Normalise a raw input (int/Fraction/str 'p/q'/ring value) to a ring
-    value.  An ``int`` stays an ``int``, so that a form over Z computes on
-    ``int``s; other rationals become ``Fraction``s."""
+    """Normalise a value (a rational or a ring value) to a ring value.  An
+    ``int`` stays an ``int``, so that a form over Z computes on ``int``s;
+    other rationals become ``Fraction``s.  A string is refused (the module
+    docstring says where text is parsed)."""
     if type(x) is int or isinstance(x, (Poly, RatFun, Fraction)):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, Rational):
         return Fraction(x)
     raise CoefficientRingMismatch(f"not an exact coefficient: {x!r}")

@@ -411,6 +411,24 @@ def test_spinor_and_plethysm_stdout_is_pinned(capsys, argv):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == PINNED_STDOUT[argv]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spinor weights --ell 2 --type B --halfspin +",
+        "spinor weights --ell 2 --halfspin - --type B",
+        "spinor check --ell 2 --odd --even",
+        "spinor check --ell 2 --even --odd",
+    ],
+)
+def test_spinor_refuses_options_it_would_ignore(capsys, argv):
+    """A half-spin module is a D_l module: an explicit --type B beside
+    --halfspin was ignored.  --odd and --even exclude each other: the last
+    one won.  Each is a usage error before any work."""
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error")
+
+
 def test_spinor_check_even_zero_form_passes(capsys):
     # Cl+ of the zero form is Q = End(S+), with S- = 0: the target is
     # |S+|^2 + |S-|^2 = 1 (it was once truncated to 2 * (1 // 2)^2 = 0)
@@ -745,6 +763,20 @@ def test_localmodel_simple_rejects_bad_inputs(capsys, tmp_path, doc):
     code, out, err = run_cli(capsys, ["localmodel", "simple", "--input", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("input error")
+
+
+def test_localmodel_simple_refuses_a_vector_beside_a_bare_tuple(capsys, tmp_path):
+    """A bare tuple was read with its "vector" key dropped, and the payload
+    had no cyclic_vector; the vector is read only beside a "tuple"."""
+    X = [[["0", "1"], ["0", "0"]]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"g": 1, "n": 2, "X": X, "vector": ["0", "1"]}))
+    code, out, err = run_cli(capsys, ["localmodel", "simple", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error") and '"tuple"' in err
+    path.write_text(json.dumps({"tuple": {"g": 1, "n": 2, "X": X}, "vector": ["0", "1"]}))
+    code, out, _ = run_cli(capsys, ["localmodel", "simple", "--input", str(path)])
+    assert code == 0 and json.loads(out)["payload"] == {"generates_full_algebra": False, "cyclic_vector": True}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Core Clifford arithmetic: anchored examples plus the algebraic laws as
 hypothesis properties.  The recursive, memoised rewriting that the closed-form
-generator step replaced stays here as its reference."""
+generator step replaced, and the per-generator loop that the word product
+replaced, stay here as references."""
 
 import gc
 import inspect
@@ -343,6 +344,61 @@ def mutant_step(old, new):
 )
 def test_the_step_test_fails_on_a_mutant_step(old, new):
     assert step_mismatches(mutant_step(old, new))
+
+
+# --- the generator word against the per-generator loop ------------------
+
+
+def reference_terms_times_gen(space, terms, j):
+    """(terms) * e_j, blade by blade: the one-generator product that
+    ``geometric_product``, ``reverse`` and ``build_even_lie`` each looped
+    over a word before ``_terms_times_word`` took the word."""
+    out = {}
+    for mask, c in terms.items():
+        axpy(out, c, clifford._blade_times_gen(space, mask, j))
+    return out
+
+
+def reference_terms_times_word(space, terms, word):
+    for j in word:
+        terms = reference_terms_times_gen(space, terms, j)
+    return terms
+
+
+def test_the_word_product_is_the_per_generator_loop():
+    """On random words (empty, with repeated generators, longer than m) and
+    random terms over every form of STEP_FORMS (int, Fraction, Q[t], Q(t),
+    corank-1 and zero), the word product equals the loop blade for blade,
+    in order, in value, type and print; and so do the product and reversion
+    built on it."""
+    def shape(terms):
+        return [(mask, type(c), c, jsonio.encode_coeff(c)) for mask, c in terms.items()]
+
+    rng = random.Random("word-product")
+    kinds = set()
+    for V in STEP_FORMS:
+        # Q(t) coefficients are never reduced, so their degrees grow with
+        # every step: shorter words there
+        longest = V.m + 1 if any(isinstance(v, RatFun) for row in V.gram for v in row) else 2 * V.m + 2
+        for _ in range(4):
+            word = [rng.randint(1, V.m) for _ in range(rng.randint(0, longest))]
+            kinds.add("empty" if not word else "longer than m" if len(word) > V.m
+                      else "repeats" if len(set(word)) < len(word) else "distinct")
+            terms = {rng.randrange(1 << V.m): Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 3))}
+            got = clifford._terms_times_word(V, terms, word)
+            assert shape(got) == shape(reference_terms_times_word(V, terms, word)), (V.gram, terms, word)
+        x = Multivector({rng.randrange(1 << V.m): rng.randint(1, 3) for _ in range(3)})
+        y = Multivector({rng.randrange(1 << V.m): rng.randint(1, 3) for _ in range(3)})
+        want = {}
+        for mb, cb in y.terms.items():
+            axpy(want, cb, reference_terms_times_word(V, x.terms, indices_of(mb)))
+        assert gp(x, y, V) == Multivector(want)
+        want = {}
+        for mask, c in x.terms.items():
+            axpy(want, c, reference_terms_times_word(V, {0: 1}, indices_of(mask)[::-1]))
+        assert reverse(x, V) == Multivector(want)
+    assert kinds == {"empty", "longer than m", "repeats", "distinct"}
 
 
 def _specialize(x, c):

@@ -618,10 +618,16 @@ def test_transcription_shares_no_code_with_the_product(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(QuadraticSpace, "scaled", recorded)
-    for module in (clifford, liestructure):
-        for name in ("geometric_product", "_terms_times_gen", "_blade_times_gen", "blade_row"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    # every product entry point each module binds: a name that is renamed
+    # or dropped fails here instead of leaving the guard
+    product_code = {
+        clifford: ("geometric_product", "_terms_times_word", "_blade_times_gen", "blade_row"),
+        liestructure: ("_terms_times_word", "blade_row"),
+    }
+    for module, names in product_code.items():
+        for name in names:
+            assert hasattr(module, name), (module.__name__, name)
+            monkeypatch.setattr(module, name, forbidden)
     rng = random.Random(4)
     for V in (form_with_lcm(rng, 5, 60, "dense"), QuadraticSpace.diagonal([Poly.t(), 1, 2])):
         assert lie_over_q(transcribe_constants(V)).table == reference_transcribe_constants(V)
