@@ -54,7 +54,7 @@ def _random_symmetric(rng: random.Random, m: int) -> QuadraticSpace:
     return QuadraticSpace(g)
 
 
-def criterion_form_reconstruction(seed: int = 7) -> dict:
+def criterion_form_reconstruction(seed: int) -> dict:
     """1: round-trip reconstruct(constants(Q)) = Q for random Q, m in 3..9."""
     rng = random.Random(seed)
     failures = 0
@@ -71,7 +71,7 @@ def criterion_form_reconstruction(seed: int = 7) -> dict:
     }
 
 
-def criterion_structure_constant_oracle(seed: int = 11) -> dict:
+def criterion_structure_constant_oracle(seed: int) -> dict:
     """2: product-derived constants satisfy Jacobi on every triple and
     equal the independent transcription of the bracket identities, every
     index pattern, m <= 7, exactly."""
@@ -148,7 +148,7 @@ def _sample_lipschitz_generator(rng: random.Random, V: QuadraticSpace) -> Multiv
     return Multivector.scalar(lam) + geometric_product(a, b, V)
 
 
-def criterion_lipschitz_axioms(seed: int = 13) -> dict:
+def criterion_lipschitz_axioms(seed: int) -> dict:
     """5: membership of vectors and lambda+ab; tau-stability, scalar norm and
     monoid closure on sampled products, over diagonal, corank-1, zero and
     dense rational forms of m = 3..5; infinitesimal spaces for
@@ -194,7 +194,7 @@ def criterion_lipschitz_axioms(seed: int = 13) -> dict:
             failures.append(("norm-not-scalar", k))
         else:
             zr = geometric_product(reverse(x, V), x, V)
-            want = Multivector.scalar(z) if z != 0 else Multivector.zero()
+            want = Multivector.scalar(z) if z != 0 else Multivector()
             if zr != want:
                 failures.append(("norm-two-sided", k))
     infinitesimal = []
@@ -291,7 +291,7 @@ def criterion_plethysm_f4_c3() -> dict:
     return {"name": "plethysm-f4-c3", "ok": ok, "details": details}
 
 
-def criterion_local_models(seed: int = 17) -> dict:
+def criterion_local_models(seed: int) -> dict:
     """9: the listed generation/cyclic/equivalence examples, conjugation
     invariance, generic sl2 centralizer, spin-image bracket compatibility."""
     rng = random.Random(seed)
@@ -420,7 +420,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_criterion(fn, seed: int = 7) -> dict:
+def run_criterion(fn, seed: int) -> dict:
     """Run one criterion, passing the seed if it takes one."""
     try:
         if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:

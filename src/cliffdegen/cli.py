@@ -18,7 +18,7 @@ import sys
 import time
 from math import comb
 
-from . import acceptance, jsonio
+from . import acceptance, jsonio, localmodels
 from .clifford import PoleError, specialize_space
 from .degeneration import NoWitness, QuadraticFamily, certify_specialization
 from .liestructure import (
@@ -320,7 +320,7 @@ def _cmd_localmodel_sequiv(args):
         raise UsageError('sequiv expects {"first": tuple, "second": tuple}')
     T1 = _decode_local_tuple(obj["first"])
     T2 = _decode_local_tuple(obj["second"])
-    L = T1.n * T1.n if args.L is None else args.L
+    L = localmodels.word_length_bound(T1.n) if args.L is None else args.L
     if L < 0:
         raise UsageError(f"--L must be >= 0, got {L}")
     if args.fingerprints:
@@ -434,7 +434,7 @@ def build_parser() -> _Parser:
         "in the block-diagonal tuple",
     )
     le.add_argument("--input", required=True)
-    le.add_argument("--L", type=int, help="word-length bound (default n^2)")
+    le.add_argument("--L", type=int, help="word-length bound (default n^2, as s_equivalent takes it)")
     le.add_argument(
         "--fingerprints", action="store_true", help="also list the trace of every word"
     )

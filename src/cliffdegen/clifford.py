@@ -108,12 +108,6 @@ class QuadraticSpace:
 
         return D, QuadraticSpace([[times_d(v) for v in row] for row in self.gram])
 
-    def __eq__(self, other):
-        return isinstance(other, QuadraticSpace) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash((self.m,))
-
     def __repr__(self):
         return f"QuadraticSpace(m={self.m})"
 
@@ -162,10 +156,6 @@ class Multivector:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "Multivector":
-        return Multivector()
-
-    @staticmethod
     def scalar(c) -> "Multivector":
         return Multivector({0: as_coeff(c)})
 
@@ -184,9 +174,6 @@ class Multivector:
             return NotImplemented
         return Multivector(axpy(dict(self.terms), -1, other.terms))
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "Multivector":
         c = as_coeff(c)
         return Multivector({m: c * v for m, v in self.terms.items()})
@@ -197,9 +184,6 @@ class Multivector:
         if self.terms.keys() != other.terms.keys():
             return False
         return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.keys()))
 
     def coefficient(self, indices):
         return self.terms.get(mask_of(indices), Fraction(0))

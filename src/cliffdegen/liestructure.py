@@ -92,49 +92,26 @@ class QuotientLieAlgebra:
             return dict(self.table.get((pa, pb), {}))
         return {k: -v for k, v in self.table.get((pb, pa), {}).items()}
 
-    def _indexed_table(self, pairs) -> list:
-        """``br[i][j]``: the bracket of pairs i and j as (index, coeff)
-        tuples, antisymmetric, with the stored constants."""
-        index = {p: i for i, p in enumerate(pairs)}
-        n = len(pairs)
-        br = [[()] * n for _ in range(n)]
-        for (pa, pb), exp in self.table.items():
-            if pa < pb:  # bracket() reads only these keys
-                row = tuple((index[p], v) for p, v in exp.items())
-                i, j = index[pa], index[pb]
-                br[i][j] = row
-                br[j][i] = tuple((p, -v) for p, v in row)
-        return br
-
     def verify_jacobi(self):
-        """Raise LieClosureError on the first triple of pair indices, in
+        """Raise LieClosureError on the first triple of pairs, in
         lexicographic order, whose Jacobi sum [[a,b],c] + [[b,c],a] +
         [[c,a],b] is nonzero.  The sum is homogeneous quadratic in the
         constants, so on the stored ones it is scale^2 times the sum over Q
         and vanishes exactly when that does.  A failure is worded over Q,
-        from the held sum divided by scale^2; like ``axpy``, the sum drops a
-        key whose coefficient cancels, so its keys run in the order of
-        ``axpy`` over :meth:`bracket`.
+        from the held sum divided by scale^2, with its keys in the order
+        ``axpy`` gave them.
 
         :func:`reconstruct_form` needs no such check (module docstring);
         this one tests a table on its own, such as one built from the
         product without reconstruction."""
-        pairs = lie_pairs(self.m)
-        br = self._indexed_table(pairs)
-        for ia, ib, ic in combinations(range(len(pairs)), 3):
+        for a, b, c in combinations(lie_pairs(self.m), 3):
             acc: dict = {}
-            for x, y, z in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
-                for p, v in br[x][y]:
-                    for k, w in br[p][z]:
-                        s = acc.get(k, 0) + v * w
-                        if s:
-                            acc[k] = s
-                        else:
-                            acc.pop(k, None)
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for p, v in self.bracket(x, y).items():
+                    axpy(acc, v, self.bracket(p, z))
             if acc:
                 s2 = self.scale * self.scale
-                over_q = {pairs[k]: unscale(v, s2) for k, v in acc.items()}
-                a, b, c = pairs[ia], pairs[ib], pairs[ic]
+                over_q = {k: unscale(v, s2) for k, v in acc.items()}
                 raise LieClosureError(f"Jacobi fails on {a},{b},{c}: {over_q}")
 
 
@@ -339,18 +316,6 @@ class AlgebraTensor:
             for v in row.values():
                 if type(v) is not int and type(v) is not Fraction:
                     return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraTensor):
-            return NotImplemented
-        if (self.dim, self.identity, self.scale) != (other.dim, other.identity, other.scale):
-            return False
-        keys = set(self.c) | set(other.c)
-        for k in keys:
-            a, bb = self.c.get(k, {}), other.c.get(k, {})
-            if set(a) != set(bb) or any(a[p] != bb[p] for p in a):
-                return False
         return True
 
 

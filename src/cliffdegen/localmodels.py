@@ -5,8 +5,9 @@ even Lie algebra.
 
 Tuples are considered up to simultaneous conjugation.  In characteristic 0
 the closed orbits (semisimplifications) are separated by traces of words in
-the generators (Procesi); the default word-length bound n^2 is conservative
-and recorded in the fingerprint.
+the generators (Procesi).  The default word-length bound is
+:func:`word_length_bound`, n^2, for the library and the CLI alike; it is
+conservative and recorded in the fingerprint.
 """
 
 from __future__ import annotations
@@ -104,9 +105,17 @@ def trace_fingerprint(T: MatrixTuple, L: int) -> TraceFingerprint:
     return TraceFingerprint(g=T.g, n=T.n, length_bound=L, traces=traces)
 
 
+def word_length_bound(n: int) -> int:
+    """The default word-length bound for n x n tuples, n^2: traces of
+    words of length <= n^2 generate the invariants of simultaneous
+    conjugation (Razmyslov), so they separate semisimplifications."""
+    return n * n
+
+
 def s_equivalent(T1: MatrixTuple, T2: MatrixTuple, L: int = None) -> bool:
-    """Equal traces on every word of length <= L (default n^2), the
-    characteristic-0 test for equal semisimplifications.
+    """Equal traces on every word of length <= L (default
+    :func:`word_length_bound`), the characteristic-0 test for equal
+    semisimplifications.
 
     Traces are linear, so it suffices that tr X - tr Y vanishes on a basis
     of the span of the words in the block-diagonal generators X_i (+) Y_i:
@@ -117,7 +126,7 @@ def s_equivalent(T1: MatrixTuple, T2: MatrixTuple, L: int = None) -> bool:
     n = T1.n
     z = [Fraction(0)] * n
     gens = [[list(r) + z for r in x] + [z + list(r) for r in y] for x, y in zip(T1.X, T2.X)]
-    basis = word_span(gens, [identity_matrix(2 * n)], n * n if L is None else L)
+    basis = word_span(gens, [identity_matrix(2 * n)], word_length_bound(n) if L is None else L)
     return all(sum(w[i][i] - w[n + i][n + i] for i in range(n)) == 0 for w in basis)
 
 

@@ -75,7 +75,8 @@ class Poly(_Ring):
 
     Coefficients are stored by ascending degree with no trailing zeros, so
     equality of values is equality of representations.  A coefficient is an
-    ``int`` or a ``Fraction``; the two compare, hash and print alike.
+    ``int`` or a ``Fraction``; the two compare and print alike.  A ``Poly``
+    has no hash: nothing keys a dict or a set by a ring value.
     """
 
     __slots__ = ("coeffs",)
@@ -181,11 +182,6 @@ class Poly(_Ring):
             return other == self
         return NotImplemented
 
-    def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
-        return hash(self.coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -205,8 +201,8 @@ class Poly(_Ring):
 class RatFun(_Ring):
     """Quotient of two polynomials in t, with exact pole detection.
 
-    Arithmetic does not reduce; :meth:`reduced` gives lowest terms, which
-    the hash reads.  Equality is cross-multiplication.  Evaluation at a
+    Arithmetic does not reduce; :meth:`reduced` gives lowest terms.
+    Equality is cross-multiplication, and there is no hash.  Evaluation at a
     point where the denominator vanishes goes through lowest terms before
     deciding whether the point is a pole.
     """
@@ -280,14 +276,6 @@ class RatFun(_Ring):
         num, den = divmod(self.num, a)[0], divmod(self.den, a)[0]
         s = Fraction(1) / den.coeffs[-1]
         return RatFun(num * s, den * s)
-
-    def __hash__(self):
-        # equal values have one lowest-terms form; a polynomial hashes as
-        # the Poly (and a constant as the rational) that it equals
-        r = self.reduced()
-        if r.den.coeffs == (1,):
-            return hash(r.num)
-        return hash((r.num.coeffs, r.den.coeffs))
 
     def __repr__(self):
         return f"RatFun({self.num!r} / {self.den!r})"

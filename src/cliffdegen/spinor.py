@@ -43,7 +43,7 @@ from .rings import HALF, InvariantViolation, axpy
 @dataclass(frozen=True)
 class WittDecomposition:
     ell: int
-    odd: bool = False
+    odd: bool
 
     @property
     def m(self) -> int:

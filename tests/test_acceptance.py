@@ -20,8 +20,8 @@ BUDGETS = {
     "structure-constant-oracle-agreement": 2,
     "even-algebra-matrix-identification": 2,
     "even-to-odd-spin-restriction": 2,
-    "lipschitz-monoid-axioms": 15,
-    "matrix-algebra-degeneration": 5,
+    "lipschitz-monoid-axioms": 9,
+    "matrix-algebra-degeneration": 3,
     "plethysm-g2": 2,
     "plethysm-f4-c3": 2,
     "local-models": 5,

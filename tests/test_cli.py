@@ -802,6 +802,22 @@ def test_sequiv_rejects_negative_length_bound(capsys, tmp_path):
     assert json.loads(out)["payload"]["equivalent"] is False
 
 
+def test_the_default_length_bound_has_one_home(capsys, tmp_path, monkeypatch):
+    """``localmodels.word_length_bound`` sets the default L of both
+    ``s_equivalent`` and the CLI: patched to 0, where only the empty word is
+    checked, both call this pair equivalent and the CLI prints L = 0."""
+    first, second = [[[1, 0], [0, 2]]], [[[2, 0], [0, 2]]]
+    path = _sequiv_input(tmp_path, first, second)
+    T1, T2 = MatrixTuple.of(first), MatrixTuple.of(second)
+    assert not localmodels.s_equivalent(T1, T2)
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path])
+    assert json.loads(out)["payload"] == {"equivalent": False, "length_bound": 4}
+    monkeypatch.setattr(localmodels, "word_length_bound", lambda n: 0)
+    assert localmodels.s_equivalent(T1, T2)
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path])
+    assert json.loads(out)["payload"] == {"equivalent": True, "length_bound": 0}
+
+
 def test_sequiv_fingerprint_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch):
     class Started(Exception):
         pass

@@ -71,7 +71,7 @@ def test_reverse_examples():
 
 def test_even_part_and_filtration():
     assert filtration_degree(Multivector.scalar(1)) == 0
-    assert filtration_degree(Multivector.zero()) == 0
+    assert filtration_degree(Multivector()) == 0
     # m = 5: even blades number 2^4
     evens = [m for m in range(1 << 5) if bin(m).count("1") % 2 == 0]
     assert len(evens) == 16
@@ -207,7 +207,7 @@ def test_exterior_limit(m, data):
     b = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     got = gp(Multivector({a: Fraction(1)}), Multivector({b: Fraction(1)}), V)
     mask, sign = _wedge(a, b)
-    want = Multivector.zero() if sign == 0 else Multivector({mask: Fraction(sign)})
+    want = Multivector() if sign == 0 else Multivector({mask: Fraction(sign)})
     assert got == want
 
 

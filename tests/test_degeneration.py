@@ -163,7 +163,7 @@ def test_each_entry_is_evaluated_at_zero_once(monkeypatch):
     assert len(at_zero) == 9
     w = certify_specialization(F)
     assert len(at_zero) == 9
-    assert F.special == QuadraticSpace.diagonal([1, 2, 0]) and len(w.radical_basis) == 2
+    assert F.special.gram == QuadraticSpace.diagonal([1, 2, 0]).gram and len(w.radical_basis) == 2
 
 
 def test_family_tensor_polynomial_entries():
@@ -411,7 +411,8 @@ def test_det_matches_the_elimination_over_q_t():
         rows = _random_rows(rng, rng.randint((2, 3, 1)[case], 4), case)
         got, want = _det_fraction_field(rows), reference_det(rows)
         assert got == want, rows
-        assert hash(got) == hash(want)
+        low = want.reduced()  # the form `degenerate analyze` prints
+        assert (got.num.coeffs, got.den.coeffs) == (low.num.coeffs, low.den.coeffs), rows
 
 
 def _roadmap_family(rng, m, ratfuns):

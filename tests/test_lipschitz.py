@@ -427,7 +427,7 @@ def test_unit_group_and_spin_kernel_examples():
     assert norm_scalar(e1, V3) == 3
     assert lipschitz_report(e1, V3)["verdict"] == "group"  # a unit, but odd
     V = QuadraticSpace.diagonal([1, 2, 3])
-    assert lipschitz_report(Multivector.zero(), V)["verdict"] == "none"
+    assert lipschitz_report(Multivector(), V)["verdict"] == "none"
     assert lipschitz_report(Multivector.scalar(1), V)["verdict"] == "spin"
     assert lipschitz_report(Multivector.scalar(1), V)["verdict"] == "spin"
     x = Multivector.basis_vector(3)  # q = 0 for the zero form: monoid only
@@ -455,7 +455,7 @@ def test_monoid_tau_and_norm_properties_sampled():
         z = norm_scalar(xy, V)
         assert z is not None
         zr = gp(reverse(xy, V), xy, V)
-        assert zr == (Multivector.scalar(z) if z != 0 else Multivector.zero())
+        assert zr == (Multivector.scalar(z) if z != 0 else Multivector())
 
 
 def test_glip_inverse_stays_lipschitz():

@@ -63,3 +63,19 @@ def test_stdout_digest_repeats_on_one_degeneration_cycle(capsys, monkeypatch):
     assert all(line.split("\t")[2] in ("0", "2") for line in ops)
     assert digest.main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+# `scripts/stdout_digest.py --seeds 1 --cycles 1`: op count and digest per
+# workload, so a change to what any benchmark op prints fails tier-1
+WORKLOAD_PINS = {
+    "degeneration": "18 ops\taf404cf79b01fa7fac9343f15047cfc72feb1f3002a09c649f155c995c0282f9",
+    "lie_reconstruct": "9 ops\t02122fd514b6ee41b05a69b6455ebe8c1f1e84e0a01583576a0bae88464a6608",
+    "spin_local": "59 ops\td983a01480f835aca893193d4d8e3ad60d3862d6b01124486fd132ba722ed6cf",
+}
+
+
+def test_stdout_digest_of_every_workload_is_pinned(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert load("stdout_digest").main(["--seeds", "1", "--cycles", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert dict(line.split("\t", 1) for line in lines) == WORKLOAD_PINS
