@@ -67,8 +67,9 @@ MAX_RECONSTRUCT_M = 24
 # 2.0 GHz Xeon, in a fresh process, `form tensor` takes about 1.1-1.7 s and
 # prints 8.4 MB of JSON at a peak RSS of 80 MB for a dense form with
 # entries p/q, |p|, q < 100, 0.2 s and 0.3 MB at 24 MB for the unit form,
-# and 6-7.5 s and 31 MB at 245 MB for a dense form whose entries are
-# a + b t with such a and b).  `degenerate analyze` takes odd m only, so
+# and 2.1-2.9 s and 13.2 MB at 117 MB for a dense form whose entries are
+# a + b t with a and b of the form p/q, |p| <= 4, q <= 3, drawn from
+# random.Random(4)).  `degenerate analyze` takes odd m only, so
 # m <= 7, and builds one tensor, the special fibre's: on Q0 + t I with a
 # dense rational Q0 of corank 0, 4 and 7 at m = 7 it takes about 0.4, 0.45
 # and 0.15 s at 27, 27 and 17 MB, in fresh processes on the same machine.

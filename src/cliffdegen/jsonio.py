@@ -16,7 +16,7 @@ from math import gcd
 
 from .clifford import Multivector, QuadraticSpace, mask_of
 from .degeneration import SpecializationWitness
-from .liestructure import AlgebraTensor
+from .liestructure import AlgebraTensor, packed_digits
 from .localmodels import MatrixTuple, TraceFingerprint
 from .rings import Poly, RatFun
 
@@ -190,19 +190,23 @@ class _Quotients(dict):
 
 def encode_tensor(T: AlgebraTensor) -> dict:
     """The entries over Q, ordered by (i, j) and then k.  On a tensor of
-    ``scale`` D > 1 entry k of f_i f_j is an ``int`` (or a ``Poly`` of
-    them) that is D^(h_i + h_j - h_k) times the one over Q, with
-    h = |mask|/2 (lambda_i lambda_j / lambda_k of
-    :meth:`AlgebraTensor.lambdas`): each ``int`` is divided by that power
-    with one gcd, and no ``Fraction`` is built.  A tensor of scale 1
-    prints its entries as they are."""
+    ``scale`` D > 1 or ``width`` N > 0 entry k of f_i f_j is an ``int``
+    that is D^(h_i + h_j - h_k) times the one over Q, with h = |mask|/2
+    (lambda_i lambda_j / lambda_k of :meth:`AlgebraTensor.lambdas`).  On
+    a packed tensor (N > 0) the ``int`` holds a polynomial, read as its
+    digits (:func:`~cliffdegen.liestructure.packed_digits`), and prints as
+    the list of them; an entry with h_i + h_j = h_k is a wedge term, +-1,
+    and prints as a scalar.  Each ``int`` or digit is divided by that power
+    of D with one gcd, and no ``Fraction`` or ``Poly`` is built.  A tensor
+    of scale 1 and width 0 prints its entries as they are."""
     c = T.c
     entries = []
-    if T.scale == 1:
+    if T.scale == 1 and not T.width:
         for (i, j) in sorted(c):
             row = c[(i, j)]
             entries.extend([i, j, k, encode_coeff(row[k])] for k in sorted(row))
         return {"dim": T.dim, "identity": T.identity, "c": entries}
+    N = T.width
     h = [mask.bit_count() >> 1 for mask in T.basis_masks]
     over = [_Quotients(T.scale**e) for e in range(2 * max(h) + 1)]
     for (i, j) in sorted(c):
@@ -210,7 +214,7 @@ def encode_tensor(T: AlgebraTensor) -> dict:
         hij = h[i] + h[j]
         for k in sorted(row):
             v, texts = row[k], over[hij - h[k]]
-            entries.append([i, j, k, [texts[a] for a in v.coeffs] if type(v) is Poly else texts[v]])
+            entries.append([i, j, k, [texts[d] for d in packed_digits(v, N)] if N and hij > h[k] else texts[v]])
     return {"dim": T.dim, "identity": T.identity, "c": entries}
 
 

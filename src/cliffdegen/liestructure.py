@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 from .clifford import QuadraticSpace, _terms_times_word, blade_row, indices_of
 from .rings import InvariantViolation, Poly, axpy, czero
@@ -275,6 +276,12 @@ class AlgebraTensor:
     (:func:`theta_tensor`): the even algebra of Q in the basis
     f_a = lambda_a e_a, lambda_a = D^(|a|/2) (:meth:`lambdas`).  Entry c of
     f_a f_b is lambda_a lambda_b / lambda_c times entry c of e_a e_b.
+
+    A ``width`` N > 0 marks a tensor over Z[t] packed at t = 2^N: each
+    entry is the ``int`` P(2^N) of the polynomial entry P over D Q, whose
+    coefficients, each below 2^(N-2) in absolute value (:func:`_digit_width`),
+    are its balanced base-2^N digits (:func:`packed_digits`).  Width 0
+    means the entries are the ring values themselves.
     """
 
     dim: int
@@ -282,6 +289,7 @@ class AlgebraTensor:
     c: dict
     basis_masks: tuple = field(default=None)
     scale: int = 1
+    width: int = 0
 
     def entry(self, i: int, j: int) -> dict:
         return self.c.get((i, j), {})
@@ -312,6 +320,8 @@ class AlgebraTensor:
                 raise InvariantViolation(f"identity fails on the right at {j}")
 
     def is_rational(self) -> bool:
+        if self.width:  # packed polynomials, not rationals
+            return False
         for row in self.c.values():
             for v in row.values():
                 if type(v) is not int and type(v) is not Fraction:
@@ -325,19 +335,72 @@ def even_blade_basis(m: int) -> tuple:
     return tuple(masks)
 
 
+def _digit_width(S: QuadraticSpace) -> int:
+    """The digit width N that packs the tensor of S, a form over Z[t], at
+    t = 2^N: every coefficient of every entry is below 2^(N-2).
+
+    By the cliffordization formula (Rota and Stein, PNAS 91, 1994), the
+    coefficient of blade c in e_a e_b is a signed sum of minors
+    det beta[S', T'] of size k = (|a| + |b| - |c|)/2 <= m, one for each way
+    of splitting k indices off a and k off b: C(|a|, k) C(|b|, k) ways, and
+    over all k at most C(|a| + |b|, |a|) <= C(2m, m) (Vandermonde).
+    beta(e_t, e_j) is 2 S_tj for t > j, S_jj on the diagonal and 0 above,
+    so with B >= 1 the largest L1 norm of a beta entry (1 when all
+    vanish), a minor's coefficient vector has L1 norm at most k! B^k <=
+    m! B^m.  Every coefficient is thus at most C(2m, m) m! B^m < 2^(N-2)
+    for N = bitlen(C(2m, m) m! B^m) + 2.
+
+    The blade product takes one generator at a time, and each of its
+    intermediate sums is a sum of some terms of those minors, over all k
+    at once, so it obeys the same bound: a packed value is 0 exactly when
+    its polynomial is, and the zero tests of ``axpy`` stay exact."""
+    m = S.m
+
+    def l1(v):
+        return sum(map(abs, v.coeffs)) if type(v) is Poly else abs(v)
+
+    B = max(1, *((2 if i > j else 1) * l1(S.gram[i][j]) for i in range(m) for j in range(i + 1)))
+    return (comb(2 * m, m) * factorial(m) * B**m).bit_length() + 2
+
+
+def packed_digits(v: int, N: int) -> list:
+    """The balanced base-2^N digits of v, lowest first, each in
+    [-2^(N-1), 2^(N-1)): the coefficients of the polynomial that
+    :func:`theta_tensor` packed into v at ``width`` N."""
+    half, low = 1 << (N - 1), (1 << N) - 1
+    out = []
+    while v:  # v - d = ((v + half) >> N) << N for the digit d
+        v += half
+        out.append((v & low) - half)
+        v >>= N
+    return out
+
+
 def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
     """Multiplication tensor of the even Clifford algebra in the canonical
     even-blade basis, with e_0 as the identity: a point of the variety of
     algebra structures with distinguished unit.
 
     The products are taken on the integer form D Q of
-    :meth:`QuadraticSpace.scaled`, and the tensor has ``scale`` D (its
-    entries are ``int``s, or ``Poly``s with ``int`` coefficients, on a form
-    over Q or Q[t]); :func:`cliffdegen.jsonio.encode_tensor` prints them
-    over Q."""
+    :meth:`QuadraticSpace.scaled`, and the tensor has ``scale`` D;
+    :func:`cliffdegen.jsonio.encode_tensor` prints it over Q.  On a form
+    over Q the entries are ``int``s.  A form over Q[t] (D Q has ``Poly``
+    entries and no ``RatFun``) is packed by Kronecker substitution
+    (Kronecker 1882; Harvey, J. Symb. Comput. 44, 2009): each entry P of
+    D Q becomes the ``int`` P(2^N), N = :func:`_digit_width`, the products
+    run on those ``int``s, and the tensor has ``width`` N.  No ``Poly``
+    arithmetic runs.  A form over Q(t) runs unscaled on its ring values."""
     masks = even_blade_basis(V.m)
     index = {mask: k for k, mask in enumerate(masks)}
     D, S = V.scaled()
+    N = 0
+    kinds = {type(v) for row in S.gram for v in row}
+    if Poly in kinds and kinds <= {int, Poly}:
+        N = _digit_width(S)
+        S = QuadraticSpace(
+            [[sum(a << (N * e) for e, a in enumerate(v.coeffs)) if type(v) is Poly else v for v in row]
+             for row in S.gram]
+        )
     c = {}
     for i, ma in enumerate(masks):
         products = blade_row(S, ma)
@@ -345,4 +408,4 @@ def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
             terms = products[mb]
             if terms:
                 c[(i, j)] = {index[mask]: coeff for mask, coeff in terms.items()}
-    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks, scale=D)
+    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks, scale=D, width=N)

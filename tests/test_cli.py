@@ -273,7 +273,7 @@ FORM_INPUTS = {
 }
 FORM_PINS = {
     "form tensor --input rational.json": ("bacd438f6ea660e254cfcde317a2a348ae3474e6977870f748e40d05d68ed775", 0),
-    "form tensor --input poly.json": ("87343afdb56a88b44e44b099ac1dc506d3988bd9f99be2fb535298de7bd0ed9f", 0),
+    "form tensor --input poly.json": ("e1cf026a2d9d882c0416cd1cf72d591b02912cc3be08232374adecb05554ef97", 0),
     "form tensor --input ratfun.json": ("d5f3650c583e76f78cbcfd8ac53e6df680adc396889572b69c26182b1627647a", 0),
     "form reconstruct --input rational.json": ("e1832976812f6efd58e3c7049bb1b78cd4b0e48eb9afab80497daecf7bcbeeff", 0),
     "form reconstruct --input ratfun.json": ("ce46c50b18e6b28f6de10d8858881aa50c28fffa85753dfd3fcc38862b79ebef", 0),

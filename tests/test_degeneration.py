@@ -168,22 +168,21 @@ def test_each_entry_is_evaluated_at_zero_once(monkeypatch):
 
 def test_family_tensor_polynomial_entries():
     F = QuadraticFamily.diagonal([1, 1, t()])
-    T = theta_tensor(F.space)
-    for row in T.c.values():
-        for v in row.values():
-            if isinstance(v, Poly):
-                assert len(v.coeffs) <= 2
+    T = over_q(theta_tensor(F.space))
+    degrees = [len(v.coeffs) - 1 for row in T.c.values() for v in row.values() if isinstance(v, Poly)]
+    assert degrees and max(degrees) <= 1
 
 
 def _specialize_tensor(T, c):
-    """Coefficient-wise substitution t = c in every entry, zeros dropped."""
-    c = Fraction(c)
+    """Coefficient-wise substitution t = c in every entry over Q (a packed
+    one unpacked by ``over_q``), zeros dropped."""
+    T, c = over_q(T), Fraction(c)
     out = {}
     for key, row in T.c.items():
         vals = {k: x for k, v in row.items() if (x := eval_coeff(v, c))}
         if vals:
             out[key] = vals
-    return AlgebraTensor(dim=T.dim, identity=T.identity, c=out, basis_masks=T.basis_masks, scale=T.scale)
+    return AlgebraTensor(dim=T.dim, identity=T.identity, c=out, basis_masks=T.basis_masks)
 
 
 def test_constant_family_and_commutation():

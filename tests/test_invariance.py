@@ -6,6 +6,9 @@ triangular with entries in Z/2, Q is a dense form whose answers must be
 those of the transported element over the diagonal W, where the product has
 no off-diagonal term.  So the easy monomial case is an oracle for the dense
 one (metamorphic testing: Chen, Cheung and Yiu, HKUST-CS98-01, 1998).
+The matrix-tuple local models have their own change of basis: conjugating
+a tuple by an invertible G, and relabelling its generators, keeps every
+verdict of ``localmodel``.
 
 Each relation is a derandomized hypothesis test, as in
 ``test_hostile_input.py``.
@@ -14,6 +17,7 @@ Each relation is a derandomized hypothesis test, as in
 import contextlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -21,9 +25,18 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cliffdegen import cli, jsonio
+from cliffdegen.acceptance import _random_unimodular
 from cliffdegen.clifford import Multivector, QuadraticSpace, geometric_product, indices_of
 from cliffdegen.liestructure import theta_tensor
+from cliffdegen.linalg import mat_mul
 from cliffdegen.lipschitz import lipschitz_report
+from cliffdegen.localmodels import (
+    MatrixTuple,
+    centralizer_dim,
+    generates_full_algebra,
+    is_cyclic_vector,
+    s_equivalent,
+)
 from cliffdegen.rings import Poly, RatFun
 
 DERANDOMIZED = settings(
@@ -198,3 +211,120 @@ def test_degenerate_analyze_survives_a_unimodular_change_of_basis(case):
     Q, P = case
     want = analyze(QuadraticSpace(Q))
     assert analyze(QuadraticSpace(pullback(P, Q))) == want, (Q, P)
+
+
+# -- localmodel: conjugation and relabelling of the generators ----------------
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def matrix_tuples(draw, n, g):
+    """g integer n x n matrices; now and then all upper triangular, a
+    reducible tuple whose verdicts differ from a generic one's."""
+    upper = draw(st.booleans())
+    return [[[draw(small) if i <= j or not upper else 0 for j in range(n)] for i in range(n)] for _ in range(g)]
+
+
+@st.composite
+def relabellings(draw, g):
+    """(seed of a unimodular conjugator, permutation of the g generators)."""
+    return draw(st.integers(0, 2**16)), draw(st.permutations(range(g)))
+
+
+def conjugator(seed: int, n: int):
+    """``acceptance._random_unimodular``'s (G, G^-1) from ``seed``, and the
+    map X -> G X G^-1 on matrices."""
+    G, Ginv = _random_unimodular(random.Random(seed), n)
+    return G, lambda x: mat_mul(G, mat_mul(x, Ginv))
+
+
+def relabelled(X, seed: int, perm):
+    """The tuple X conjugated by the unimodular matrix of ``seed``, and X
+    with its generators permuted."""
+    _, conj = conjugator(seed, len(X[0]))
+    return MatrixTuple.of([conj(x) for x in X]), MatrixTuple.of([X[i] for i in perm])
+
+
+sizes = st.tuples(st.integers(2, 3), st.integers(1, 3))
+
+
+@settings(DERANDOMIZED, max_examples=30)
+@given(sizes.flatmap(lambda s: st.tuples(matrix_tuples(*s), st.lists(small, min_size=s[0], max_size=s[0]), relabellings(s[1]))))
+def test_localmodel_simple_survives_conjugation_and_relabelling(case):
+    """Full generation, and v cyclic for X, hold exactly when G v is cyclic
+    for G X G^-1, and when v is cyclic for X with its generators permuted."""
+    X, v, (seed, perm) = case
+    T = MatrixTuple.of(X)
+    want = (generates_full_algebra(T), is_cyclic_vector(T, v))
+    G, _ = conjugator(seed, T.n)
+    C, P = relabelled(X, seed, perm)
+    Gv = [sum(G[i][k] * v[k] for k in range(T.n)) for i in range(T.n)]
+    assert (generates_full_algebra(C), is_cyclic_vector(C, Gv)) == want, (X, v, seed)
+    assert (generates_full_algebra(P), is_cyclic_vector(P, v)) == want, (X, v, perm)
+
+
+@st.composite
+def sequiv_pairs(draw):
+    """(X, Y, relabelling): Y is X itself, X's diagonal part (the same
+    semisimplification when X is upper triangular), X with one entry moved,
+    or an unrelated tuple."""
+    n, g = draw(st.integers(2, 3)), draw(st.integers(2, 3))  # one generator has no relabelling
+    X = draw(matrix_tuples(n, g))
+    kind = draw(st.sampled_from(["same", "diagonal", "moved", "other"]))
+    if kind == "same":
+        Y = X
+    elif kind == "diagonal":
+        Y = [[[x[i][j] if i == j else 0 for j in range(n)] for i in range(n)] for x in X]
+    elif kind == "moved":
+        Y = [[list(row) for row in x] for x in X]
+        a, i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        Y[a][i][j] += draw(st.sampled_from([-1, 1]))
+    else:
+        Y = draw(matrix_tuples(n, g))
+    return X, Y, draw(relabellings(g)), draw(st.integers(0, 2**16))
+
+
+@settings(DERANDOMIZED, max_examples=30)
+@given(sequiv_pairs())
+def test_localmodel_sequiv_survives_conjugation_relabelling_and_swap(case):
+    """S-equivalence is symmetric, and survives conjugating each tuple by
+    its own unimodular matrix and permuting the generators of both alike."""
+    X, Y, (seed, perm), other_seed = case
+    T1, T2 = MatrixTuple.of(X), MatrixTuple.of(Y)
+    want = s_equivalent(T1, T2)
+    C1, P1 = relabelled(X, seed, perm)
+    C2, P2 = relabelled(Y, other_seed, perm)
+    assert s_equivalent(T2, T1) == want, (X, Y)
+    assert s_equivalent(C1, C2) == want, (X, Y, seed, other_seed)
+    assert s_equivalent(P1, P2) == want, (X, Y, perm)
+
+
+@st.composite
+def centralizer_cases(draw):
+    """(h, X, relabelling): h the elementary matrices E_ij of gl_n, of its
+    upper triangular part or of its diagonal, and X a tuple in span(h)."""
+    n, g = draw(sizes)
+    # the centralizers in the smaller spans vary most: draw them twice as often
+    shape = draw(st.sampled_from(["gl", "upper", "diagonal", "upper", "diagonal"]))
+    cells = [(i, j) for i in range(n) for j in range(n) if shape == "gl" or i == j or shape == "upper" and i < j]
+    h = [[[int((r, c) == cell) for c in range(n)] for r in range(n)] for cell in cells]
+    X = []
+    for _ in range(g):
+        coeffs = [draw(small) for _ in cells]
+        X.append([[sum(a * m[r][c] for a, m in zip(coeffs, h)) for c in range(n)] for r in range(n)])
+    return h, X, draw(relabellings(g))
+
+
+@settings(DERANDOMIZED, max_examples=30)
+@given(centralizer_cases())
+def test_localmodel_centralizer_survives_conjugation_and_relabelling(case):
+    """The centralizer of X in span(h) has the dimension of the one of
+    G X G^-1 in span(G h G^-1), and of X with its generators permuted in
+    span(h) listed backwards."""
+    h, X, (seed, perm) = case
+    want = centralizer_dim(MatrixTuple.of(X), h)
+    _, conj = conjugator(seed, len(h[0]))
+    C, P = relabelled(X, seed, perm)
+    assert centralizer_dim(C, [conj(m) for m in h]) == want, (X, h, seed)
+    assert centralizer_dim(P, h[::-1]) == want, (X, h, perm)

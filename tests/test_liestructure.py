@@ -140,20 +140,37 @@ def test_reconstruct_needs_three_indices():
             reconstruct_form(build_even_lie(QuadraticSpace.diagonal(diag)))
 
 
+def unpacked(v: int, N: int) -> Poly:
+    """The polynomial that a tensor of ``width`` N packed into v: the
+    balanced base-2^N digits of v, lowest first, read by floor division."""
+    base, coeffs = 1 << N, []
+    while v:
+        d = v % base
+        if 2 * d >= base:
+            d -= base
+        coeffs.append(d)
+        v = (v - d) // base
+    return Poly(coeffs)
+
+
 def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
-    """T in the basis e_a, of scale 1: entry k of e_i e_j is entry k of
-    f_i f_j divided by lambda_i lambda_j / lambda_k, through ``unscale``.
-    A ``RatFun`` entry, of a tensor of scale 1 that the encoder prints as
-    it is, passes through unreduced."""
+    """T in the basis e_a, of scale 1 and width 0: entry k of e_i e_j is
+    entry k of f_i f_j divided by lambda_i lambda_j / lambda_k, through
+    ``unscale``.  A packed entry is unpacked first, into a ``Poly`` unless
+    h_i + h_j = h_k (h = |mask|/2): such a wedge term stays a scalar, as
+    the encoder prints it.  A ``RatFun`` entry, of a tensor of scale 1 that
+    the encoder prints as it is, passes through unreduced."""
     lam = T.lambdas()
+    h = [mask.bit_count() >> 1 for mask in T.basis_masks or ()]
 
-    def entry(v, Dk):
-        return v if type(v) is RatFun else liestructure.unscale(v, Dk)
+    def entry(v, i, j, k):
+        if type(v) is RatFun:
+            return v
+        if T.width and h[i] + h[j] > h[k]:
+            v = unpacked(v, T.width)
+        return liestructure.unscale(v, lam[i] * lam[j] // lam[k])
 
-    c = {
-        (i, j): {k: entry(v, lam[i] * lam[j] // lam[k]) for k, v in row.items()}
-        for (i, j), row in T.c.items()
-    }
+    c = {(i, j): {k: entry(v, i, j, k) for k, v in row.items()} for (i, j), row in T.c.items()}
     return liestructure.AlgebraTensor(dim=T.dim, identity=T.identity, c=c, basis_masks=T.basis_masks)
 
 
@@ -189,8 +206,9 @@ def test_theta_tensor_injectivity_via_reconstruction():
 def test_theta_tensor_parametric_entries():
     t = Poly.t()
     T = theta_tensor(QuadraticSpace.diagonal([Poly.const(1), Poly.const(1), t]))
+    assert T.width > 0 and not T.is_rational()
     degs = []
-    for row in T.c.values():
+    for row in over_q(T).c.values():
         for v in row.values():
             if isinstance(v, Poly):
                 degs.append(len(v.coeffs) - 1)

@@ -1,8 +1,9 @@
 """The even-algebra tensor and its radical against the straightforward
 constructions they replace, kept here as references: the tensor from one
-geometric product per pair of even blades, products of vectors by a dense
-double loop, the radical as the kernel of a dense Tr(L_i L_j) matrix, and
-the printed tensor through one ``Fraction`` (or ``Poly`` of them) per
+geometric product per pair of even blades, the tensor over Z[t] on
+``Poly`` entries (before its Kronecker packing), products of vectors by a
+dense double loop, the radical as the kernel of a dense Tr(L_i L_j) matrix,
+and the printed tensor through one ``Fraction`` (or ``Poly`` of them) per
 entry."""
 
 import json
@@ -12,6 +13,7 @@ from math import gcd
 
 import pytest
 
+from cliffdegen import liestructure
 from cliffdegen.clifford import (
     BladeIndexError,
     Multivector,
@@ -20,11 +22,11 @@ from cliffdegen.clifford import (
     geometric_product,
 )
 from cliffdegen.degeneration import jacobson_radical, radical_shape
-from cliffdegen.jsonio import encode_coeff, encode_tensor
-from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor, unscale
+from cliffdegen.jsonio import decode_coeff, encode_coeff, encode_tensor
+from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import echelon
 from cliffdegen.rings import Poly, RatFun, czero
-from test_liestructure import PRIMORIAL_97, form_with_lcm, over_q
+from test_liestructure import PRIMORIAL_97, form_with_lcm, over_q, unpacked
 
 sympy = pytest.importorskip("sympy")
 
@@ -115,18 +117,28 @@ def reference_radical(T: AlgebraTensor):
     return kernel, index
 
 
+def reference_poly_theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
+    """:func:`theta_tensor` without the Kronecker packing: the blade rows
+    of the integer form D Q itself, so that on a form over Q[t] every
+    product runs on ``Poly`` entries."""
+    masks = even_blade_basis(V.m)
+    index = {mask: k for k, mask in enumerate(masks)}
+    D, S = V.scaled()
+    c = {}
+    for i, ma in enumerate(masks):
+        products = blade_row(S, ma)
+        for j, mb in enumerate(masks):
+            if products[mb]:
+                c[(i, j)] = {index[mask]: coeff for mask, coeff in products[mb].items()}
+    return AlgebraTensor(dim=len(masks), identity=0, c=c, basis_masks=masks, scale=D)
+
+
 def reference_encode_tensor(T: AlgebraTensor) -> dict:
-    """The entries over Q: entry k of basis_i basis_j is divided by
-    lambda_i lambda_j / lambda_k (:meth:`AlgebraTensor.lambdas`) as it is
-    encoded."""
-    lam = T.lambdas()
-    entries = []
-    for (i, j) in sorted(T.c):
-        row = T.c[(i, j)]
-        lij = lam[i] * lam[j]
-        for k in sorted(row):
-            v = row[k] if T.scale == 1 else unscale(row[k], lij // lam[k])
-            entries.append([i, j, k, encode_coeff(v)])
+    """The entries over Q of ``over_q``, each a ``Fraction`` (or a ``Poly``
+    of them) divided by lambda_i lambda_j / lambda_k
+    (:meth:`AlgebraTensor.lambdas`) as it is encoded."""
+    U = over_q(T)
+    entries = [[i, j, k, encode_coeff(U.c[(i, j)][k])] for (i, j) in sorted(U.c) for k in sorted(U.c[(i, j)])]
     return {"dim": T.dim, "identity": T.identity, "c": entries}
 
 
@@ -277,6 +289,143 @@ def test_blade_row_lists_every_product_in_mask_order():
         blade_row(QuadraticSpace.diagonal([1, 1]), 0b100)
 
 
+# -- the tensor over Z[t], packed at t = 2^N ------------------------------
+
+
+def _coefficients(T: AlgebraTensor) -> dict:
+    """Each entry as its tuple of coefficients over D Q: a packed one
+    unpacked, a ``Poly``'s own, an ``int`` alone."""
+
+    def coeffs(v):
+        if T.width:
+            return unpacked(v, T.width).coeffs
+        return v.coeffs if type(v) is Poly else (v,)
+
+    return {key: {k: coeffs(v) for k, v in row.items()} for key, row in T.c.items()}
+
+
+def _zt_form(rng, m: int, kind: str) -> QuadraticSpace:
+    """A form whose every entry is a ``Poly``: ``dense`` of degree 0..3 with
+    negative and interior-zero coefficients, over denominators 1..3;
+    ``constant``, entries such as Poly([-2]); ``zero``; or ``corank2``,
+    P^T diag(p_1, ..., p_(m-2), 0, 0) P with P unit upper triangular."""
+
+    def poly():
+        coeffs = [_rat(rng) for _ in range(rng.randint(1, 4))]
+        if len(coeffs) > 2 and rng.random() < 0.5:
+            coeffs[1] = Fraction(0)
+        return Poly(coeffs)
+
+    if kind == "dense":
+        return _symmetric(m, lambda i, j: poly())
+    if kind == "constant":
+        return _symmetric(m, lambda i, j: Poly([rng.randint(-4, 4)]))
+    if kind == "zero":
+        return _symmetric(m, lambda i, j: Poly())
+    diag = [poly() for _ in range(m - 2)] + [Poly(), Poly()]
+    P = [[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(m)] for i in range(m)]
+    return _symmetric(m, lambda i, j: sum((P[k][i] * P[k][j] * diag[k] for k in range(m)), Poly()))
+
+
+@pytest.mark.parametrize("kind", ["dense", "constant", "zero", "corank2"])
+def test_the_packed_tensor_matches_the_poly_reference(kind):
+    """Unpacked, every entry of the packed tensor is the reference's
+    polynomial over D Q, each coefficient below 2^(N-2) as the width's
+    bound says; printed, the tensor is byte for byte the reference's."""
+    rng = random.Random(f"packed/{kind}")
+    scales = set()
+    for m in (1, 2, 3, 4, 5, 6) if kind != "corank2" else (2, 3, 4, 5, 6):
+        V = _zt_form(rng, m, kind)
+        T, want = theta_tensor(V), reference_poly_theta_tensor(V)
+        assert T.width > 0 and T.scale == want.scale, (kind, m)
+        coeffs = _coefficients(want)
+        assert _coefficients(T) == coeffs, (kind, m)
+        assert all(abs(a) < 1 << (T.width - 2) for row in coeffs.values() for cs in row.values() for a in cs)
+        assert _printed(T) == json.dumps(reference_encode_tensor(want)), (kind, m)
+        scales.add(T.scale)
+    if kind in ("dense", "corank2"):
+        assert len(scales) > 1  # some forms have D > 1
+
+
+def test_the_digit_width_is_the_bound_and_one_bit_less_fails(monkeypatch):
+    """N = bitlen(C(2m, m) m! B^m) + 2: here B = 18, the off-diagonal
+    entry -4 + 5t^2 of L1 norm 9 doubled by beta, so N = bitlen(20 * 6 *
+    18^3 = 699840) + 2 = 22.  With b the bit length of the largest
+    coefficient (-42, so b = 6), width b + 1 is the least that the balanced
+    digits allow, and width b reads the wrong tensor."""
+    V = QuadraticSpace(
+        [
+            [Poly([5, 7]), Poly([0, 3]), Poly([-4, 0, 5])],
+            [Poly([0, 3]), Poly([3, -2]), Poly([1])],
+            [Poly([-4, 0, 5]), Poly([1]), Poly([6])],
+        ]
+    )
+    assert theta_tensor(V).width == 22
+    want = _coefficients(reference_poly_theta_tensor(V))
+    top = max((a for row in want.values() for cs in row.values() for a in cs), key=abs)
+    b = top.bit_length()
+    assert (top, b) == (-42, 6)  # not -2^(b-1), which width b would still hold
+    for N, agrees in ((b, False), (b + 1, True), (22, True)):
+        monkeypatch.setattr(liestructure, "_digit_width", lambda S, N=N: N)
+        T = theta_tensor(V)
+        assert T.width == N and (_coefficients(T) == want) is agrees, N
+
+
+def test_no_poly_arithmetic_runs_on_a_form_over_q_t(monkeypatch):
+    V = _zt_form(random.Random(5), 5, "dense")
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        original = getattr(Poly, name)
+
+        def counted(self, other, original=original):
+            calls.append(original)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, name, counted)
+    encode_tensor(theta_tensor(V))
+    assert calls == []
+    reference_poly_theta_tensor(V)  # the counter sees the products on Polys
+    assert calls
+
+
+def test_the_radical_refuses_a_packed_tensor():
+    T = theta_tensor(QuadraticSpace.diagonal([Poly([1]), 1, Poly([0, 1])]))
+    assert T.width > 0 and not T.is_rational()
+    with pytest.raises(ValueError, match="rational coefficients"):
+        jacobson_radical(T)
+
+
+def _mixed_form(rng, m: int) -> QuadraticSpace:
+    """A form over Q[t] with rational entries beside polynomial ones; entry
+    (1,1) is a polynomial."""
+
+    def entry(i, j):
+        if (i, j) != (0, 0) and rng.random() < 0.4:
+            return _rat(rng)
+        return Poly([_rat(rng) for _ in range(rng.randint(1, 3))])
+
+    return _symmetric(m, entry)
+
+
+def test_a_mixed_form_prints_a_list_except_on_wedge_terms():
+    """On a form over Q[t] with rational entries, an entry prints as a
+    scalar exactly when h_i + h_j = h_k, and its value is the one of one
+    geometric product per pair, over Q."""
+    rng = random.Random("mixed")
+    constant_lists = 0
+    for m in (2, 3, 4, 4, 5, 5):
+        V = _mixed_form(rng, m)
+        want = reference_theta_tensor(V)
+        h = [mask.bit_count() >> 1 for mask in want.basis_masks]
+        printed = encode_tensor(theta_tensor(V))["c"]
+        assert [e[:3] for e in printed] == [[i, j, k] for (i, j) in sorted(want.c) for k in sorted(want.c[(i, j)])]
+        for i, j, k, v in printed:
+            assert isinstance(v, str) is (h[i] + h[j] == h[k]), (m, i, j, k)
+            assert decode_coeff(v) == want.c[(i, j)][k], (m, i, j, k)
+            constant_lists += isinstance(v, list) and len(v) == 1
+    assert constant_lists > 0
+
+
 # -- sparse products of vectors --------------------------------------------
 
 
@@ -327,11 +476,14 @@ def _printed(T: AlgebraTensor) -> str:
     return json.dumps(encode_tensor(T))
 
 
-def _synthetic_tensor(rng, m: int, D: int) -> AlgebraTensor:
+def _synthetic_tensor(rng, m: int, D: int, packed: bool) -> AlgebraTensor:
     """Random sparse entries on the even blades of m generators, of scale D:
-    nonzero ``int``s of either sign, some of them multiples of powers of D,
-    and ``Poly``s of them with zero coefficients inside.  As in a Clifford
-    tensor, e_a e_b has terms on blades c with |c| <= |a| + |b| only."""
+    nonzero ``int``s of either sign, some of them multiples of powers of D.
+    A ``packed`` tensor holds polynomials of them instead, with zero
+    coefficients inside, packed at the least width N that their balanced
+    digits allow, and +-1 on its wedge terms (h_k = h_i + h_j).  As in a
+    Clifford tensor, e_a e_b has terms on blades c with |c| <= |a| + |b|
+    only."""
     masks = even_blade_basis(m)
     d = len(masks)
     h = [mask.bit_count() >> 1 for mask in masks]
@@ -347,37 +499,46 @@ def _synthetic_tensor(rng, m: int, D: int) -> AlgebraTensor:
             row = {}
             below = [k for k in range(d) if h[k] <= h[i] + h[j]]
             for k in rng.sample(below, rng.randint(1, min(len(below), 4))):
-                if rng.random() < 0.5:
+                if not packed:
                     row[k] = number()
+                elif h[k] == h[i] + h[j]:
+                    row[k] = rng.choice([-1, 1])
                 else:
-                    coeffs = [number() if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 4))]
-                    row[k] = Poly(coeffs + [number()])
+                    row[k] = [number() if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 3))] + [number()]
             c[(i, j)] = row
-    return AlgebraTensor(dim=d, identity=0, c=c, basis_masks=masks, scale=D)
+    N = 0
+    if packed:
+        N = 1 + max((abs(a).bit_length() for row in c.values() for v in row.values() if type(v) is list for a in v), default=1)
+        for row in c.values():
+            for k, v in row.items():
+                if type(v) is list:
+                    row[k] = sum(a << (N * e) for e, a in enumerate(v))
+    return AlgebraTensor(dim=d, identity=0, c=c, basis_masks=masks, scale=D, width=N)
 
 
 @pytest.mark.parametrize("D", PRINT_SCALES)
 def test_the_printed_tensor_matches_the_unscale_reference(D):
-    """Byte for byte, on random ints and Polys of every sign, with zero
-    coefficients inside a Poly; with D > 1 some entries are p/q after a
-    cancellation (gcd neither 1 nor q), and some are divided by
+    """Byte for byte, on random ints and on packed polynomials of every
+    sign, with zero coefficients inside; with D > 1 some entries are p/q
+    after a cancellation (gcd neither 1 nor q), and some are divided by
     D^(h_i + h_j - h_k) != D^(h_k)."""
-    rng = random.Random(f"print/{D}")
-    cancelled = uneven = inner_zeros = 0
-    for m in (2, 3, 4, 5, 6):
-        T = _synthetic_tensor(rng, m, D)
-        assert _printed(T) == json.dumps(reference_encode_tensor(T)), (D, m)
-        h = [mask.bit_count() >> 1 for mask in T.basis_masks]
-        for (i, j), row in T.c.items():
-            for k, v in row.items():
-                q = D ** (h[i] + h[j] - h[k])
-                coeffs = v.coeffs if type(v) is Poly else (v,)
-                cancelled += any(1 < gcd(a, q) < q for a in coeffs)
-                uneven += h[i] + h[j] - h[k] != h[k]
-                inner_zeros += 0 in coeffs[1:-1]
-    assert inner_zeros > 0
-    if D > 1:
-        assert cancelled > 0 and uneven > 0
+    for packed in (False, True):
+        rng = random.Random(f"print/{D}/{packed}")
+        cancelled = uneven = inner_zeros = 0
+        for m in (2, 3, 4, 5, 6):
+            T = _synthetic_tensor(rng, m, D, packed)
+            assert _printed(T) == json.dumps(reference_encode_tensor(T)), (D, m, packed)
+            h = [mask.bit_count() >> 1 for mask in T.basis_masks]
+            for (i, j), row in T.c.items():
+                for k, v in row.items():
+                    q = D ** (h[i] + h[j] - h[k])
+                    coeffs = unpacked(v, T.width).coeffs if T.width and h[i] + h[j] > h[k] else (v,)
+                    cancelled += any(1 < gcd(a, q) < q for a in coeffs)
+                    uneven += h[i] + h[j] - h[k] != h[k]
+                    inner_zeros += 0 in coeffs[1:-1]
+        assert inner_zeros > 0 if packed else inner_zeros == 0
+        if D > 1:
+            assert cancelled > 0 and uneven > 0, packed
 
 
 def _poly_form_with_lcm(rng, m: int, D: int) -> QuadraticSpace:
