@@ -45,12 +45,10 @@ LIPSCHITZ_SAMPLES = 500  # sampled products in criterion 5
 
 
 def _random_symmetric(rng: random.Random, m: int) -> QuadraticSpace:
-    g = [[Fraction(0)] * m for _ in range(m)]
+    g = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            g[i][j] = v
-            g[j][i] = v
+            g[i][j] = g[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return QuadraticSpace(g)
 
 
@@ -139,12 +137,10 @@ def _sample_lipschitz_generator(rng: random.Random, V: QuadraticSpace) -> Multiv
     m = V.m
     kind = rng.choice(("vector", "scalar_plus_ab"))
     if kind == "vector":
-        return Multivector(
-            {1 << i: Fraction(rng.randint(-3, 3)) for i in range(m)}
-        )
-    a = Multivector({1 << i: Fraction(rng.randint(-2, 2)) for i in range(m)})
-    b = Multivector({1 << i: Fraction(rng.randint(-2, 2)) for i in range(m)})
-    lam = Fraction(rng.randint(-3, 3))
+        return Multivector({1 << i: rng.randint(-3, 3) for i in range(m)})
+    a = Multivector({1 << i: rng.randint(-2, 2) for i in range(m)})
+    b = Multivector({1 << i: rng.randint(-2, 2) for i in range(m)})
+    lam = rng.randint(-3, 3)
     return Multivector.scalar(lam) + geometric_product(a, b, V)
 
 
@@ -192,11 +188,8 @@ def criterion_lipschitz_axioms(seed: int) -> dict:
         z = norm_scalar(x, V)
         if z is None:
             failures.append(("norm-not-scalar", k))
-        else:
-            zr = geometric_product(reverse(x, V), x, V)
-            want = Multivector.scalar(z) if z != 0 else Multivector()
-            if zr != want:
-                failures.append(("norm-two-sided", k))
+        elif geometric_product(reverse(x, V), x, V) != Multivector.scalar(z):
+            failures.append(("norm-two-sided", k))
     infinitesimal = []
     for m in range(2, 7):
         for label, V in (
@@ -237,15 +230,12 @@ def criterion_degeneration() -> dict:
         T = w.special_fiber
         # independent trace-form kernel: operators applied via tensor products
         d = T.dim
-        gram = [[Fraction(0)] * d for _ in range(d)]
+        gram = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
-                tr = Fraction(0)
-                for k in range(d):
-                    col = T.multiply({i: 1}, T.multiply({j: 1}, {k: 1}))
-                    tr += col.get(k, 0)
-                gram[i][j] = tr
-                gram[j][i] = tr
+                gram[i][j] = gram[j][i] = sum(
+                    T.multiply({i: 1}, T.multiply({j: 1}, {k: 1})).get(k, 0) for k in range(d)
+                )
         indep_dim = len(nullspace_dense(gram, d))
         dim = len(w.radical_basis)
         good = dim > 0 and dim == indep_dim and w.nilpotency_index <= T.dim
@@ -324,7 +314,7 @@ def criterion_local_models(seed: int) -> dict:
     for n in (2, 3):
         base = MatrixTuple.of(
             [
-                [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
                 for _ in range(2)
             ]
         )
@@ -354,8 +344,8 @@ def criterion_local_models(seed: int) -> dict:
     for ell, odd in ((1, True), (2, False)):
         W = WittDecomposition(ell, odd=odd)
         npairs = len(lie_pairs(W.m))
-        u = [Fraction(rng.randint(-2, 2)) for _ in range(npairs)]
-        v = [Fraction(rng.randint(-2, 2)) for _ in range(npairs)]
+        u = [rng.randint(-2, 2) for _ in range(npairs)]
+        v = [rng.randint(-2, 2) for _ in range(npairs)]
         img = spin_image_tuple([u, v], ell, odd=odd)
         x, y = img.X
         lhs = mat_sub(mat_mul(x, y), mat_mul(y, x))
@@ -388,7 +378,7 @@ def _random_unimodular(rng: random.Random, n: int):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-2, 2)
         e, einv = identity_matrix(n), identity_matrix(n)
-        e[i][j], einv[i][j] = Fraction(c), Fraction(-c)
+        e[i][j], einv[i][j] = c, -c
         g, ginv = mat_mul(g, e), mat_mul(einv, ginv)
     return g, ginv
 

@@ -37,7 +37,7 @@ from .localmodels import (
     trace_fingerprint,
 )
 from .plethysm import NotACharacter, verify_plethysm
-from .rings import CoefficientRingMismatch, InvariantViolation
+from .rings import CoefficientRingMismatch, InvariantViolation, RatFun
 from .spinor import (
     WittDecomposition,
     even_algebra_isomorphism_check,
@@ -107,6 +107,20 @@ MAX_LIPSCHITZ_M = 6
 # grows with it only as fast as the input does.
 MAX_LOCALMODEL_N = 8
 
+# The caps above were measured over Q and Q[t].  When a value that a command
+# multiplies is a `RatFun` (for `lipschitz test`, an entry of the form or a
+# coefficient of x), m is held to a second cap: the largest m at which the
+# worst input, every entry of degree 1 over degree 1 in t, stays within the
+# figures quoted above.  In fresh processes on a shared 2-core 2.0 GHz Xeon:
+# `form tensor` takes 1.5 s at 29 MB at m = 6 and 11.7 s at 123 MB at m = 7
+# (`--at` multiplies rationals, and `degenerate analyze` only the special
+# fibre's, so both keep MAX_TENSOR_M alone); `form reconstruct` 1.1-1.7 s
+# at 24 MB at m = 12 and 1.4-2.4 s at m = 13; `lipschitz test` on the sum
+# of all even blades 0.14-0.32 s at 17 MB at m = 4 and 0.3-1.9 s at m = 5.
+MAX_RATFUN_TENSOR_M = 6
+MAX_RATFUN_RECONSTRUCT_M = 12
+MAX_RATFUN_LIPSCHITZ_M = 4
+
 
 class UsageError(Exception):
     pass
@@ -142,6 +156,16 @@ def _check_reconstruct_m(m: int):
         )
 
 
+def _check_ratfun_m(V, cap: int, ratfun_cap: int, more=()):
+    """The second cap of a command that multiplies: m above ``ratfun_cap``
+    is refused when an entry of V, or a value in ``more``, is a ``RatFun``."""
+    if V.m > ratfun_cap and any(isinstance(v, RatFun) for row in (*V.gram, more) for v in row):
+        raise UsageError(
+            f"m = {V.m} is above {ratfun_cap}, the cap for an input over Q(t) "
+            f"(over Q and Q[t] the cap is {cap})"
+        )
+
+
 def _cmd_form_reconstruct(args):
     if args.random and args.input is not None:
         raise UsageError("--random and --input exclude each other")
@@ -169,6 +193,7 @@ def _cmd_form_reconstruct(args):
         return ("pass" if ok else "fail"), payload
     V = jsonio.decode_space(_load_input(args.input))
     _check_reconstruct_m(V.m)
+    _check_ratfun_m(V, MAX_RECONSTRUCT_M, MAX_RATFUN_RECONSTRUCT_M)
     R = reconstruct_form(build_even_lie(V))
     match = R.gram == V.gram
     return ("pass" if match else "fail"), {
@@ -192,6 +217,7 @@ def _cmd_form_tensor(args):
     at = None if args.at is None else jsonio.decode_coeff(args.at)
     if at is not None:
         V = specialize_space(V, at)
+    _check_ratfun_m(V, MAX_TENSOR_M, MAX_RATFUN_TENSOR_M)
     T = theta_tensor(V)
     payload = {"tensor": jsonio.encode_tensor(T)}
     if at is not None:
@@ -266,6 +292,7 @@ def _cmd_lipschitz_test(args):
             f"4^m = {4 ** V.m} blades"
         )
     x = jsonio.decode_multivector(obj["x"], V.m)
+    _check_ratfun_m(V, MAX_LIPSCHITZ_M, MAX_RATFUN_LIPSCHITZ_M, x.terms.values())
     rep = lipschitz_report(x, V)
     z = rep["norm_scalar"]
     return "pass", {**rep, "norm_scalar": None if z is None else jsonio.encode_coeff(z)}

@@ -28,7 +28,6 @@ at most |a| + 1 terms, on distinct blades, and nothing to cache.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .rings import (
@@ -36,6 +35,7 @@ from .rings import (
     Poly,
     RatFun,
     as_coeff,
+    as_rational,
     axpy,
     czero,
     eval_coeff,
@@ -161,7 +161,7 @@ class Multivector:
 
     @staticmethod
     def basis_vector(i: int) -> "Multivector":
-        return Multivector({1 << (i - 1): Fraction(1)})
+        return Multivector({1 << (i - 1): 1})
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -186,7 +186,7 @@ class Multivector:
         return all(self.terms[k] == other.terms[k] for k in self.terms)
 
     def coefficient(self, indices):
-        return self.terms.get(mask_of(indices), Fraction(0))
+        return self.terms.get(mask_of(indices), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -295,7 +295,7 @@ def is_homogeneous(x: Multivector) -> bool:
 
 
 def specialize_space(space: QuadraticSpace, c) -> QuadraticSpace:
-    c = Fraction(c) if not isinstance(c, Fraction) else c
+    c = as_rational(c)
     rows = []
     for i, row in enumerate(space.gram):
         vals = []

@@ -200,7 +200,7 @@ class SpecializationWitness:
     special_fiber: AlgebraTensor
     radical_basis: list  # coordinate vectors over the e_a
     nilpotency_index: int  # smallest k with radical^k = 0 (1 when radical = 0)
-    generic_check_point: Fraction
+    generic_check_point: int  # the first k = 1, 2, ... with 2Q(k) defined and regular
 
 
 def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
@@ -233,16 +233,15 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     dens = [v.den for i, row in enumerate(F.space.gram) for v in row[i:] if isinstance(v, RatFun)]
     bad = len(det.num.coeffs) - 1 + sum(len(d.coeffs) - 1 for d in dens)
     for k in range(1, bad + 2):
-        cpoint = Fraction(k)
-        if all(d(cpoint) for d in dens) and det.num(cpoint):
+        if all(d(k) for d in dens) and det.num(k):
             break
-    if _corank(F.at(cpoint)):
-        raise InvariantViolation(f"2Q({cpoint}) is singular, yet det 2Q({cpoint}) != 0")
+    if _corank(F.at(k)):
+        raise InvariantViolation(f"2Q({k}) is singular, yet det 2Q({k}) != 0")
     return SpecializationWitness(
         m=F.m,
         det_generic=det,
         special_fiber=special,
         radical_basis=basis,
         nilpotency_index=index,
-        generic_check_point=cpoint,
+        generic_check_point=k,
     )

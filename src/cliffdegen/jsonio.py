@@ -31,6 +31,8 @@ class InputFormatError(ValueError):
 # results past it can be printed.
 MAX_DIGITS = sys.int_info.default_max_str_digits
 _DIGIT_RUN = re.compile(r"\d+")
+# a decimal with an exponent, as ``Fraction`` would read it: "1e5", "-1.5E+2"
+_EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
 SHORT_LIMIT = 80  # characters of a bad value echoed in an error message
 
 
@@ -55,7 +57,7 @@ def _check_declared(obj: dict, key: str, actual: int, shape: str):
         raise InputFormatError(f"declared {key}={_short(v)} but {shape}")
 
 
-def encode_rational(v: Fraction) -> str:
+def encode_rational(v) -> str:
     return str(v)
 
 
@@ -70,24 +72,28 @@ def encode_coeff(v):
     return encode_rational(v)
 
 
-def decode_rational(obj) -> Fraction:
+def decode_rational(obj):
     """An exact rational from a string "p/q" (or a decimal) or a JSON
-    integer.  Exponent notation is refused: "1e10000000" is twelve bytes
-    that ``Fraction`` would expand into a ten-million-digit integer."""
+    integer: an ``int`` when it is integral ("3", "6/2" and 3 alike), else a
+    ``Fraction``.  A string with an "e" is refused before ``Fraction`` reads
+    it: "1e10000000" is twelve bytes that ``Fraction`` would expand into a
+    ten-million-digit integer."""
     if isinstance(obj, str):
         if "e" in obj or "E" in obj:
-            raise InputFormatError(f"bad rational {_short(obj)}: exponent notation is not accepted")
+            why = "exponent notation is not accepted" if _EXPONENT.fullmatch(obj) else "not p/q or a decimal"
+            raise InputFormatError(f"bad rational {_short(obj)}: {why}")
         # Fraction reads "1_000" as one integer: count its digits together
         if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(obj.replace("_", ""))):
             raise InputFormatError(f"bad rational {_short(obj)}: an integer of more than {MAX_DIGITS} digits")
         try:
-            return Fraction(obj)
+            v = Fraction(obj)
         except ValueError as exc:
             raise InputFormatError(f"bad rational {_short(obj)}: not p/q or a decimal") from exc
         except ZeroDivisionError as exc:
             raise InputFormatError(f"bad rational {_short(obj)}: zero denominator") from exc
+        return v.numerator if v.denominator == 1 else v
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
+        return obj
     raise InputFormatError(f"expected a rational, got {_short(obj)}")
 
 

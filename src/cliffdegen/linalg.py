@@ -65,7 +65,7 @@ def echelon(rows) -> SpanBasis:
     """Span of dense rows of rationals."""
     span = SpanBasis()
     for r in rows:
-        span.insert({j: Fraction(v) for j, v in enumerate(r) if v != 0})
+        span.insert({j: v for j, v in enumerate(r) if v != 0})
     return span
 
 
@@ -97,7 +97,7 @@ def nullspace_dense(rows: list, ncols: int) -> list:
     """Basis of {x : A x = 0} for A given as dense rows of rationals: one
     vector per free column of the reduced row echelon form of A.  A square
     ``int`` matrix invertible modulo a prime has none, found without
-    rational arithmetic."""
+    rational arithmetic.  Kernel vectors hold ``Fraction``s."""
     if len(rows) == ncols and all(type(v) is int for row in rows for v in row):
         if _invertible_mod_p(rows):
             return []
@@ -114,12 +114,12 @@ def nullspace_dense(rows: list, ncols: int) -> list:
     return basis
 
 
-# --- small dense matrix helpers (lists of lists of Fractions) ---
+# --- small dense matrix helpers (lists of lists of rationals) ---
 
 
 def mat_mul(a, b):
     n, k, m2 = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m2 for _ in range(n)]
+    out = [[0] * m2 for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -139,11 +139,11 @@ def mat_sub(a, b):
 
 
 def identity_matrix(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def mat_trace(a):
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def flatten(a) -> dict:

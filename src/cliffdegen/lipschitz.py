@@ -38,8 +38,6 @@ unbalanced part that the explicit delta/delta' product gives
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .clifford import (
     Multivector,
     QuadraticSpace,
@@ -108,10 +106,8 @@ def is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
 def norm_scalar(x: Multivector, V: QuadraticSpace):
     """x * tau(x) if it is a scalar multiple of e_0, else None."""
     z = geometric_product(x, reverse(x, V), V)
-    if z.is_zero():
-        return Fraction(0)
-    if set(z.terms) == {0}:
-        return z.terms[0]
+    if z.terms.keys() <= {0}:
+        return z.terms.get(0, 0)
     return None
 
 
@@ -149,19 +145,18 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     D = doubled_algebra(V)
     masks = even_blade_basis(m)
     K = len(masks)
-    unbal_cols = []
-    tau_rows = []  # expansion of tau(E_k) over the even blade basis
     index = {mask: k for k, mask in enumerate(masks)}
-    for mask in masks:
+    unbal_cols = []
+    # the spin cut X + tau(X) = 0: one equation per even-blade coordinate
+    spin_eqs = [[int(j == k) for k in range(K)] for j in range(K)]
+    for k, mask in enumerate(masks):
         # X (x) 1 + 1 (x) psi(X) for X = E_k (for E_0 the two keys meet: H
         # kills the scalar either way)
         unbal_cols.append(D.unbalanced({mask: 1, mask << m: _psi_sign(mask)}))
-        trow = [Fraction(0)] * K
-        for m2, c in reverse(Multivector({mask: Fraction(1)}), V).terms.items():
-            trow[index[m2]] += c
-        tau_rows.append(trow)
+        for m2, c in reverse(Multivector({mask: 1}), V).terms.items():
+            spin_eqs[index[m2]][k] += c
 
-    keys = sorted(set().union(*unbal_cols)) if unbal_cols else []
+    keys = sorted(set().union(*unbal_cols))
     eq_rows = [[col.get(k, 0) for col in unbal_cols] for k in keys]
     solutions = nullspace_dense(eq_rows, K)
     expected_dim = 1 + m * (m - 1) // 2
@@ -172,15 +167,7 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
         for vec in solutions
     )
     equals = inside and len(solutions) == expected_dim
-
-    # spin cut: X + tau(X) = 0, one equation per even-blade coordinate j
-    spin_rows = list(eq_rows)
-    for j in range(K):
-        row = [Fraction(0)] * K
-        for k in range(K):
-            row[k] += (1 if k == j else 0) + tau_rows[k][j]
-        spin_rows.append(row)
-    spin_solutions = nullspace_dense(spin_rows, K)
+    spin_solutions = nullspace_dense(eq_rows + spin_eqs, K)
     return {
         "equals_even_filtration_le2": equals,
         "spin_dim": len(spin_solutions),

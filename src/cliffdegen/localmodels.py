@@ -13,12 +13,11 @@ conservative and recorded in the fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .clifford import Multivector, mask_of
 from .liestructure import lie_pairs
 from .linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_trace, nullspace_dense
-from .rings import HALF, InvariantViolation
+from .rings import HALF, InvariantViolation, as_rational
 from .spinor import WittDecomposition, spinor_matrix
 
 
@@ -26,13 +25,11 @@ from .spinor import WittDecomposition, spinor_matrix
 class MatrixTuple:
     g: int
     n: int
-    X: tuple  # g matrices, each n x n of Fractions
+    X: tuple  # g matrices, each n x n of rationals (ints stay ints)
 
     @staticmethod
     def of(mats) -> "MatrixTuple":
-        mats = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats
-        )
+        mats = tuple(tuple(tuple(map(as_rational, row)) for row in m) for m in mats)
         if not mats or not mats[0]:
             raise ValueError("empty tuple or 0 x 0 matrices")
         n = len(mats[0])
@@ -73,7 +70,7 @@ def generates_full_algebra(T: MatrixTuple) -> bool:
 
 def is_cyclic_vector(T: MatrixTuple, v) -> bool:
     """The words in X_1..X_g applied to v span the column space."""
-    v = [Fraction(x) for x in v]
+    v = [as_rational(x) for x in v]
     if len(v) != T.n:
         raise ValueError(f"vector length {len(v)} != n = {T.n}")
     return len(word_span(T.X, [[[x] for x in v]])) == T.n
@@ -84,14 +81,14 @@ class TraceFingerprint:
     g: int
     n: int
     length_bound: int
-    traces: dict  # word tuple over 1..g -> Fraction; includes the empty word
+    traces: dict  # word tuple over 1..g -> its trace; includes the empty word
 
 
 def trace_fingerprint(T: MatrixTuple, L: int) -> TraceFingerprint:
     """Traces of all words of length <= L, computed along the word tree
     with running products.  The tree is walked with an explicit stack, so L
     is not bounded by the recursion limit."""
-    traces = {(): Fraction(T.n)}
+    traces = {(): T.n}
     stack = [((), identity_matrix(T.n))]
     while stack:
         word, prod = stack.pop()
@@ -124,7 +121,7 @@ def s_equivalent(T1: MatrixTuple, T2: MatrixTuple, L: int = None) -> bool:
     if (T1.g, T1.n) != (T2.g, T2.n):
         raise ValueError("tuples must share (g, n)")
     n = T1.n
-    z = [Fraction(0)] * n
+    z = [0] * n
     gens = [[list(r) + z for r in x] + [z + list(r) for r in y] for x, y in zip(T1.X, T2.X)]
     basis = word_span(gens, [identity_matrix(2 * n)], word_length_bound(n) if L is None else L)
     return all(sum(w[i][i] - w[n + i][n + i] for i in range(n)) == 0 for w in basis)
@@ -136,7 +133,7 @@ def centralizer_dim(T: MatrixTuple, h_basis) -> int:
     The tuple must lie inside span(h); vanishing dimension is the freeness
     proxy for centerless h.
     """
-    h = [[[Fraction(v) for v in row] for row in m] for m in h_basis]
+    h = [[[as_rational(v) for v in row] for row in m] for m in h_basis]
     n = T.n
     if any(len(m) != n or any(len(r) != n for r in m) for m in h):
         raise ValueError(f"h must hold {n} x {n} matrices")
@@ -184,7 +181,7 @@ def spin_image_tuple(elements, ell: int, odd: bool) -> MatrixTuple:
         el = list(el)
         if len(el) != len(pairs):
             raise NotInLieSpan(f"coefficient vector length {len(el)} != {len(pairs)}")
-        coeffs = {p: Fraction(c) for p, c in zip(pairs, el)}
+        coeffs = {p: as_rational(c) for p, c in zip(pairs, el)}
         # one Multivector of the pair blades (it drops the zero ones)
         x = Multivector({mask_of(p): c for p, c in coeffs.items()})
         shift = HALF * sum(c * V.b(i, j) for (i, j), c in coeffs.items())

@@ -4,12 +4,12 @@ functions in t.
 Everything here is exact; no floats are accepted anywhere.  Arithmetic is
 value-driven: a rational (an ``int`` or a ``Fraction``) coerces into either
 of the other rings and a ``Poly`` coerces into ``RatFun``, so the rings form
-the chain Q in Q[t] in Q(t).  An ``int`` stays an ``int`` (in
-:func:`as_coeff`, and as a coefficient of a ``Poly``), so a form over Z
-computes on ``int``s.  A value of any other type, a string included,
-raises :class:`CoefficientRingMismatch`: text is parsed only by
-``jsonio.decode_rational``, which refuses exponent notation and over-long
-integers before it expands them.
+the chain Q in Q[t] in Q(t).  One number rule holds: an ``int`` stays an
+``int`` (:func:`as_rational` is the one normaliser), and a ``Fraction`` is
+made only by a division or a non-integral input.  A value of any other
+type, a string included, raises :class:`CoefficientRingMismatch`: text is
+parsed only by ``jsonio.decode_rational``, which refuses exponent notation
+and over-long integers before it expands them.
 """
 
 from __future__ import annotations
@@ -35,19 +35,15 @@ class InvariantViolation(AssertionError):
     callers that catch assertions keep working."""
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
+def as_rational(x):
+    """An exact rational as this module keeps it: an ``int`` or a
+    ``Fraction`` as it is, any other rational (a ``bool``, say) as a
+    ``Fraction``.  Anything else is refused."""
+    if type(x) is int or type(x) is Fraction:
         return x
-    if isinstance(x, Rational):  # int included
+    if isinstance(x, Rational):
         return Fraction(x)
     raise CoefficientRingMismatch(f"not an exact rational: {x!r}")
-
-
-def _pc(x):
-    """A polynomial coefficient: an ``int`` stays an ``int``, so that
-    polynomials over Z compute on ``int``s; other rationals become
-    ``Fraction``s."""
-    return x if type(x) is int else _fr(x)
 
 
 class _Ring:
@@ -82,7 +78,7 @@ class Poly(_Ring):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_pc(c) for c in coeffs]
+        cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -98,9 +94,9 @@ class Poly(_Ring):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __call__(self, c) -> Fraction:
-        c = _fr(c)
-        acc = Fraction(0)
+    def __call__(self, c):
+        """The value at t = c: an ``int`` at an ``int`` point over Z."""
+        acc = 0
         for a in reversed(self.coeffs):
             acc = acc * c + a
         return acc
@@ -108,7 +104,7 @@ class Poly(_Ring):
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (Fraction, Rational)):
+        if isinstance(other, Rational):
             return Poly.const(other)
         return None
 
@@ -132,9 +128,9 @@ class Poly(_Ring):
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, (Fraction, Rational)):
+            if not isinstance(other, Rational):
                 return NotImplemented
-            s = _pc(other)  # a scalar scales coefficient by coefficient
+            s = as_rational(other)  # a scalar scales coefficient by coefficient
             return Poly([c * s for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return Poly()
@@ -167,7 +163,7 @@ class Poly(_Ring):
             if type(a) is int and type(lead) is int and not a % lead:
                 a //= lead
             else:
-                a = Fraction(a) / lead
+                a = Fraction(a, lead)
             q[k] = a
             for i, b in enumerate(div):
                 rem[k + i] -= a * b
@@ -176,7 +172,7 @@ class Poly(_Ring):
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (Fraction, Rational)):
+        if isinstance(other, Rational):
             return self.coeffs == Poly.const(other).coeffs
         if isinstance(other, RatFun):
             return other == self
@@ -224,21 +220,21 @@ class RatFun(_Ring):
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __call__(self, c) -> Fraction:
+    def __call__(self, c):
         num, d = self.num, self.den(c)
         if d == 0:  # cancel the common factors; c may still be a pole
             r = self.reduced()
             num, d = r.num, r.den(c)
             if d == 0:
                 raise PoleError(f"pole at t = {c}")
-        return num(c) / d
+        return Fraction(num(c), d)
 
     def _coerce(self, other):
         if isinstance(other, RatFun):
             return other
         if isinstance(other, Poly):
             return RatFun(other, Poly.const(1))
-        if isinstance(other, (Fraction, Rational)):
+        if isinstance(other, Rational):
             return RatFun.const(other)
         return None
 
@@ -274,7 +270,7 @@ class RatFun(_Ring):
         while b:  # Euclid: a ends as a gcd of num and den
             a, b = b, divmod(a, b)[1]
         num, den = divmod(self.num, a)[0], divmod(self.den, a)[0]
-        s = Fraction(1) / den.coeffs[-1]
+        s = Fraction(1, den.coeffs[-1])
         return RatFun(num * s, den * s)
 
     def __repr__(self):
@@ -301,19 +297,17 @@ def axpy(acc: dict, c, terms: dict) -> dict:
 
 
 def as_coeff(x):
-    """Normalise a value (a rational or a ring value) to a ring value.  An
-    ``int`` stays an ``int``, so that a form over Z computes on ``int``s;
-    other rationals become ``Fraction``s.  A string is refused (the module
-    docstring says where text is parsed)."""
-    if type(x) is int or isinstance(x, (Poly, RatFun, Fraction)):
+    """Normalise a value (a rational or a ring value) to a ring value: a
+    ``Poly`` or a ``RatFun`` as it is, a rational by :func:`as_rational`.
+    A string is refused (the module docstring says where text is
+    parsed)."""
+    if isinstance(x, (Poly, RatFun)):
         return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    raise CoefficientRingMismatch(f"not an exact coefficient: {x!r}")
+    return as_rational(x)
 
 
-def eval_coeff(v, c: Fraction) -> Fraction:
+def eval_coeff(v, c):
     """Specialise a coefficient at t = c. Rationals pass through."""
     if isinstance(v, (Poly, RatFun)):
         return v(c)
-    return _fr(v)
+    return v

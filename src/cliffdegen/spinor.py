@@ -24,7 +24,6 @@ in S+); each has dimension 2^(l-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .clifford import (
     Multivector,
@@ -52,12 +51,12 @@ class WittDecomposition:
     def space(self) -> QuadraticSpace:
         m = self.m
         l = self.ell
-        gram = [[Fraction(0)] * m for _ in range(m)]
+        gram = [[0] * m for _ in range(m)]
         for i in range(l):
             gram[i][l + i] = HALF  # b(n_i, p_i) = 1
             gram[l + i][i] = HALF
         if self.odd:
-            gram[m - 1][m - 1] = Fraction(1)  # q(u) = 1
+            gram[m - 1][m - 1] = 1  # q(u) = 1
         return QuadraticSpace(gram)
 
     def n(self, i: int) -> Multivector:
@@ -113,7 +112,7 @@ def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
     callers that need matrices, such as the spin image of local models."""
     dim = 1 << W.ell
     cols = spinor_columns(x, W)
-    return [[cols[c].get(r, Fraction(0)) for c in range(dim)] for r in range(dim)]
+    return [[cols[c].get(r, 0) for c in range(dim)] for r in range(dim)]
 
 
 def _anticommutator_column(A: list, B: list, c: int) -> dict:
@@ -145,9 +144,9 @@ def verify_action_relations(W: WittDecomposition):
             for c in range(dim):
                 col = _anticommutator_column(cols[a], cols[b], c)
                 for r in col.keys() | {c}:
-                    got = col.get(r, Fraction(0))
-                    if a == b:
-                        got /= 2
+                    got = col.get(r, 0)
+                    if a == b:  # x x + x x = 2 x^2
+                        got *= HALF
                     if got != (want if r == c else 0):
                         bad.append((r, c, got))
             if bad:
@@ -183,7 +182,7 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
     # even case keeps those within End(S+) (+) End(S-), and a span's rank
     # does not depend on how its coordinates are labelled
     for mask in masks:
-        cols = spinor_columns(Multivector({mask: Fraction(1)}), W)
+        cols = spinor_columns(Multivector({mask: 1}), W)
         vec = {}
         for c, col in enumerate(cols):
             for r, v in col.items():
@@ -224,7 +223,7 @@ def _cartan_weights(ell: int) -> list:
         cols = spinor_columns(cartan_element(i, W), W)
         if any(col.keys() - {s} for s, col in enumerate(cols)):
             raise InvariantViolation("Cartan element acts non-diagonally")
-        diagonals.append([col.get(s, Fraction(0)) for s, col in enumerate(cols)])
+        diagonals.append([col.get(s, 0) for s, col in enumerate(cols)])
     return [tuple(diag[s] for diag in diagonals) for s in range(1 << ell)]
 
 

@@ -499,6 +499,39 @@ def test_exponent_notation_is_refused(capsys, tmp_path):
     assert err.startswith("input error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("1e5", "exponent notation"),
+        ("2E-3", "exponent notation"),
+        ("-1.5e+2", "exponent notation"),
+        ("one", "not p/q or a decimal"),
+        ("1/e", "not p/q or a decimal"),
+        ('{"num":["1"],"den":["1"]}', "not p/q or a decimal"),
+    ],
+)
+def test_a_string_with_an_e_is_refused_with_its_own_reason(capsys, tmp_path, monkeypatch, text, reason):
+    """Every string with an "e" is refused before ``Fraction`` reads it; only
+    a decimal with an exponent is called exponent notation."""
+
+    def exact(obj):
+        assert "e" not in obj.lower(), f"Fraction read {obj!r}"
+        return Fraction(obj)
+
+    monkeypatch.setattr(jsonio, "Fraction", exact)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"Q": [[text]]}))
+    runs = [["form", "tensor", "--input", str(path)]]
+    if text.startswith("{"):  # --at takes an exact rational, not JSON
+        path.write_text(json.dumps({"Q": [[["1", "1"]]]}))
+        runs = [["form", "tensor", "--input", str(path), "--at", text]]
+    for argv in runs:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error") and reason in err
+        assert "exponent" not in err or reason == "exponent notation"
+
+
 def test_a_number_past_the_digit_limit_is_refused_before_it_is_converted(capsys, tmp_path, monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
@@ -1002,6 +1035,62 @@ def test_tensor_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch
     path.write_text(json.dumps({"Q": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}))
     with pytest.raises(_Reached):
         main(argv + ["--input", str(path)])
+
+
+# command -> (argv, the entry point that multiplies, cap over Q and Q[t],
+# cap over Q(t))
+RATFUN_CAPS = {
+    "tensor": (["form", "tensor"], "theta_tensor", cli.MAX_TENSOR_M, cli.MAX_RATFUN_TENSOR_M),
+    "reconstruct": (["form", "reconstruct"], "build_even_lie", cli.MAX_RECONSTRUCT_M, cli.MAX_RATFUN_RECONSTRUCT_M),
+    "lipschitz": (["lipschitz", "test"], "lipschitz_report", cli.MAX_LIPSCHITZ_M, cli.MAX_RATFUN_LIPSCHITZ_M),
+}
+RATFUN_ENTRY = {"num": ["1", "1"], "den": ["2", "1"]}  # (1 + t) / (2 + t)
+
+
+def _capped_input(path, command, m, q11, x="1") -> list:
+    """argv of ``command`` on the form diag(q11, 1, ..., 1) of rank m (for
+    ``lipschitz test``, beside x = x e_1)."""
+    Q = [[q11 if i == j == 0 else "1" if i == j else "0" for j in range(m)] for i in range(m)]
+    path.write_text(json.dumps({"V": {"Q": Q}, "x": {"[1]": x}} if command == "lipschitz" else {"Q": Q}))
+    return RATFUN_CAPS[command][0] + ["--input", str(path)]
+
+
+@pytest.mark.parametrize("command", sorted(RATFUN_CAPS))
+def test_a_ratfun_input_above_its_cap_is_refused_before_any_product(capsys, tmp_path, monkeypatch, command):
+    _, entry, cap, ratfun_cap = RATFUN_CAPS[command]
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, entry, reached)
+    path = tmp_path / "in.json"
+    assert ratfun_cap < cap
+    # a RatFun entry of the form; for `lipschitz test`, of x alone too
+    inputs = [(RATFUN_ENTRY, "1")] + ([("1", RATFUN_ENTRY)] if command == "lipschitz" else [])
+    for q11, x in inputs:
+        code, out, err = run_cli(capsys, _capped_input(path, command, ratfun_cap + 1, q11, x))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error")
+        assert f"above {ratfun_cap}, the cap for an input over Q(t)" in err and f"the cap is {cap})" in err
+        # at the cap the work starts (and stops at the patched entry point)
+        with pytest.raises(_Reached):
+            main(_capped_input(path, command, ratfun_cap, q11, x))
+    # forms over Q and over Q[t] keep the cap they had
+    for q11 in ("3/2", ["1", "1"]):
+        with pytest.raises(_Reached):
+            main(_capped_input(path, command, cap, q11))
+
+
+def test_form_tensor_at_a_point_multiplies_rationals_and_keeps_the_cap_over_q(capsys, tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "theta_tensor", reached)
+    argv = _capped_input(tmp_path / "in.json", "tensor", cli.MAX_TENSOR_M, RATFUN_ENTRY)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "") and f"the cap is {cli.MAX_TENSOR_M})" in err
+    with pytest.raises(_Reached):
+        main(argv + ["--at", "1"])
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,7 @@ def test_conjugation_invariance_random():
             for col in range(n):
                 piv = next(r for r in range(col, n) if aug[r][col] != 0)
                 aug[col], aug[piv] = aug[piv], aug[col]
-                inv = 1 / aug[col][col]
+                inv = Fraction(1, aug[col][col])
                 aug[col] = [v * inv for v in aug[col]]
                 for r in range(n):
                     if r != col and aug[r][col] != 0:
