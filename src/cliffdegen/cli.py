@@ -100,11 +100,14 @@ MAX_LIPSCHITZ_M = 6
 
 # `localmodel simple|sequiv|centralizer` close word spans of n x n matrices
 # (sequiv of 2n x 2n block-diagonal ones) and eliminate over up to n^2
-# coordinates.  Larger n is refused before any product (on a 2.0 GHz Xeon
-# core, two random integer matrices take 0.3, 2.4 and 8.7 s in `simple`,
-# 0.7, 5.0 and 27.6 s in `sequiv` and 0.17, 1.3 and 6.1 s in `centralizer`
-# at n = 6, 8 and 10).  The number of matrices g needs no cap: the work
-# grows with it only as fast as the input does.
+# coordinates.  Larger n is refused before any product.  At n = 8,
+# `scripts/localmodel_caps.py` runs each subcommand on its slowest legal
+# class, two matrices with entries in -9..9, in a fresh process (shared
+# 2-core Xeon, Python 3.11, 18-19 MB peak RSS each): `sequiv` takes 2.6 s on
+# a pair conjugate by a unimodular matrix and 0.2 s on an unrelated pair,
+# `simple` 0.6-0.8 s on a conjugated upper-triangular tuple with a vector on
+# its invariant line, and `centralizer` 1.7-2.0 s.  The number of matrices g
+# needs no cap: the work grows with it only as fast as the input does.
 MAX_LOCALMODEL_N = 8
 
 # The caps above were measured over Q and Q[t].  When a value that a command

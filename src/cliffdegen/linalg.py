@@ -1,21 +1,29 @@
 """Exact linear algebra over the rationals: one sparse echelon core
-(:class:`SpanBasis`) behind spans, ranks and nullspaces, and small dense
-matrix helpers used by the local-model routines."""
+(:class:`SpanBasis`, over Q or modulo a prime) behind spans, ranks and
+nullspaces, and small dense matrix helpers used by the local-model
+routines."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .rings import axpy
 
 
 class SpanBasis:
     """Incrementally row-reduced basis of a subspace of a (possibly huge)
-    coordinate space.  Rows are sparse dicts column -> rational (an ``int``
-    or a ``Fraction``); every stored row has coefficient 1 at its pivot,
-    which is its minimal column."""
+    coordinate space.  Rows are sparse dicts column -> coefficient; every
+    stored row has coefficient 1 at its pivot, which is its minimal column.
 
-    def __init__(self):
+    With ``p = None`` the coefficients are rationals (an ``int`` or a
+    ``Fraction``).  With a prime ``p`` the span is over Z/p: an inserted
+    ``int`` vector is read modulo p and every stored coefficient is an
+    ``int`` in [0, p).  Vectors of integers independent modulo p are
+    independent over Q, since rank modulo p is at most the rank over Q."""
+
+    def __init__(self, p: int = None):
+        self.p = p
         self.pivots: dict = {}
 
     @property
@@ -25,14 +33,26 @@ class SpanBasis:
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the current span (vec is not mutated).  No
         pivot column is left in it, so a zero residue is always recognised."""
-        out = {c: v for c, v in vec.items() if v != 0}
+        p, pivots = self.p, self.pivots
+        if p is None:
+            out = {c: v for c, v in vec.items() if v != 0}
+        else:
+            # entries are left unreduced until read: at a pivot, and at the end
+            out = {c: v % p for c, v in vec.items() if v % p}
         while True:
             # a row reaches only past its own pivot, so eliminating the
             # smallest pivot column present never brings back a smaller one
-            col = min((c for c in out if c in self.pivots), default=None)
+            col = min((c for c in out if c in pivots), default=None)
             if col is None:
-                return out
-            axpy(out, -out[col], self.pivots[col])
+                return out if p is None else {c: r for c, v in out.items() if (r := v % p)}
+            if p is None:
+                axpy(out, -out[col], pivots[col])
+                continue
+            f = -out[col] % p
+            if f:
+                for c, v in pivots[col].items():
+                    out[c] = out.get(c, 0) + f * v
+            del out[col]
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -43,15 +63,20 @@ class SpanBasis:
         if not res:
             return False
         col = min(res)
-        lead = res[col]  # an int or a Fraction: its inverse is a Fraction
-        inv = Fraction(lead.denominator, lead.numerator)
-        self.pivots[col] = {c: v * inv for c, v in res.items()}
+        lead = res[col]
+        if self.p is None:
+            inv = Fraction(lead.denominator, lead.numerator)  # a Fraction
+            self.pivots[col] = {c: v * inv for c, v in res.items()}
+        else:
+            inv = pow(lead, -1, self.p)
+            self.pivots[col] = {c: v * inv % self.p for c, v in res.items()}
         return True
 
     def rref(self) -> dict:
         """Back-substitute in place until every row is zero at the other
         pivots: the rows are then the reduced row echelon form, which is
-        unique for the span.  Returns the rows by pivot column."""
+        unique for the span.  Returns the rows by pivot column.  Over Q
+        only."""
         for col in sorted(self.pivots, reverse=True):
             row = self.pivots[col]
             # rows of larger pivots are already reduced, so eliminating one
@@ -65,41 +90,24 @@ def echelon(rows) -> SpanBasis:
     """Span of dense rows of rationals."""
     span = SpanBasis()
     for r in rows:
-        span.insert({j: v for j, v in enumerate(r) if v != 0})
+        span.insert(dict(enumerate(r)))  # reduce drops the zeros
     return span
 
 
-# a prime for the invertibility test of integer matrices
+# a prime for the modular rank tests: a rank found modulo _P that reaches
+# the dimension of the ambient space is exact
 _P = (1 << 61) - 1
-
-
-def _invertible_mod_p(rows: list) -> bool:
-    """True when the square integer matrix is invertible modulo ``_P``:
-    then its determinant is a nonzero integer, and it is invertible over Q.
-    False says nothing over Q."""
-    mat = [[v % _P for v in row] for row in rows]
-    n = len(mat)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if mat[r][k]), None)
-        if pivot is None:
-            return False
-        mat[k], mat[pivot] = mat[pivot], mat[k]
-        rk = mat[k]
-        inv = pow(rk[k], -1, _P)
-        for r in range(k + 1, n):
-            f = mat[r][k] * inv % _P
-            if f:
-                mat[r] = [(a - f * b) % _P for a, b in zip(mat[r], rk)]
-    return True
 
 
 def nullspace_dense(rows: list, ncols: int) -> list:
     """Basis of {x : A x = 0} for A given as dense rows of rationals: one
     vector per free column of the reduced row echelon form of A.  A square
-    ``int`` matrix invertible modulo a prime has none, found without
+    ``int`` matrix of full rank modulo a prime has none, found without
     rational arithmetic.  Kernel vectors hold ``Fraction``s."""
     if len(rows) == ncols and all(type(v) is int for row in rows for v in row):
-        if _invertible_mod_p(rows):
+        span = SpanBasis(_P)
+        # stops at the first row dependent on the earlier ones modulo _P
+        if all(span.insert(dict(enumerate(r))) for r in rows):
             return []
     pivots = echelon(rows).rref()
     basis = []
@@ -147,5 +155,6 @@ def mat_trace(a):
 
 
 def flatten(a) -> dict:
-    n = len(a[0])
-    return {i * n + j: v for i, row in enumerate(a) for j, v in enumerate(row) if v != 0}
+    """Entry (i, j) of a matrix with n columns as coordinate i * n + j, zeros
+    included: SpanBasis drops them."""
+    return dict(enumerate(chain.from_iterable(a)))

@@ -35,7 +35,7 @@ from .clifford import (
     filtration_degree,
 )
 from .liestructure import even_blade_basis
-from .linalg import SpanBasis
+from .linalg import _P, SpanBasis
 from .rings import HALF, InvariantViolation, axpy
 
 
@@ -176,8 +176,8 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
     if failure is not None:
         report["bijective"] = False
         return report
-    span = SpanBasis()
     block_ok = True
+    vecs = []
     # the operator entry (r, c) is coordinate r * dim + c of End(S); the
     # even case keeps those within End(S+) (+) End(S-), and a span's rank
     # does not depend on how its coordinates are labelled
@@ -191,9 +191,18 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
                     block_ok = False
                 else:
                     vec[r * dim + c] = v
-        span.insert(vec)
+        vecs.append(vec)
     # |S+|^2 + |S-|^2 in the even case (|S-| = 0 when l = 0)
     target = dim * dim if W.odd else (dim - dim // 2) ** 2 + (dim // 2) ** 2
+    # the entries are signs, and the kept coordinates span a space of
+    # dimension target: a rank modulo _P that reaches it is the rank over Q,
+    # and a lower one is recomputed over Q
+    for p in (_P, None):
+        span = SpanBasis(p)
+        for vec in vecs:
+            span.insert(vec)
+        if span.dim == target:
+            break
     report["block_structure_ok"] = block_ok if not W.odd else None
     report["operator_rank"] = span.dim
     report["target_dim"] = target

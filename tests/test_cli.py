@@ -851,6 +851,20 @@ def test_the_default_length_bound_has_one_home(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["payload"] == {"equivalent": True, "length_bound": 0}
 
 
+def test_the_default_length_bound_reaches_words_of_length_two(capsys, tmp_path):
+    """(E11, E11) against (E11, E22): every word of length <= 1 has the same
+    trace, 2 or 1, but tr(X1 X2) is 1 against 0.  The default L = n^2 = 4
+    sees it; L = 1, or a default of 1, does not."""
+    E11, E22 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
+    path = _sequiv_input(tmp_path, [E11, E11], [E11, E22])
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path])
+    assert (code, json.loads(out)["payload"]) == (0, {"equivalent": False, "length_bound": 4})
+    code, out, _ = run_cli(capsys, ["localmodel", "sequiv", "--input", path, "--L", "1"])
+    assert (code, json.loads(out)["payload"]) == (0, {"equivalent": True, "length_bound": 1})
+    T1, T2 = MatrixTuple.of([E11, E11]), MatrixTuple.of([E11, E22])
+    assert not localmodels.s_equivalent(T1, T2) and localmodels.s_equivalent(T1, T2, 1)
+
+
 def test_sequiv_fingerprint_size_guard_refuses_before_any_work(capsys, tmp_path, monkeypatch):
     class Started(Exception):
         pass

@@ -6,10 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cliffdegen import linalg, localmodels
+from cliffdegen.acceptance import _random_unimodular
 from cliffdegen.clifford import Multivector, mask_of
-from cliffdegen.linalg import identity_matrix, mat_mul, mat_sub
+from cliffdegen.linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_sub
 from cliffdegen.localmodels import (
+    MODULI,
     MatrixTuple,
     NotInLieSpan,
     centralizer_dim,
@@ -254,3 +258,165 @@ def test_sequiv_agrees_with_the_fingerprint_at_every_length():
         ("transposed", True),
         ("transposed", False),
     }
+
+
+# --- the closure modulo a prime against the closure over Q ---------------
+
+
+def reference_word_span(gens, start, rounds=None) -> list:
+    """The closure over Q that word_span ran before it worked modulo a
+    prime: the reference for every verdict below."""
+    span = SpanBasis()
+    basis = [m for m in start if span.insert(flatten(m))]
+    ambient = len(start[0]) * len(start[0][0])
+    frontier, done = basis, 0
+    while frontier and span.dim < ambient and (rounds is None or done < rounds):
+        done += 1
+        products = (mat_mul(x, m) for x in gens for m in frontier)
+        frontier = [p for p in products if span.insert(flatten(p))]
+        basis = basis + frontier
+    return basis
+
+
+def reference_simple(T: MatrixTuple) -> bool:
+    return len(reference_word_span(T.X, [identity_matrix(T.n)])) == T.n * T.n
+
+
+def reference_cyclic(T: MatrixTuple, v) -> bool:
+    return len(reference_word_span(T.X, [[[x] for x in v]])) == T.n
+
+
+def reference_sequiv(T1: MatrixTuple, T2: MatrixTuple, L: int) -> bool:
+    n = T1.n
+    z = [0] * n
+    gens = [[list(r) + z for r in x] + [z + list(r) for r in y] for x, y in zip(T1.X, T2.X)]
+    basis = reference_word_span(gens, [identity_matrix(2 * n)], L)
+    return all(sum(w[i][i] - w[n + i][n + i] for i in range(n)) == 0 for w in basis)
+
+
+DERANDOMIZED = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+KINDS = ("generic", "reducible", "conjugate", "fraction")
+
+
+@st.composite
+def local_models(draw):
+    """(kind, first tuple, second tuple, vector, L) with n, g <= 3; the
+    single-tuple tests take the second.
+
+    generic: integer entries; reducible: upper triangular; conjugate: the
+    second tuple conjugated by a random unimodular matrix; fraction: entries
+    with denominators up to 4.  The second tuple is the first, possibly
+    changed in one entry (which for a reducible tuple keeps its traces when
+    the entry lies above the diagonal), and conjugated.  The vector is the
+    first column of the conjugator half of the time: for a reducible tuple,
+    it spans an invariant line."""
+    kind = draw(st.sampled_from(KINDS))
+    n, g = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if kind == "fraction":
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    else:
+        entry = st.integers(-3, 3)
+    first = [
+        [[draw(entry) if kind != "reducible" or j >= i else 0 for j in range(n)] for i in range(n)]
+        for _ in range(g)
+    ]
+    second = [[list(row) for row in m] for m in first]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "reducible":
+            i = min(i, j)
+        second[-1][i][j] += draw(st.sampled_from((-1, 1, Fraction(1, 2))))
+    P = identity_matrix(n)
+    if kind == "conjugate" and n > 1:
+        P, Pinv = _random_unimodular(draw(st.randoms(use_true_random=False)), n)
+        second = [mat_mul(P, mat_mul(m, Pinv)) for m in second]
+    if draw(st.booleans()):
+        vector = [row[0] for row in P]
+    else:
+        vector = [draw(entry) for _ in range(n)]
+    L = draw(st.sampled_from((0, 1, n * n, 2 * n * n + 3)))
+    return kind, MatrixTuple.of(first), MatrixTuple.of(second), vector, L
+
+
+@DERANDOMIZED
+@given(local_models())
+def test_simple_and_cyclic_verdicts_equal_the_rational_closure(model):
+    kind, _, T, v, _ = model
+    assert generates_full_algebra(T) is reference_simple(T), kind
+    assert is_cyclic_vector(T, v) is reference_cyclic(T, v), kind
+
+
+@DERANDOMIZED
+@given(local_models())
+def test_sequiv_verdict_equals_the_rational_closure(model):
+    kind, T1, T2, _, L = model
+    assert s_equivalent(T1, T2, L) is reference_sequiv(T1, T2, L), kind
+
+
+@DERANDOMIZED
+@given(local_models())
+def test_a_modulus_of_3_leaves_every_simple_and_cyclic_verdict_right(model):
+    """Modulo 3 many spans fall short; the closure over Q must then decide."""
+    kind, _, T, v, _ = model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localmodels, "_P", 3)
+        mp.setattr(linalg, "_P", 3)
+        assert generates_full_algebra(T) is reference_simple(T), kind
+        assert is_cyclic_vector(T, v) is reference_cyclic(T, v), kind
+
+
+def test_a_tuple_that_falls_short_modulo_the_prime_still_generates():
+    # diag(0, 3) vanishes modulo 3, so modulo 3 only the words in the swap
+    # remain: I and the swap; over Q the pair generates M_2
+    T = MatrixTuple.of([[[0, 0], [0, 3]], [[0, 1], [1, 0]]])
+    assert len(word_span(T.X, [identity_matrix(2)], p=3)) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localmodels, "_P", 3)
+        assert generates_full_algebra(T)
+        assert is_cyclic_vector(T, [1, 0])
+
+
+def test_word_span_modulo_a_prime_keeps_ints_below_the_prime():
+    # the denominators are cleared per generator: 4Y = [[2, -4], [0, -3]]
+    Y = [[Fraction(1, 2), -1], [0, Fraction(-3, 4)]]
+    assert word_span([Y], [identity_matrix(2)], p=7) == [identity_matrix(2), [[2, 3], [0, 4]]]
+    X = [[0, 0, 0], [5, 0, 0], [0, 5, 0]]
+    assert word_span([X], [identity_matrix(3)], p=7)[2] == [[0, 0, 0], [0, 0, 0], [25 % 7, 0, 0]]
+    span = SpanBasis(7)
+    assert span.insert({0: 2, 1: -4, 3: -3}) and span.pivots[0] == {0: 1, 1: 5, 3: 2}
+    assert span.contains({0: 9, 1: 3, 3: 4}) and not span.insert({0: -5, 1: 3, 3: -3})
+
+
+def test_a_trace_difference_of_the_first_modulus_is_seen():
+    """tr X - tr Y = 2^61 - 1 vanishes modulo the smallest listed prime; the
+    bound 2 (nM)^L picks a larger one."""
+    first, second = MatrixTuple.of([[[(1 << 61) - 1]]]), MatrixTuple.of([[[0]]])
+    assert not s_equivalent(first, second)
+    assert not s_equivalent(first, second, 1)
+    assert s_equivalent(first, second, 0)
+    # cleared by 4 the entry is 2^61 - 1 again: the bound must see the
+    # cleared entry, not (2^61 - 1) / 4
+    quarter = MatrixTuple.of([[[Fraction((1 << 61) - 1, 4)]]])
+    assert not s_equivalent(quarter, second)
+
+
+def test_a_bound_above_every_modulus_runs_over_q():
+    # 2 (nM)^L' with M = 2^4500 exceeds the largest listed prime
+    big = 1 << 4500
+    assert 2 * big > MODULI[-1]
+    T1, T2 = MatrixTuple.of([[[big]]]), MatrixTuple.of([[[big]]])
+    assert s_equivalent(T1, T2)
+    assert not s_equivalent(T1, MatrixTuple.of([[[big + MODULI[-1]]]]))
+
+
+def test_every_modulus_is_prime():
+    sympy = pytest.importorskip("sympy")
+    assert list(MODULI) == sorted(MODULI)
+    assert all(sympy.isprime(p) for p in MODULI)

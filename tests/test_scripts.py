@@ -49,6 +49,24 @@ def test_script_prints_one_row_per_case(capsys, monkeypatch, name, argv, first_c
         assert row.startswith(start), row
 
 
+def test_localmodel_caps_runs_each_class_in_a_fresh_process(capsys):
+    """At n = 2: one row per class, each with its wall time, a peak RSS and
+    the known payload."""
+    assert load("localmodel_caps").main(["--n", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["case", "n"]
+    assert [row[:20].strip() for row in rows] == [
+        "sequiv conjugate",
+        "sequiv unrelated",
+        "simple reducible",
+        "centralizer random",
+    ]
+    for row in rows:
+        n, seconds, rss = row[20:].split()[:3]
+        assert n == "2" and float(seconds) > 0 and int(rss) > 0
+    assert rows[1].endswith('{"equivalent": false, "length_bound": 4}')
+
+
 def test_stdout_digest_repeats_on_one_degeneration_cycle(capsys, monkeypatch):
     """One cycle of `degeneration` at one seed, after its four warm-up ops:
     one line per op with --per-op, then the workload's line, and the same

@@ -368,3 +368,18 @@ def test_spinor_matrix_multiplicative():
     assert spinor_matrix(geometric_product(x, y, V), W) == mat_mul(
         spinor_matrix(x, W), spinor_matrix(y, W)
     )
+
+
+def test_an_operator_rank_short_modulo_the_prime_is_recomputed_over_q(monkeypatch):
+    """Columns scaled by 3 vanish modulo 3: with the prime patched to 3 the
+    rank modulo it is 0, and the report must still give the rank over Q."""
+    W = WittDecomposition(2, odd=False)
+    want = even_algebra_isomorphism_check(W)
+    columns = spinor.spinor_columns
+    monkeypatch.setattr(spinor, "verify_action_relations", lambda W: None)
+    monkeypatch.setattr(
+        spinor, "spinor_columns", lambda x, W: [{r: 3 * v for r, v in col.items()} for col in columns(x, W)]
+    )
+    monkeypatch.setattr(spinor, "_P", 3)
+    assert even_algebra_isomorphism_check(W) == want
+    assert want["operator_rank"] == want["target_dim"] == 8
