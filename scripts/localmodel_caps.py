@@ -13,7 +13,9 @@ random.Random(S):
 - `simple` on an upper-triangular tuple conjugated as above, with a
   vector spanning its invariant line: neither closure reaches the full
   dimension, so both take the closure over Q;
-- `centralizer` of two unrelated matrices in gl_n.
+- `centralizer` of two unrelated matrices in gl_n, with h the n^2
+  elementary matrices, and again with one of them repeated: the dimension
+  is counted in span(h), so the repeat adds nothing.
 Each row's payload must be the known answer; the script exits 1 if one is
 not.
 """
@@ -62,6 +64,8 @@ def cases(n, seed):
          {"generates_full_algebra": False, "cyclic_vector": False}),
         ("centralizer random", "centralizer", {"tuple": tuple_json(first), "h": tuple_json(units)["X"]},
          {"dimension": 1}),
+        ("centralizer dependent h", "centralizer", {"tuple": tuple_json(first), "h": tuple_json(units + units[:1])["X"]},
+         {"dimension": 1}),
     ]
 
 
@@ -91,12 +95,12 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=MAX_LOCALMODEL_N, help="at least 2")
     parser.add_argument("--seed", type=int, default=8)
     args = parser.parse_args(argv)
-    print(f"{'case':20} {'n':>3} {'wall s':>8} {'peak MB':>8}  payload")
+    print(f"{'case':24} {'n':>3} {'wall s':>8} {'peak MB':>8}  payload")
     ok = True
     for label, action, doc, want in cases(args.n, args.seed):
         code, out, seconds, rss = run_fresh(["localmodel", action, "--input", "-"], json.dumps(doc))
         payload = json.loads(out)["payload"] if code == 0 else None
-        print(f"{label:20} {args.n:>3} {seconds:>8.2f} {rss:>8}  {json.dumps(payload)}")
+        print(f"{label:24} {args.n:>3} {seconds:>8.2f} {rss:>8}  {json.dumps(payload)}")
         ok = ok and payload == want
     return 0 if ok else 1
 

@@ -20,7 +20,7 @@ from .clifford import (
     reverse,
 )
 from .degeneration import QuadraticFamily, certify_specialization
-from .linalg import identity_matrix, mat_mul, mat_sub, nullspace_dense
+from .linalg import identity_matrix, mat_mul, mat_sub, rank
 from .liestructure import (
     build_even_lie,
     lie_pairs,
@@ -236,7 +236,7 @@ def criterion_degeneration() -> dict:
                 gram[i][j] = gram[j][i] = sum(
                     T.multiply({i: 1}, T.multiply({j: 1}, {k: 1})).get(k, 0) for k in range(d)
                 )
-        indep_dim = len(nullspace_dense(gram, d))
+        indep_dim = d - rank((dict(enumerate(row)) for row in gram), d)
         dim = len(w.radical_basis)
         good = dim > 0 and dim == indep_dim and w.nilpotency_index <= T.dim
         rows.append(

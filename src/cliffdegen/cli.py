@@ -103,11 +103,11 @@ MAX_LIPSCHITZ_M = 6
 # coordinates.  Larger n is refused before any product.  At n = 8,
 # `scripts/localmodel_caps.py` runs each subcommand on its slowest legal
 # class, two matrices with entries in -9..9, in a fresh process (shared
-# 2-core Xeon, Python 3.11, 18-19 MB peak RSS each): `sequiv` takes 2.6 s on
-# a pair conjugate by a unimodular matrix and 0.2 s on an unrelated pair,
-# `simple` 0.6-0.8 s on a conjugated upper-triangular tuple with a vector on
-# its invariant line, and `centralizer` 1.7-2.0 s.  The number of matrices g
-# needs no cap: the work grows with it only as fast as the input does.
+# 2-core Xeon, Python 3.11, 17-18 MB peak RSS each): `sequiv` takes 2.7-3.2 s
+# on a pair conjugate by a unimodular matrix and 0.2-0.3 s on an unrelated
+# pair, `simple` 0.8-1.2 s on a conjugated upper-triangular tuple with a
+# vector on its invariant line, and `centralizer` 1.9-2.5 s in gl_n.  The
+# number of matrices g needs no cap: the work grows only as the input does.
 MAX_LOCALMODEL_N = 8
 
 # The caps above were measured over Q and Q[t].  When a value that a command

@@ -36,7 +36,7 @@ from math import lcm
 
 from .clifford import QuadraticSpace, specialize_space
 from .liestructure import AlgebraTensor, theta_tensor
-from .linalg import nullspace_dense
+from .linalg import nullspace_dense, rank
 from .rings import InvariantViolation, PoleError, Poly, RatFun, czero
 
 
@@ -89,9 +89,9 @@ def radical_shape(m: int, corank: int) -> tuple:
 
 
 def _corank(V: QuadraticSpace) -> int:
-    """dim ker Q, on the integer form D Q: a nondegenerate one is found
-    modulo a prime, without rational arithmetic."""
-    return len(nullspace_dense(V.scaled()[1].gram, V.m))
+    """dim ker Q, for Q over Q: a nondegenerate one is found modulo a
+    prime, without rational arithmetic."""
+    return V.m - rank((dict(enumerate(row)) for row in V.gram), V.m)
 
 
 def jacobson_radical(T: AlgebraTensor) -> list:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .rings import axpy
 
@@ -94,21 +95,43 @@ def echelon(rows) -> SpanBasis:
     return span
 
 
-# a prime for the modular rank tests: a rank found modulo _P that reaches
-# the dimension of the ambient space is exact
+# the prime of the modular ranks (see rank)
 _P = (1 << 61) - 1
+
+
+def _grows_modulo_p(vectors):
+    """Whether each vector in turn, cleared of denominators (which moves no
+    span), grows the span modulo ``_P`` of those before it."""
+    span = SpanBasis(_P)
+    for vec in vectors:
+        d = lcm(*(v.denominator for v in vec.values()))
+        yield span.insert({c: v.numerator * (d // v.denominator) for c, v in vec.items()})
+
+
+def rank(vectors, full: int) -> int:
+    """Rank over Q of sparse rational vectors (dicts column -> value), of
+    which at most ``full`` are independent: the one rule behind every
+    dimension the library reports.  Proof: clearing the denominators of a
+    vector moves no span, and a relation over Q, cleared to coprime
+    integers, holds modulo any prime, so the rank modulo ``_P`` is at most
+    the rank over Q, itself at most min(len(vectors), full).  Reaching that
+    bound, it is the rank over Q; a lower one is recomputed over Q."""
+    vectors = list(vectors)
+    r = sum(_grows_modulo_p(vectors))
+    if r < min(len(vectors), full):
+        span = SpanBasis()
+        r = sum(span.insert(vec) for vec in vectors)  # each True grows the span
+    return r
 
 
 def nullspace_dense(rows: list, ncols: int) -> list:
     """Basis of {x : A x = 0} for A given as dense rows of rationals: one
     vector per free column of the reduced row echelon form of A.  A square
-    ``int`` matrix of full rank modulo a prime has none, found without
-    rational arithmetic.  Kernel vectors hold ``Fraction``s."""
-    if len(rows) == ncols and all(type(v) is int for row in rows for v in row):
-        span = SpanBasis(_P)
-        # stops at the first row dependent on the earlier ones modulo _P
-        if all(span.insert(dict(enumerate(r))) for r in rows):
-            return []
+    A of full rank modulo ``_P`` has none, found without rational
+    arithmetic.  Kernel vectors hold ``Fraction``s."""
+    # stops at the first row dependent on the earlier ones modulo _P
+    if len(rows) == ncols and all(_grows_modulo_p(dict(enumerate(r)) for r in rows)):
+        return []
     pivots = echelon(rows).rref()
     basis = []
     for fc in range(ncols):

@@ -47,7 +47,7 @@ from .clifford import (
     reverse,
 )
 from .liestructure import even_blade_basis
-from .linalg import nullspace_dense
+from .linalg import rank
 from .rings import axpy, czero
 
 
@@ -145,30 +145,20 @@ def infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
     D = doubled_algebra(V)
     masks = even_blade_basis(m)
     K = len(masks)
-    index = {mask: k for k, mask in enumerate(masks)}
-    unbal_cols = []
-    # the spin cut X + tau(X) = 0: one equation per even-blade coordinate
-    spin_eqs = [[int(j == k) for k in range(K)] for j in range(K)]
-    for k, mask in enumerate(masks):
-        # X (x) 1 + 1 (x) psi(X) for X = E_k (for E_0 the two keys meet: H
-        # kills the scalar either way)
-        unbal_cols.append(D.unbalanced({mask: 1, mask << m: _psi_sign(mask)}))
-        for m2, c in reverse(Multivector({mask: 1}), V).terms.items():
-            spin_eqs[index[m2]][k] += c
-
-    keys = sorted(set().union(*unbal_cols))
-    eq_rows = [[col.get(k, 0) for col in unbal_cols] for k in keys]
-    solutions = nullspace_dense(eq_rows, K)
-    expected_dim = 1 + m * (m - 1) // 2
-    # the solution space should be exactly span(e_0, 2-blades)
-    low_masks = {mask for mask in masks if mask.bit_count() <= 2}
-    inside = all(
-        all(vec[k] == 0 for k in range(K) if masks[k] not in low_masks)
-        for vec in solutions
-    )
-    equals = inside and len(solutions) == expected_dim
-    spin_solutions = nullspace_dense(eq_rows + spin_eqs, K)
+    top = 1 << 2 * m
+    cols, spin_cols = [], []
+    for mask in masks:
+        # the column of X = E_k: H of X (x) 1 + 1 (x) psi(X) (for E_0 the two
+        # keys meet: H kills the scalar either way), and for the spin cut
+        # X + tau(X) = 0 also its coordinates, keyed past every mask of V (+) V
+        col = D.unbalanced({mask: 1, mask << m: _psi_sign(mask)})
+        cols.append(col)
+        tau = {top | b: c for b, c in reverse(Multivector({mask: 1}), V).terms.items()}
+        spin_cols.append(axpy({**col, top | mask: 1}, 1, tau))
+    # the solution space is span(e_0, 2-blades) exactly when it and its part
+    # in that span, the kernel on the low columns, both have that dimension
+    low = [col for mask, col in zip(masks, cols) if mask.bit_count() <= 2]
     return {
-        "equals_even_filtration_le2": equals,
-        "spin_dim": len(spin_solutions),
+        "equals_even_filtration_le2": K - rank(cols, K) == 1 + m * (m - 1) // 2 == len(low) - rank(low, K),
+        "spin_dim": K - rank(spin_cols, K),
     }

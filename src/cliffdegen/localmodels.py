@@ -24,7 +24,7 @@ from math import lcm
 
 from .clifford import Multivector, mask_of
 from .liestructure import lie_pairs
-from .linalg import _P, SpanBasis, flatten, identity_matrix, mat_mul, mat_trace, nullspace_dense
+from .linalg import _P, SpanBasis, flatten, identity_matrix, mat_mul, mat_sub, mat_trace, rank
 from .rings import HALF, InvariantViolation, as_rational
 from .spinor import WittDecomposition, spinor_matrix
 
@@ -203,11 +203,12 @@ def s_equivalent(T1: MatrixTuple, T2: MatrixTuple, L: int = None) -> bool:
 
 
 def centralizer_dim(T: MatrixTuple, h_basis) -> int:
-    """Dimension of {Y in span(h) : [Y, X_i] = 0 for all i}.
+    """Dimension of {Y in span(h) : [Y, X_i] = 0 for all i}, the kernel of
+    Y -> ([Y, X_i])_i on span(h): rank(h) less the rank of the images of
+    the h_k, which may be dependent.
 
     The tuple must lie inside span(h); vanishing dimension is the freeness
-    proxy for centerless h.
-    """
+    proxy for centerless h."""
     h = [[[as_rational(v) for v in row] for row in m] for m in h_basis]
     n = T.n
     if any(len(m) != n or any(len(r) != n for r in m) for m in h):
@@ -218,18 +219,13 @@ def centralizer_dim(T: MatrixTuple, h_basis) -> int:
     for x in T.X:
         if not span.contains(flatten(x)):
             raise ValueError("tuple element outside span(h)")
-    d = len(h)
-    rows = []
-    for x in T.X:
-        # [sum_k y_k h_k, x] = 0: one equation per matrix entry
-        comms = [mat_mul(hk, x) for hk in h]
-        comms2 = [mat_mul(x, hk) for hk in h]
-        for i in range(n):
-            for j in range(n):
-                rows.append(
-                    [comms[k][i][j] - comms2[k][i][j] for k in range(d)]
-                )
-    return len(nullspace_dense(rows, d))
+    # entry (r, c) of [h_k, X_i] is coordinate (i, r * n + c) of h_k's image
+    images = []
+    for hk in h:
+        comms = (mat_sub(mat_mul(hk, x), mat_mul(x, hk)) for x in T.X)
+        images.append({(i, c): v for i, comm in enumerate(comms) for c, v in flatten(comm).items()})
+    # span is over Q: its dimension is rank(h), and bounds rank(images)
+    return span.dim - rank(images, span.dim)
 
 
 class NotInLieSpan(ValueError):

@@ -35,7 +35,7 @@ from .clifford import (
     filtration_degree,
 )
 from .liestructure import even_blade_basis
-from .linalg import _P, SpanBasis
+from .linalg import rank
 from .rings import HALF, InvariantViolation, axpy
 
 
@@ -194,21 +194,12 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
         vecs.append(vec)
     # |S+|^2 + |S-|^2 in the even case (|S-| = 0 when l = 0)
     target = dim * dim if W.odd else (dim - dim // 2) ** 2 + (dim // 2) ** 2
-    # the entries are signs, and the kept coordinates span a space of
-    # dimension target: a rank modulo _P that reaches it is the rank over Q,
-    # and a lower one is recomputed over Q
-    for p in (_P, None):
-        span = SpanBasis(p)
-        for vec in vecs:
-            span.insert(vec)
-        if span.dim == target:
-            break
+    # the kept coordinates span a space of dimension target
+    r = rank(vecs, target)
     report["block_structure_ok"] = block_ok if not W.odd else None
-    report["operator_rank"] = span.dim
+    report["operator_rank"] = r
     report["target_dim"] = target
-    report["bijective"] = (
-        span.dim == target == len(masks) and (W.odd or block_ok)
-    )
+    report["bijective"] = r == target == len(masks) and (W.odd or block_ok)
     return report
 
 

@@ -825,6 +825,24 @@ def test_localmodel_centralizer_rejects_bad_h(capsys, tmp_path, h):
     assert err.startswith("input error")
 
 
+E2, F2, H2, ZERO2 = [["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]], [["1", "0"], ["0", "-1"]], [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "X, h, dimension",
+    [([E2, F2], [E2, F2, H2, E2], 0), ([ZERO2], [ZERO2], 0), ([E2], [E2, ZERO2], 1)],
+    ids=["nilpotent-pair-repeated-e", "zero-in-span-of-zero", "e-beside-zero"],
+)
+def test_localmodel_centralizer_counts_matrices_of_a_dependent_h(capsys, tmp_path, X, h, dimension):
+    """The centralizer is a space of matrices in span(h): a repeated or a
+    zero element of h adds no dimension to it."""
+    path = tmp_path / "cent.json"
+    path.write_text(json.dumps({"tuple": {"X": X}, "h": h}))
+    code, out, _ = run_cli(capsys, ["localmodel", "centralizer", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["payload"] == {"dimension": dimension}
+
+
 def test_sequiv_rejects_negative_length_bound(capsys, tmp_path):
     # tr X_1 is 3 against 4, which a bound L >= 1 detects
     path = _sequiv_input(tmp_path, [[[1, 0], [0, 2]]], [[[2, 0], [0, 2]]])

@@ -317,14 +317,21 @@ def centralizer_cases(draw):
 
 
 @settings(DERANDOMIZED, max_examples=30)
-@given(centralizer_cases())
-def test_localmodel_centralizer_survives_conjugation_and_relabelling(case):
+@given(centralizer_cases(), st.data())
+def test_localmodel_centralizer_survives_conjugation_and_relabelling(case, data):
     """The centralizer of X in span(h) has the dimension of the one of
-    G X G^-1 in span(G h G^-1), and of X with its generators permuted in
-    span(h) listed backwards."""
+    G X G^-1 in span(G h G^-1), of X with its generators permuted in
+    span(h) listed backwards, and of X in the same span listed with a
+    repeat of an element of h or an integer combination of them appended."""
     h, X, (seed, perm) = case
     want = centralizer_dim(MatrixTuple.of(X), h)
     _, conj = conjugator(seed, len(h[0]))
     C, P = relabelled(X, seed, perm)
     assert centralizer_dim(C, [conj(m) for m in h]) == want, (X, h, seed)
     assert centralizer_dim(P, h[::-1]) == want, (X, h, perm)
+    n = len(h[0])
+    repeat = data.draw(st.sampled_from(h))
+    coeffs = data.draw(st.lists(small, min_size=len(h), max_size=len(h)))
+    combo = [[sum(a * m[r][c] for a, m in zip(coeffs, h)) for c in range(n)] for r in range(n)]
+    assert centralizer_dim(MatrixTuple.of(X), h + [repeat]) == want, (X, h, repeat)
+    assert centralizer_dim(MatrixTuple.of(X), h + [combo, repeat]) == want, (X, h, coeffs)

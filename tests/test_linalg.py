@@ -1,15 +1,17 @@
 """The echelon core against sympy as an independent oracle: reduced row
 echelon forms, nullspaces and ranks on random rational matrices must
-agree exactly."""
+agree exactly, with the modular pass of ``rank`` at its own prime and at
+the prime 3, where it often falls short and the pass over Q decides."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cliffdegen import linalg
 from cliffdegen.acceptance import _random_unimodular
-from cliffdegen.linalg import _P, SpanBasis, echelon, identity_matrix, mat_mul, nullspace_dense
+from cliffdegen.linalg import _P, SpanBasis, echelon, identity_matrix, mat_mul, nullspace_dense, rank
 
 sympy = pytest.importorskip("sympy")
 
@@ -97,3 +99,68 @@ def test_span_basis_keeps_int_rows_exact():
     rows = span.rref()
     assert all(type(v) is Fraction for row in rows.values() for v in row.values())
     assert rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: Fraction(-2, 3)}}
+
+
+@st.composite
+def vector_families(draw):
+    """(vectors, ncols, slack): sparse vectors over ncols columns with int
+    and ``Fraction`` entries, zero vectors and repeats among them; the test
+    passes ``full`` = rank + slack, so full falls both below and above the
+    number of vectors."""
+    ncols = draw(st.integers(1, 6))
+    value = st.one_of(entries, st.integers(-3, 3), st.sampled_from([3, 6, Fraction(3, 2), Fraction(1, 3)]))
+    vectors = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols), max_size=8))
+    vectors += draw(st.lists(st.sampled_from(vectors or [{}]), max_size=3))
+    return vectors, ncols, draw(st.integers(0, 4))
+
+
+def sympy_rank(vectors, ncols) -> int:
+    if not vectors:
+        return 0
+    return to_sympy([[Fraction(vec.get(c, 0)) for c in range(ncols)] for vec in vectors]).rank()
+
+
+RANK_EXAMPLES = [
+    # full below the count: four vectors in the plane, two of them repeats
+    ([{0: 3}, {1: Fraction(1, 3)}, {0: 3}, {}], 2, 0),
+    # full above the count; modulo 3 the first vector vanishes
+    ([{0: 3, 1: 6}, {1: Fraction(1, 2), 2: 1}], 3, 4),
+    ([], 1, 2),
+]
+
+
+def _check_rank(case):
+    vectors, ncols, slack = case
+    want = sympy_rank(vectors, ncols)
+    assert rank(vectors, want + slack) == want
+    assert rank(iter(vectors), want + slack) == want  # any iterable
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(vector_families())
+@example(RANK_EXAMPLES[0])
+@example(RANK_EXAMPLES[1])
+@example(RANK_EXAMPLES[2])
+def test_rank_matches_sympy(case):
+    _check_rank(case)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(vector_families())
+@example(RANK_EXAMPLES[0])
+@example(RANK_EXAMPLES[1])
+def test_rank_modulo_3_falls_back_to_the_rank_over_q(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_P", 3)
+        _check_rank(case)
+
+
+def test_a_rank_short_modulo_the_prime_is_recomputed_over_q():
+    # 3 e_0 + 6 e_1 vanishes modulo 3, and e_2 / 3 is e_2 once cleared
+    vectors = [{0: 3, 1: 6}, {2: Fraction(1, 3)}]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_P", 3)
+        assert list(linalg._grows_modulo_p(vectors)) == [False, True]
+        assert rank(vectors, 3) == 2
+        # every vector vanishes modulo 3: the pass over Q gives the rank
+        assert rank([{0: 3}], 1) == 1 and rank([{0: 3}, {0: 6}], 2) == 1

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from cliffdegen import lipschitz
+from cliffdegen import linalg, lipschitz
 from cliffdegen.clifford import (
     Multivector,
     QuadraticSpace,
@@ -17,6 +17,7 @@ from cliffdegen.clifford import (
     mask_of,
     reverse,
 )
+from cliffdegen.liestructure import even_blade_basis
 from cliffdegen.linalg import SpanBasis, nullspace_dense
 from cliffdegen.lipschitz import (
     infinitesimal_lipschitz,
@@ -498,3 +499,78 @@ def test_infinitesimal_identification_random_degenerate():
         r = infinitesimal_lipschitz(V)
         assert r["equals_even_filtration_le2"]
         assert r["spin_dim"] == m * (m - 1) // 2
+
+
+# --- the infinitesimal solve by ranks against its old kernels ---------------
+
+
+def reference_infinitesimal_lipschitz(V: QuadraticSpace) -> dict:
+    """infinitesimal_lipschitz before it counted by ranks: the kernel of
+    the system over Q, checked to lie in span(e_0, 2-blades) and to have
+    its dimension, and the kernel of the system with the spin cut."""
+    m = V.m
+    D = lipschitz.doubled_algebra(V)
+    masks = even_blade_basis(m)
+    K = len(masks)
+    index = {mask: k for k, mask in enumerate(masks)}
+    unbal_cols = []
+    spin_eqs = [[int(j == k) for k in range(K)] for j in range(K)]
+    for k, mask in enumerate(masks):
+        unbal_cols.append(D.unbalanced({mask: 1, mask << m: lipschitz._psi_sign(mask)}))
+        for m2, c in reverse(Multivector({mask: 1}), V).terms.items():
+            spin_eqs[index[m2]][k] += c
+    keys = sorted(set().union(*unbal_cols))
+    eq_rows = [[col.get(k, 0) for col in unbal_cols] for k in keys]
+    solutions = nullspace_dense(eq_rows, K)
+    low = {mask for mask in masks if mask.bit_count() <= 2}
+    inside = all(all(vec[k] == 0 for k in range(K) if masks[k] not in low) for vec in solutions)
+    return {
+        "equals_even_filtration_le2": inside and len(solutions) == 1 + m * (m - 1) // 2,
+        "spin_dim": len(nullspace_dense(eq_rows + spin_eqs, K)),
+    }
+
+
+def infinitesimal_forms():
+    """(kind, V) for m <= 5: diagonal forms with zero and fractional
+    entries, dense forms, and dense forms of corank 1."""
+    rng = random.Random(47)
+    for k in range(45):
+        m, kind = rng.randint(1, 5), ("diagonal", "dense", "degenerate")[k % 3]
+        if kind == "diagonal":
+            yield kind, QuadraticSpace.diagonal([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)])
+        else:
+            yield kind, dense_form(rng, m, corank=int(kind == "degenerate"))
+
+
+@pytest.mark.parametrize("prime", [linalg._P, 3], ids=["mersenne-61", "three"])
+def test_infinitesimal_lipschitz_equals_the_kernel_reference(prime):
+    """At the library's prime and at 3, where the modular ranks often fall
+    short and the ranks over Q decide."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_P", prime)
+        for kind, V in infinitesimal_forms():
+            assert infinitesimal_lipschitz(V) == reference_infinitesimal_lipschitz(V), (kind, V.gram)
+
+
+def test_a_kernel_of_the_right_dimension_outside_span_e0_and_2_blades_is_refused(monkeypatch):
+    """Exchange the columns of E_0 (zero) and of e_1234 in the system: its
+    kernel keeps the dimension 1 + m(m-1)/2 but holds e_1234 in place of
+    e_0, so the ranks, like the reference, must refuse it."""
+    V = QuadraticSpace.diagonal([1, 2, 3, 4])
+    assert infinitesimal_lipschitz(V)["equals_even_filtration_le2"]
+    real, volume = lipschitz.doubled_algebra(V), mask_of([1, 2, 3, 4])
+
+    def column(mask):
+        return {mask: 1, mask << 4: lipschitz._psi_sign(mask)}
+
+    class Swapped:
+        m = 4
+
+        def unbalanced(self, terms):
+            mask = min(terms)  # the blade of the column
+            return real.unbalanced({0: column(volume), volume: column(0)}.get(mask, terms))
+
+    monkeypatch.setattr(lipschitz, "doubled_algebra", lambda V: Swapped())
+    got = infinitesimal_lipschitz(V)
+    assert got == reference_infinitesimal_lipschitz(V)
+    assert not got["equals_even_filtration_le2"]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cliffdegen import linalg, localmodels
 from cliffdegen.acceptance import _random_unimodular
 from cliffdegen.clifford import Multivector, mask_of
-from cliffdegen.linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_sub
+from cliffdegen.linalg import SpanBasis, flatten, identity_matrix, mat_mul, mat_sub, nullspace_dense
 from cliffdegen.localmodels import (
     MODULI,
     MatrixTuple,
@@ -420,3 +420,68 @@ def test_every_modulus_is_prime():
     sympy = pytest.importorskip("sympy")
     assert list(MODULI) == sorted(MODULI)
     assert all(sympy.isprime(p) for p in MODULI)
+
+
+# --- the centralizer by ranks against the kernel of its old system -------
+
+
+def reference_centralizer_dim(T: MatrixTuple, h) -> int:
+    """centralizer_dim before it counted by ranks: the kernel of the
+    g n^2 x d system sum_k y_k [h_k, X_i] = 0 over Q.  It counts
+    coefficient vectors y, so it agrees with the dimension in span(h) only
+    for independent h_k."""
+    n, d = T.n, len(h)
+    rows = []
+    for x in T.X:
+        comms = [mat_mul(hk, x) for hk in h]
+        comms2 = [mat_mul(x, hk) for hk in h]
+        for i in range(n):
+            for j in range(n):
+                rows.append([comms[k][i][j] - comms2[k][i][j] for k in range(d)])
+    return len(nullspace_dense(rows, d))
+
+
+@st.composite
+def centralizer_models(draw):
+    """(kind, tuple, h) with n, g <= 3 and h independent: the elementary
+    matrices of gl_n, of its upper triangular part or of its diagonal, sl_2,
+    or random matrices (integer or with denominators up to 4) kept while
+    they stay independent; the tuple is drawn in span(h)."""
+    kind = draw(st.sampled_from(("gl", "upper", "diagonal", "sl2", "random", "fraction")))
+    n, g = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = [(i, j) for i in range(n) for j in range(n) if kind == "gl" or i == j or kind == "upper" and i < j]
+    h = [[[int((r, c) == cell) for c in range(n)] for r in range(n)] for cell in cells]
+    if kind == "sl2":
+        n, h = 2, [list(m) for m in SL2]
+    elif kind in ("random", "fraction"):
+        entry = st.integers(-3, 3) if kind == "random" else st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        span, h = SpanBasis(), []
+        for _ in range(draw(st.integers(1, n * n))):
+            m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+            if span.insert(flatten(m)):
+                h.append(m)
+        if not h:
+            h = [identity_matrix(n)]
+    X = []
+    for _ in range(g):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(h), max_size=len(h)))
+        X.append([[sum(a * m[r][c] for a, m in zip(coeffs, h)) for c in range(n)] for r in range(n)])
+    return kind, MatrixTuple.of(X), h
+
+
+@DERANDOMIZED
+@given(centralizer_models())
+def test_the_centralizer_equals_the_kernel_reference_for_independent_h(model):
+    kind, T, h = model
+    assert centralizer_dim(T, h) == reference_centralizer_dim(T, h), kind
+
+
+@DERANDOMIZED
+@given(centralizer_models())
+def test_a_modulus_of_3_leaves_every_centralizer_right(model):
+    """Modulo 3 the rank of the commutator images often falls short; the
+    rank over Q must then decide."""
+    kind, T, h = model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_P", 3)
+        assert centralizer_dim(T, h) == reference_centralizer_dim(T, h), kind

@@ -55,14 +55,15 @@ def test_localmodel_caps_runs_each_class_in_a_fresh_process(capsys):
     assert load("localmodel_caps").main(["--n", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[:2] == ["case", "n"]
-    assert [row[:20].strip() for row in rows] == [
+    assert [row[:24].strip() for row in rows] == [
         "sequiv conjugate",
         "sequiv unrelated",
         "simple reducible",
         "centralizer random",
+        "centralizer dependent h",
     ]
     for row in rows:
-        n, seconds, rss = row[20:].split()[:3]
+        n, seconds, rss = row[24:].split()[:3]
         assert n == "2" and float(seconds) > 0 and int(rss) > 0
     assert rows[1].endswith('{"equivalent": false, "length_bound": 4}')
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffdegen import cli, spinor
+from cliffdegen import cli, linalg, spinor
 from cliffdegen.clifford import (
     BladeIndexError,
     Multivector,
@@ -380,6 +380,6 @@ def test_an_operator_rank_short_modulo_the_prime_is_recomputed_over_q(monkeypatc
     monkeypatch.setattr(
         spinor, "spinor_columns", lambda x, W: [{r: 3 * v for r, v in col.items()} for col in columns(x, W)]
     )
-    monkeypatch.setattr(spinor, "_P", 3)
+    monkeypatch.setattr(linalg, "_P", 3)
     assert even_algebra_isomorphism_check(W) == want
     assert want["operator_rank"] == want["target_dim"] == 8
