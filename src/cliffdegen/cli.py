@@ -78,15 +78,16 @@ MAX_TENSOR_M = 8
 # `spinor check` compares the even algebra, of dimension 2^(2l) (odd m) or
 # 2^(2l-1), with the operators on the 2^l-dimensional spin module: the span
 # of 2^(2l) sparse operators with 2^l entries each.  On a shared 2-core
-# 2.0 GHz Xeon, l = 6 takes about 0.5 s (even) and 0.6 s (odd) in a fresh
-# process at a peak RSS of about 20 MB, and each step of l multiplies the
-# time by about 4 to 5 (l = 7 takes 1.6 s and 2.6 s in process), so larger
-# l is refused.
+# 2.0 GHz Xeon, l = 6 takes about 0.06-0.09 s (even) and 0.10-0.13 s (odd)
+# in a fresh process at a peak RSS of about 20 and 24 MB, and each step of
+# l multiplies the time by about 4 to 8 (l = 7 takes 0.4-0.5 s at 38 MB
+# even and 0.8-1.0 s at 60 MB odd, in process), so larger l is refused.
 MAX_SPINOR_CHECK_ELL = 6
 
 # `spinor weights` lists the 2^l weights of the spin module; larger l is
-# refused (l = 14 takes about 6 s and prints 2.3 MB, and each step of l
-# roughly doubles both).
+# refused (in a fresh process on the same machine, l = 14 takes about
+# 1.2-1.4 s at 53 MB and prints 2.3 MB, l = 16 5.7 s at 182 MB and prints
+# 10 MB).
 MAX_SPINOR_WEIGHTS_ELL = 16
 
 # `lipschitz test` decides membership by the swap derivation on the 4^m
@@ -106,7 +107,7 @@ MAX_LIPSCHITZ_M = 6
 # 2-core Xeon, Python 3.11, 17-18 MB peak RSS each): `sequiv` takes 2.7-3.2 s
 # on a pair conjugate by a unimodular matrix and 0.2-0.3 s on an unrelated
 # pair, `simple` 0.8-1.2 s on a conjugated upper-triangular tuple with a
-# vector on its invariant line, and `centralizer` 1.9-2.5 s in gl_n.  The
+# vector on its invariant line, and `centralizer` 0.2-0.3 s in gl_n.  The
 # number of matrices g needs no cap: the work grows only as the input does.
 MAX_LOCALMODEL_N = 8
 

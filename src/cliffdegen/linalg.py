@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals: one sparse echelon core
-(:class:`SpanBasis`, over Q or modulo a prime) behind spans, ranks and
+(:class:`SpanBasis`, over Q or modulo a prime) behind spans, ranks (each
+first tried as a set already in echelon form, see :func:`rank`) and
 nullspaces, and small dense matrix helpers used by the local-model
 routines."""
 
@@ -108,15 +109,32 @@ def _grows_modulo_p(vectors):
         yield span.insert({c: v.numerator * (d // v.denominator) for c, v in vec.items()})
 
 
+def _in_echelon_form(vectors) -> bool:
+    """Whether every vector is nonzero and no two share their minimal
+    nonzero column: sorted by that column they are then in row echelon
+    form, hence independent.  One pass over the entries."""
+    leads = set()
+    for vec in vectors:
+        lead = min((c for c, v in vec.items() if v), default=None)
+        if lead is None or lead in leads:
+            return False
+        leads.add(lead)
+    return True
+
+
 def rank(vectors, full: int) -> int:
     """Rank over Q of sparse rational vectors (dicts column -> value), of
     which at most ``full`` are independent: the one rule behind every
-    dimension the library reports.  Proof: clearing the denominators of a
-    vector moves no span, and a relation over Q, cleared to coprime
-    integers, holds modulo any prime, so the rank modulo ``_P`` is at most
-    the rank over Q, itself at most min(len(vectors), full).  Reaching that
-    bound, it is the rank over Q; a lower one is recomputed over Q."""
+    dimension the library reports.  Vectors in echelon form (nonzero, with
+    pairwise distinct minimal nonzero columns) are independent, and their
+    number is the rank.  Otherwise: clearing the denominators of a vector
+    moves no span, and a relation over Q, cleared to coprime integers,
+    holds modulo any prime, so the rank modulo ``_P`` is at most the rank
+    over Q, itself at most min(len(vectors), full).  Reaching that bound,
+    it is the rank over Q; a lower one is recomputed over Q."""
     vectors = list(vectors)
+    if _in_echelon_form(vectors):
+        return len(vectors)
     r = sum(_grows_modulo_p(vectors))
     if r < min(len(vectors), full):
         span = SpanBasis()

@@ -224,8 +224,10 @@ def centralizer_dim(T: MatrixTuple, h_basis) -> int:
     for hk in h:
         comms = (mat_sub(mat_mul(hk, x), mat_mul(x, hk)) for x in T.X)
         images.append({(i, c): v for i, comm in enumerate(comms) for c, v in flatten(comm).items()})
-    # span is over Q: its dimension is rank(h), and bounds rank(images)
-    return span.dim - rank(images, span.dim)
+    # span is over Q, of dimension rank(h); the images span at most that,
+    # and one less when the scalars, which commute with every X_i, lie in it
+    full = span.dim - span.contains(flatten(identity_matrix(n)))
+    return span.dim - rank(images, full)
 
 
 class NotInLieSpan(ValueError):

@@ -15,7 +15,10 @@ relations x y + y x = b(x,y), x^2 = q(x) hold as operators):
 
 Basis vector k of the ambient space (n_k, p_(k-l) or u) acts through one
 bit-level step, :func:`_step`, which gives its signed partial permutation of
-the monomials; a blade acts as the composite of its steps.
+the monomials.  A blade acts as the blade without its top generator after
+that generator's step, so once the smaller blade is known each blade costs
+one step per monomial (:func:`_blade_actions`), and its action is again a
+signed partial permutation, with ``int`` signs.
 
 S+ / S- are the even / odd exterior-degree halves (the empty monomial lies
 in S+); each has dimension 2^(l-1).
@@ -30,7 +33,6 @@ from .clifford import (
     QuadraticSpace,
     _check_mask,
     geometric_product,
-    indices_of,
     is_even,
     filtration_degree,
 )
@@ -80,30 +82,55 @@ def _step(k: int, subset: int, W: WittDecomposition):
     return subset ^ bit, -1 if (subset & (bit - 1)).bit_count() % 2 else 1
 
 
+def _blade_actions(W: WittDecomposition):
+    """The action on S of each blade, built on demand and memoized for one
+    call: ``act(mask)`` is ``(rows, signs)``, the blade sending monomial c
+    to ``signs[c]`` times monomial ``rows[c]`` (sign 0 where it kills c).
+
+    As in ``clifford.blade_row``, blade b is b without its top generator
+    e_t times e_t, so b sends c where the smaller blade sends the step of
+    e_t from c: one lookup per monomial.  Only the blades asked for and
+    their prefixes (the blades of their lowest generators) are built."""
+    dim = 1 << W.ell
+    memo = {0: (list(range(dim)), [1] * dim)}
+
+    def act(mask: int) -> tuple:
+        hit = memo.get(mask)
+        if hit is None:
+            t = mask.bit_length()
+            top = 1 << (t - 1)
+            if mask == top:
+                steps = [_step(t, c, W) or (0, 0) for c in range(dim)]
+                hit = [r for r, _ in steps], [s for _, s in steps]
+            else:
+                rest_rows, rest_signs = act(mask ^ top)
+                rows, signs = act(top)
+                hit = [rest_rows[r] for r in rows], [s * rest_signs[r] for r, s in zip(rows, signs)]
+            # a blade with top generator e_m is no other blade's prefix, so
+            # of those only e_m itself, a step table, is kept
+            if t < W.m or mask == top:
+                memo[mask] = hit
+        return hit
+
+    return act
+
+
 def spinor_columns(x: Multivector, W: WittDecomposition) -> list:
     """Sparse columns {row: coeff} of the matrix of x on S, basis = subset
-    bitmasks ascending (empty set first).
-
-    A blade acts as the composite of its generators, rightmost first.
-    """
-    words = []
-    for mask, coeff in x.terms.items():
+    bitmasks ascending (empty set first), from the action of each blade."""
+    for mask in x.terms:
         _check_mask(mask, W.m)
-        words.append((coeff, indices_of(mask)[::-1]))
-    cols = []
-    for col in range(1 << W.ell):
-        acc: dict = {}
-        for coeff, word in words:
-            row, sign = col, 1  # an integer sign until the coefficient
-            for k in word:
-                hit = _step(k, row, W)
-                if hit is None:
-                    break
-                row, s = hit
-                sign *= s
-            else:
-                axpy(acc, coeff, {row: sign})
-        cols.append(acc)
+    act = _blade_actions(W)
+    cols = [{} for _ in range(1 << W.ell)]
+    for mask, coeff in x.terms.items():
+        rows, signs = act(mask)
+        for col, r, s in zip(cols, rows, signs):
+            if s:
+                v = col.get(r, 0) + coeff * s
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
     return cols
 
 
@@ -181,16 +208,18 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
     # the operator entry (r, c) is coordinate r * dim + c of End(S); the
     # even case keeps those within End(S+) (+) End(S-), and a span's rank
     # does not depend on how its coordinates are labelled
+    act = _blade_actions(W)
     for mask in masks:
-        cols = spinor_columns(Multivector({mask: 1}), W)
+        rows, signs = act(mask)
         vec = {}
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                if not W.odd and (r ^ c).bit_count() % 2:
-                    # even elements must preserve the parity split
-                    block_ok = False
-                else:
-                    vec[r * dim + c] = v
+        for c, (r, s) in enumerate(zip(rows, signs)):
+            if not s:
+                continue
+            if not W.odd and (r ^ c).bit_count() % 2:
+                # even elements must preserve the parity split
+                block_ok = False
+            else:
+                vec[r * dim + c] = s
         vecs.append(vec)
     # |S+|^2 + |S-|^2 in the even case (|S-| = 0 when l = 0)
     target = dim * dim if W.odd else (dim - dim // 2) ** 2 + (dim // 2) ** 2
@@ -204,19 +233,20 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
 
 
 def cartan_element(i: int, W: WittDecomposition) -> Multivector:
-    """h_i = (n_i p_i - p_i n_i) / 2, an element of the even Lie algebra."""
+    """2 h_i = n_i p_i - p_i n_i, an element of the even Lie algebra with
+    ``int`` coefficients: h_i doubled, so that its weights are ``int``s."""
     V = W.space()
     ni, pi = W.n(i), W.p(i)
-    h = (geometric_product(ni, pi, V) - geometric_product(pi, ni, V)).scale(HALF)
-    if not (is_even(h) and filtration_degree(h) <= 2):
-        raise InvariantViolation("Cartan element is not even of degree <= 2")
-    return h
+    h = geometric_product(ni, pi, V) - geometric_product(pi, ni, V)
+    if not (is_even(h) and filtration_degree(h) <= 2 and all(c.denominator == 1 for c in h.terms.values())):
+        raise InvariantViolation("Cartan element is not even of degree <= 2 with integral coefficients")
+    return Multivector({mask: c.numerator for mask, c in h.terms.items()})
 
 
 def _cartan_weights(ell: int) -> list:
-    """The weight of each monomial of S (by bitmask): the eigenvalues of
-    h_1..h_l on it, read off their sparse columns once each is checked to
-    be diagonal."""
+    """The doubled weight of each monomial of S (by bitmask): the
+    eigenvalues of 2 h_1..2 h_l on it, read off their sparse columns once
+    each is checked to be diagonal."""
     W = WittDecomposition(ell, odd=False)
     diagonals = []
     for i in range(1, ell + 1):
@@ -229,8 +259,9 @@ def _cartan_weights(ell: int) -> list:
 
 def spin_weights(ell: int) -> dict:
     """Weight multiset of the spin module: Cartan eigenvalues computed from
-    the action of the h_i.  Returns {weight tuple: multiplicity}; the weight
-    of a monomial has +1/2 in slot i when i is present, else -1/2."""
+    the action of the 2 h_i.  Returns {doubled weight tuple: multiplicity};
+    the doubled weight of a monomial has +1 in slot i when i is present,
+    else -1."""
     out: dict = {}
     for wt in _cartan_weights(ell):
         out[wt] = out.get(wt, 0) + 1
@@ -238,8 +269,9 @@ def spin_weights(ell: int) -> dict:
 
 
 def halfspin_split(ell: int) -> tuple:
-    """(weights of S+, weights of S-) for the even split form; S+ is the
-    even exterior-degree half (contains the empty monomial)."""
+    """(weights of S+, weights of S-), keyed by doubled weights, for the
+    even split form; S+ is the even exterior-degree half (contains the
+    empty monomial)."""
     plus: dict = {}
     minus: dict = {}
     for s, wt in enumerate(_cartan_weights(ell)):
@@ -251,7 +283,8 @@ def halfspin_split(ell: int) -> tuple:
 def restrict_even_to_odd(ell: int) -> dict:
     """Forget the last Cartan coordinate of each half-spin weight of the
     even form of index l and compare with the spin multiset of the odd form
-    of index l-1 (the embedding that extends the smaller space by one line)."""
+    of index l-1 (the embedding that extends the smaller space by one line).
+    Weights are doubled, as in :func:`spin_weights`."""
     if ell < 2:
         raise ValueError("need ell >= 2 to restrict")
     plus, minus = halfspin_split(ell)

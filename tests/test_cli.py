@@ -71,8 +71,13 @@ def test_tuple_round_trip_and_fingerprint_order():
 
 
 def test_weights_tsv_layout():
-    W = {(Fraction(1, 2), Fraction(-1, 2)): 2}
-    assert jsonio.weights_tsv(W) == "1/2\t-1/2\t2\n"
+    # weights arrive doubled and are halved for print
+    W = {(1, -1): 2, (2, 0): 1}
+    assert jsonio.weights_tsv(W) == "1/2\t-1/2\t2\n1\t0\t1\n"
+    assert jsonio.encode_weights(W) == [
+        {"weight": ["1/2", "-1/2"], "multiplicity": 2},
+        {"weight": ["1", "0"], "multiplicity": 1},
+    ]
 
 
 def test_bad_inputs_raise_format_errors():

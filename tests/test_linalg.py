@@ -1,7 +1,9 @@
 """The echelon core against sympy as an independent oracle: reduced row
 echelon forms, nullspaces and ranks on random rational matrices must
 agree exactly, with the modular pass of ``rank`` at its own prime and at
-the prime 3, where it often falls short and the pass over Q decides."""
+the prime 3, where it often falls short and the pass over Q decides, and
+with its echelon-form certificate, which must fire on distinct leads and
+on nothing else."""
 
 import random
 from fractions import Fraction
@@ -164,3 +166,94 @@ def test_a_rank_short_modulo_the_prime_is_recomputed_over_q():
         assert rank(vectors, 3) == 2
         # every vector vanishes modulo 3: the pass over Q gives the rank
         assert rank([{0: 3}], 1) == 1 and rank([{0: 3}, {0: 6}], 2) == 1
+
+
+# --- the echelon certificate: nonzero vectors with pairwise distinct
+# minimal nonzero columns are ranked by their count, before any pass ---
+
+nonzero = st.one_of(st.integers(-3, 3).filter(bool), st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)))
+
+
+@st.composite
+def echelon_families(draw):
+    """(vectors, ncols): nonzero vectors with pairwise distinct leads, in
+    any order; below its lead a vector may hold explicit zeros (``int`` or
+    ``Fraction``), and past it any entries, zeros among them."""
+    ncols = draw(st.integers(1, 7))
+    vectors = []
+    for lead in draw(st.lists(st.integers(0, ncols - 1), unique=True, min_size=1, max_size=ncols)):
+        zeros = draw(st.lists(st.sampled_from([None, 0, Fraction(0)]), min_size=lead, max_size=lead))
+        vec = {c: z for c, z in enumerate(zeros) if z is not None}
+        vec[lead] = draw(nonzero)
+        tail = draw(st.lists(st.one_of(st.none(), entries), min_size=ncols - lead - 1, max_size=ncols - lead - 1))
+        vec.update({lead + 1 + k: v for k, v in enumerate(tail) if v is not None})
+        vectors.append(vec)
+    return vectors, ncols
+
+
+class _NoElimination(SpanBasis):
+    def __init__(self, p=None):
+        raise AssertionError("vectors in echelon form were eliminated")
+
+
+ECHELON = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@ECHELON
+@given(echelon_families())
+@example(([{0: 0, 1: 1}, {0: 1}], 2))  # the explicit zero is not the first one's lead
+@example(([{0: Fraction(0), 2: 5}, {1: -1, 2: 1}, {0: 2}], 3))
+def test_vectors_with_distinct_leads_are_ranked_without_elimination(case):
+    vectors, ncols = case
+    assert sympy_rank(vectors, ncols) == len(vectors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "SpanBasis", _NoElimination)
+        assert rank(vectors, len(vectors)) == len(vectors)
+
+
+@st.composite
+def colliding_families(draw):
+    """(vectors, ncols, rank): an echelon family and, among it, a nonzero
+    combination of two of its vectors (or a multiple of one), which leads
+    where one of them does."""
+    vectors, ncols = draw(echelon_families())
+    a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+    k = draw(nonzero)
+    extra = {c: a.get(c, 0) + k * b.get(c, 0) for c in a.keys() | b.keys()}
+    if not any(extra.values()):
+        extra = {c: 2 * v for c, v in a.items()}
+    at = draw(st.integers(0, len(vectors)))
+    return vectors[:at] + [extra] + vectors[at:], ncols, len(vectors)
+
+
+@ECHELON
+@given(colliding_families())
+@example(([{0: 0, 1: 1}, {1: 2}], 2, 1))  # both lead at 1, past the explicit zero
+def test_colliding_leads_still_eliminate(case):
+    vectors, ncols, want = case
+    assert sympy_rank(vectors, ncols) == want
+    for prime in (_P, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_P", prime)
+            assert rank(vectors, want) == want
+
+
+@st.composite
+def with_a_zero_vector(draw):
+    """(vectors, ncols, rank): an echelon family and, among it, a zero
+    vector: empty, or of explicit ``int`` and ``Fraction`` zeros."""
+    vectors, ncols = draw(echelon_families())
+    zero = draw(st.sampled_from([{}, {0: 0}, {0: Fraction(0), 1: 0}]))
+    at = draw(st.integers(0, len(vectors)))
+    return vectors[:at] + [zero] + vectors[at:], ncols, len(vectors)
+
+
+@ECHELON
+@given(with_a_zero_vector())
+@example(([{}], 1, 0))
+@example(([{0: 1}, {0: 0}, {1: 1}], 2, 2))
+def test_zero_vectors_are_not_counted(case):
+    """A zero vector has no lead, so the family is not in echelon form."""
+    vectors, ncols, want = case
+    assert sympy_rank(vectors, ncols) == want
+    assert rank(vectors, len(vectors)) == want

@@ -485,3 +485,26 @@ def test_a_modulus_of_3_leaves_every_centralizer_right(model):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_P", 3)
         assert centralizer_dim(T, h) == reference_centralizer_dim(T, h), kind
+
+
+def test_a_centralizer_of_exactly_the_scalars_runs_no_pass_over_q(monkeypatch):
+    """gl_3 holds the scalars, which commute with every tuple, so the images
+    of its elementary matrices span at most 8 dimensions.  An irreducible
+    pair reaches that bound modulo the prime: the rank is certified there,
+    and no rank is recomputed over Q."""
+    gl3 = [[[int((r, c) == (i, j)) for c in range(3)] for r in range(3)] for i in range(3) for j in range(3)]
+    shifts = MatrixTuple.of([[[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]])
+    primes = []
+
+    class Counted(SpanBasis):
+        def __init__(self, p=None):
+            primes.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(linalg, "SpanBasis", Counted)
+    assert centralizer_dim(shifts, gl3) == 1
+    assert primes == [linalg._P]
+    # a commuting pair has more than the scalars: its rank is still right,
+    # from the pass over Q
+    diagonal = MatrixTuple.of([[[1, 0, 0], [0, 2, 0], [0, 0, 3]], identity_matrix(3)])
+    assert centralizer_dim(diagonal, gl3) == 3 and primes[1:] == [linalg._P, None]

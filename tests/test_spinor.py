@@ -10,12 +10,14 @@ from cliffdegen import cli, linalg, spinor
 from cliffdegen.clifford import (
     BladeIndexError,
     Multivector,
+    _check_mask,
     filtration_degree,
     geometric_product,
+    indices_of,
     is_even,
     mask_of,
 )
-from cliffdegen.rings import InvariantViolation
+from cliffdegen.rings import InvariantViolation, axpy
 from cliffdegen.spinor import (
     WittDecomposition,
     _step,
@@ -31,6 +33,79 @@ from cliffdegen.liestructure import even_blade_basis
 from cliffdegen.linalg import SpanBasis
 
 HALF = Fraction(1, 2)
+
+
+# --- references: the word walk and the Fraction weights of the actions as
+# they were before each blade took one step per monomial ---
+
+
+def reference_spinor_columns(x, W):
+    """Sparse columns of x on S, each blade acting as the composite of its
+    generators' steps, rightmost first, walked anew for every column."""
+    words = []
+    for mask, coeff in x.terms.items():
+        _check_mask(mask, W.m)
+        words.append((coeff, indices_of(mask)[::-1]))
+    cols = []
+    for col in range(1 << W.ell):
+        acc: dict = {}
+        for coeff, word in words:
+            row, sign = col, 1
+            for k in word:
+                hit = _step(k, row, W)
+                if hit is None:
+                    break
+                row, s = hit
+                sign *= s
+            else:
+                axpy(acc, coeff, {row: sign})
+        cols.append(acc)
+    return cols
+
+
+def reference_cartan_weights(ell):
+    """The weight of each monomial of S, as ``Fraction``s: the diagonals of
+    h_i = (n_i p_i - p_i n_i) / 2 on the word-walk columns."""
+    W = WittDecomposition(ell, odd=False)
+    V = W.space()
+    diagonals = []
+    for i in range(1, ell + 1):
+        h = (geometric_product(W.n(i), W.p(i), V) - geometric_product(W.p(i), W.n(i), V)).scale(HALF)
+        cols = reference_spinor_columns(h, W)
+        assert not any(col.keys() - {s} for s, col in enumerate(cols))
+        diagonals.append([col.get(s, 0) for s, col in enumerate(cols)])
+    return [tuple(diag[s] for diag in diagonals) for s in range(1 << ell)]
+
+
+@pytest.mark.parametrize("ell,odd", [(ell, odd) for ell in range(5) for odd in (True, False)])
+def test_columns_of_every_blade_match_the_word_walk(ell, odd):
+    W = WittDecomposition(ell, odd=odd)
+    for mask in range(1 << W.m):
+        x = Multivector({mask: 1})
+        got = spinor.spinor_columns(x, W)
+        assert got == reference_spinor_columns(x, W)
+        assert all(type(v) is int for col in got for v in col.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 4), st.booleans(), st.data())
+def test_columns_of_random_multivectors_match_the_word_walk(ell, odd, data):
+    # repeated rows across blades, cancellations and Fraction coefficients
+    W = WittDecomposition(ell, odd=odd)
+    coeff = st.one_of(st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    terms = data.draw(st.dictionaries(st.integers(0, (1 << W.m) - 1), coeff, max_size=8))
+    x = Multivector(terms)
+    assert spinor.spinor_columns(x, W) == reference_spinor_columns(x, W)
+
+
+@pytest.mark.parametrize("ell", range(9))
+def test_halved_doubled_weights_match_the_fraction_reference(ell):
+    got = spinor._cartan_weights(ell)
+    assert [tuple(Fraction(x, 2) for x in wt) for wt in got] == reference_cartan_weights(ell)
+    assert all(type(x) is int for wt in got for x in wt)
+    W = WittDecomposition(ell, odd=False)
+    for i in range(1, ell + 1):
+        assert all(type(c) is int for c in cartan_element(i, W).terms.values())
 
 
 # --- dense references: the checks as they were before sparse columns ---
@@ -288,11 +363,12 @@ def test_even_block_diagonal_odd_off_diagonal(ell, data):
 
 
 def test_spin_weights_examples():
+    # doubled weights: +-1 stands for +-1/2
     w1 = spin_weights(1)
-    assert w1 == {(HALF,): 1, (-HALF,): 1}
+    assert w1 == {(1,): 1, (-1,): 1}
     w2 = spin_weights(2)
     assert len(w2) == 4 and all(v == 1 for v in w2.values())
-    assert set(w2) == {(a, b) for a in (HALF, -HALF) for b in (HALF, -HALF)}
+    assert set(w2) == {(a, b) for a in (1, -1) for b in (1, -1)}
     w7p, w7m = halfspin_split(7)
     assert sum(w7p.values()) == 64 and sum(w7m.values()) == 64
 
@@ -329,7 +405,8 @@ def test_weights_distinct_and_cartans_in_lie_algebra():
 def test_restriction_examples():
     rep = restrict_even_to_odd(2)
     assert rep["plus_matches"] and rep["minus_matches"]
-    assert rep["restricted_plus"] == {(HALF,): 1, (-HALF,): 1}
+    assert rep["restricted_plus"] == {(1,): 1, (-1,): 1}  # doubled: +-1/2
+    assert rep["spin_target"] == spin_weights(1)
     rep3 = restrict_even_to_odd(3)
     assert rep3["plus_matches"] and rep3["minus_matches"]
     rep4 = restrict_even_to_odd(4)
@@ -371,15 +448,27 @@ def test_spinor_matrix_multiplicative():
 
 
 def test_an_operator_rank_short_modulo_the_prime_is_recomputed_over_q(monkeypatch):
-    """Columns scaled by 3 vanish modulo 3: with the prime patched to 3 the
-    rank modulo it is 0, and the report must still give the rank over Q."""
+    """The identity blade listed twice makes two leading columns collide,
+    so the operators are not in echelon form.  With every step's sign
+    scaled by 3 (the relations then fail, and their check is skipped) each
+    blade of degree 2 or more acts by a multiple of 3, so with the prime
+    patched to 3 the rank modulo it is 1, and the report must still give
+    the rank over Q, from the pass over Q that follows."""
     W = WittDecomposition(2, odd=False)
     want = even_algebra_isomorphism_check(W)
-    columns = spinor.spinor_columns
-    monkeypatch.setattr(spinor, "verify_action_relations", lambda W: None)
-    monkeypatch.setattr(
-        spinor, "spinor_columns", lambda x, W: [{r: 3 * v for r, v in col.items()} for col in columns(x, W)]
-    )
-    monkeypatch.setattr(linalg, "_P", 3)
-    assert even_algebra_isomorphism_check(W) == want
     assert want["operator_rank"] == want["target_dim"] == 8
+    monkeypatch.setattr(spinor, "verify_action_relations", lambda W: None)
+    monkeypatch.setattr(spinor, "_step", lambda k, c, W: (hit[0], 3 * hit[1]) if (hit := _step(k, c, W)) else None)
+    monkeypatch.setattr(spinor, "even_blade_basis", lambda m: even_blade_basis(m) + (0,))
+    monkeypatch.setattr(linalg, "_P", 3)
+    primes = []
+
+    class Counted(SpanBasis):
+        def __init__(self, p=None):
+            primes.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(linalg, "SpanBasis", Counted)
+    report = even_algebra_isomorphism_check(W)
+    assert report["operator_rank"] == 8 and primes == [3, None]
+    assert report["dim_even_algebra"] == 9 and not report["bijective"]
