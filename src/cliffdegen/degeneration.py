@@ -20,12 +20,14 @@ multiple of e_(b delta c), so Tr(L_(e_c)) = 0 for c != 0 and the trace form
 is diagonal with entries +-2^(m-1) prod_(i in a) q_i: Cl0 is semisimple
 exactly when det 2Q != 0, which holds generically by the determinant.
 
-At run time the witness still checks the special fibre's tensor (its unit)
-and its radical: the kernel of the trace form (x, y) -> Tr(L_x L_y) of the
-regular representation, valid in characteristic 0, is computed and must
-have the structure theorem's dimension.  The nilpotency index comes from
-the theorem.  The generic fibre is built at no point; 2Q at the check point
-must have rank m.
+At run time the witness checks the special fibre's tensor (its unit)
+and builds the radical from its generators.  Each r in R anticommutes
+with every vector, since b(r, v) = 0, so the ideal of Cl(q0) that R
+generates is Cl(q0) R, and its even part, the radical of Cl0(q0), is
+spanned by the products e_S r of the odd blades e_S with a basis of R.
+The span must have the structure theorem's dimension; the nilpotency
+index comes from the theorem.  The generic fibre is built at no point;
+2Q at the check point must have rank m.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .clifford import QuadraticSpace, specialize_space
-from .liestructure import AlgebraTensor, theta_tensor
-from .linalg import nullspace_dense, rank
-from .rings import InvariantViolation, PoleError, Poly, RatFun, czero
+from .clifford import QuadraticSpace, _blade_times_gen, specialize_space
+from .liestructure import AlgebraTensor, even_blade_basis, theta_tensor
+from .linalg import SpanBasis, nullspace_dense, rank
+from .rings import InvariantViolation, PoleError, Poly, RatFun, axpy, czero
 
 
 class NoWitness(ArithmeticError):
@@ -94,47 +96,40 @@ def _corank(V: QuadraticSpace) -> int:
     return V.m - rank((dict(enumerate(row)) for row in V.gram), V.m)
 
 
-def jacobson_radical(T: AlgebraTensor) -> list:
-    """A basis of the radical of the unital algebra T: the kernel of its
-    trace form (x, y) -> Tr(L_x L_y), which is the radical of any
-    finite-dimensional associative algebra in characteristic 0.  Beyond the
-    unit, nothing is checked here; :func:`certify_specialization` compares
-    the dimension of the kernel with the structure theorem's.
+def jacobson_radical(V: QuadraticSpace) -> tuple:
+    """(R, basis) for a form V over Q: R a basis of ker V, and a basis of
+    the radical of Cl0(V) over the e_a, the span of the Clifford products
+    e_S r of every odd blade e_S with every r in R (module docstring).
+    Nothing is checked here; :func:`certify_specialization` compares the
+    dimension of the span with the structure theorem's for corank len(R).
 
-    The work runs on T's own entries, those over D Q for a tensor of
-    ``scale`` D, and the basis is reported over the e_a.  With the
-    f_a = lambda_a e_a of :meth:`AlgebraTensor.lambdas` and
-    Lambda = diag(lambda_a), gram_T = Lambda^-1 gram_S Lambda^-1 for the
-    trace forms over Q and over D Q: gram_S has the pivot columns of
-    gram_T, and its kernel vector y of free column fc (y's last nonzero
-    entry) maps to gram_T's as x_j = lambda_j y_j / lambda_fc: a zero stays
-    as it is, and each other coordinate is one ``Fraction`` built from the
-    integers."""
-    if not T.is_rational():
-        raise ValueError("radical computation requires rational coefficients")
-    T.verify_unital()
-    d = T.dim
-    # the algebra is associative, so L_i L_j = L_(e_i e_j) and
-    # Tr(L_i L_j) = sum over k of c[i,j][k] Tr(L_k), Tr(L_k) = sum over l
-    # of c[k,l][l]: one pass over the entries for the traces, one for gram
-    trace: dict = {}
-    for (k, l), row in T.c.items():
-        v = row.get(l)
-        if v:
-            trace[k] = trace.get(k, 0) + v
-    gram = [[0] * d for _ in range(d)]
-    for (i, j), row in T.c.items():
-        gram[i][j] = sum(v * trace[k] for k, v in row.items() if k in trace)
-    kernel = nullspace_dense(gram, d)
-    lam = T.lambdas()
+    Each product takes one generator step per nonzero coordinate of r.
+    The basis is the reduced echelon form of the span with the even blades
+    taken last to first: each vector ends with 1 at its own blade, where
+    the others are 0.  A subspace has one such basis, and it is the one
+    :func:`~cliffdegen.linalg.nullspace_dense` gives for any matrix whose
+    kernel is the span.  Its entries are ``Fraction``s, zeros included."""
+    masks = even_blade_basis(V.m)
+    d = len(masks)
+    column = {mask: d - 1 - k for k, mask in enumerate(masks)}
+    R = nullspace_dense(V.gram, V.m)
+    span = SpanBasis()
+    for r in R:
+        for S in range(1 << V.m):
+            if S.bit_count() % 2:
+                product: dict = {}
+                for j, rj in enumerate(r, 1):
+                    if rj:
+                        axpy(product, rj, _blade_times_gen(V, S, j))
+                span.insert({column[mask]: v for mask, v in product.items()})
+    rows = span.rref()
     basis = []
-    for vec in kernel:
-        fc = max(k for k, y in enumerate(vec) if y)
-        lf = lam[fc]
-        basis.append(
-            [Fraction(lam[j] * y.numerator, lf * y.denominator) if y else y for j, y in enumerate(vec)]
-        )
-    return basis
+    for pivot in sorted(rows, reverse=True):
+        vec = [Fraction(0)] * d
+        for c, v in rows[pivot].items():
+            vec[d - 1 - c] = v
+        basis.append(vec)
+    return R, basis
 
 
 def _integer_row(row) -> tuple:
@@ -206,11 +201,12 @@ class SpecializationWitness:
 def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     """Produce the witness, or raise :class:`NoWitness` when det(2Q) == 0.
 
-    The special fibre's radical is the kernel of its trace form; its
-    dimension must be the structure theorem's for the corank of Q(0),
-    which also gives the nilpotency index.  The generic fibre is semisimple
-    because det 2Q(t) != 0; as a check, the first integer point c where the
-    family is regular and det 2Q(c) != 0 must give a 2Q(c) of full rank.
+    The special fibre's radical is the span of Cl^odd ker Q(0)
+    (:func:`jacobson_radical`); its dimension must be the structure
+    theorem's for the corank of Q(0), which also gives the nilpotency
+    index.  The generic fibre is semisimple because det 2Q(t) != 0; as a
+    check, the first integer point c where the family is regular and
+    det 2Q(c) != 0 must give a 2Q(c) of full rank.
     """
     if F.m % 2 == 0:
         raise ValueError("odd m required: the generic even algebra must be a full matrix algebra")
@@ -219,11 +215,12 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     if czero(det):
         raise NoWitness("det 2Q(t) vanishes identically; generic fibre degenerate")
     special = theta_tensor(F.special)
-    basis = jacobson_radical(special)
-    dim, index = radical_shape(F.m, _corank(F.special))
+    special.verify_unital()
+    R, basis = jacobson_radical(F.special)
+    dim, index = radical_shape(F.m, len(R))
     if len(basis) != dim:
         raise InvariantViolation(
-            f"the trace-form kernel has dimension {len(basis)}, the structure theorem {dim}"
+            f"the span of Cl^odd ker Q(0) has dimension {len(basis)}, the structure theorem {dim}"
         )
     # the poles are the roots of the entries' denominators, in lowest terms
     # since the family was built; a point is bad where an entry has a pole

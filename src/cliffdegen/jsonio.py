@@ -198,11 +198,12 @@ def encode_tensor(T: AlgebraTensor) -> dict:
     """The entries over Q, ordered by (i, j) and then k.  On a tensor of
     ``scale`` D > 1 or ``width`` N > 0 entry k of f_i f_j is an ``int``
     that is D^(h_i + h_j - h_k) times the one over Q, with h = |mask|/2
-    (lambda_i lambda_j / lambda_k of :meth:`AlgebraTensor.lambdas`).  On
-    a packed tensor (N > 0) the ``int`` holds a polynomial, read as its
-    digits (:func:`~cliffdegen.liestructure.packed_digits`), and prints as
-    the list of them; an entry with h_i + h_j = h_k is a wedge term, +-1,
-    and prints as a scalar.  Each ``int`` or digit is divided by that power
+    (lambda_i lambda_j / lambda_k, for the basis f_a = lambda_a e_a with
+    lambda_a = D^(h_a)).  On a packed tensor (N > 0) the ``int`` holds a
+    polynomial, read as its digits
+    (:func:`~cliffdegen.liestructure.packed_digits`), and prints as the list
+    of them; an entry with h_i + h_j = h_k is a wedge term, +-1, and prints
+    as a scalar.  Each ``int`` or digit is divided by that power
     of D with one gcd, and no ``Fraction`` or ``Poly`` is built.  A tensor
     of scale 1 and width 0 prints its entries as they are."""
     c = T.c

@@ -274,8 +274,8 @@ class AlgebraTensor:
 
     A Clifford tensor of ``scale`` D is that of the integer form D Q
     (:func:`theta_tensor`): the even algebra of Q in the basis
-    f_a = lambda_a e_a, lambda_a = D^(|a|/2) (:meth:`lambdas`).  Entry c of
-    f_a f_b is lambda_a lambda_b / lambda_c times entry c of e_a e_b.
+    f_a = lambda_a e_a, lambda_a = D^(|a|/2).  Entry c of f_a f_b is
+    lambda_a lambda_b / lambda_c times entry c of e_a e_b.
 
     A ``width`` N > 0 marks a tensor over Z[t] packed at t = 2^N: each
     entry is the ``int`` P(2^N) of the polynomial entry P over D Q, whose
@@ -293,12 +293,6 @@ class AlgebraTensor:
 
     def entry(self, i: int, j: int) -> dict:
         return self.c.get((i, j), {})
-
-    def lambdas(self) -> list:
-        """lambda_a per basis index: basis element a is lambda_a e_a."""
-        if self.scale == 1:
-            return [1] * self.dim
-        return [self.scale ** (mask.bit_count() >> 1) for mask in self.basis_masks]
 
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two sparse vectors {basis index: nonzero coeff}."""
@@ -318,15 +312,6 @@ class AlgebraTensor:
                 raise InvariantViolation(f"identity fails on the left at {j}")
             if self.entry(j, e) != {j: 1}:
                 raise InvariantViolation(f"identity fails on the right at {j}")
-
-    def is_rational(self) -> bool:
-        if self.width:  # packed polynomials, not rationals
-            return False
-        for row in self.c.values():
-            for v in row.values():
-                if type(v) is not int and type(v) is not Fraction:
-                    return False
-        return True
 
 
 def even_blade_basis(m: int) -> tuple:

@@ -38,7 +38,7 @@ from .clifford import (
 )
 from .liestructure import even_blade_basis
 from .linalg import rank
-from .rings import HALF, InvariantViolation, axpy
+from .rings import HALF, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -142,40 +142,38 @@ def spinor_matrix(x: Multivector, W: WittDecomposition) -> list:
     return [[cols[c].get(r, 0) for c in range(dim)] for r in range(dim)]
 
 
-def _anticommutator_column(A: list, B: list, c: int) -> dict:
-    """Column c of A B + B A, from sparse columns."""
-    acc: dict = {}
-    for k, v in B[c].items():
-        axpy(acc, v, A[k])
-    for k, v in A[c].items():
-        axpy(acc, v, B[k])
-    return acc
-
-
 def verify_action_relations(W: WittDecomposition):
     """Check x y + y x = b(x,y) id and x^2 = q(x) id for all Witt basis
     vectors, as operators on S.  Returns None or the first failure: the
     first pair (a <= b), and its first wrong entry (r, c) in row-major order.
 
-    Each generator acts as a signed partial permutation, so its sparse
-    columns hold at most one entry and each column of an anticommutator is
-    two column compositions."""
+    Each generator acts by its step table, a signed partial permutation
+    (:func:`_blade_actions`), so column c of x y + y x is two lookups: x
+    after y sends monomial c to rows_x[rows_y[c]] with sign
+    signs_y[c] signs_x[rows_y[c]], and y after x likewise."""
     V = W.space()
     m = W.m
-    dim = 1 << W.ell
-    cols = [spinor_columns(Multivector.basis_vector(k), W) for k in range(1, m + 1)]
+    act = _blade_actions(W)
+    steps = [act(1 << k) for k in range(m)]
     for a in range(m):
+        rows_a, signs_a = steps[a]
         for b in range(a, m):
+            rows_b, signs_b = steps[b]
             want = V.b(a + 1, b + 1) if a != b else V.q(a + 1)
+            twice = 2 if a == b else 1  # x x + x x = 2 x^2
             bad = []
-            for c in range(dim):
-                col = _anticommutator_column(cols[a], cols[b], c)
-                for r in col.keys() | {c}:
-                    got = col.get(r, 0)
-                    if a == b:  # x x + x x = 2 x^2
-                        got *= HALF
-                    if got != (want if r == c else 0):
-                        bad.append((r, c, got))
+            for c in range(1 << W.ell):
+                # x_a after x_b passes c through mid_b, x_b after x_a through
+                # mid_a; a killed monomial has sign 0 at row 0
+                mid_b, mid_a = rows_b[c], rows_a[c]
+                col = {c: 0}
+                r = rows_a[mid_b]
+                col[r] = col.get(r, 0) + signs_b[c] * signs_a[mid_b]
+                r = rows_b[mid_a]
+                col[r] = col.get(r, 0) + signs_a[c] * signs_b[mid_a]
+                for r, got in col.items():
+                    if got != (twice * want if r == c else 0):
+                        bad.append((r, c, got * HALF if a == b else got))
             if bad:
                 r, c, got = min(bad)
                 return {
@@ -232,10 +230,10 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
     return report
 
 
-def cartan_element(i: int, W: WittDecomposition) -> Multivector:
+def cartan_element(i: int, W: WittDecomposition, V: QuadraticSpace) -> Multivector:
     """2 h_i = n_i p_i - p_i n_i, an element of the even Lie algebra with
-    ``int`` coefficients: h_i doubled, so that its weights are ``int``s."""
-    V = W.space()
+    ``int`` coefficients: h_i doubled, so that its weights are ``int``s.
+    V is ``W.space()``, built once by the caller for every i."""
     ni, pi = W.n(i), W.p(i)
     h = geometric_product(ni, pi, V) - geometric_product(pi, ni, V)
     if not (is_even(h) and filtration_degree(h) <= 2 and all(c.denominator == 1 for c in h.terms.values())):
@@ -248,9 +246,10 @@ def _cartan_weights(ell: int) -> list:
     eigenvalues of 2 h_1..2 h_l on it, read off their sparse columns once
     each is checked to be diagonal."""
     W = WittDecomposition(ell, odd=False)
+    V = W.space()
     diagonals = []
     for i in range(1, ell + 1):
-        cols = spinor_columns(cartan_element(i, W), W)
+        cols = spinor_columns(cartan_element(i, W, V), W)
         if any(col.keys() - {s} for s, col in enumerate(cols)):
             raise InvariantViolation("Cartan element acts non-diagonally")
         diagonals.append([col.get(s, 0) for s, col in enumerate(cols)])

@@ -1189,8 +1189,9 @@ def test_localmodel_size_guard_refuses_before_any_product(capsys, tmp_path, monk
 
 
 def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp_path, monkeypatch):
-    # span{e_0} passes for the trace-form kernel, but the structure theorem
-    # gives the radical of diag(1, 1, 0)'s even algebra dimension 2
+    # e_1 passes for the kernel of Q(0) = diag(1, 1, 0): the products of the
+    # odd blades with it span all 4 dimensions of Cl0, where the structure
+    # theorem gives a radical of dimension 2 at corank 1
     monkeypatch.setattr(
         degeneration, "nullspace_dense", lambda rows, n: [[Fraction(int(k == 0)) for k in range(n)]]
     )
@@ -1202,7 +1203,7 @@ def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp
     assert doc == {
         "subcommand": "degenerate analyze",
         "verdict": "fail",
-        "payload": {"counterexample": "the trace-form kernel has dimension 1, the structure theorem 2"},
+        "payload": {"counterexample": "the span of Cl^odd ker Q(0) has dimension 4, the structure theorem 2"},
     }
 
 

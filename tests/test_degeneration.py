@@ -5,8 +5,9 @@ determinant by Gaussian elimination over Q(t); the radical computed on the
 tensor over Q with ``Fraction`` kernel vectors, checked to be an ideal and
 nilpotent, with its nilpotency index from the chain of its powers (the
 library takes the dimension and the index from the structure theorem); and
-the radical on the tensor over D Q mapped to the e_a by one ``Fraction``
-multiply and divide per coordinate."""
+the kernel of the trace form of the tensor over D Q, mapped to the e_a by
+one ``Fraction`` per coordinate (the library now spans the radical by the
+products Cl^odd ker Q(0) on the form itself)."""
 
 import hashlib
 import json
@@ -14,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -33,7 +34,7 @@ from cliffdegen.jsonio import encode_rational, encode_space, encode_tensor
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import SpanBasis, echelon, nullspace_dense
 from cliffdegen.rings import InvariantViolation, Poly, RatFun, eval_coeff
-from test_liestructure import form_with_lcm, over_q
+from test_liestructure import form_with_lcm, is_rational, lambdas, over_q
 
 
 def t():
@@ -113,12 +114,25 @@ def reference_radical(T: AlgebraTensor) -> ReferenceRadical:
 
 
 def reference_lambda_radical(T: AlgebraTensor) -> list:
-    """:func:`jacobson_radical` with a ``Fraction`` multiply and divide for
-    each coordinate of the kernel over D Q, zeros included."""
-    if not T.is_rational():
+    """The radical of the unital algebra T as the library computed it
+    before it spanned Cl^odd ker Q(0): the kernel of the trace form
+    (x, y) -> Tr(L_x L_y), the radical of any finite-dimensional
+    associative algebra in characteristic 0, reported over the e_a.
+
+    The work runs on T's own entries, those over D Q for a tensor of
+    ``scale`` D.  With f_a = lambda_a e_a and Lambda = diag(lambda_a),
+    gram_T = Lambda^-1 gram_S Lambda^-1 for the trace forms over Q and over
+    D Q: gram_S has the pivot columns of gram_T, and its kernel vector y of
+    free column fc (y's last nonzero entry) maps to gram_T's as
+    x_j = lambda_j y_j / lambda_fc, one ``Fraction`` per nonzero
+    coordinate."""
+    if not is_rational(T):
         raise ValueError("radical computation requires rational coefficients")
     T.verify_unital()
     d = T.dim
+    # the algebra is associative, so L_i L_j = L_(e_i e_j) and
+    # Tr(L_i L_j) = sum over k of c[i,j][k] Tr(L_k), Tr(L_k) = sum over l
+    # of c[k,l][l]: one pass over the entries for the traces, one for gram
     trace: dict = {}
     for (k, l), row in T.c.items():
         v = row.get(l)
@@ -128,14 +142,20 @@ def reference_lambda_radical(T: AlgebraTensor) -> list:
     for (i, j), row in T.c.items():
         gram[i][j] = sum(v * trace[k] for k, v in row.items() if k in trace)
     kernel = nullspace_dense(gram, d)
-    if T.scale == 1:
-        return kernel
-    lam = T.lambdas()
+    lam = lambdas(T)
     basis = []
     for vec in kernel:
         fc = max(k for k, y in enumerate(vec) if y)
-        basis.append([lam[j] * y / lam[fc] for j, y in enumerate(vec)])
+        lf = lam[fc]
+        basis.append(
+            [Fraction(lam[j] * y.numerator, lf * y.denominator) if y else y for j, y in enumerate(vec)]
+        )
     return basis
+
+
+def radical_basis(V: QuadraticSpace) -> list:
+    """The library's basis of the radical of Cl0(V), over the e_a."""
+    return jacobson_radical(V)[1]
 
 
 def test_family_requires_regularity_at_zero():
@@ -219,7 +239,7 @@ def _m2_tensor():
 def test_radical_of_handwritten_matrix_algebra():
     T = _m2_tensor()
     T.verify_unital()
-    assert jacobson_radical(T) == []
+    assert reference_lambda_radical(T) == []
 
 
 @pytest.mark.parametrize(
@@ -233,32 +253,34 @@ def test_a_broken_identity_row_is_an_invariant_violation(key, row, side):
     with pytest.raises(InvariantViolation, match=f"identity fails on the {side} at"):
         T.verify_unital()
     with pytest.raises(InvariantViolation):
-        jacobson_radical(T)
+        reference_lambda_radical(T)
 
 
 def test_radical_examples():
-    assert jacobson_radical(theta_tensor(QuadraticSpace.diagonal([1, 1, 1]))) == []
-    T = theta_tensor(QuadraticSpace.diagonal([1, 1, 0]))
-    basis = jacobson_radical(T)
+    assert jacobson_radical(QuadraticSpace.diagonal([1, 1, 1])) == ([], [])
+    V = QuadraticSpace.diagonal([1, 1, 0])
+    R, basis = jacobson_radical(V)
+    assert R == [[0, 0, 1]]
     assert len(basis) == 2 == radical_shape(3, 1)[0]
     # the kernel directions are the even blades meeting the null direction:
     # coordinates 2 (e13) and 3 (e23) in the (e0, e12, e13, e23) basis
     assert echelon(basis).dim == 2
     for vec in basis:
         assert vec[0] == 0 and vec[1] == 0
-    assert reference_radical(T).nilpotency_index == 2 == radical_shape(3, 1)[1]
+    assert reference_radical(theta_tensor(V)).nilpotency_index == 2 == radical_shape(3, 1)[1]
 
 
 def test_radical_of_full_matrix_algebra_via_clifford():
     # Cl^+ of a nondegenerate odd form is a full matrix algebra; m = 3 gives M_2
-    T = theta_tensor(QuadraticSpace.diagonal([1, -1, 1]))
-    assert jacobson_radical(T) == []
+    assert radical_basis(QuadraticSpace.diagonal([1, -1, 1])) == []
 
 
 def test_radical_rejects_parametric_tensor():
+    # the trace-form reference refuses a tensor over Q[t]; the library's
+    # radical takes the special fibre, over Q by construction
     F = QuadraticFamily.diagonal([1, 1, t()])
     with pytest.raises(ValueError):
-        jacobson_radical(theta_tensor(F.space))
+        reference_lambda_radical(theta_tensor(F.space))
 
 
 def test_witness_examples():
@@ -325,7 +347,7 @@ def test_semisimple_iff_nondegenerate_on_random_forms():
         V = QuadraticSpace(g)
         twoq = [[2 * v for v in row] for row in V.gram]
         nondeg = echelon(twoq).dim == m
-        rad = jacobson_radical(theta_tensor(V))
+        rad = radical_basis(V)
         assert (rad == []) == nondeg
 
 
@@ -334,9 +356,9 @@ def test_radical_is_ideal_and_nil_by_construction():
     # the library's kernel is the same; a degenerate case of each parity of
     # corank
     for diag in ([1, 1, 0], [1, 0, 0], [0, 0, 0]):
-        T = theta_tensor(QuadraticSpace.diagonal(diag))
-        ref = reference_radical(T)
-        assert jacobson_radical(T) == ref.basis
+        V = QuadraticSpace.diagonal(diag)
+        ref = reference_radical(theta_tensor(V))
+        assert radical_basis(V) == ref.basis
         assert ref.nilpotency_index <= 4
 
 
@@ -464,9 +486,9 @@ def _low_rank_form(rng, m):
 
 @pytest.mark.parametrize("D", [2, 3, 6])
 def test_integer_radical_matches_the_fraction_reference(D):
-    """The radical of the tensor over D Q, reported over the e_a, is the
-    reference's on the tensor over Q, basis vector for basis vector; so is
-    the radical of the tensor over Q."""
+    """The radical, over the e_a, is the reference's on the tensor over Q,
+    basis vector for basis vector; so is the trace-form kernel of the
+    tensor over D Q mapped to the e_a, and that of the tensor over Q."""
     rng = random.Random(f"integer-radical/{D}")
     mixed = 0
     for m in (2, 3, 3, 4, 4, 5, 5, 6):
@@ -477,9 +499,10 @@ def test_integer_radical_matches_the_fraction_reference(D):
             T = theta_tensor(V)
             assert T.scale == V.scaled()[0]
             want = reference_radical(over_q(T)).basis
-            got = jacobson_radical(T)
+            got = radical_basis(V)
             assert got == want, (D, m)
-            assert jacobson_radical(over_q(T)) == want, (D, m)
+            assert reference_lambda_radical(T) == want, (D, m)
+            assert reference_lambda_radical(over_q(T)) == want, (D, m)
             assert all(type(y) is Fraction for vec in got for y in vec)
             # a vector across grades is where lambda_j / lambda_fc is not 1
             grades = [{T.basis_masks[k].bit_count() for k, y in enumerate(vec) if y} for vec in got]
@@ -521,7 +544,7 @@ def _printed(basis):
 @pytest.mark.parametrize("kind", ["diagonal", "dense", "qt"])
 def test_the_structure_theorem_gives_the_reference_radical(kind):
     """Dimension and nilpotency index of the radical by the formulas, and
-    the printed basis of the trace-form kernel, against the reference on
+    the printed basis of the span of Cl^odd ker Q(0), against the reference on
     every corank r = 0..m, m = 2..6; at odd m also the witness of a family
     with that special fibre, whose corank the library computes itself."""
     rng = random.Random(f"structure/{kind}")
@@ -531,7 +554,7 @@ def test_the_structure_theorem_gives_the_reference_radical(kind):
             T = theta_tensor(V)
             want = reference_radical(over_q(T))
             assert radical_shape(m, r) == (want.dimension, want.nilpotency_index), (kind, m, r)
-            assert _printed(jacobson_radical(T)) == _printed(want.basis), (kind, m, r)
+            assert _printed(radical_basis(V)) == _printed(want.basis), (kind, m, r)
             if m % 2:
                 w = certify_specialization(F)
                 assert witness_radical(w) == want, (kind, m, r)
@@ -559,12 +582,13 @@ def test_the_radical_basis_matches_the_fraction_mapping_reference():
     uneven = 0
     for m in range(3, 8):
         for r in range(m + 1):
-            T = theta_tensor(_dense_fibre(rng, m, r))
+            V = _dense_fibre(rng, m, r)
+            T = theta_tensor(V)
             assert T.scale > 1 or r == m, (m, r)
-            got, want = jacobson_radical(T), reference_lambda_radical(T)
+            got, want = radical_basis(V), reference_lambda_radical(T)
             assert got == want and _printed(got) == _printed(want), (m, r)
             assert all(type(y) is Fraction for vec in got for y in vec)
-            lam = T.lambdas()
+            lam = lambdas(T)
             for vec in got:
                 fc = max(k for k, y in enumerate(vec) if y)
                 uneven += any(y and lam[j] != lam[fc] for j, y in enumerate(vec))
@@ -719,3 +743,116 @@ def test_m7_families_with_a_large_special_radical(capsys, tmp_path, r, dim, inde
     assert (payload["radical_dim"], payload["radical_nilpotency_index"]) == (dim, index)
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_RADICAL_SHA256[r]
     assert elapsed < 4.0
+
+
+# -- the printed certificate, checked from stdout alone ------------------------
+
+
+def _printed_certificate(payload) -> tuple:
+    """(dim, table, radical) read from a ``degenerate analyze`` payload
+    alone: the special fibre as {(i, j): {k: int}} and the radical basis as
+    sparse ``int`` vectors.  The table and each vector are cleared of their
+    denominators, which moves no span and sends no product to or from 0."""
+    fibre = payload["special_fiber"]
+    entries = [(i, j, k, Fraction(v)) for i, j, k, v in fibre["c"]]
+    L = lcm(*(v.denominator for *_, v in entries))
+    table: dict = {}
+    for i, j, k, v in entries:
+        table.setdefault((i, j), {})[k] = int(v * L)
+    radical = []
+    for vec in payload["radical_basis"]:
+        vec = {k: x for k, v in enumerate(vec) if (x := Fraction(v))}
+        D = lcm(*(x.denominator for x in vec.values()))
+        radical.append({k: int(x * D) for k, x in vec.items()})
+    return fibre["dim"], table, radical
+
+
+def _product(table, u, v) -> dict:
+    out: dict = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: x for k, x in out.items() if x}
+
+
+def _eliminate(w, row, p) -> dict:
+    """w with column p cleared by ``row``, whose pivot is p, made primitive."""
+    a, b = row[p], w[p]
+    w = {k: x for k in w.keys() | row.keys() if (x := a * w.get(k, 0) - b * row.get(k, 0))}
+    g = gcd(*w.values())
+    return {k: x // g for k, x in w.items()}
+
+
+class _IntSpan:
+    """Span of sparse ``int`` vectors by fraction-free elimination: each
+    row is primitive and keyed by its pivot, its minimal column."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def insert(self, w) -> bool:
+        for p in sorted(self.rows):  # a row reaches only past its pivot
+            if w.get(p):
+                w = _eliminate(w, self.rows[p], p)
+        if w:
+            self.rows[min(w)] = w
+        return bool(w)
+
+    def annihilator(self, d) -> list:
+        """``int`` functionals {column: coefficient} whose common kernel is
+        the span.  With the rows reduced (each 0 at the other pivots), w is
+        in the span exactly when w - sum_p (w_p / r_p[p]) r_p = 0, and its
+        entry at each column g that is no pivot is one functional."""
+        for p in sorted(self.rows, reverse=True):
+            for q in [q for q in self.rows[p] if q != p and q in self.rows]:
+                self.rows[p] = _eliminate(self.rows[p], self.rows[q], q)
+        out = []
+        for g in range(d):
+            if g not in self.rows:
+                f = {g: Fraction(1)}
+                f.update({p: -Fraction(r[g], r[p]) for p, r in self.rows.items() if r.get(g)})
+                D = lcm(*(x.denominator for x in f.values()))
+                out.append({k: int(x * D) for k, x in f.items()})
+        return out
+
+
+def _check_printed_certificate(payload):
+    """The printed radical basis is independent and spans a two-sided ideal
+    of the printed tensor, whose power at the printed nilpotency index is 0
+    and whose power before it is not."""
+    d, table, radical = _printed_certificate(payload)
+    span = _IntSpan()
+    assert all(span.insert(v) for v in radical)
+    phi = span.annihilator(d)
+    for v in radical:
+        for x in range(d):
+            for w in (_product(table, v, {x: 1}), _product(table, {x: 1}, v)):
+                assert not any(sum(f.get(k, 0) * c for k, c in w.items()) for f in phi)
+    index = payload["radical_nilpotency_index"]
+    powers = [radical]  # bases of J, J^2, ..., J^n spanned by J^(n-1) J
+    while powers[-1] and len(powers) <= index:
+        nxt = _IntSpan()
+        powers.append([p for a in powers[-1] for b in radical if (p := _product(table, a, b)) and nxt.insert(p)])
+    assert len(powers) == index and not powers[-1]
+
+
+def test_the_printed_certificate_holds_without_the_library_products(capsys, tmp_path):
+    """On non-diagonal families Q0 + t I, Q0 of each corank at m = 3 and 5,
+    and on an m = 7 family of corank 2, the stdout of `degenerate analyze`
+    is checked with ``int`` and ``Fraction`` arithmetic only: no blade
+    product, tensor or span of the library."""
+    rng = random.Random("printed-certificate")
+    docs = []
+    for m in (3, 5):
+        for r in range(m + 1):
+            Q0 = _dense_fibre(rng, m, r).gram
+            assert r == m or any(Q0[i][j] for i in range(m) for j in range(i)), (m, r)
+            Q = [[Poly([Q0[i][j], int(i == j)]) for j in range(m)] for i in range(m)]
+            docs.append(encode_space(QuadraticSpace(Q)))
+    docs.append(_large_radical_family(2))
+    path = tmp_path / "family.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        assert main(["degenerate", "analyze", "--input", str(path)]) == 0
+        _check_printed_certificate(json.loads(capsys.readouterr().out)["payload"])

@@ -38,6 +38,7 @@ from cliffdegen.localmodels import (
     s_equivalent,
 )
 from cliffdegen.rings import Poly, RatFun
+from test_liestructure import lambdas
 
 DERANDOMIZED = settings(
     deadline=None,
@@ -137,7 +138,7 @@ def test_theta_tensor_is_the_transported_product(transport):
     e_j in Cl(W)."""
     Q, W, P = transport
     T = theta_tensor(Q)
-    lam = T.lambdas()
+    lam = lambdas(T)
     image = transporter(P, W)
     blades = [image(Multivector({mask: 1})) for mask in T.basis_masks]
     for i in range(T.dim):

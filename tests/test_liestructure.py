@@ -153,6 +153,20 @@ def unpacked(v: int, N: int) -> Poly:
     return Poly(coeffs)
 
 
+def lambdas(T: liestructure.AlgebraTensor) -> list:
+    """lambda_a per basis index of a Clifford tensor of ``scale`` D: basis
+    element a is f_a = lambda_a e_a, lambda_a = D^(|a|/2)."""
+    if T.scale == 1:
+        return [1] * T.dim
+    return [T.scale ** (mask.bit_count() >> 1) for mask in T.basis_masks]
+
+
+def is_rational(T: liestructure.AlgebraTensor) -> bool:
+    """Whether every entry of T is a rational value: not packed (width 0),
+    and each an ``int`` or a ``Fraction``."""
+    return not T.width and all(type(v) in (int, Fraction) for row in T.c.values() for v in row.values())
+
+
 def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
     """T in the basis e_a, of scale 1 and width 0: entry k of e_i e_j is
     entry k of f_i f_j divided by lambda_i lambda_j / lambda_k, through
@@ -160,7 +174,7 @@ def over_q(T: liestructure.AlgebraTensor) -> liestructure.AlgebraTensor:
     h_i + h_j = h_k (h = |mask|/2): such a wedge term stays a scalar, as
     the encoder prints it.  A ``RatFun`` entry, of a tensor of scale 1 that
     the encoder prints as it is, passes through unreduced."""
-    lam = T.lambdas()
+    lam = lambdas(T)
     h = [mask.bit_count() >> 1 for mask in T.basis_masks or ()]
 
     def entry(v, i, j, k):
@@ -206,7 +220,7 @@ def test_theta_tensor_injectivity_via_reconstruction():
 def test_theta_tensor_parametric_entries():
     t = Poly.t()
     T = theta_tensor(QuadraticSpace.diagonal([Poly.const(1), Poly.const(1), t]))
-    assert T.width > 0 and not T.is_rational()
+    assert T.width > 0 and not is_rational(T)
     degs = []
     for row in over_q(T).c.values():
         for v in row.values():

@@ -36,7 +36,9 @@ ALLOWED = {
     ("rings.py", "as_rational"): "the one normaliser: a rational that is neither an int nor a "
     "Fraction (a bool, say) becomes a Fraction",
     ("linalg.py", "nullspace_dense"): "kernel vectors are lists of Fractions, the zeros and the "
-    "free 1 included: jacobson_radical prints them, and tests pin their type",
+    "free 1 included, and tests pin their type",
+    ("degeneration.py", "jacobson_radical"): "the radical basis that a witness prints is dense lists "
+    "of Fractions, zeros included, and tests pin their type",
 }
 
 

@@ -105,7 +105,7 @@ def test_halved_doubled_weights_match_the_fraction_reference(ell):
     assert all(type(x) is int for wt in got for x in wt)
     W = WittDecomposition(ell, odd=False)
     for i in range(1, ell + 1):
-        assert all(type(c) is int for c in cartan_element(i, W).terms.values())
+        assert all(type(c) is int for c in cartan_element(i, W, W.space()).terms.values())
 
 
 # --- dense references: the checks as they were before sparse columns ---
@@ -230,16 +230,19 @@ def test_a_wrong_action_fails_both_checks_alike(monkeypatch, mutate, ell, odd):
 
 
 def test_the_first_failure_is_the_first_entry_in_row_major_order(monkeypatch):
-    # n_1 replaced by A = E_01 + E_13 + E_30, whose square E_03 + E_10 + E_31
-    # fails at (0, 3) first by rows and at (1, 0) first by columns
+    # n_1's step replaced by the signed partial permutation
+    # A = E_01 + E_13 + E_30, whose square E_03 + E_10 + E_31 fails at
+    # (0, 3) first by rows and at (1, 0) first by columns
     W = WittDecomposition(2, odd=False)
-    real = spinor.spinor_columns
-    A = [{3: Fraction(1)}, {0: Fraction(1)}, {}, {1: Fraction(1)}]
+    real = spinor._step
+    A = {1: 0, 3: 1, 0: 3}  # column -> row; column 2 is killed
 
-    def columns(x, W):
-        return [dict(col) for col in A] if x == W.n(1) else real(x, W)
+    def step(k, subset, W):
+        if k != 1:
+            return real(k, subset, W)
+        return (A[subset], 1) if subset in A else None
 
-    monkeypatch.setattr(spinor, "spinor_columns", columns)
+    monkeypatch.setattr(spinor, "_step", step)
     failure = verify_action_relations(W)
     assert failure == {"pair": (1, 1), "entry": (0, 3), "got": 1, "want": 0}
     assert dense_relations(W) == failure
@@ -376,7 +379,7 @@ def test_spin_weights_examples():
 def test_weights_read_the_sparse_diagonal_and_check_it(monkeypatch):
     # the weights are the diagonals of the dense Cartan matrices
     W = WittDecomposition(4, odd=False)
-    mats = [spinor_matrix(cartan_element(i, W), W) for i in range(1, 5)]
+    mats = [spinor_matrix(cartan_element(i, W, W.space()), W) for i in range(1, 5)]
     want: dict = {}
     for s in range(16):
         wt = tuple(mat[s][s] for mat in mats)
@@ -385,7 +388,7 @@ def test_weights_read_the_sparse_diagonal_and_check_it(monkeypatch):
     plus, minus = halfspin_split(4)
     assert {**plus, **minus} == want and sum(plus.values()) == 8
     # an element that moves monomials is refused, and the CLI reports it
-    monkeypatch.setattr(spinor, "cartan_element", lambda i, W: W.n(i) + W.p(i))
+    monkeypatch.setattr(spinor, "cartan_element", lambda i, W, V: W.n(i) + W.p(i))
     for weights in (spin_weights, halfspin_split):
         with pytest.raises(InvariantViolation, match="non-diagonally"):
             weights(3)
@@ -398,7 +401,7 @@ def test_weights_distinct_and_cartans_in_lie_algebra():
         assert len(w) == 2 ** ell and all(v == 1 for v in w.values())
         W = WittDecomposition(ell, odd=False)
         for i in range(1, ell + 1):
-            h = cartan_element(i, W)
+            h = cartan_element(i, W, W.space())
             assert is_even(h) and filtration_degree(h) <= 2
 
 
