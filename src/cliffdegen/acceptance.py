@@ -228,13 +228,16 @@ def criterion_degeneration() -> dict:
         F = QuadraticFamily.diagonal([1] * (m - 1) + [t])
         w = certify_specialization(F)
         T = w.special_fiber
-        # independent trace-form kernel: operators applied via tensor products
+        # independent trace-form kernel from the tensor's products, without
+        # assuming T associative: L_i has entry c_il^k at (k, l), so
+        # Tr(L_i L_j) = sum over k, l of c_il^k c_jk^l
         d = T.dim
+        prods = [[T.multiply({i: 1}, {j: 1}) for j in range(d)] for i in range(d)]
         gram = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 gram[i][j] = gram[j][i] = sum(
-                    T.multiply({i: 1}, T.multiply({j: 1}, {k: 1})).get(k, 0) for k in range(d)
+                    prods[i][l].get(k, 0) * v for k in range(d) for l, v in prods[j][k].items()
                 )
         indep_dim = d - rank((dict(enumerate(row)) for row in gram), d)
         dim = len(w.radical_basis)

@@ -174,10 +174,6 @@ class Multivector:
             return NotImplemented
         return Multivector(axpy(dict(self.terms), -1, other.terms))
 
-    def scale(self, c) -> "Multivector":
-        c = as_coeff(c)
-        return Multivector({m: c * v for m, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented

@@ -100,10 +100,14 @@ def jacobson_radical(V: QuadraticSpace) -> tuple:
     """(R, basis) for a form V over Q: R a basis of ker V, and a basis of
     the radical of Cl0(V) over the e_a, the span of the Clifford products
     e_S r of every odd blade e_S with every r in R (module docstring).
-    Nothing is checked here; :func:`certify_specialization` compares the
-    dimension of the span with the structure theorem's for corank len(R).
+    Nothing is checked here; :func:`certify_specialization` checks R and
+    compares the dimension of the span with the structure theorem's.
 
-    Each product takes one generator step per nonzero coordinate of r.
+    Each r has 1 at its free coordinate f, its last nonzero one, so the
+    e_i with i != f and r are a basis of V.  A product of them that holds
+    r ends in r up to sign, since r anticommutes with V, and r r = q(r) =
+    0: the e_S r with f not in S already span Cl^odd r, and only they are
+    formed.  Each takes one generator step per nonzero coordinate of r.
     The basis is the reduced echelon form of the span with the even blades
     taken last to first: each vector ends with 1 at its own blade, where
     the others are 0.  A subspace has one such basis, and it is the one
@@ -115,8 +119,9 @@ def jacobson_radical(V: QuadraticSpace) -> tuple:
     R = nullspace_dense(V.gram, V.m)
     span = SpanBasis()
     for r in R:
+        free = 1 << max(j for j, rj in enumerate(r) if rj)
         for S in range(1 << V.m):
-            if S.bit_count() % 2:
+            if S.bit_count() % 2 and not S & free:
                 product: dict = {}
                 for j, rj in enumerate(r, 1):
                     if rj:
@@ -202,11 +207,12 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     """Produce the witness, or raise :class:`NoWitness` when det(2Q) == 0.
 
     The special fibre's radical is the span of Cl^odd ker Q(0)
-    (:func:`jacobson_radical`); its dimension must be the structure
-    theorem's for the corank of Q(0), which also gives the nilpotency
-    index.  The generic fibre is semisimple because det 2Q(t) != 0; as a
-    check, the first integer point c where the family is regular and
-    det 2Q(c) != 0 must give a 2Q(c) of full rank.
+    (:func:`jacobson_radical`).  Each vector of the kernel basis must have
+    Q(0) r = 0, their number must be the corank of Q(0), and the span's
+    dimension must be the structure theorem's for that corank, which also
+    gives the nilpotency index.  The generic fibre is semisimple because
+    det 2Q(t) != 0; as a check, the first integer point c where the family
+    is regular and det 2Q(c) != 0 must give a 2Q(c) of full rank.
     """
     if F.m % 2 == 0:
         raise ValueError("odd m required: the generic even algebra must be a full matrix algebra")
@@ -217,6 +223,14 @@ def certify_specialization(F: QuadraticFamily) -> SpecializationWitness:
     special = theta_tensor(F.special)
     special.verify_unital()
     R, basis = jacobson_radical(F.special)
+    # a wrong kernel of the right size can span a radical of the right
+    # dimension, so R is checked before the span is
+    for r in R:
+        if any(sum(g * rj for g, rj in zip(row, r)) for row in F.special.gram):
+            raise InvariantViolation(f"Q(0) r != 0 for the kernel vector r = ({', '.join(map(str, r))})")
+    corank = _corank(F.special)
+    if len(R) != corank:
+        raise InvariantViolation(f"ker Q(0) has {len(R)} basis vectors, Q(0) has corank {corank}")
     dim, index = radical_shape(F.m, len(R))
     if len(basis) != dim:
         raise InvariantViolation(

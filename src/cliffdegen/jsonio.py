@@ -244,28 +244,16 @@ def encode_fingerprint(F: TraceFingerprint) -> dict:
     }
 
 
-def _halves(W: dict) -> dict:
-    """Each coordinate of the doubled weights of W, halved and printed:
-    one ``Fraction`` per distinct value."""
-    return {x: encode_rational(Fraction(x, 2)) for x in {x for wt in W for x in wt}}
-
-
 def encode_weights(W: dict) -> list:
-    """A weight multiset keyed by doubled ``int`` weights, halved here."""
-    half = _halves(W)
-    out = []
-    for wt in sorted(W):
-        out.append({"weight": [half[x] for x in wt], "multiplicity": W[wt]})
-    return out
+    """A weight multiset keyed by doubled ``int`` weights, halved here: one
+    ``Fraction`` per distinct coordinate value."""
+    half = {x: encode_rational(Fraction(x, 2)) for x in {x for wt in W for x in wt}}
+    return [{"weight": [half[x] for x in wt], "multiplicity": W[wt]} for wt in sorted(W)]
 
 
-def weights_tsv(W: dict) -> str:
-    """The multiset of :func:`encode_weights` as tab-separated lines."""
-    half = _halves(W)
-    lines = []
-    for wt in sorted(W):
-        lines.append("\t".join(half[x] for x in wt) + "\t" + str(W[wt]))
-    return "\n".join(lines) + "\n"
+def weights_tsv(rows: list) -> str:
+    """The rows of :func:`encode_weights` as tab-separated lines."""
+    return "\n".join("\t".join(row["weight"]) + f"\t{row['multiplicity']}" for row in rows) + "\n"
 
 
 def encode_witness(w: SpecializationWitness) -> dict:

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals: one sparse echelon core
-(:class:`SpanBasis`, over Q or modulo a prime) behind spans, ranks (each
-first tried as a set already in echelon form, see :func:`rank`) and
-nullspaces, and small dense matrix helpers used by the local-model
-routines."""
+(:class:`SpanBasis`, whose one elimination loop runs over Q or modulo a
+prime) behind spans, ranks (each first tried as a set already in echelon
+form, see :func:`rank`) and nullspaces, and small dense matrix helpers
+used by the local-model routines."""
 
 from __future__ import annotations
 
@@ -36,21 +36,16 @@ class SpanBasis:
         """Residue of vec modulo the current span (vec is not mutated).  No
         pivot column is left in it, so a zero residue is always recognised."""
         p, pivots = self.p, self.pivots
-        if p is None:
-            out = {c: v for c, v in vec.items() if v != 0}
-        else:
-            # entries are left unreduced until read: at a pivot, and at the end
-            out = {c: v % p for c, v in vec.items() if v % p}
+        # over Z/p entries are left unreduced until read: at a pivot, and at the end
+        out = {c: v for c, v in vec.items() if v}
         while True:
             # a row reaches only past its own pivot, so eliminating the
             # smallest pivot column present never brings back a smaller one
             col = min((c for c in out if c in pivots), default=None)
             if col is None:
-                return out if p is None else {c: r for c, v in out.items() if (r := v % p)}
-            if p is None:
-                axpy(out, -out[col], pivots[col])
-                continue
-            f = -out[col] % p
+                # drops what cancelled, and reads the entries modulo p
+                return {c: r for c, v in out.items() if (r := v if p is None else v % p)}
+            f = -out[col] if p is None else -out[col] % p
             if f:
                 for c, v in pivots[col].items():
                     out[c] = out.get(c, 0) + f * v

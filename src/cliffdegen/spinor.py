@@ -22,6 +22,10 @@ signed partial permutation, with ``int`` signs.
 
 S+ / S- are the even / odd exterior-degree halves (the empty monomial lies
 in S+); each has dimension 2^(l-1).
+
+:func:`even_algebra_isomorphism_check` returns the ``spinor check``
+payload itself, in JSON-native values; the weights here are doubled
+``int`` tuples, halved only where ``jsonio`` prints them.
 """
 
 from __future__ import annotations
@@ -186,8 +190,11 @@ def verify_action_relations(W: WittDecomposition):
 
 
 def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
-    """Report on the induced map from the even Clifford algebra to
-    endomorphisms of S (odd case) or of S+ (+) S- (even case)."""
+    """The ``spinor check`` payload: the induced map from the even Clifford
+    algebra to endomorphisms of S (odd case) or of S+ (+) S- (even case).
+    When the relations fail, the rank is not computed, and the first failed
+    relation is reported with its pair and entry as lists and its values
+    as exact strings."""
     failure = verify_action_relations(W)
     dim = 1 << W.ell
     masks = even_blade_basis(W.m)
@@ -196,10 +203,17 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
         "ell": W.ell,
         "dim_even_algebra": len(masks),
         "relations_ok": failure is None,
-        "first_failed_relation": failure,
+        "operator_rank": None,
+        "target_dim": None,
+        "bijective": False,
     }
     if failure is not None:
-        report["bijective"] = False
+        report["first_failed_relation"] = {
+            "pair": list(failure["pair"]),
+            "entry": list(failure["entry"]),
+            "got": str(failure["got"]),
+            "want": str(failure["want"]),
+        }
         return report
     block_ok = True
     vecs = []
@@ -223,10 +237,7 @@ def even_algebra_isomorphism_check(W: WittDecomposition) -> dict:
     target = dim * dim if W.odd else (dim - dim // 2) ** 2 + (dim // 2) ** 2
     # the kept coordinates span a space of dimension target
     r = rank(vecs, target)
-    report["block_structure_ok"] = block_ok if not W.odd else None
-    report["operator_rank"] = r
-    report["target_dim"] = target
-    report["bijective"] = r == target == len(masks) and (W.odd or block_ok)
+    report.update(operator_rank=r, target_dim=target, bijective=r == target == len(masks) and block_ok)
     return report
 
 

@@ -72,12 +72,16 @@ def test_tuple_round_trip_and_fingerprint_order():
 
 def test_weights_tsv_layout():
     # weights arrive doubled and are halved for print
-    W = {(1, -1): 2, (2, 0): 1}
-    assert jsonio.weights_tsv(W) == "1/2\t-1/2\t2\n1\t0\t1\n"
-    assert jsonio.encode_weights(W) == [
+    W = {(2, 0): 1, (1, -1): 2}
+    rows = jsonio.encode_weights(W)
+    assert rows == [
         {"weight": ["1/2", "-1/2"], "multiplicity": 2},
         {"weight": ["1", "0"], "multiplicity": 1},
     ]
+    assert jsonio.weights_tsv(rows) == "1/2\t-1/2\t2\n1\t0\t1\n"
+    # l = 0: the empty weight keeps its tab; the empty S- keeps one newline
+    assert jsonio.weights_tsv(jsonio.encode_weights({(): 1})) == "\t1\n"
+    assert jsonio.weights_tsv(jsonio.encode_weights({})) == "\n"
 
 
 def test_bad_inputs_raise_format_errors():
@@ -1189,22 +1193,41 @@ def test_localmodel_size_guard_refuses_before_any_product(capsys, tmp_path, monk
 
 
 def test_an_internal_invariant_failure_exits_2_with_a_counterexample(capsys, tmp_path, monkeypatch):
-    # e_1 passes for the kernel of Q(0) = diag(1, 1, 0): the products of the
-    # odd blades with it span all 4 dimensions of Cl0, where the structure
-    # theorem gives a radical of dimension 2 at corank 1
-    monkeypatch.setattr(
-        degeneration, "nullspace_dense", lambda rows, n: [[Fraction(int(k == 0)) for k in range(n)]]
-    )
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", ["0", "1"]]]}))
-    code, out, _ = run_cli(capsys, ["degenerate", "analyze", "--input", str(path)])
-    assert code == 2
-    doc = json.loads(out)  # exactly one document
-    assert doc == {
-        "subcommand": "degenerate analyze",
-        "verdict": "fail",
-        "payload": {"counterexample": "the span of Cl^odd ker Q(0) has dimension 4, the structure theorem 2"},
-    }
+    cases = [
+        # e_1 passes for the kernel of Q(0) = diag(1, 1, 0); its products with
+        # the odd blades would span the 2 dimensions of the radical at corank
+        # 1, so only the check Q(0) r = 0 refuses it
+        (
+            "nullspace_dense",
+            lambda rows, n: [[Fraction(int(k == 0)) for k in range(n)]],
+            "Q(0) r != 0 for the kernel vector r = (1, 0, 0)",
+        ),
+        # e_3 twice: each vector is in ker Q(0), but there are two of them
+        (
+            "nullspace_dense",
+            lambda rows, n: [[Fraction(int(k == n - 1)) for k in range(n)]] * 2,
+            "ker Q(0) has 2 basis vectors, Q(0) has corank 1",
+        ),
+        # every product 1: the right kernel spans 1 dimension, not 2
+        (
+            "_blade_times_gen",
+            lambda V, S, j: {0: 1},
+            "the span of Cl^odd ker Q(0) has dimension 1, the structure theorem 2",
+        ),
+    ]
+    for name, stand_in, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(degeneration, name, stand_in)
+            code, out, _ = run_cli(capsys, ["degenerate", "analyze", "--input", str(path)])
+        assert code == 2
+        doc = json.loads(out)  # exactly one document
+        assert doc == {
+            "subcommand": "degenerate analyze",
+            "verdict": "fail",
+            "payload": {"counterexample": message},
+        }
 
 
 def test_a_non_unital_fibre_tensor_exits_2_not_as_an_input_error(capsys, tmp_path, monkeypatch):

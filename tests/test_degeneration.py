@@ -587,6 +587,7 @@ def test_the_radical_basis_matches_the_fraction_mapping_reference():
             assert T.scale > 1 or r == m, (m, r)
             got, want = radical_basis(V), reference_lambda_radical(T)
             assert got == want and _printed(got) == _printed(want), (m, r)
+            assert len(got) == radical_shape(m, r)[0], (m, r)
             assert all(type(y) is Fraction for vec in got for y in vec)
             lam = lambdas(T)
             for vec in got:

@@ -37,7 +37,7 @@ from cliffdegen.localmodels import (
     is_cyclic_vector,
     s_equivalent,
 )
-from cliffdegen.rings import Poly, RatFun
+from cliffdegen.rings import Poly, RatFun, axpy
 from test_liestructure import lambdas
 
 DERANDOMIZED = settings(
@@ -95,10 +95,10 @@ def transporter(P, W: QuadraticSpace):
         return images[mask]
 
     def image(x: Multivector) -> Multivector:
-        out = Multivector()
+        out: dict = {}
         for mask, c in x.terms.items():
-            out = out + blade(mask).scale(c)
-        return out
+            axpy(out, c, blade(mask).terms)
+        return Multivector(out)
 
     return image
 
@@ -144,10 +144,10 @@ def test_theta_tensor_is_the_transported_product(transport):
     for i in range(T.dim):
         for j in range(T.dim):
             want = geometric_product(blades[i], blades[j], W)
-            got = Multivector()
+            got: dict = {}
             for k, v in T.entry(i, j).items():
-                got = got + blades[k].scale(Fraction(v * lam[k], lam[i] * lam[j]))
-            assert got == want, (Q.gram, indices_of(T.basis_masks[i]), indices_of(T.basis_masks[j]))
+                axpy(got, Fraction(v * lam[k], lam[i] * lam[j]), blades[k].terms)
+            assert Multivector(got) == want, (Q.gram, indices_of(T.basis_masks[i]), indices_of(T.basis_masks[j]))
 
 
 t = Poly.t()

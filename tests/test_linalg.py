@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from cliffdegen import linalg
 from cliffdegen.acceptance import _random_unimodular
 from cliffdegen.linalg import _P, SpanBasis, echelon, identity_matrix, mat_mul, nullspace_dense, rank
+from cliffdegen.rings import axpy
 
 sympy = pytest.importorskip("sympy")
 
@@ -102,6 +103,63 @@ def test_span_basis_keeps_int_rows_exact():
     assert all(type(v) is Fraction for row in rows.values() for v in row.values())
     assert rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: Fraction(-2, 3)}}
 
+
+
+class ReferenceSpanBasis(SpanBasis):
+    """The span with the elimination as it ran before Q and Z/p shared one
+    loop: ``axpy`` over Q, an inline update modulo p."""
+
+    def reduce(self, vec: dict) -> dict:
+        p, pivots = self.p, self.pivots
+        if p is None:
+            out = {c: v for c, v in vec.items() if v != 0}
+        else:
+            out = {c: v % p for c, v in vec.items() if v % p}
+        while True:
+            col = min((c for c in out if c in pivots), default=None)
+            if col is None:
+                return out if p is None else {c: r for c, v in out.items() if (r := v % p)}
+            if p is None:
+                axpy(out, -out[col], pivots[col])
+                continue
+            f = -out[col] % p
+            if f:
+                for c, v in pivots[col].items():
+                    out[c] = out.get(c, 0) + f * v
+            del out[col]
+
+
+@st.composite
+def span_sequences(draw):
+    """(p, vectors): p None, a small prime or ``_P``, and sparse vectors
+    over 6 columns with explicit zeros; ``Fraction`` entries over Q, and
+    over Z/p ``int`` entries among which some are nonzero multiples of p."""
+    p = draw(st.sampled_from([None, 3, 5, _P]))
+    if p is None:
+        value = st.one_of(entries, st.just(0), st.integers(-3, 3))
+    else:
+        value = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-3, 3).map(lambda k: k * p), int_entries)
+    return p, draw(st.lists(st.dictionaries(st.integers(0, 5), value, max_size=6), max_size=10))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(span_sequences())
+@example((None, [{0: 0, 1: 2}, {1: 1, 2: Fraction(0)}, {0: 0}, {1: 4, 2: 1}, {2: 3}]))
+@example((3, [{0: 3, 1: 1}, {1: 6, 2: 1}, {0: 1, 1: -2}, {1: 1, 2: 7}, {0: 9}]))
+def test_one_elimination_loop_gives_the_two_branch_residues(case):
+    """Each residue (its values and their types), each insert's verdict,
+    the stored rows and ``dim`` equal the two-branch reference's, vector by
+    vector."""
+    p, vectors = case
+    span, ref = SpanBasis(p), ReferenceSpanBasis(p)
+
+    def typed(residue):
+        return {c: (v, type(v)) for c, v in residue.items()}
+
+    for vec in vectors:
+        assert typed(span.reduce(vec)) == typed(ref.reduce(vec))
+        assert span.insert(vec) == ref.insert(vec)
+    assert span.pivots == ref.pivots and span.dim == ref.dim
 
 @st.composite
 def vector_families(draw):

@@ -56,10 +56,9 @@ class ReferenceDoubledAlgebra:
         self.dd_space = QuadraticSpace([zero + row for row in two_q] + [row + zero for row in two_q])
         self._delta_images = {}
         for i in range(1, m + 1):
-            d = Multivector.basis_vector(i)
-            dp = Multivector.basis_vector(m + i)
-            self._delta_images[i] = (d + dp).scale(HALF)  # image of f_i
-            self._delta_images[m + i] = (d - dp).scale(HALF)  # image of g_i
+            d, dp = 1 << (i - 1), 1 << (m + i - 1)
+            self._delta_images[i] = Multivector({d: HALF, dp: HALF})  # image of f_i
+            self._delta_images[m + i] = Multivector({d: HALF, dp: -HALF})  # image of g_i
         self._convert_cache = {0: Multivector.scalar(1)}
         self._unbalanced_cache: dict = {}
 
@@ -389,7 +388,8 @@ def test_membership_of_units_on_dense_forms_is_x_v_tau_x_in_v():
             w = orthogonal_volume(V)
             if w is None:
                 continue
-            x = Multivector.scalar(1) + w.scale(rng.choice([-2, -1, 1, 2]))
+            c = rng.choice([-2, -1, 1, 2])
+            x = Multivector.scalar(1) + Multivector({mask: c * v for mask, v in w.terms.items()})
         else:
             x = _sample_element(rng, V)
         if not norm_scalar(x, V):
@@ -468,7 +468,7 @@ def test_glip_inverse_stays_lipschitz():
         if lipschitz_report(x, V)["verdict"] not in ("group", "spin"):
             continue
         z = norm_scalar(x, V)
-        inv = reverse(x, V).scale(Fraction(1) / z)
+        inv = Multivector({mask: Fraction(v) / z for mask, v in reverse(x, V).terms.items()})
         assert gp(x, inv, V) == Multivector.scalar(1)
         assert is_lipschitz(inv, V)
         found += 1
