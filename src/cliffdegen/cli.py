@@ -170,6 +170,13 @@ def _check_ratfun_m(V, cap: int, ratfun_cap: int, more=()):
         )
 
 
+def _round_trip(V) -> dict:
+    """The form read back from the even Lie algebra of V, and whether it
+    is V."""
+    R = reconstruct_form(build_even_lie(V))
+    return {"recovered_Q": jsonio.encode_space(R), "matches": R.gram == V.gram}
+
+
 def _cmd_form_reconstruct(args):
     if args.random and args.input is not None:
         raise UsageError("--random and --input exclude each other")
@@ -184,26 +191,14 @@ def _cmd_form_reconstruct(args):
         trials = 1 if args.trials is None else args.trials
         if trials < 1:
             raise UsageError(f"--trials must be >= 1, got {trials}")
-        payload = {"seed": seed, "trials": trials, "m": args.m, "results": []}
-        ok = True
-        for _ in range(trials):
-            V = acceptance._random_symmetric(rng, args.m)
-            R = reconstruct_form(build_even_lie(V))
-            match = R.gram == V.gram
-            ok = ok and match
-            payload["results"].append(
-                {"recovered_Q": jsonio.encode_space(R), "matches": match}
-            )
-        return ("pass" if ok else "fail"), payload
+        results = [_round_trip(acceptance._random_symmetric(rng, args.m)) for _ in range(trials)]
+        ok = all(r["matches"] for r in results)
+        return ("pass" if ok else "fail"), {"seed": seed, "trials": trials, "m": args.m, "results": results}
     V = jsonio.decode_space(_load_input(args.input))
     _check_reconstruct_m(V.m)
     _check_ratfun_m(V, MAX_RECONSTRUCT_M, MAX_RATFUN_RECONSTRUCT_M)
-    R = reconstruct_form(build_even_lie(V))
-    match = R.gram == V.gram
-    return ("pass" if match else "fail"), {
-        "recovered_Q": jsonio.encode_space(R),
-        "matches": match,
-    }
+    payload = _round_trip(V)
+    return ("pass" if payload["matches"] else "fail"), payload
 
 
 def _tensor_space(args):

@@ -177,9 +177,7 @@ class Multivector:
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.terms == other.terms
 
     def coefficient(self, indices):
         return self.terms.get(mask_of(indices), 0)

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import lcm, prod
 
 from .clifford import QuadraticSpace, _blade_times_gen, specialize_space
 from .liestructure import AlgebraTensor, even_blade_basis, theta_tensor
@@ -138,17 +139,17 @@ def jacobson_radical(V: QuadraticSpace) -> tuple:
 
 
 def _integer_row(row) -> tuple:
-    """(scale, polys): the row times its scale, over Z[t].  The scale is
-    the product of the row's ``RatFun`` denominators times the lcm of the
-    coefficient denominators that this product leaves."""
+    """(dens, L, polys): ``polys`` is the row over Z[t], times the product
+    of its ``RatFun`` denominators ``dens`` and of the integer L, the lcm of
+    the coefficient denominators that this product leaves."""
     polys = [v.num if isinstance(v, RatFun) else v if isinstance(v, Poly) else Poly.const(v) for v in row]
-    scale = Poly.const(1)
+    dens = []
     for i, v in enumerate(row):
         if isinstance(v, RatFun):
-            scale = scale * v.den
+            dens.append(v.den)
             polys = [p if j == i else p * v.den for j, p in enumerate(polys)]
-    L = lcm(*(c.denominator for p in polys + [scale] for c in p.coeffs))
-    return scale * L, [Poly([int(c * L) for c in p.coeffs]) for p in polys]
+    L = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return dens, L, [Poly([int(c * L) for c in p.coeffs]) for p in polys]
 
 
 def _det_fraction_field(rows) -> RatFun:
@@ -158,9 +159,16 @@ def _det_fraction_field(rows) -> RatFun:
     fraction-free elimination (Math. Comp. 22, 1968) runs on the result:
     after step k, entry (i, j) is the minor of rows 0..k, i and columns
     0..k, j, so dividing by the previous pivot is exact and the entries stay
-    in Z[t] at the degree of a minor."""
+    in Z[t] at the degree of a minor.
+
+    The last pivot over the product of the rows' scales is the
+    determinant.  It is cancelled against one denominator at a time, each a
+    small Euclid: a leftover denominator is coprime to the numerator then,
+    and stays so as the numerator loses factors, so the product of the
+    monic leftovers is the denominator in lowest terms.  The integers L are
+    units: they only divide the numerator."""
     n = len(rows)
-    scales, mat = zip(*(_integer_row(row) for row in rows))
+    dens, units, mat = zip(*(_integer_row(row) for row in rows))
     mat = list(mat)
     sign = 1
     prev = Poly.const(1)
@@ -180,10 +188,12 @@ def _det_fraction_field(rows) -> RatFun:
                     raise InvariantViolation("a Bareiss step did not divide exactly")
                 ri[j] = q
         prev = p
-    den = Poly.const(sign)
-    for s in scales:
-        den = den * s
-    return RatFun(prev, den).reduced()
+    num, den = prev * sign, Poly.const(1)
+    for s in chain.from_iterable(dens):
+        if s != 1:
+            low = RatFun(num, s).reduced()
+            num, den = low.num, den * low.den
+    return RatFun(num * Fraction(1, prod(units)), den)
 
 
 @dataclass

@@ -57,7 +57,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .clifford import QuadraticSpace, _terms_times_word, blade_row, indices_of
-from .rings import InvariantViolation, Poly, axpy, czero
+from .rings import InvariantViolation, Poly, RatFun, axpy, czero
 
 
 class LieClosureError(ArithmeticError):
@@ -122,12 +122,10 @@ def unscale(v, Dk):
     (|a| + |b| - |c|)/2 for blades a b -> c): a ``Fraction`` for a rational
     (even when Dk = 1), a ``Poly`` of ``Fraction``s for a ``Poly``, and for
     a ``RatFun`` (whose spaces run unscaled, but whose recovered form is
-    divided by 2) v / Dk in lowest terms."""
-    if type(v) is int or type(v) is Fraction:
-        return Fraction(v, Dk)
-    if type(v) is Poly:
-        return Poly([Fraction(c, Dk) for c in v.coeffs])
-    return (v * Fraction(1, Dk)).reduced()
+    divided by 2) v / Dk in lowest terms.  One multiplication by 1/Dk
+    divides each kind: a ``Poly`` scales coefficient by coefficient."""
+    v = v * Fraction(1, Dk)
+    return v.reduced() if isinstance(v, RatFun) else v
 
 
 def build_even_lie(V: QuadraticSpace) -> QuotientLieAlgebra:
@@ -250,9 +248,7 @@ def reconstruct_form(L: QuotientLieAlgebra) -> QuadraticSpace:
     # consistency: the recovered form must reproduce every constant
     expected = _transcribe(bil)
     for key in set(expected) | set(L.table):
-        got = L.table.get(key, {})
-        want = expected.get(key, {})
-        if set(got) != set(want) or any(got[p] != want[p] for p in got):
+        if L.table.get(key, {}) != expected.get(key, {}):
             raise ReconstructionError(
                 f"constants at {key} are not those of any symmetric form"
             )

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals: one sparse echelon core
 (:class:`SpanBasis`, whose one elimination loop runs over Q or modulo a
 prime) behind spans, ranks (each first tried as a set already in echelon
-form, see :func:`rank`) and nullspaces, and small dense matrix helpers
-used by the local-model routines."""
+form, then modulo a prime: :func:`rank` alone decides when a result
+modulo a prime is certified) and nullspaces, found over Q, and small
+dense matrix helpers used by the local-model routines."""
 
 from __future__ import annotations
 
@@ -139,12 +140,8 @@ def rank(vectors, full: int) -> int:
 
 def nullspace_dense(rows: list, ncols: int) -> list:
     """Basis of {x : A x = 0} for A given as dense rows of rationals: one
-    vector per free column of the reduced row echelon form of A.  A square
-    A of full rank modulo ``_P`` has none, found without rational
-    arithmetic.  Kernel vectors hold ``Fraction``s."""
-    # stops at the first row dependent on the earlier ones modulo _P
-    if len(rows) == ncols and all(_grows_modulo_p(dict(enumerate(r)) for r in rows)):
-        return []
+    vector per free column of the reduced row echelon form of A, over Q.
+    Kernel vectors hold ``Fraction``s."""
     pivots = echelon(rows).rref()
     basis = []
     for fc in range(ncols):

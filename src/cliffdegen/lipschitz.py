@@ -92,14 +92,14 @@ def _psi_sign(mask: int) -> int:
 
 def is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
     """Homogeneous, and x (x) tau(x) = sum c_a c_b psi(e_b) f_a g_b is
-    balanced: H kills it."""
+    balanced: H kills it.  Each (a, b) is its own key, and a product of two
+    nonzero coefficients is nonzero, so the terms are written down as they
+    are."""
     if not is_homogeneous(x):
         return False
     D = doubled_algebra(V)
-    m = D.m
-    pair: dict = {}
-    for ma, ca in x.terms.items():
-        axpy(pair, ca, {ma | (mb << m): _psi_sign(mb) * cb for mb, cb in x.terms.items()})
+    terms = x.terms.items()
+    pair = {ma | (mb << D.m): ca * (_psi_sign(mb) * cb) for ma, ca in terms for mb, cb in terms}
     return not D.unbalanced(pair)
 
 

@@ -27,7 +27,9 @@ result spread over its Weyl orbit; the total is checked against the Weyl
 dimension formula.
 
 The branching cases restrict along V(theta), theta the highest root of one
-length, whose orthogonality is the parity of <theta, 2 rho^v>.
+length, whose orthogonality is the parity of <theta, 2 rho^v>.  Each
+distinct half-spin multiset is identified once: in all three cases the two
+halves restrict to the same multiset, and the - half reuses the + result.
 """
 
 from __future__ import annotations
@@ -369,10 +371,9 @@ def verify_plethysm(case: str) -> dict:
     if len(E) != spec["ell"]:
         raise InvariantViolation("embedding size differs from the expected Witt index")
     out = {"case": case, "type": R.label, "defining_dim": spec["dim"], "ell": len(E)}
-    results = {
-        sign: identify_irreducible(restricted, R)
-        for sign, restricted in zip(("+", "-"), restrict_weights(E))
-    }
+    plus, minus = restrict_weights(E)
+    results = {"+": identify_irreducible(plus, R)}
+    results["-"] = results["+"] if minus == plus else identify_irreducible(minus, R)
     out["constituents"] = {
         sign: [
             {

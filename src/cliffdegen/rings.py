@@ -266,10 +266,11 @@ class RatFun(_Ring):
     def reduced(self) -> "RatFun":
         """The same value in lowest terms: numerator and denominator share
         no factor, and the denominator is monic."""
-        a, b = self.num, self.den
+        num, den = a, b = self.num, self.den
         while b:  # Euclid: a ends as a gcd of num and den
             a, b = b, divmod(a, b)[1]
-        num, den = divmod(self.num, a)[0], divmod(self.den, a)[0]
+        if len(a.coeffs) > 1:  # a constant gcd is a unit: the scaling below absorbs it
+            num, den = divmod(num, a)[0], divmod(den, a)[0]
         s = Fraction(1, den.coeffs[-1])
         return RatFun(num * s, den * s)
 

@@ -30,6 +30,7 @@ payload itself, in JSON-native values; the weights here are doubled
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .clifford import (
@@ -272,22 +273,17 @@ def spin_weights(ell: int) -> dict:
     the action of the 2 h_i.  Returns {doubled weight tuple: multiplicity};
     the doubled weight of a monomial has +1 in slot i when i is present,
     else -1."""
-    out: dict = {}
-    for wt in _cartan_weights(ell):
-        out[wt] = out.get(wt, 0) + 1
-    return out
+    return Counter(_cartan_weights(ell))
 
 
 def halfspin_split(ell: int) -> tuple:
     """(weights of S+, weights of S-), keyed by doubled weights, for the
     even split form; S+ is the even exterior-degree half (contains the
     empty monomial)."""
-    plus: dict = {}
-    minus: dict = {}
+    halves = Counter(), Counter()
     for s, wt in enumerate(_cartan_weights(ell)):
-        bucket = plus if s.bit_count() % 2 == 0 else minus
-        bucket[wt] = bucket.get(wt, 0) + 1
-    return plus, minus
+        halves[s.bit_count() % 2][wt] += 1
+    return halves
 
 
 def restrict_even_to_odd(ell: int) -> dict:
@@ -299,15 +295,7 @@ def restrict_even_to_odd(ell: int) -> dict:
         raise ValueError("need ell >= 2 to restrict")
     plus, minus = halfspin_split(ell)
     spin_small = spin_weights(ell - 1)
-
-    def forget(ws: dict) -> dict:
-        out: dict = {}
-        for wt, mult in ws.items():
-            key = wt[:-1]
-            out[key] = out.get(key, 0) + mult
-        return out
-
-    rp, rm = forget(plus), forget(minus)
+    rp, rm = (Counter(wt[:-1] for wt in ws.elements()) for ws in (plus, minus))
     return {
         "ell": ell,
         "restricted_plus": rp,

@@ -134,6 +134,22 @@ def test_reconstruct_from_input_file(capsys, tmp_path):
     assert doc["payload"]["recovered_Q"]["Q"][0] == ["1", "0", "1/2"]
 
 
+def test_a_wrong_recovered_form_fails_in_both_modes(capsys, tmp_path, monkeypatch):
+    """Both modes take the verdict from the one round trip: a recovered
+    form other than the input prints ``matches`` false and fails (exit 2)."""
+    monkeypatch.setattr(cli, "reconstruct_form", lambda L: QuadraticSpace.zero(L.m))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"m": 3, "Q": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]}))
+    code, out, _ = run_cli(capsys, ["form", "reconstruct", "--input", str(path)])
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["payload"]["matches"]) == (2, "fail", False)
+    assert doc["payload"]["recovered_Q"]["Q"] == [["0"] * 3] * 3
+    code, out, _ = run_cli(capsys, ["form", "reconstruct", "--random", "--m", "3", "--trials", "2"])
+    doc = json.loads(out)
+    assert (code, doc["verdict"]) == (2, "fail")
+    assert [r["matches"] for r in doc["payload"]["results"]] == [False, False]
+
+
 def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, ["form", "reconstruct", "--m", "4", "--random", "--seed", "3"])
     _, out2, _ = run_cli(capsys, ["form", "reconstruct", "--m", "4", "--random", "--seed", "3"])

@@ -1,8 +1,10 @@
 """Flat families, specialisation commutation, radicals, and witnesses.
 
-Three constructions that the library replaced stay here as references: the
-determinant by Gaussian elimination over Q(t); the radical computed on the
-tensor over Q with ``Fraction`` kernel vectors, checked to be an ideal and
+Four constructions that the library replaced stay here as references: the
+determinant by Gaussian elimination over Q(t); the Bareiss determinant
+brought to lowest terms by one Euclid against the product of every row's
+scale (the library cancels one denominator at a time); the radical computed
+on the tensor over Q with ``Fraction`` kernel vectors, checked to be an ideal and
 nilpotent, with its nilpotency index from the chain of its powers (the
 library takes the dimension and the index from the structure theorem); and
 the kernel of the trace form of the tensor over D Q, mapped to the e_a by
@@ -25,12 +27,13 @@ from cliffdegen.clifford import QuadraticSpace
 from cliffdegen.degeneration import (
     NoWitness,
     _det_fraction_field,
+    _integer_row,
     QuadraticFamily,
     certify_specialization,
     jacobson_radical,
     radical_shape,
 )
-from cliffdegen.jsonio import encode_rational, encode_space, encode_tensor
+from cliffdegen.jsonio import decode_space, encode_rational, encode_space, encode_tensor
 from cliffdegen.liestructure import AlgebraTensor, even_blade_basis, theta_tensor
 from cliffdegen.linalg import SpanBasis, echelon, nullspace_dense
 from cliffdegen.rings import InvariantViolation, Poly, RatFun, eval_coeff
@@ -67,6 +70,50 @@ def reference_det(rows) -> RatFun:
             for c2 in range(col, n):
                 mat[r][c2] = mat[r][c2] - f * mat[col][c2]
     return det * sign
+
+
+def one_euclid_integer_row(row) -> tuple:
+    """(scale, polys): the row times its scale, over Z[t].  The scale is
+    the product of the row's ``RatFun`` denominators times the lcm of the
+    coefficient denominators that this product leaves."""
+    polys = [v.num if isinstance(v, RatFun) else v if isinstance(v, Poly) else Poly.const(v) for v in row]
+    scale = Poly.const(1)
+    for i, v in enumerate(row):
+        if isinstance(v, RatFun):
+            scale = scale * v.den
+            polys = [p if j == i else p * v.den for j, p in enumerate(polys)]
+    L = lcm(*(c.denominator for p in polys + [scale] for c in p.coeffs))
+    return scale * L, [Poly([int(c * L) for c in p.coeffs]) for p in polys]
+
+
+def one_euclid_det(rows) -> RatFun:
+    """Bareiss over Z[t] on the cleared rows, and the last pivot over the
+    product of the scales reduced by one Euclid: on a dense m = 7 family
+    over Q(t) that one Euclid took about 4.4 s of 5 s."""
+    n = len(rows)
+    scales, mat = zip(*(one_euclid_integer_row(row) for row in rows))
+    mat = list(mat)
+    sign = 1
+    prev = Poly.const(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if mat[r][k]), None)
+        if pivot is None:
+            return RatFun.const(0)
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        p = mat[k][k]
+        for i in range(k + 1, n):
+            ri, a = mat[i], mat[i][k]
+            for j in range(k + 1, n):
+                q, r = divmod(p * ri[j] - a * mat[k][j], prev)
+                assert not r
+                ri[j] = q
+        prev = p
+    den = Poly.const(sign)
+    for s in scales:
+        den = den * s
+    return RatFun(prev, den).reduced()
 
 
 @dataclass
@@ -436,6 +483,23 @@ def test_det_matches_the_elimination_over_q_t():
         assert (got.num.coeffs, got.den.coeffs) == (low.num.coeffs, low.den.coeffs), rows
 
 
+def test_the_det_cancelled_scale_by_scale_is_the_one_euclid_lowest_terms():
+    """Cancelling the last pivot against one denominator at a time gives
+    the numerator and denominator of the one Euclid against the product of
+    the scales,
+    coefficient for coefficient: on random rows (zero entries, constant and
+    non-monic denominators) and on the doubled rows of dense families over
+    Q(t), whose entries the family reduced."""
+    rng = random.Random(47)
+    cases = [_random_rows(rng, rng.randint((2, 3, 1)[case], 6), case) for case in (0, 1, 2) * 20]
+    for m, ratfuns in ((3, 3), (5, 4), (5, 10), (7, 6)):
+        F = QuadraticFamily(decode_space(_roadmap_family(rng, m, ratfuns)))
+        cases.append([[2 * v for v in row] for row in F.space.gram])
+    for rows in cases:
+        got, want = _det_fraction_field(rows), one_euclid_det(rows)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), rows
+
+
 def _roadmap_family(rng, m, ratfuns):
     """Upper-triangle entries a + b t with a, b = randint(-4, 4)/randint(1, 3);
     the first ``ratfuns`` off-diagonal ones are divided by 1 + c t,
@@ -672,16 +736,24 @@ def _count_reductions(monkeypatch) -> list:
     return calls
 
 
+def _det_reductions(F) -> int:
+    """The reductions of the det: one per ``RatFun`` denominator other than
+    1 of a row of 2Q (:func:`~cliffdegen.degeneration._integer_row`); the
+    integer scales are units and take none."""
+    return sum(s != 1 for row in F.space.gram for s in _integer_row([2 * v for v in row])[0])
+
+
 def test_the_check_point_scan_reduces_each_entry_once(monkeypatch, capsys, tmp_path):
     """Poles are tested on the denominators in lowest terms, each reduced
-    once per family, as it is built: the det and the one rational entry
-    are the two reductions.  Evaluating the entry at each pole reduced it
+    once per family, as it is built; the det reduces once more, for the one
+    denominator other than 1.  Evaluating the entry at each pole reduced it
     again there, 41 reductions in all, and took 0.5-2 s.  The stdout is
     pinned as it was printed then."""
     calls = _count_reductions(monkeypatch)
     F = _pole_family(40)
+    assert len(calls) == 1
     w = certify_specialization(F)
-    assert w.generic_check_point == 81 and len(calls) == 2
+    assert w.generic_check_point == 81 and len(calls) == 1 + _det_reductions(F) == 2
     monkeypatch.undo()
     path = tmp_path / "family.json"
     path.write_text(json.dumps(encode_space(F.space)))
@@ -694,9 +766,10 @@ def test_the_check_point_scan_reduces_each_entry_once(monkeypatch, capsys, tmp_p
 
 def test_a_family_reduces_each_rational_entry_once(monkeypatch):
     """diag((t^2 + t)/t, 1, 1) has a removable singularity at 0.  Its entry
-    is reduced once, when the family is built, and the det once: the
-    regularity check, the special fibre and the check-point scan read the
-    stored lowest terms (they reduced it three times, once each)."""
+    is reduced once, when the family is built: the regularity check, the
+    special fibre and the check-point scan read the stored lowest terms
+    (they reduced it three times, once each).  Every denominator of 2Q is
+    then 1, so the det reduces nothing."""
     t = Poly.t()
     calls = _count_reductions(monkeypatch)
     F = QuadraticFamily.diagonal([RatFun(t * t + t, t), 1, 1])
@@ -704,7 +777,7 @@ def test_a_family_reduces_each_rational_entry_once(monkeypatch):
     entry = F.space.gram[0][0]
     assert (entry.num, entry.den) == (t + 1, Poly.const(1))
     w = certify_specialization(F)
-    assert len(calls) == 2
+    assert len(calls) == 1 + _det_reductions(F) == 1
     assert (w.generic_check_point, len(w.radical_basis)) == (1, 0)
     assert w.det_generic == RatFun(8 * (t + 1), Poly.const(1))
 

@@ -25,7 +25,7 @@ from cliffdegen.lipschitz import (
     lipschitz_report,
     norm_scalar,
 )
-from cliffdegen.rings import HALF, Poly, axpy
+from cliffdegen.rings import HALF, Poly, RatFun, axpy
 
 
 def gp(x, y, V):
@@ -347,6 +347,63 @@ def test_verdicts_match_the_product_reference():
         assert member == reference_is_lipschitz(x, V, tau), (V.gram, x)
         verdicts.add((k % 2, member))
     assert len(verdicts) == 4  # members and non-members on both kinds of form
+
+
+def axpy_is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
+    """The membership test as the library once wrote it: x (x) tau(x)
+    accumulated one row at a time by ``axpy``, with its zero tests."""
+    if not is_homogeneous(x):
+        return False
+    D = lipschitz.doubled_algebra(V)
+    pair: dict = {}
+    for ma, ca in x.terms.items():
+        axpy(pair, ca, {ma | (mb << D.m): lipschitz._psi_sign(mb) * cb for mb, cb in x.terms.items()})
+    return not D.unbalanced(pair)
+
+
+def _ring_value(rng, ring):
+    """A random value over Q, Q[t] or Q(t), zero now and then."""
+    a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if ring == "Q":
+        return a
+    p = Poly([a, Fraction(rng.randint(-2, 2), rng.randint(1, 2))])
+    return p if ring == "Q[t]" else RatFun(p, Poly([rng.randint(1, 3), rng.randint(1, 2)]))
+
+
+def test_the_written_out_pair_gives_the_axpy_verdicts():
+    """x (x) tau(x) written down as one dict gives the verdicts of the
+    ``axpy`` accumulation, over Q, Q[t] and Q(t), m <= 4: on products of 1-3
+    vectors (1-2 over Q(t)), on random even and odd elements, and on elements of both
+    parities."""
+    rng = random.Random(53)
+    verdicts = set()
+    for k in range(240):
+        ring = ("Q", "Q[t]", "Q(t)")[k % 3]
+        m = rng.randint(1, 4)
+        g = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                g[i][j] = g[j][i] = _ring_value(rng, ring)
+        V = QuadraticSpace(g)
+        kind = rng.choice(["product", "product", "even", "odd", "mixed"])
+        if kind == "product":
+            x = Multivector.scalar(1)
+            # over Q(t) the unreduced sums of three factors grow too long
+            for _ in range(rng.randint(1, 2 if ring == "Q(t)" else 3)):
+                x = gp(x, Multivector({1 << i: _ring_value(rng, ring) for i in range(m)}), V)
+        else:
+            parities = {"even": (0,), "odd": (1,), "mixed": (0, 1)}[kind]
+            x = Multivector({
+                mask: _ring_value(rng, ring)
+                for mask in range(1 << m)
+                if mask.bit_count() % 2 in parities and rng.random() < 0.6
+            })
+        member = is_lipschitz(x, V)
+        assert member == axpy_is_lipschitz(x, V), (V.gram, x)
+        verdicts.add((ring, member, is_homogeneous(x)))
+    # members and non-members over each ring, and inhomogeneous elements
+    assert {(r, v) for r, v, _ in verdicts} == {(r, v) for r in ("Q", "Q[t]", "Q(t)") for v in (True, False)}
+    assert {r for r, _, h in verdicts if not h} == {"Q", "Q[t]", "Q(t)"}
 
 
 def orthogonal_volume(V):

@@ -769,6 +769,48 @@ def test_unknown_case_rejected():
         verify_plethysm("e8")
 
 
+def _count_identifications(monkeypatch) -> list:
+    """A list that grows by one on each call of ``identify_irreducible``
+    from ``verify_plethysm``."""
+    calls = []
+    identify = plethysm.identify_irreducible
+    monkeypatch.setattr(plethysm, "identify_irreducible", lambda W, R: calls.append(1) or identify(W, R))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_equal_halves_are_identified_once(case, monkeypatch):
+    """Both halves restrict to one multiset in every case: one
+    identification serves both, and the payload does not change."""
+    want = verify_plethysm(case)
+    calls = _count_identifications(monkeypatch)
+    assert verify_plethysm(case) == want and want["halfspin_agree"]
+    assert len(calls) == 1
+
+
+def test_unequal_halves_are_identified_apart(monkeypatch):
+    """A stand-in restriction that adds the zero weight to the - half: the
+    two multisets differ, so each is identified, and the - half gains the
+    trivial constituent."""
+    want = verify_plethysm("g2")
+    restrict = plethysm.restrict_weights
+
+    def with_a_trivial_minus(E):
+        plus, minus = restrict(E)
+        zero = (0,) * len(E[0])
+        return plus, {**minus, zero: minus.get(zero, 0) + 1}
+
+    monkeypatch.setattr(plethysm, "restrict_weights", with_a_trivial_minus)
+    calls = _count_identifications(monkeypatch)
+    rep = verify_plethysm("g2")
+    assert len(calls) == 2
+    assert rep["constituents"]["+"] == want["constituents"]["+"]
+    assert rep["constituents"]["-"] == want["constituents"]["-"] + [
+        {"highest_weight": ["0", "0", "0"], "dim": 1, "multiplicity": 1}
+    ]
+    assert not rep["halfspin_agree"] and not rep["is_single_irreducible"]
+
+
 # --- the fold against the enumeration ------------------------------------
 
 

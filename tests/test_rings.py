@@ -176,6 +176,34 @@ def test_ratfun_reduced_is_lowest_terms_with_a_monic_denominator():
     assert RatFun(t * 4, Poly.const(2)).reduced().num == 2 * t
 
 
+def reference_reduced(f: RatFun) -> RatFun:
+    """Lowest terms as ``reduced`` once computed them: numerator and
+    denominator divided by their gcd even when it is a constant."""
+    a, b = f.num, f.den
+    while b:
+        a, b = b, divmod(a, b)[1]
+    num, den = divmod(f.num, a)[0], divmod(f.den, a)[0]
+    s = Fraction(1, den.coeffs[-1])
+    return RatFun(num * s, den * s)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    _SMALL_POLY,
+    _SMALL_POLY.filter(bool),
+    _SMALL_POLY.filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+def test_a_constant_gcd_leaves_the_lowest_terms_unchanged(p, q, r, c):
+    """``reduced`` divides by the gcd only when it has positive degree: a
+    constant one is a unit, which the monic scaling absorbs.  The result
+    equals the old one coefficient for coefficient, with and without a
+    common factor, over Z and over Q."""
+    for f in (RatFun(p, q), RatFun(p * r, q * r), RatFun(p * c, q * r), RatFun(p, q * c)):
+        got, want = f.reduced(), reference_reduced(f)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
 def test_ratfun_equality_is_equality_of_values():
     t = Poly.t()
     assert RatFun(t, t) == 1 == RatFun.const(1)
