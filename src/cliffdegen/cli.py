@@ -56,23 +56,25 @@ MAX_FINGERPRINT_ENTRIES = 1 << 20
 
 # `form reconstruct` brackets every pair of the m(m-1)/2 bivectors, about
 # m^4/8 brackets whose table it keeps.  Larger m is refused before any work
-# (on a shared 2-core 2.0 GHz Xeon, one random dense form takes about
-# 0.7-0.9 s at a peak RSS of 39 MB for m = 20, 1.0-1.5 s at 65 MB for m = 24
-# and 3.1 s at 112 MB for m = 28, each in a fresh process).
+# (on a shared 2-core 2.0 GHz Xeon, the random dense form of `--seed 1`
+# takes about 0.42-0.46 s at a peak RSS of 41 MB for m = 20, 0.86-1.06 s at
+# 68 MB for m = 24 and, through the library, 1.7-1.9 s at 113 MB for
+# m = 28, each in a fresh process).
 MAX_RECONSTRUCT_M = 24
 
 # `form tensor` and `degenerate analyze` build the even-algebra tensor: the
 # 4^(m-1) products of pairs of the 2^(m-1) even blades.  Spaces of larger m
 # are refused before any work (m = 8 is 16384 products: on a shared 2-core
-# 2.0 GHz Xeon, in a fresh process, `form tensor` takes about 1.1-1.7 s and
-# prints 8.4 MB of JSON at a peak RSS of 80 MB for a dense form with
-# entries p/q, |p|, q < 100, 0.2 s and 0.3 MB at 24 MB for the unit form,
-# and 2.1-2.9 s and 13.2 MB at 117 MB for a dense form whose entries are
-# a + b t with a and b of the form p/q, |p| <= 4, q <= 3, drawn from
-# random.Random(4)).  `degenerate analyze` takes odd m only, so
+# 2.0 GHz Xeon, in a fresh process, `form tensor` takes about 0.7-0.9 s and
+# prints 9.0 MB of JSON at a peak RSS of 93 MB for a dense form with
+# entries p/q, |p|, q < 100, 0.16-0.18 s and 0.3 MB at 25 MB for the unit
+# form, and 1.5-2.4 s and 13.1 MB at 133 MB for a dense form whose entries
+# are a + b t with a and b of the form p/q, |p| <= 4, q <= 3, each form
+# drawn from random.Random(4)).  `degenerate analyze` takes odd m only, so
 # m <= 7, and builds one tensor, the special fibre's: on Q0 + t I with a
-# dense rational Q0 of corank 0, 4 and 7 at m = 7 it takes about 0.4, 0.45
-# and 0.15 s at 27, 27 and 17 MB, in fresh processes on the same machine.
+# dense rational Q0 of corank 0, 4 and 7 at m = 7 it takes about 0.16-0.19,
+# 0.18-0.22 and 0.12 s at 25, 25 and 18 MB, in fresh processes on the same
+# machine.
 MAX_TENSOR_M = 8
 
 # `spinor check` compares the even algebra, of dimension 2^(2l) (odd m) or
@@ -116,11 +118,17 @@ MAX_LOCALMODEL_N = 8
 # coefficient of x), m is held to a second cap: the largest m at which the
 # worst input, every entry of degree 1 over degree 1 in t, stays within the
 # figures quoted above.  In fresh processes on a shared 2-core 2.0 GHz Xeon:
-# `form tensor` takes 1.5 s at 29 MB at m = 6 and 11.7 s at 123 MB at m = 7
-# (`--at` multiplies rationals, and `degenerate analyze` only the special
-# fibre's, so both keep MAX_TENSOR_M alone); `form reconstruct` 1.1-1.7 s
-# at 24 MB at m = 12 and 1.4-2.4 s at m = 13; `lipschitz test` on the sum
-# of all even blades 0.14-0.32 s at 17 MB at m = 4 and 0.3-1.9 s at m = 5.
+# `form tensor` takes 1.1-1.3 s at 34 MB at m = 6 and, through the library,
+# 13.9-14.5 s at 168 MB at m = 7 (`--at` multiplies rationals, and
+# `degenerate analyze` only the special fibre's, so both keep MAX_TENSOR_M
+# alone); `form reconstruct` 1.1-1.7 s at 24 MB at m = 12 and 1.4-2.4 s at
+# m = 13; `lipschitz test` on the sum of all even blades 0.14-0.32 s at
+# 17 MB at m = 4 and 0.3-1.9 s at m = 5.  At m = 4 the norm x tau(x) of a
+# product x of three random vectors exceeds those figures, since its
+# unreduced sums grow: `lipschitz test` takes 1.5-2.4 s at 18 MB when the
+# vectors have rational coordinates (the norm reaches degree 190 over 190,
+# 30 over 30 in lowest terms), and the norm alone takes 32-55 s in process
+# when they are of degree 1 over degree 1 (degree 597-637 over the same).
 MAX_RATFUN_TENSOR_M = 6
 MAX_RATFUN_RECONSTRUCT_M = 12
 MAX_RATFUN_LIPSCHITZ_M = 4

@@ -23,7 +23,11 @@ exterior algebra with a deformed product (The Algebraic Theory of Spinors,
 for t < j,
     e_a e_j = e_a ^ e_j + e_a _| beta(., e_j),
 where the contraction drops each t in a with the sign (-1)^#{s in a: s > t}:
-at most |a| + 1 terms, on distinct blades, and nothing to cache.
+at most |a| + 1 terms, on distinct blades.  A step depends only on (a, j),
+so a caller that takes many steps on one space shares one table of steps
+between them: a dict, empty when the caller makes it, that the walk of
+:func:`_step_walk` fills as it reads, ``steps[j][a]`` holding the step of
+(a, j).  A table belongs to its call; the space keeps none.
 """
 
 from __future__ import annotations
@@ -220,39 +224,62 @@ def _blade_times_gen(space: QuadraticSpace, mask: int, j: int) -> dict:
     return out
 
 
-def _terms_times_word(space: QuadraticSpace, terms: dict, word) -> dict:
+def _step_walk(space: QuadraticSpace, steps: dict, terms: dict, path) -> list:
+    """``out[0]`` is ``terms``, and ``out[k]`` for the k-th pair (i, j) of
+    ``path`` is out[i] times e_j, with i < k.  Each term's step is read from
+    the table ``steps`` of ``space`` (module docstring), computed by
+    :func:`_blade_times_gen` the first time it is read, and added as
+    ``axpy`` would add it: the same sums, zero test and insertion order,
+    with no call per term once the step is in the table."""
+    out = [terms]
+    for i, j in path:
+        step = steps.get(j)
+        if step is None:
+            step = steps[j] = {}
+        acc: dict = {}
+        for mask, c in out[i].items():
+            pairs = step.get(mask)
+            if pairs is None:
+                pairs = step[mask] = tuple(_blade_times_gen(space, mask, j).items())
+            for k, v in pairs:
+                s = acc.get(k)
+                s = c * v if s is None else s + c * v
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        out.append(acc)
+    return out
+
+
+def _terms_times_word(space: QuadraticSpace, steps: dict, terms: dict, word) -> dict:
     """terms times the generators e_j of ``word``, one at a time from the
-    left; any indices 1..m in any order, repeats and the empty word too."""
-    for j in word:
-        out: dict = {}
-        for mask, c in terms.items():
-            axpy(out, c, _blade_times_gen(space, mask, j))
-        terms = out
-    return terms
+    left, each step read from the table ``steps``; any indices 1..m in any
+    order, repeats and the empty word too."""
+    return _step_walk(space, steps, terms, enumerate(word))[-1]
 
 
-def blade_row(space: QuadraticSpace, ma: int) -> list:
-    """``row[b]`` = the terms of (blade ma) * (blade b), for every blade b.
+def blade_row(space: QuadraticSpace, steps: dict, ma: int) -> list:
+    """``row[b]`` = the terms of (blade ma) * (blade b), for every blade b,
+    each step read from the table ``steps``.
 
-    Masks run in increasing order, so b minus its top generator e_t is a
-    smaller mask whose product is already known, and ma * b is that product
-    times e_t: one generator step per blade."""
-    _check_mask(ma, space.m)
-    row = [{ma: 1}]
-    for b in range(1, 1 << space.m):
-        t = b.bit_length()
-        row.append(_terms_times_word(space, row[b ^ (1 << (t - 1))], (t,)))
-    return row
+    Masks run in increasing order, and blade 2^(t-1) + i with i < 2^(t-1)
+    is blade i times e_t, whose product is already known: one generator
+    step per blade, taken in the one walk of :func:`_step_walk`."""
+    m = space.m
+    _check_mask(ma, m)
+    return _step_walk(space, steps, {ma: 1}, ((i, t) for t in range(1, m + 1) for i in range(1 << (t - 1))))
 
 
 def geometric_product(x: Multivector, y: Multivector, space: QuadraticSpace) -> Multivector:
     """Associative unital product determined by the rewriting relations."""
     for ma in x.terms:
         _check_mask(ma, space.m)
+    steps: dict = {}
     out: dict = {}
     for mb, cb in y.terms.items():
         _check_mask(mb, space.m)
-        axpy(out, cb, _terms_times_word(space, x.terms, indices_of(mb)))
+        axpy(out, cb, _terms_times_word(space, steps, x.terms, indices_of(mb)))
     return Multivector(out)
 
 
@@ -262,10 +289,11 @@ def reverse(x: Multivector, space: QuadraticSpace) -> Multivector:
     Each blade's generator word is reversed and re-canonicalised through the
     product, so non-diagonal forms pick up the correct lower-degree terms.
     """
+    steps: dict = {}
     out: dict = {}
     for mask, c in x.terms.items():
         _check_mask(mask, space.m)
-        axpy(out, c, _terms_times_word(space, {0: 1}, reversed(indices_of(mask))))
+        axpy(out, c, _terms_times_word(space, steps, {0: 1}, reversed(indices_of(mask))))
     return Multivector(out)
 
 

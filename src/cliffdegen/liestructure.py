@@ -140,16 +140,20 @@ def build_even_lie(V: QuadraticSpace) -> QuotientLieAlgebra:
 
     A product of four generators is homogeneous of degree (4 - c)/2 in Q on
     a blade of cardinality c, so each bivector coefficient is D times the
-    one of Q."""
+    one of Q.  The products share one table of steps (see
+    :mod:`~cliffdegen.clifford`), filled as they read it: they take steps
+    only from blades of at most 3 generators, 42825 of the 24 x 2^24 steps
+    of a dense form at m = 24."""
     pairs = lie_pairs(V.m)
     D, S = V.scaled()
     masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
+    steps: dict = {}
     table = {}
     for ai, pa in enumerate(pairs):
         for bi in range(ai + 1, len(pairs)):
             pb = pairs[bi]  # e_a e_b - e_b e_a: each blade times the other's word
-            ab = _terms_times_word(S, {masks[ai]: 1}, pb)
-            com = axpy(ab, -1, _terms_times_word(S, {masks[bi]: 1}, pa))
+            ab = _terms_times_word(S, steps, {masks[ai]: 1}, pb)
+            com = axpy(ab, -1, _terms_times_word(S, steps, {masks[bi]: 1}, pa))
             expansion = {}
             for mask, c in com.items():
                 k = mask.bit_count()
@@ -334,7 +338,7 @@ def _digit_width(S: QuadraticSpace) -> int:
     The blade product takes one generator at a time, and each of its
     intermediate sums is a sum of some terms of those minors, over all k
     at once, so it obeys the same bound: a packed value is 0 exactly when
-    its polynomial is, and the zero tests of ``axpy`` stay exact."""
+    its polynomial is, and the zero tests of the product stay exact."""
     m = S.m
 
     def l1(v):
@@ -370,7 +374,12 @@ def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
     (Kronecker 1882; Harvey, J. Symb. Comput. 44, 2009): each entry P of
     D Q becomes the ``int`` P(2^N), N = :func:`_digit_width`, the products
     run on those ``int``s, and the tensor has ``width`` N.  No ``Poly``
-    arithmetic runs.  A form over Q(t) runs unscaled on its ring values."""
+    arithmetic runs.  A form over Q(t) runs unscaled on its ring values.
+
+    Each of the 2^(m-1) rows is a :func:`~cliffdegen.clifford.blade_row`,
+    and every row reads one table of steps of the space it runs on, filled
+    once as the rows read it: m 2^m steps at most, 8 x 256 under the CLI's
+    cap of m = 8."""
     masks = even_blade_basis(V.m)
     index = {mask: k for k, mask in enumerate(masks)}
     D, S = V.scaled()
@@ -382,9 +391,10 @@ def theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
             [[sum(a << (N * e) for e, a in enumerate(v.coeffs)) if type(v) is Poly else v for v in row]
              for row in S.gram]
         )
+    steps: dict = {}
     c = {}
     for i, ma in enumerate(masks):
-        products = blade_row(S, ma)
+        products = blade_row(S, steps, ma)
         for j, mb in enumerate(masks):
             terms = products[mb]
             if terms:

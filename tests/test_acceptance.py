@@ -16,7 +16,7 @@ import pytest
 from cliffdegen import acceptance, cli
 
 # each budget is max(1, ceil(4 x the slowest of 5 runs under pytest)): 0.80 s
-# for lipschitz-monoid-axioms, 0.55 s for form-reconstruction-round-trip,
+# for lipschitz-monoid-axioms, 0.59 s for form-reconstruction-round-trip,
 # at most 0.11 s for every other criterion (shared 2-core 2.0 GHz Xeon)
 BUDGETS = {
     "form-reconstruction-round-trip": 3,

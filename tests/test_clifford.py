@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffdegen import clifford, jsonio
+from cliffdegen import clifford, jsonio, liestructure
 from cliffdegen.clifford import (
     BladeIndexError,
     Multivector,
@@ -267,7 +267,8 @@ def reference_blade_times_gen(space, mask, j, cache):
 
 def step_forms(m):
     """Dense rational, dense Q[t], Q(t), corank-1 and zero forms of rank m,
-    with the integer forms D Q of the first two."""
+    with the integer forms D Q of the first two, and D Q over Z[t] packed
+    into ``int``s at t = 2^N as ``theta_tensor`` packs it."""
     rng = random.Random(m)
 
     def symmetric(entry):
@@ -292,20 +293,26 @@ def step_forms(m):
     corank_one = QuadraticSpace(
         [[sum(P[r][i] * d[r] * P[r][k] for r in range(m)) for k in range(m)] for i in range(m)]
     )
-    return [rational, rational.scaled()[1], polynomial, polynomial.scaled()[1], ratfun,
+    integral = polynomial.scaled()[1]
+    N = liestructure._digit_width(integral)
+    packed = QuadraticSpace([[sum(a << (N * e) for e, a in enumerate(v.coeffs)) for v in row]
+                             for row in integral.gram])
+    return [rational, rational.scaled()[1], polynomial, integral, packed, ratfun,
             corank_one, QuadraticSpace.zero(m)]
 
 
 STEP_FORMS = [V for m in range(1, 7) for V in step_forms(m)]
 
 
+def shape(terms):
+    """Blades in order, with each value, its type and its print."""
+    return [(mask, type(c), c, jsonio.encode_coeff(c)) for mask, c in terms.items()]
+
+
 def step_mismatches(step):
     """Every (gram, mask, j) on STEP_FORMS where ``step`` differs from the
     reference in its blades and their order, its values, their types or
     their printed form."""
-    def shape(out):
-        return [(mask, type(c), c, jsonio.encode_coeff(c)) for mask, c in out.items()]
-
     bad = []
     for V in STEP_FORMS:
         cache = {}
@@ -327,14 +334,15 @@ def test_the_generator_step_is_the_recursive_rewriting():
                 assert all(type(c) is int for c in clifford._blade_times_gen(V, mask, j).values())
 
 
-def mutant_step(old, new):
-    """``_blade_times_gen`` with the one occurrence of ``old`` in its source
-    replaced by ``new``, compiled in the namespace of clifford."""
-    source = inspect.getsource(clifford._blade_times_gen)
+def mutant(name, old, new):
+    """The function ``name`` of clifford with the one occurrence of ``old``
+    in its source replaced by ``new``, compiled in the namespace of
+    clifford."""
+    source = inspect.getsource(getattr(clifford, name))
     assert source.count(old) == 1, old
     namespace = dict(vars(clifford))
     exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
-    return namespace["_blade_times_gen"]
+    return namespace[name]
 
 
 @pytest.mark.parametrize(
@@ -343,10 +351,10 @@ def mutant_step(old, new):
     ids=["sign-never-flips", "contraction-by-q"],
 )
 def test_the_step_test_fails_on_a_mutant_step(old, new):
-    assert step_mismatches(mutant_step(old, new))
+    assert step_mismatches(mutant("_blade_times_gen", old, new))
 
 
-# --- the generator word against the per-generator loop ------------------
+# --- the generator word and the blade row against the per-generator loop --
 
 
 def reference_terms_times_gen(space, terms, j):
@@ -360,34 +368,60 @@ def reference_terms_times_gen(space, terms, j):
 
 
 def reference_terms_times_word(space, terms, word):
+    """The word product before it read a table of steps: one
+    ``_blade_times_gen`` dict and one ``axpy`` per term and generator."""
     for j in word:
         terms = reference_terms_times_gen(space, terms, j)
     return terms
 
 
-def test_the_word_product_is_the_per_generator_loop():
-    """On random words (empty, with repeated generators, longer than m) and
-    random terms over every form of STEP_FORMS (int, Fraction, Q[t], Q(t),
-    corank-1 and zero), the word product equals the loop blade for blade,
-    in order, in value, type and print; and so do the product and reversion
-    built on it."""
-    def shape(terms):
-        return [(mask, type(c), c, jsonio.encode_coeff(c)) for mask, c in terms.items()]
+def is_ratfun_form(V):
+    return any(isinstance(v, RatFun) for row in V.gram for v in row)
 
+
+# b(e_2, e_1) b(e_3, e_2) = q(e_2) b(e_3, e_1): a 2 x 2 minor of beta
+# vanishes, so the e_0 sums of (e_2 e_3)(e_1 e_2) cancel, where the random
+# forms of STEP_FORMS cancel none
+CANCELLING = QuadraticSpace([[1, 1, 2], [1, 1, 1], [2, 1, 1]])
+
+
+def word_mismatches():
+    """Every (gram, terms, word) where ``_terms_times_word``, on one table
+    of steps per form shared by all its words, differs from the reference
+    loop on random words (empty, with repeated generators, longer than m)
+    and random terms over every form of STEP_FORMS (int, Fraction, Q[t],
+    packed Q[t], Q(t), corank-1 and zero) and CANCELLING."""
     rng = random.Random("word-product")
     kinds = set()
-    for V in STEP_FORMS:
+    bad = []
+    for V in STEP_FORMS + [CANCELLING]:
+        steps = {}
         # Q(t) coefficients are never reduced, so their degrees grow with
         # every step: shorter words there
-        longest = V.m + 1 if any(isinstance(v, RatFun) for row in V.gram for v in row) else 2 * V.m + 2
+        longest = V.m + 1 if is_ratfun_form(V) else 2 * V.m + 2
         for _ in range(4):
             word = [rng.randint(1, V.m) for _ in range(rng.randint(0, longest))]
             kinds.add("empty" if not word else "longer than m" if len(word) > V.m
                       else "repeats" if len(set(word)) < len(word) else "distinct")
             terms = {rng.randrange(1 << V.m): Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
                      for _ in range(rng.randint(1, 3))}
-            got = clifford._terms_times_word(V, terms, word)
-            assert shape(got) == shape(reference_terms_times_word(V, terms, word)), (V.gram, terms, word)
+            if shape(clifford._terms_times_word(V, steps, terms, word)) != shape(reference_terms_times_word(V, terms, word)):
+                bad.append((V.gram, terms, word))
+    assert kinds == {"empty", "longer than m", "repeats", "distinct"}
+    # (e_2 e_3) e_1 e_2 on CANCELLING
+    want = reference_terms_times_word(CANCELLING, {0b110: 1}, (1, 2))
+    if shape(clifford._terms_times_word(CANCELLING, {}, {0b110: 1}, (1, 2))) != shape(want):
+        bad.append((CANCELLING.gram, {0b110: 1}, (1, 2)))
+    return bad
+
+
+def test_the_word_product_is_the_per_generator_loop():
+    """The word product equals the loop blade for blade, in order, in
+    value, type and print (:func:`word_mismatches`); and so do the product
+    and reversion built on it."""
+    assert word_mismatches() == []
+    rng = random.Random("word-product/gp")
+    for V in STEP_FORMS:
         x = Multivector({rng.randrange(1 << V.m): rng.randint(1, 3) for _ in range(3)})
         y = Multivector({rng.randrange(1 << V.m): rng.randint(1, 3) for _ in range(3)})
         want = {}
@@ -398,7 +432,44 @@ def test_the_word_product_is_the_per_generator_loop():
         for mask, c in x.terms.items():
             axpy(want, c, reference_terms_times_word(V, {0: 1}, indices_of(mask)[::-1]))
         assert reverse(x, V) == Multivector(want)
-    assert kinds == {"empty", "longer than m", "repeats", "distinct"}
+
+
+def row_mismatches():
+    """Every (gram, ma, b) on STEP_FORMS and CANCELLING where ``blade_row``,
+    on one table of steps per form shared by all its rows, differs from the
+    reference walk: blade b is b minus its top generator e_t, times e_t by
+    ``reference_terms_times_word`` on the word (t,).  Every row, except
+    over Q(t) above m = 4, where the unreduced coefficients of all 2^m rows
+    took 10 s: there the rows of e_0 and e_m."""
+    bad = []
+    for V in STEP_FORMS + [CANCELLING]:
+        steps = {}
+        rows = (0, 1 << (V.m - 1)) if is_ratfun_form(V) and V.m > 4 else range(1 << V.m)
+        for ma in rows:
+            got = clifford.blade_row(V, steps, ma)
+            want = [{ma: 1}]
+            for b in range(1, 1 << V.m):
+                t = b.bit_length()
+                want.append(reference_terms_times_word(V, want[b ^ (1 << (t - 1))], (t,)))
+            bad += [(V.gram, ma, b) for b in range(1 << V.m) if shape(got[b]) != shape(want[b])]
+    return bad
+
+
+def test_the_blade_row_is_the_per_generator_walk():
+    assert row_mismatches() == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("step = steps.get(j)", "step = steps.get(j % space.m + 1)"), ("if s:", "if s is not None:")],
+    ids=["step-of-the-next-generator", "cancelled-sum-kept"],
+)
+@pytest.mark.parametrize(
+    "mismatches", [row_mismatches, word_mismatches], ids=["row", "word"]
+)
+def test_the_walk_tests_fail_on_a_mutant_walk(monkeypatch, mismatches, old, new):
+    monkeypatch.setattr(clifford, "_step_walk", mutant("_step_walk", old, new))
+    assert mismatches()
 
 
 def _specialize(x, c):

@@ -653,7 +653,7 @@ def test_transcription_shares_no_code_with_the_product(monkeypatch):
     # every product entry point each module binds: a name that is renamed
     # or dropped fails here instead of leaving the guard
     product_code = {
-        clifford: ("geometric_product", "_terms_times_word", "_blade_times_gen", "blade_row"),
+        clifford: ("geometric_product", "_terms_times_word", "_step_walk", "_blade_times_gen", "blade_row"),
         liestructure: ("_terms_times_word", "blade_row"),
     }
     for module, names in product_code.items():

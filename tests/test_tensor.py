@@ -125,9 +125,10 @@ def reference_poly_theta_tensor(V: QuadraticSpace) -> AlgebraTensor:
     masks = even_blade_basis(V.m)
     index = {mask: k for k, mask in enumerate(masks)}
     D, S = V.scaled()
+    steps = {}
     c = {}
     for i, ma in enumerate(masks):
-        products = blade_row(S, ma)
+        products = blade_row(S, steps, ma)
         for j, mb in enumerate(masks):
             if products[mb]:
                 c[(i, j)] = {index[mask]: coeff for mask, coeff in products[mb].items()}
@@ -226,8 +227,9 @@ def test_rows_on_the_integer_form_have_int_coefficients():
         assert V.scaled()[0] == D
         S = V.scaled()[1]
         kinds = set()
+        steps = {}
         for ma in range(1 << V.m):
-            for terms in blade_row(S, ma):
+            for terms in blade_row(S, steps, ma):
                 assert all(_int_coefficient(c) for c in terms.values()), (D, ma)
                 kinds.update(type(c) for c in terms.values())
         assert kinds == ({int} if V is rational else {int, Poly})
@@ -278,8 +280,9 @@ def test_blade_row_lists_every_product_in_mask_order():
     rng = random.Random(11)
     for form in (dense_form, degenerate_form, ratfun_form):
         V = form(rng, 4)
+        steps = {}
         for ma in range(16):
-            row = blade_row(V, ma)
+            row = blade_row(V, steps, ma)
             assert len(row) == 16
             for b in range(16):
                 want = geometric_product(
@@ -287,7 +290,38 @@ def test_blade_row_lists_every_product_in_mask_order():
                 )
                 assert row[b] == want.terms, (ma, b)
     with pytest.raises(BladeIndexError):
-        blade_row(QuadraticSpace.diagonal([1, 1]), 0b100)
+        blade_row(QuadraticSpace.diagonal([1, 1]), {}, 0b100)
+
+
+def test_a_tensor_on_one_table_is_the_tensor_on_a_table_per_row(monkeypatch):
+    """theta_tensor fills one table of steps and reads it for every row;
+    with a fresh table for each row it builds the same tensor, entry for
+    entry and byte for byte, over Q, Q[t] (packed), Q(t) and corank 1."""
+    rng = random.Random("one-table")
+    forms = [(form, m) for form in (dense_form, degenerate_form, poly_form) for m in (3, 5, 6)]
+    forms += [(ratfun_form, 3), (ratfun_form, 4)]
+    tables, packed = [], 0
+
+    def recorded(S, steps, ma):
+        tables.append(steps)
+        return blade_row(S, steps, ma)
+
+    for form, m in forms:
+        V = form(rng, m)
+        tables.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(liestructure, "blade_row", recorded)
+            shared = theta_tensor(V)
+        # one table per tensor, read by all of its 2^(m-1) rows
+        assert len(tables) == 1 << (m - 1) and all(steps is tables[0] for steps in tables)
+        with monkeypatch.context() as patch:
+            patch.setattr(liestructure, "blade_row", lambda S, steps, ma: blade_row(S, {}, ma))
+            fresh = theta_tensor(V)
+        assert (shared.dim, shared.scale, shared.width) == (fresh.dim, fresh.scale, fresh.width)
+        assert list(shared.c.items()) == list(fresh.c.items()), (form.__name__, m)
+        assert json.dumps(encode_tensor(shared)) == json.dumps(encode_tensor(fresh)), (form.__name__, m)
+        packed += shared.width > 0
+    assert packed == 3
 
 
 # -- the tensor over Z[t], packed at t = 2^N ------------------------------
