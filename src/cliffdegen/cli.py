@@ -94,11 +94,13 @@ MAX_SPINOR_WEIGHTS_ELL = 16
 
 # `lipschitz test` decides membership by the swap derivation on the 4^m
 # monomials of the doubled exterior algebra (no product), and multiplies
-# x tau(x) in Cl(q) for the norm.  Larger m is refused before any work (on a
-# shared 2-core 2.0 GHz Xeon, the sum of all even blades takes about 0.17 s
-# at a peak RSS of 17 MB at m = 6 in a fresh process, for a dense rational
-# form and for the unit form alike; in process, 0.3 s at m = 7 and 1.3 s at
-# m = 8 for the dense form, most of it in the norm's product).
+# x tau(x) in Cl(q), on the integer form, for the norm.  Larger m is refused
+# before any work.  The m = 6 rows of `scripts/localmodel_caps.py`, on a
+# dense rational form P^T diag(d) P (shared 2-core 2.0 GHz Xeon, fresh
+# processes, seeds 8-10, 19-21 MB peak RSS): the product of 4 random vectors
+# takes 0.09-0.11 s and the sum of all even blades 0.09-0.12 s, as does that
+# sum over the unit form.  In process, that sum takes 0.012-0.020 s at m = 7
+# and 0.05-0.07 s at m = 8 on a dense rational form.
 MAX_LIPSCHITZ_M = 6
 
 # `localmodel simple|sequiv|centralizer` close word spans of n x n matrices
@@ -122,13 +124,14 @@ MAX_LOCALMODEL_N = 8
 # 13.9-14.5 s at 168 MB at m = 7 (`--at` multiplies rationals, and
 # `degenerate analyze` only the special fibre's, so both keep MAX_TENSOR_M
 # alone); `form reconstruct` 1.1-1.7 s at 24 MB at m = 12 and 1.4-2.4 s at
-# m = 13; `lipschitz test` on the sum of all even blades 0.14-0.32 s at
-# 17 MB at m = 4 and 0.3-1.9 s at m = 5.  At m = 4 the norm x tau(x) of a
-# product x of three random vectors exceeds those figures, since its
-# unreduced sums grow: `lipschitz test` takes 1.5-2.4 s at 18 MB when the
-# vectors have rational coordinates (the norm reaches degree 190 over 190,
-# 30 over 30 in lowest terms), and the norm alone takes 32-55 s in process
-# when they are of degree 1 over degree 1 (degree 597-637 over the same).
+# m = 13; `lipschitz test` on the sum of all even blades 0.10-0.11 s at
+# m = 4, and 0.16-0.17 s at m = 5 through the library.  At m = 4 the norm
+# x tau(x) of a product x of three random vectors exceeds those figures,
+# since its unreduced sums grow: the `scripts/localmodel_caps.py` row, whose
+# vectors have rational coordinates, takes 0.9-1.6 s at 19-21 MB (seeds
+# 8-10; the norm reaches degree 290 over 290, 15 over 15 in lowest terms),
+# and the norm alone takes 32-55 s in process when the coordinates are of
+# degree 1 over degree 1 (degree 597-637 over the same).
 MAX_RATFUN_TENSOR_M = 6
 MAX_RATFUN_RECONSTRUCT_M = 12
 MAX_RATFUN_LIPSCHITZ_M = 4

@@ -36,12 +36,13 @@ from math import lcm
 
 from .rings import (
     PoleError,
-    Poly,
     RatFun,
     as_coeff,
     as_rational,
     axpy,
+    cleared,
     czero,
+    denominators,
     eval_coeff,
 )
 
@@ -95,22 +96,14 @@ class QuadraticSpace:
         ``int`` coefficients.  A coefficient of a product of k generators
         that lies on a blade of cardinality c is homogeneous of degree
         (k - c)/2 in Q, so it is D^((k - c)/2) times the one over Q.
-        S is an ordinary space: its ``int`` entries stay ``int``s.  A space
-        with a ``RatFun`` entry gives ``(1, self)``.  Built on each call:
-        every caller asks once per space."""
+        S is an ordinary space: its ``int`` entries stay ``int``s, made
+        with no ``Fraction``.  A space with a ``RatFun`` entry gives
+        ``(1, self)``.  Built on each call: every caller asks once per
+        space."""
         if any(isinstance(v, RatFun) for row in self.gram for v in row):
             return 1, self
-        D = lcm(
-            *(c.denominator for row in self.gram for v in row
-              for c in (v.coeffs if isinstance(v, Poly) else (v,)))
-        )
-
-        def times_d(v):  # D v, with int coefficients
-            if isinstance(v, Poly):
-                return Poly([int(c * D) for c in v.coeffs])
-            return int(v * D)
-
-        return D, QuadraticSpace([[times_d(v) for v in row] for row in self.gram])
+        D = lcm(*(d for row in self.gram for v in row for d in denominators(v)))
+        return D, QuadraticSpace([[cleared(v, D) for v in row] for row in self.gram])
 
     def __repr__(self):
         return f"QuadraticSpace(m={self.m})"

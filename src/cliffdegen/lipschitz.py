@@ -34,13 +34,37 @@ A. Micali, *Quadratic Mappings and Clifford Algebras*, Birkhauser 2008):
 The tests compare H, over every f/g monomial for m <= 4, with the
 unbalanced part that the explicit delta/delta' product gives
 (``tests/test_lipschitz.py``).
+
+Both halves of the test run on the integer form, with E the lcm of the
+denominators of x's coefficients and (D, D Q) what
+:meth:`~cliffdegen.clifford.QuadraticSpace.scaled` gives (D = 1 over Q(t)):
+
+* Membership.  x (x) tau(x) is quadratic in x and H is linear, so E x is
+  balanced exactly when x is; E x has ``int`` coefficients over Q and
+  ``int``-coefficient ``Poly``s over Q[t], and V enters only through m.
+* The norm.  By Chevalley's homogeneity (each contraction of his formula
+  spends two generators and takes one entry of Q), the part of
+  e_a tau(e_b) on a blade c is homogeneous of degree (|a| + |b| - |c|)/2
+  in the entries of Q.  Let M be the top degree of x, and on the space of D^r Q put
+  x'_a = E x_a D^(r (M - |a|)/2).  Then the part of x'_a tau(x'_b) on c
+  is E^2 D^(r (M - |a|)/2 + r (M - |b|)/2 + r (|a| + |b| - |c|)/2)
+  = E^2 D^(r (M - |c|/2)) times that of x_a tau(x_b), whatever a and b
+  are.  The exponents are whole for r = 1 when x is homogeneous (|a| has
+  the parity of M) and for r = 2 always.  So every blade of x' tau(x') is
+  that of x tau(x) times one nonzero integer: the zero test is exact, and
+  the scalar is one division by E^2 D^(r M).  Over Q(t) the quotients are
+  divided as they stand, so the norm prints as the product gives it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .clifford import (
     Multivector,
     QuadraticSpace,
+    filtration_degree,
     geometric_product,
     is_even,
     is_homogeneous,
@@ -48,7 +72,7 @@ from .clifford import (
 )
 from .liestructure import even_blade_basis
 from .linalg import rank
-from .rings import axpy, czero
+from .rings import Poly, RatFun, axpy, cleared, czero, denominators
 
 
 class DoubledAlgebra:
@@ -62,20 +86,26 @@ class DoubledAlgebra:
         """H of sum c f_a ^ g_b for ``terms`` {a | b << m: c}: empty exactly
         when the element is balanced.  An index in both a and b gives
         nothing (moving it repeats a generator); one in a alone moves to b,
-        one in b alone to a, past the f's above it and the g's below it."""
+        one in b alone to a, past the f's above it and the g's below it.
+        Each image c or -c is added as ``axpy`` would add it, with the same
+        sums, zero test and insertion order, and no call per term."""
         m = self.m
         low = (1 << m) - 1
         out: dict = {}
         for key, c in terms.items():
             a, b = key & low, key >> m
             moved = a ^ b
-            step = {}
             while moved:
                 bit = moved & -moved
                 moved ^= bit
                 odd = ((a & -(bit << 1)).bit_count() + (b & (bit - 1)).bit_count()) & 1
-                step[key ^ bit ^ (bit << m)] = -1 if odd else 1
-            axpy(out, c, step)
+                k = key ^ bit ^ (bit << m)
+                s = out.get(k)
+                s = (-c if odd else c) if s is None else (s - c if odd else s + c)
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
         return out
 
 
@@ -90,24 +120,53 @@ def _psi_sign(mask: int) -> int:
     return -1 if mask.bit_count() & 2 else 1
 
 
+def _denominator_lcm(x: Multivector) -> int:
+    """The lcm E of the denominators of x's coefficients: E x has ``int``
+    coefficients over Q, and ``int``-coefficient ``Poly``s over Q[t]."""
+    return lcm(*(d for c in x.terms.values() for d in denominators(c)))
+
+
 def is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
     """Homogeneous, and x (x) tau(x) = sum c_a c_b psi(e_b) f_a g_b is
-    balanced: H kills it.  Each (a, b) is its own key, and a product of two
-    nonzero coefficients is nonzero, so the terms are written down as they
-    are."""
+    balanced: H kills it.  Tested on E x (module docstring).  Each (a, b)
+    is its own key, and a product of two nonzero coefficients is nonzero,
+    so the terms are written down as they are."""
     if not is_homogeneous(x):
         return False
     D = doubled_algebra(V)
-    terms = x.terms.items()
-    pair = {ma | (mb << D.m): ca * (_psi_sign(mb) * cb) for ma, ca in terms for mb, cb in terms}
-    return not D.unbalanced(pair)
+    E = _denominator_lcm(x)
+    terms = [(mask, cleared(c, E)) for mask, c in x.terms.items()]
+    signed = [(mb << D.m, _psi_sign(mb) * cb) for mb, cb in terms]
+    return not D.unbalanced({ma | kb: ca * cb for ma, ca in terms for kb, cb in signed})
+
+
+def _divided(v, n: int):
+    """v / n for a coefficient v of any ring and an ``int`` n: one
+    ``Fraction`` for a rational v, and a ``RatFun``'s numerator divided as
+    it stands, so its printed form is the one the product gave."""
+    if n == 1:
+        return v
+    if isinstance(v, RatFun):
+        return RatFun(_divided(v.num, n), v.den)
+    if isinstance(v, Poly):
+        return Poly([Fraction(c, n) for c in v.coeffs])
+    return Fraction(v, n)
 
 
 def norm_scalar(x: Multivector, V: QuadraticSpace):
-    """x * tau(x) if it is a scalar multiple of e_0, else None."""
-    z = geometric_product(x, reverse(x, V), V)
+    """x * tau(x) if it is a scalar multiple of e_0, else None.  Computed
+    as x' tau(x') on the space of D^r Q, r = 1 for homogeneous x and 2
+    otherwise, and divided once (module docstring): on ``int``s over Q,
+    and ``int``-coefficient ``Poly``s over Q[t]."""
+    D, S = V.scaled()
+    r = 1 if is_homogeneous(x) else 2
+    if r == 2 and D != 1:
+        S = QuadraticSpace([[D * v for v in row] for row in S.gram])
+    M, E = filtration_degree(x), _denominator_lcm(x)
+    y = Multivector({a: cleared(c, E * D ** (r * (M - a.bit_count()) // 2)) for a, c in x.terms.items()})
+    z = geometric_product(y, reverse(y, S), S)
     if z.terms.keys() <= {0}:
-        return z.terms.get(0, 0)
+        return _divided(z.terms.get(0, 0), E * E * D ** (r * M))
     return None
 
 

@@ -297,6 +297,27 @@ def axpy(acc: dict, c, terms: dict) -> dict:
     return acc
 
 
+def denominators(v) -> tuple:
+    """The denominators of the rational coefficients of v: one for a
+    rational, one per coefficient for a ``Poly``, none for a ``RatFun``."""
+    if isinstance(v, Poly):
+        return tuple(c.denominator for c in v.coeffs)
+    if isinstance(v, RatFun):
+        return ()
+    return (v.denominator,)
+
+
+def cleared(v, k: int):
+    """k v, for an ``int`` k that every one of ``denominators(v)`` divides:
+    an ``int``, or a ``Poly`` with ``int`` coefficients, made with no
+    ``Fraction``.  A ``RatFun`` is multiplied as it is."""
+    if isinstance(v, Poly):
+        return Poly([c.numerator * (k // c.denominator) for c in v.coeffs])
+    if isinstance(v, RatFun):
+        return v * k
+    return v.numerator * (k // v.denominator)
+
+
 def as_coeff(x):
     """Normalise a value (a rational or a ring value) to a ring value: a
     ``Poly`` or a ``RatFun`` as it is, a rational by :func:`as_rational`.

@@ -706,6 +706,33 @@ def test_the_product_reads_the_lower_triangle_of_a_ratfun_form(capsys, tmp_path)
     assert json.loads(out)["payload"]["norm_scalar"] == {"num": ["4", "4"], "den": ["2"]}
 
 
+@pytest.mark.parametrize(
+    "x, stdout",
+    [
+        (
+            {"[1]": "1/2", "[2]": "1/3"},
+            '{"payload": {"cl0_member": true, "homogeneous": true, "norm_scalar": '
+            '{"den": ["2", "1"], "num": ["17/36", "13/36"]}, "verdict": "group"}, '
+            '"subcommand": "lipschitz test", "verdict": "pass"}\n',
+        ),
+        (
+            {"[1]": {"num": ["0", "1"], "den": ["1", "1"]}, "[2]": "1/2"},
+            '{"payload": {"cl0_member": true, "homogeneous": true, "norm_scalar": '
+            '{"den": ["2", "5", "4", "1"], "num": ["1/2", "5/4", "2", "5/4"]}, "verdict": "group"}, '
+            '"subcommand": "lipschitz test", "verdict": "pass"}\n',
+        ),
+    ],
+    ids=["rational-x", "ratfun-x"],
+)
+def test_lipschitz_over_q_of_t_prints_the_unreduced_norm(capsys, tmp_path, x, stdout):
+    """V = [[(t+1)/(t+2), 0], [0, 1]]: the norm of a vector with rational
+    coordinates, whose denominators the integer form clears, and of one with
+    a ``RatFun`` coordinate, printed as the product gives it."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"V": {"Q": [[{"num": ["1", "1"], "den": ["2", "1"]}, "0"], ["0", "1"]]}, "x": x}))
+    assert run_cli(capsys, ["lipschitz", "test", "--input", str(path)])[:2] == (0, stdout)
+
+
 def test_degenerate_analyze_pass_and_fail(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(

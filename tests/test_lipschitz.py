@@ -3,12 +3,13 @@ infinitesimal theory."""
 
 import inspect
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from cliffdegen import linalg, lipschitz
+from cliffdegen import jsonio, linalg, lipschitz
 from cliffdegen.clifford import (
     Multivector,
     QuadraticSpace,
@@ -404,6 +405,178 @@ def test_the_written_out_pair_gives_the_axpy_verdicts():
     # members and non-members over each ring, and inhomogeneous elements
     assert {(r, v) for r, v, _ in verdicts} == {(r, v) for r in ("Q", "Q[t]", "Q(t)") for v in (True, False)}
     assert {r for r, _, h in verdicts if not h} == {"Q", "Q[t]", "Q(t)"}
+
+
+# --- the integer form against the computation on the values as given -------
+#
+# The library clears denominators before it tests membership or multiplies
+# out the norm (the module docstring of ``cliffdegen.lipschitz``).  The three
+# functions below are the computation it replaced: x and Q as they are given,
+# and one step dict per term of H, added by ``axpy``.
+
+
+def reference_unbalanced(m: int, terms: dict) -> dict:
+    """``DoubledAlgebra.unbalanced`` before its loop was written out."""
+    low = (1 << m) - 1
+    out: dict = {}
+    for key, c in terms.items():
+        a, b = key & low, key >> m
+        moved = a ^ b
+        step = {}
+        while moved:
+            bit = moved & -moved
+            moved ^= bit
+            odd = ((a & -(bit << 1)).bit_count() + (b & (bit - 1)).bit_count()) & 1
+            step[key ^ bit ^ (bit << m)] = -1 if odd else 1
+        axpy(out, c, step)
+    return out
+
+
+def reference_uncleared_is_lipschitz(x: Multivector, V: QuadraticSpace) -> bool:
+    """The membership test on x as it is given."""
+    if not is_homogeneous(x):
+        return False
+    terms = x.terms.items()
+    pair = {ma | (mb << V.m): ca * (lipschitz._psi_sign(mb) * cb) for ma, ca in terms for mb, cb in terms}
+    return not reference_unbalanced(V.m, pair)
+
+
+def reference_norm_scalar(x: Multivector, V: QuadraticSpace):
+    """x tau(x), multiplied out on x and V as they are given."""
+    z = gp(x, reverse(x, V), V)
+    if z.terms.keys() <= {0}:
+        return z.terms.get(0, 0)
+    return None
+
+
+# pairwise coprime denominators, some of them large
+COPRIME = (3, 7, 11, 101, 9973, 65537, 2**31 - 1)
+
+
+def _coprime_value(rng, ring):
+    """A rational with one of the ``COPRIME`` denominators, as a value of
+    ``ring``: a ``RatFun`` over Q(t) one time in three."""
+    a = Fraction(rng.randint(-9, 9), rng.choice(COPRIME))
+    if ring == "Q" or ring == "Q(t)" and rng.random() < 2 / 3:
+        return a
+    p = Poly([a, rng.randint(-2, 2)])
+    return p if ring == "Q[t]" else RatFun(p, Poly([rng.randint(1, 3), rng.randint(1, 2)]))
+
+
+def _integer_form_case(rng, ring):
+    """(V, x, labels): a dense or diagonal form over ``ring``, of corank 1
+    now and then, or the zero form; x zero, a product of 1 to m - 2
+    vectors, or an even, odd or mixed element.  A mixed element on a
+    diagonal form with m >= 3 is s + c e_ijk: tau(e_ijk) is
+    -e_ijk there, so its norm s^2 - c^2 e_ijk^2 is a scalar."""
+    m = rng.randint(1, 6 if ring != "Q(t)" else 4)
+    shape = rng.choice(["dense", "dense", "diagonal", "zero"])
+    corank = m > 1 and shape != "zero" and rng.random() < 0.3
+    g = [[0] * m for _ in range(m)]
+    if shape != "zero":
+        for i in range(m):
+            for j in range(i, m) if shape == "dense" else (i,):
+                g[i][j] = g[j][i] = _coprime_value(rng, ring) if rng.random() < 0.8 else 0
+    if corank:  # e_1 + ... + e_(m-1) - e_m in the radical
+        for i in range(m - 1):
+            g[i][m - 1] = g[m - 1][i] = sum((g[i][j] for j in range(m - 1)), 0)
+        g[m - 1][m - 1] = sum((g[i][m - 1] for i in range(m - 1)), 0)
+    V = QuadraticSpace(g)
+    kind = rng.choice(["zero", "product", "product", "even", "odd", "mixed", "mixed"])
+    if kind == "zero":
+        x = Multivector()
+    elif kind == "product":
+        x = Multivector.scalar(1)
+        for _ in range(rng.randint(1, max(1, m - 2 if ring != "Q(t)" else 2))):
+            x = gp(x, Multivector({1 << i: _coprime_value(rng, ring) for i in range(m) if rng.random() < 0.8}), V)
+    elif kind == "mixed" and shape == "diagonal" and not corank and m >= 3:
+        w = sum(1 << i for i in rng.sample(range(m), 3))
+        x = Multivector({0: _coprime_value(rng, ring) or 1, w: _coprime_value(rng, ring) or 1})
+    else:
+        parities = {"even": (0,), "odd": (1,), "mixed": (0, 1)}[kind]
+        x = Multivector({
+            mask: _coprime_value(rng, ring)
+            for mask in range(1 << m)
+            if mask.bit_count() % 2 in parities and rng.random() < 0.5
+        })
+    return V, x, {kind, shape, "D != 1" if V.scaled()[0] != 1 else "D = 1", "corank" if corank else "corank 0"}
+
+
+def test_the_integer_form_gives_the_verdicts_and_norms_of_the_values_as_given():
+    """Over Q, Q[t] (m <= 6) and Q(t) (m <= 4): the same membership
+    verdicts, and norms equal in value and in their printed encoding, which
+    over Q(t) is the unreduced quotient the product gives.  Scalar norms of
+    inhomogeneous elements are among them."""
+    rng = random.Random(71)
+    seen = set()
+    for k in range(240):
+        ring = ("Q", "Q[t]", "Q(t)")[k % 3]
+        V, x, labels = _integer_form_case(rng, ring)
+        member = is_lipschitz(x, V)
+        assert member == reference_uncleared_is_lipschitz(x, V), (ring, V.gram, x)
+        z, want = norm_scalar(x, V), reference_norm_scalar(x, V)
+        assert (z is None) == (want is None) and z == want, (ring, V.gram, x)
+        if z is not None:
+            assert jsonio.encode_coeff(z) == jsonio.encode_coeff(want), (ring, V.gram, x)
+        if not is_homogeneous(x) and z:
+            labels.add("inhomogeneous scalar norm")
+        seen |= {(ring, label) for label in labels | {member, z is None}}
+    for ring in ("Q", "Q[t]", "Q(t)"):
+        want = {"zero", "product", "even", "odd", "mixed", "dense", "diagonal", "corank", "corank 0",
+                "inhomogeneous scalar norm", True, False}
+        want |= {"D = 1"} if ring == "Q(t)" else {"D != 1"}
+        assert {(ring, label) for label in want} <= seen, (ring, {(r, l) for r, l in seen if r == ring})
+
+
+def test_the_written_out_swap_is_the_axpy_swap():
+    """``DoubledAlgebra.unbalanced`` equals the ``axpy`` loop, key by key
+    and in insertion order, on random terms over each ring, cancellations
+    included."""
+    rng = random.Random(72)
+    for k in range(150):
+        ring = ("Q", "Q[t]", "Q(t)")[k % 3]
+        m = rng.randint(1, 4)
+        keys = rng.sample(range(4 ** m), min(4 ** m, rng.randint(1, 12)))
+        terms = {key: _ring_value(rng, ring) or 1 for key in keys}
+        got = lipschitz.DoubledAlgebra(QuadraticSpace.zero(m)).unbalanced(terms)
+        want = reference_unbalanced(m, terms)
+        assert list(got) == list(want) and got == want
+        assert [jsonio.encode_coeff(v) for v in got.values()] == [jsonio.encode_coeff(v) for v in want.values()]
+
+
+def fraction_calls(fn, *args) -> int:
+    """The calls of ``Fraction.__new__`` while fn(*args) runs."""
+    count = 0
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is new:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+    return count
+
+
+def test_no_fraction_is_made_inside_the_test_on_rational_input():
+    """A dense rational m = 5 form with D != 1 and a product of three
+    vectors with rational coordinates: membership makes no ``Fraction``,
+    and the norm one, its final division.  The values as given make
+    thousands."""
+    rng = random.Random(73)
+    V = dense_form(rng, 5)
+    x = Multivector.scalar(1)
+    for _ in range(3):
+        x = gp(x, Multivector({1 << i: Fraction(rng.randint(1, 9), rng.choice(COPRIME[:4])) for i in range(5)}), V)
+    assert V.scaled()[0] != 1 and lipschitz_report(x, V)["verdict"] == "group"
+    assert fraction_calls(is_lipschitz, x, V) == 0
+    assert fraction_calls(norm_scalar, x, V) <= 1
+    assert fraction_calls(reference_norm_scalar, x, V) > 1000
 
 
 def orthogonal_volume(V):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,9 @@ from cliffdegen.rings import (
     RatFun,
     as_coeff,
     axpy,
+    cleared,
     czero,
+    denominators,
     eval_coeff,
 )
 
@@ -213,3 +216,17 @@ def test_ratfun_equality_is_equality_of_values():
     assert a == b == RatFun(Poly.const(1), t - 1)
     assert RatFun(t, t + 1) != RatFun(t, t + 2)
 
+
+
+def test_cleared_multiplies_onto_ints():
+    """k v with every denominator of v dividing k: an ``int``, or a
+    ``Poly`` of ``int``s, equal to k v; a ``RatFun`` times k as it is."""
+    t = Poly.t()
+    for v in (3, Fraction(-5, 6), Poly([Fraction(1, 4), 0, Fraction(2, 3)]), Poly()):
+        k = 7 * lcm(*denominators(v))
+        w = cleared(v, k)
+        assert w == k * v
+        assert type(w) is int or type(w) is Poly and all(type(c) is int for c in w.coeffs)
+    r = RatFun(t + Fraction(1, 2), t + 3)
+    assert denominators(r) == () and cleared(r, 6) == 6 * r
+    assert cleared(r, 6).den.coeffs == r.den.coeffs

@@ -2,6 +2,7 @@
 prints a header and one row per case."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -50,22 +51,41 @@ def test_script_prints_one_row_per_case(capsys, monkeypatch, name, argv, first_c
 
 
 def test_localmodel_caps_runs_each_class_in_a_fresh_process(capsys):
-    """At n = 2: one row per class, each with its wall time, a peak RSS and
-    the known payload."""
-    assert load("localmodel_caps").main(["--n", "2"]) == 0
+    """At n = 2, and m = 3 and 2 for `lipschitz test`: one row per class,
+    each with its wall time, a peak RSS and the known payload."""
+    assert load("localmodel_caps").main(["--n", "2", "--lipschitz-m", "3", "--ratfun-lipschitz-m", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[:2] == ["case", "n"]
+    assert header.split()[:2] == ["case", "size"]
     assert [row[:24].strip() for row in rows] == [
         "sequiv conjugate",
         "sequiv unrelated",
         "simple reducible",
         "centralizer random",
         "centralizer dependent h",
+        "lipschitz 4 vectors",
+        "lipschitz even sum",
+        "lipschitz Q(t) 3 vectors",
     ]
-    for row in rows:
+    for row, size in zip(rows, "22222332"):
         n, seconds, rss = row[24:].split()[:3]
-        assert n == "2" and float(seconds) > 0 and int(rss) > 0
+        assert n == size and float(seconds) > 0 and int(rss) > 0
     assert rows[1].endswith('{"equivalent": false, "length_bound": 4}')
+
+
+def test_the_lipschitz_cap_rows_refuse_a_wrong_payload(capsys, tmp_path):
+    """Each `lipschitz test` row accepts the CLI's payload, and refuses it
+    with another norm or another verdict, or none."""
+    from cliffdegen.cli import main
+
+    for label, _, argv, doc, check in load("localmodel_caps").lipschitz_cases(3, 2, 8):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main([*argv, "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert check(payload), label
+        for wrong in ({"norm_scalar": "12345/7"}, {"verdict": "monoid"}, {"cl0_member": False}):
+            assert not check({**payload, **wrong}), (label, wrong)
+        assert not check(None), label
 
 
 def test_stdout_digest_repeats_on_one_degeneration_cycle(capsys, monkeypatch):
